@@ -34,11 +34,13 @@ from .convex import (
 )
 from .core import (
     ConfigError,
+    Diverged,
     Problem,
     Rng,
     Schedule,
     StepRecord,
     Trajectory,
+    drive,
     schedule_eval,
     seeded_rng,
 )
@@ -49,7 +51,6 @@ from .harness import (
     apply_overrides,
     config_hash,
     d0_sweep,
-    fixed_step_run,
     grid_search,
     load_config,
     parse_config_text,

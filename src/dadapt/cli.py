@@ -10,23 +10,20 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import reports_to_csv
-from .convex import run_convex
 from .core import ConfigError
 from .harness import (
+    CSV_HEADER,
     ExperimentConfig,
     apply_overrides,
+    csv_text,
     d0_sweep,
     grid_search,
     load_config,
     run_experiment,
+    run_single,
     verify_suite,
-    _csv_text,
-    CSV_HEADER,
 )
-from .problems import abs_value_problem
 
 __all__ = ["main"]
 
@@ -124,15 +121,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace_toy(args) -> int:
-    prob = abs_value_problem()
-    result = run_convex(
-        prob, np.array([1.0]), algorithm="da", d0=0.1, n=args.steps, option="I"
-    )
-    rows = [
-        (rec.k, rec.d, rec.dhat, rec.scale, rec.f, rec.gnorm2, 0.0)
-        for rec in result.traj.records
-    ]
-    text = _csv_text(CSV_HEADER, rows)
+    # the steps CSV of `dadapt run --set d0=0.1 --set n_steps=<steps>`
+    out = run_single(ExperimentConfig(d0=0.1, n_steps=args.steps), seed=0)
+    text = csv_text(CSV_HEADER, out.rows)
     if args.out:
         Path(args.out).write_text(text)
         print(f"trace -> {args.out}")

@@ -24,7 +24,7 @@ Three variants live here:
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
 plain listings. Steppers mutate their state and append to a Trajectory;
-run_convex drives a full run against a Problem oracle.
+run_convex sets one up and hands it to core.drive.
 """
 
 from __future__ import annotations
@@ -37,13 +37,14 @@ import numpy as np
 
 from .core import (
     ConfigError,
+    Diverged,
     Problem,
     Rng,
     Schedule,
     StepRecord,
     Trajectory,
     Vector,
-    schedule_eval,
+    drive,
 )
 
 __all__ = [
@@ -64,9 +65,9 @@ __all__ = [
 _NAN = float("nan")
 
 
-def _check_gradient(gnorm2: float) -> None:
+def _check_gradient(state, gnorm2: float) -> None:
     if not math.isfinite(gnorm2):
-        raise ValueError("non-finite gradient")
+        raise Diverged(state.k, state.traj, "non-finite gradient")
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def da_init(
 
 def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
     gnorm2 = float(g @ g)
-    _check_gradient(gnorm2)
+    _check_gradient(state, gnorm2)
     if state.gamma is None:
         if gnorm2 == 0.0:
             raise ValueError("zero first gradient; the driver returns x0 directly")
@@ -213,7 +214,7 @@ def gd_init(x0: Vector, d0: float, G: float) -> GDState:
 
 def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
     gnorm2 = float(g @ g)
-    _check_gradient(gnorm2)
+    _check_gradient(state, gnorm2)
     # the step size denominator includes the current gradient
     state.sum_gsq += gnorm2
     lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)
@@ -287,7 +288,7 @@ def adagrad_da_step(
     state: AdaGradDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
     gnorm2 = float(g @ g)
-    _check_gradient(gnorm2)
+    _check_gradient(state, gnorm2)
     lam = sched * state.d
 
     # weighted gradient-norm term uses the denominators before this gradient
@@ -410,6 +411,7 @@ def run_convex(
         )
 
     heuristic_g = False
+    xs: list[Vector] = []  # visited dual-averaging points, for the prefix average
     if algorithm == "da":
         g_fixed = None
         if g_mode == "fixed":
@@ -418,7 +420,11 @@ def run_convex(
                 g_fixed = math.sqrt(g0_norm2)
                 heuristic_g = True
         state = da_init(x0, d0, option=option, g_fixed=g_fixed)
-        step = da_step
+
+        def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
+            xs.append(state.x.copy())
+            da_step(state, g, f_val=f_val, sched=sched)
+
     elif algorithm == "gd":
         G = g_value
         if G is None:
@@ -436,20 +442,7 @@ def run_convex(
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     state.traj.meta["heuristic_g"] = heuristic_g
 
-    track = algorithm == "da"
-    xs: list[Vector] = []
-    lams: list[float] = []
-
-    g = g0
-    for k in range(n):
-        if k > 0:
-            g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
-        f_val = problem.value(state.x) if k % record_f_every == 0 else _NAN
-        if track:
-            xs.append(state.x.copy())
-        step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
-        if track:
-            lams.append(state.traj.extras["lam"][-1])
+    drive(problem, state, step, n, schedule, rng, record_f_every, g0=g0)
 
     traj = state.traj
     result = ConvexRunResult(
@@ -458,8 +451,9 @@ def run_convex(
         x_final=state.x.copy(),
         d_final=state.d,
     )
-    if track:
+    if algorithm == "da":
         t = select_return_index(traj.d_series())
+        lams = traj.extras["lam"]
         num = np.zeros_like(x0)
         den = 0.0
         for k in range(t + 1):

@@ -1,4 +1,5 @@
-"""Shared primitives: problem oracles, step-size schedules, run trajectories, RNG.
+"""Shared primitives: problem oracles, step-size schedules, run trajectories,
+RNG, and the one loop that drives a stepper against an oracle.
 
 Everything downstream (the optimizers, the bound checkers, the benchmark
 harness) builds on the types here. All vectors are float64 numpy arrays and
@@ -19,6 +20,8 @@ Vector = np.ndarray
 __all__ = [
     "Vector",
     "ConfigError",
+    "Diverged",
+    "DIVERGENCE_NORM",
     "Rng",
     "seeded_rng",
     "Schedule",
@@ -27,11 +30,26 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "weighted_average_update",
+    "drive",
 ]
+
+_NAN = float("nan")
+
+# an iterate with a coordinate beyond this magnitude (or NaN) ends the run
+DIVERGENCE_NORM = 1e12
 
 
 class ConfigError(ValueError):
     """Invalid configuration: bad schedule parameters, d0 <= 0, unknown keys."""
+
+
+class Diverged(ValueError):
+    """A run diverged at step k; traj holds the steps recorded up to the failure."""
+
+    def __init__(self, k: int, traj: "Trajectory", what: str):
+        super().__init__(f"{what} at step {k}")
+        self.k = k
+        self.traj = traj
 
 
 # --------------------------------------------------------------------------
@@ -280,3 +298,40 @@ def weighted_average_update(traj: Trajectory, x: Vector, w: float) -> Trajectory
         traj.avg_num += w * x
         traj.avg_den += w
     return traj
+
+
+# --------------------------------------------------------------------------
+# The step loop
+#
+# Every optimizer is a pair init(x0, ...) -> state and
+# step(state, g, f_val=nan, sched=1.0), where the stepper reads state.x,
+# moves it, and appends one StepRecord to state.traj.
+
+
+def drive(
+    problem: Problem,
+    state,
+    step: Callable,
+    n: int,
+    schedule: Schedule,
+    rng: Optional[Rng],
+    record_f_every: int,
+    g0: Optional[Vector] = None,
+) -> None:
+    """Take n steps of step from state.x against problem's oracle.
+
+    g0, when given, is the gradient at the starting point and is used for
+    step 0 instead of a fresh oracle call. f is evaluated at the visited
+    point every record_f_every steps and passed as NaN otherwise. Raises
+    Diverged at the first step whose new iterate has a NaN or a coordinate
+    beyond DIVERGENCE_NORM; that step's record is kept.
+    """
+    for k in range(n):
+        if k == 0 and g0 is not None:
+            g = g0
+        else:
+            g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
+        f_val = problem.value(state.x) if k % record_f_every == 0 else _NAN
+        step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
+        if not np.abs(state.x).max(initial=0.0) <= DIVERGENCE_NORM:
+            raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")

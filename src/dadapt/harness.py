@@ -20,20 +20,24 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import analysis
 from .analysis import BoundReport
-from .convex import ConvexRunResult, run_convex, select_return_index
+from .convex import run_convex
 from .core import (
+    DIVERGENCE_NORM,
     ConfigError,
+    Diverged,
     Problem,
     Rng,
     Schedule,
+    StepRecord,
+    Trajectory,
     Vector,
-    schedule_eval,
+    drive,
     seeded_rng,
 )
 from .ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
@@ -50,13 +54,13 @@ __all__ = [
     "adagrad_norm_init",
     "adagrad_norm_step",
     "polyak_step",
-    "fixed_step_run",
     "ExperimentConfig",
     "parse_config_text",
     "load_config",
     "apply_overrides",
     "config_hash",
     "CSV_HEADER",
+    "csv_text",
     "RunOutput",
     "run_single",
     "run_experiment",
@@ -68,8 +72,6 @@ __all__ = [
 
 CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2", "elapsed"]
 
-DIVERGENCE_NORM = 1e12
-
 DADAPT_ALGORITHMS = ("da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da")
 BASELINE_ALGORITHMS = ("adagrad", "adagrad_norm", "polyak", "fixed")
 GRID_BASELINES = ("adagrad", "adagrad_norm", "fixed")
@@ -79,6 +81,15 @@ _NAN = float("nan")
 
 # --------------------------------------------------------------------------
 # Baselines
+#
+# Step-size methods the adaptive ones are measured against. They are
+# steppers like the adaptive methods and run through the same core.drive;
+# their records carry NaN for d and dhat and the step size as the scale.
+
+
+def _record(state, gamma: float, f_val: float, gnorm2: float) -> None:
+    state.traj.append(StepRecord(state.k, _NAN, _NAN, gamma, f_val, gnorm2))
+    state.k += 1
 
 
 @dataclass
@@ -89,16 +100,21 @@ class AdaGradNormState:
     x: Vector
     radius: float
     sum_gsq: float
+    traj: Trajectory
+    k: int = 0
 
 
 def adagrad_norm_init(x0: Vector, radius: float) -> AdaGradNormState:
     if radius <= 0.0:
         raise ConfigError("ball radius must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    return AdaGradNormState(x0=x0.copy(), x=x0.copy(), radius=radius, sum_gsq=0.0)
+    traj = Trajectory("adagrad_norm", x0.shape[0])
+    return AdaGradNormState(x0=x0.copy(), x=x0.copy(), radius=radius, sum_gsq=0.0, traj=traj)
 
 
-def adagrad_norm_step(state: AdaGradNormState, g: Vector) -> Vector:
+def adagrad_norm_step(
+    state: AdaGradNormState, g: Vector, f_val: float = _NAN, sched: float = 1.0
+) -> Vector:
     """x <- project(x - radius/sqrt(sum ||g||^2) * g) onto the x0-ball.
 
     Skipped while every gradient seen so far is zero (the step size is
@@ -107,6 +123,7 @@ def adagrad_norm_step(state: AdaGradNormState, g: Vector) -> Vector:
     gnorm2 = float(g @ g)
     state.sum_gsq += gnorm2
     if state.sum_gsq == 0.0:
+        _record(state, _NAN, f_val, gnorm2)
         return state.x
     gamma = state.radius / math.sqrt(state.sum_gsq)
     x = state.x - gamma * g
@@ -115,6 +132,7 @@ def adagrad_norm_step(state: AdaGradNormState, g: Vector) -> Vector:
     if dist > state.radius:
         x = state.x0 + delta * (state.radius / dist)
     state.x = x
+    _record(state, gamma, f_val, gnorm2)
     return state.x
 
 
@@ -131,27 +149,59 @@ def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
     return x - (excess / gg) * g
 
 
-def fixed_step_run(
-    problem: Problem,
-    x0: Vector,
-    D: float,
-    G: float,
-    n: int,
-    rng: Optional[Rng] = None,
-) -> Vector:
-    """n subgradient steps at the oracle rate D/(G sqrt(n)); uniform average."""
-    if n <= 0:
-        raise ConfigError("n must be positive")
-    if D <= 0.0 or G <= 0.0:
-        raise ConfigError("D and G must be positive")
-    gamma = D / (G * math.sqrt(n))
-    x = np.asarray(x0, dtype=np.float64).copy()
-    total = x.copy()
-    for _ in range(n):
-        g = np.asarray(problem.subgradient(x, rng), dtype=np.float64)
-        x = x - gamma * g
-        total += x
-    return total / (n + 1)
+@dataclass
+class _PolyakState:
+    x: Vector
+    value: Callable[[Vector], float]  # the step needs f at every point
+    fstar: float
+    traj: Trajectory
+    k: int = 0
+
+
+def _polyak_state_step(
+    state: _PolyakState, g: Vector, f_val: float = _NAN, sched: float = 1.0
+) -> None:
+    fx = state.value(state.x) if math.isnan(f_val) else f_val
+    gg = float(g @ g)
+    gamma = (fx - state.fstar) / gg if gg > 0.0 else 0.0
+    state.x = polyak_step(state.x, g, fx, state.fstar)
+    _record(state, gamma, f_val, gg)
+
+
+@dataclass
+class _FixedState:
+    """Subgradient steps of one size; traj averages x_0 .. x_k uniformly."""
+
+    x: Vector
+    gamma: float
+    traj: Trajectory
+    k: int = 0
+
+
+def _fixed_step(state: _FixedState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
+    state.x = state.x - state.gamma * g
+    state.traj.update_average(state.x, 1.0)
+    _record(state, state.gamma, f_val, float(g @ g))
+
+
+@dataclass
+class _AdaGradState:
+    x: Vector
+    acc: Vector  # per-coordinate root sum of squared gradients
+    lr: float
+    traj: Trajectory
+    k: int = 0
+
+
+def _adagrad_step(
+    state: _AdaGradState, g: Vector, f_val: float = _NAN, sched: float = 1.0
+) -> None:
+    # plain coordinate-wise accumulation, lr times schedule on top
+    state.acc = np.sqrt(state.acc * state.acc + g * g)
+    step = np.divide(g, state.acc, out=np.zeros_like(g), where=state.acc > 0.0)
+    mult = state.lr * sched
+    state.x = state.x - mult * step
+    _record(state, mult, f_val, float(g @ g))
 
 
 # --------------------------------------------------------------------------
@@ -379,16 +429,55 @@ def _rows_from_trajectory(traj, elapsed: float) -> list[tuple]:
     ]
 
 
-def _finite(x: Vector) -> bool:
-    return bool(np.isfinite(x).all()) and float(np.abs(x).max(initial=0.0)) <= DIVERGENCE_NORM
-
-
 def _final_f(bundle: ProblemBundle, x: Vector) -> float:
     return float(bundle.problem.value(x))
 
 
+def _start(config: ExperimentConfig, bundle: ProblemBundle):
+    """Initial state and stepper for a method that run_convex does not set up."""
+    algo = config.algorithm
+    x0 = bundle.x0
+    if algo == "sgd_da":
+        return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=bundle.G), sgd_da_step
+    if algo == "adam_da":
+        state = adam_da_init(
+            x0,
+            d0=config.d0,
+            beta1=config.beta1,
+            beta2=config.beta2,
+            eps=config.eps,
+            decay=config.decay,
+        )
+        return state, adam_da_step
+    if algo == "adagrad_norm":
+        radius = config.lr * (bundle.D if bundle.D is not None else 1.0)
+        return adagrad_norm_init(x0, radius), adagrad_norm_step
+    traj = Trajectory(algo, x0.shape[0])
+    if algo == "fixed":
+        if bundle.D is None or bundle.G is None:
+            raise ConfigError("fixed-step baseline needs known D and G")
+        gamma = config.lr * bundle.D / (bundle.G * math.sqrt(bundle.n_steps))
+        traj.update_average(x0, 1.0)
+        return _FixedState(x=x0.copy(), gamma=gamma, traj=traj), _fixed_step
+    if algo == "polyak":
+        if bundle.fstar is None:
+            raise ConfigError("polyak baseline needs the optimal value")
+        state = _PolyakState(
+            x=x0.copy(), value=bundle.problem.value, fstar=bundle.fstar, traj=traj
+        )
+        return state, _polyak_state_step
+    if algo == "adagrad":
+        state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
+        return state, _adagrad_step
+    raise ConfigError(f"unknown algorithm {algo!r}")
+
+
 def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
-    """Execute one (config, seed) run and return rows plus a summary."""
+    """Execute one (config, seed) run and return rows plus a summary.
+
+    A run that diverges stops at the failing step, keeps its rows up to and
+    including that step, and reports final_f as NaN.
+    """
     bundle = build_problem(config, seed)
     sched = _schedule_from_config(config)
     chash = config_hash(config)
@@ -415,14 +504,12 @@ def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
         summary["out_of_theory"] = True
 
-    rows: list[tuple] = []
     try:
         if algo in ("da_I", "da_II", "gd", "adagrad_da"):
-            kind = {"da_I": "da", "da_II": "da", "gd": "gd", "adagrad_da": "adagrad_da"}[algo]
             result = run_convex(
                 bundle.problem,
                 bundle.x0,
-                algorithm=kind,
+                algorithm="da" if algo.startswith("da_") else algo,
                 d0=config.d0,
                 n=bundle.n_steps,
                 option="II" if algo == "da_II" else "I",
@@ -433,165 +520,35 @@ def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
                 rng=rng,
                 record_f_every=config.record_f_every,
             )
-            elapsed = time.perf_counter() - t_start if config.timing else 0.0
-            rows = _rows_from_trajectory(result.traj, elapsed)
-            summary["steps"] = len(result.traj.records)
+            traj = result.traj
             summary["exited_at_start"] = result.exited_at_start
-            summary["final_d"] = result.d_final
-            summary["heuristic_G"] = bool(result.traj.meta.get("heuristic_g", False))
             summary["final_f"] = _final_f(bundle, result.x_final)
             if not result.exited_at_start:
                 summary["avg_f"] = _final_f(bundle, result.x_avg)
                 if result.t_index is not None:
                     summary["t_index"] = result.t_index
                     summary["f_at_t"] = _final_f(bundle, result.x_avg_t)
-            if not _finite(result.x_final):
-                summary["diverged"] = True
-        elif algo in ("sgd_da", "adam_da"):
-            rows, summary_update = _run_ml(config, bundle, sched, rng)
-            summary.update(summary_update)
-        elif algo in BASELINE_ALGORITHMS:
-            rows, summary_update = _run_baseline(config, bundle, sched, rng)
-            summary.update(summary_update)
         else:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    except ValueError as err:
-        if "non-finite" in str(err):
-            summary["diverged"] = True
-        else:
-            raise
-    if config.timing and rows:
-        elapsed = time.perf_counter() - t_start
-        rows = [row[:6] + (elapsed,) for row in rows]
+            state, step = _start(config, bundle)
+            traj = state.traj
+            drive(bundle.problem, state, step, bundle.n_steps, sched, rng, config.record_f_every)
+            if algo == "fixed":
+                summary["avg_f"] = _final_f(bundle, traj.average())
+                summary["final_f"] = summary["avg_f"]
+            else:
+                summary["final_f"] = _final_f(bundle, state.x)
+    except Diverged as err:
+        traj = err.traj
+        summary["diverged"] = True
+
+    summary["steps"] = len(traj.records)
+    summary["heuristic_G"] = bool(traj.meta.get("heuristic_g", False))
+    if algo in DADAPT_ALGORITHMS:
+        # the estimate in force after the last recorded step
+        summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
+    elapsed = time.perf_counter() - t_start if config.timing else 0.0
+    rows = _rows_from_trajectory(traj, elapsed)
     return RunOutput(config_hash=chash, seed=seed, rows=rows, summary=summary)
-
-
-def _run_ml(config, bundle: ProblemBundle, sched: Schedule, rng: Rng):
-    problem = bundle.problem
-    n = bundle.n_steps
-    if config.algorithm == "sgd_da":
-        state = sgd_da_init(bundle.x0, d0=config.d0, beta=config.beta, G=bundle.G)
-        step = sgd_da_step
-    else:
-        state = adam_da_init(
-            bundle.x0,
-            d0=config.d0,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            decay=config.decay,
-        )
-        step = adam_da_step
-    diverged = False
-    for k in range(n):
-        f_val = problem.value(state.x) if k % config.record_f_every == 0 else _NAN
-        g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
-        step(state, g, gamma_k=schedule_eval(sched, k, n), f_val=f_val)
-        if not _finite(state.x):
-            diverged = True
-            break
-    rows = _rows_from_trajectory(state.traj, 0.0)
-    summary = {
-        "steps": state.k,
-        "final_f": _final_f(bundle, state.x) if not diverged else _NAN,
-        "final_d": state.d,
-        "diverged": diverged,
-        "heuristic_G": config.algorithm == "sgd_da" and bundle.G is None,
-    }
-    return rows, summary
-
-
-def _run_baseline(config, bundle: ProblemBundle, sched: Schedule, rng: Rng):
-    problem = bundle.problem
-    n = bundle.n_steps
-    algo = config.algorithm
-    rows: list[tuple] = []
-    diverged = False
-
-    if algo == "fixed":
-        if bundle.D is None or bundle.G is None:
-            raise ConfigError("fixed-step baseline needs known D and G")
-        gamma = config.lr * bundle.D / (bundle.G * math.sqrt(n))
-        x = bundle.x0.copy()
-        total = x.copy()
-        for k in range(n):
-            f_val = problem.value(x) if k % config.record_f_every == 0 else _NAN
-            g = np.asarray(problem.subgradient(x, rng), dtype=np.float64)
-            x = x - gamma * g
-            total += x
-            rows.append((k, _NAN, _NAN, gamma, f_val, float(g @ g), 0.0))
-            if not _finite(x):
-                diverged = True
-                break
-        x_out = total / (len(rows) + 1)
-        return rows, {
-            "steps": len(rows),
-            "final_f": _final_f(bundle, x_out) if not diverged else _NAN,
-            "avg_f": _final_f(bundle, x_out) if not diverged else _NAN,
-            "diverged": diverged,
-        }
-
-    if algo == "adagrad_norm":
-        radius = config.lr * (bundle.D if bundle.D is not None else 1.0)
-        state = adagrad_norm_init(bundle.x0, radius)
-        for k in range(n):
-            f_val = problem.value(state.x) if k % config.record_f_every == 0 else _NAN
-            g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
-            adagrad_norm_step(state, g)
-            gamma = (
-                state.radius / math.sqrt(state.sum_gsq) if state.sum_gsq > 0.0 else _NAN
-            )
-            rows.append((k, _NAN, _NAN, gamma, f_val, float(g @ g), 0.0))
-        return rows, {
-            "steps": len(rows),
-            "final_f": _final_f(bundle, state.x),
-            "diverged": False,  # iterates stay inside the ball
-        }
-
-    if algo == "polyak":
-        if bundle.fstar is None:
-            raise ConfigError("polyak baseline needs the optimal value")
-        x = bundle.x0.copy()
-        for k in range(n):
-            f_val = problem.value(x)
-            g = np.asarray(problem.subgradient(x, rng), dtype=np.float64)
-            gg = float(g @ g)
-            gamma = (f_val - bundle.fstar) / gg if gg > 0.0 else 0.0
-            x = polyak_step(x, g, f_val, bundle.fstar)
-            rows.append(
-                (k, _NAN, _NAN, gamma, f_val if k % config.record_f_every == 0 else _NAN, gg, 0.0)
-            )
-            if not _finite(x):
-                diverged = True
-                break
-        return rows, {
-            "steps": len(rows),
-            "final_f": _final_f(bundle, x) if not diverged else _NAN,
-            "diverged": diverged,
-        }
-
-    if algo == "adagrad":
-        # plain coordinate-wise accumulation, lr times schedule on top
-        x = bundle.x0.copy()
-        acc = np.zeros_like(x)
-        for k in range(n):
-            f_val = problem.value(x) if k % config.record_f_every == 0 else _NAN
-            g = np.asarray(problem.subgradient(x, rng), dtype=np.float64)
-            acc = np.sqrt(acc * acc + g * g)
-            step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
-            mult = config.lr * schedule_eval(sched, k, n)
-            x = x - mult * step
-            rows.append((k, _NAN, _NAN, mult, f_val, float(g @ g), 0.0))
-            if not _finite(x):
-                diverged = True
-                break
-        return rows, {
-            "steps": len(rows),
-            "final_f": _final_f(bundle, x) if not diverged else _NAN,
-            "diverged": diverged,
-        }
-
-    raise ConfigError(f"unknown baseline {algo!r}")
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +561,7 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -680,9 +637,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     chash = outputs[0].config_hash
     out_dir = Path(config.out_dir) / chash
     for out in outputs:
-        _write_atomic(out_dir / f"steps_seed{out.seed}.csv", _csv_text(CSV_HEADER, out.rows))
+        _write_atomic(out_dir / f"steps_seed{out.seed}.csv", csv_text(CSV_HEADER, out.rows))
     summary_rows = [[out.summary.get(k, "") for k in SUMMARY_HEADER] for out in outputs]
-    _write_atomic(out_dir / "summary.csv", _csv_text(SUMMARY_HEADER, summary_rows))
+    _write_atomic(out_dir / "summary.csv", csv_text(SUMMARY_HEADER, summary_rows))
 
     aggregate: dict[str, tuple[float, float]] = {}
     agg_rows = []
@@ -694,7 +651,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         aggregate[metric] = (m, se2)
         agg_rows.append([metric, m, se2, len(vals)])
     _write_atomic(
-        out_dir / "aggregate.csv", _csv_text(["metric", "mean", "two_se", "count"], agg_rows)
+        out_dir / "aggregate.csv", csv_text(["metric", "mean", "two_se", "count"], agg_rows)
     )
     return ExperimentResult(
         config_hash=chash, out_dir=out_dir, outputs=outputs, aggregate=aggregate
@@ -739,7 +696,7 @@ def grid_search(
     out_path = Path(config.out_dir) / f"grid_{config_hash(config)}.csv"
     _write_atomic(
         out_path,
-        _csv_text(["lr", "mean_final_f", "two_se", "diverged"], rows),
+        csv_text(["lr", "mean_final_f", "two_se", "diverged"], rows),
     )
     compare_f = _NAN
     if compare_algorithm is not None:
@@ -751,7 +708,7 @@ def grid_search(
         compare_f = compare.aggregate.get("final_f", (_NAN, _NAN))[0]
         _write_atomic(
             out_path.with_name(out_path.stem + "_compare.csv"),
-            _csv_text(
+            csv_text(
                 ["algorithm", "mean_final_f"],
                 [["best_grid", best_f], [compare_algorithm, compare_f]],
             ),
@@ -795,7 +752,7 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
     out_path = Path(config.out_dir) / f"sweep_d0_{config_hash(config)}.csv"
     _write_atomic(
         out_path,
-        _csv_text(["d0", "mean_final_f", "two_se", "out_of_theory"], rows),
+        csv_text(["d0", "mean_final_f", "two_se", "out_of_theory"], rows),
     )
     return SweepResult(rows=rows, relative_spread=spread, out_path=out_path)
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, StepRecord, Trajectory, Vector
+from .core import ConfigError, Diverged, StepRecord, Trajectory, Vector
 
 __all__ = [
     "SGDDAState",
@@ -33,9 +33,11 @@ __all__ = [
 _NAN = float("nan")
 
 
-def _check_sched(gamma_k: float) -> None:
-    if not (0.0 < gamma_k <= 1.0):
+def _check_step_inputs(state, gnorm2: float, sched: float) -> None:
+    if not (0.0 < sched <= 1.0):
         raise ConfigError("schedule multiplier must lie in (0, 1]")
+    if not math.isfinite(gnorm2):
+        raise Diverged(state.k, state.traj, "non-finite gradient")
 
 
 # --------------------------------------------------------------------------
@@ -66,6 +68,8 @@ def sgd_da_init(
     if G is not None and G <= 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
+    traj = Trajectory("sgd_da", x0.shape[0])
+    traj.meta["heuristic_g"] = G is None
     return SGDDAState(
         x=x0.copy(),
         z=x0.copy(),
@@ -76,17 +80,15 @@ def sgd_da_init(
         beta=beta,
         G=G,
         hypergrad_sum=0.0,
-        traj=Trajectory("sgd_da", x0.shape[0]),
+        traj=traj,
     )
 
 
 def sgd_da_step(
-    state: SGDDAState, g: Vector, gamma_k: float = 1.0, f_val: float = _NAN
+    state: SGDDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    _check_sched(gamma_k)
     gnorm2 = float(g @ g)
-    if not math.isfinite(gnorm2):
-        raise ValueError("non-finite gradient")
+    _check_step_inputs(state, gnorm2, sched)
     if state.G is None:
         if gnorm2 == 0.0:
             # nothing observable yet; skip, only the counter advances
@@ -97,7 +99,7 @@ def sgd_da_step(
             return
         state.G = math.sqrt(gnorm2)
 
-    lam = state.d * gamma_k / state.G
+    lam = state.d * sched / state.G
     state.hypergrad_sum += lam * float(g @ state.s)  # pre-update s
     state.s += lam * g
     state.z -= lam * g
@@ -172,13 +174,11 @@ def adam_da_init(
 
 
 def adam_da_step(
-    state: AdamDAState, g: Vector, gamma_k: float = 1.0, f_val: float = _NAN
+    state: AdamDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    _check_sched(gamma_k)
     gnorm2 = float(g @ g)
-    if not math.isfinite(gnorm2):
-        raise ValueError("non-finite gradient")
-    dg = state.d * gamma_k
+    _check_step_inputs(state, gnorm2, sched)
+    dg = state.d * sched
     sb2 = math.sqrt(state.beta2)
 
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * dg * g

@@ -345,11 +345,11 @@ def test_criterion_10_hand_trace_oracles():
 
     # stochastic form with primal averaging, steps 0 and 1
     st5 = sgd_da_init(np.array([1.0]), d0=0.1, beta=0.9, G=1.0)
-    sgd_da_step(st5, np.array([1.0]), gamma_k=1.0, f_val=1.0)
+    sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=1.0)
     expect("sgd0.z", st5.z[0], 0.9)
     expect("sgd0.x", st5.x[0], 0.99)
     expect("sgd0.dhat", st5.d_hat_last, 0.0)
-    sgd_da_step(st5, np.array([1.0]), gamma_k=1.0, f_val=0.99)
+    sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=0.99)
     expect("sgd1.hyper", st5.hypergrad_sum, 0.01)
     expect("sgd1.s", st5.s[0], 0.2)
     expect("sgd1.z", st5.z[0], 0.8)
@@ -358,7 +358,7 @@ def test_criterion_10_hand_trace_oracles():
 
     # moving-average form, step 0
     st6 = adam_da_init(np.array([1.0]), d0=0.1)
-    adam_da_step(st6, np.array([1.0]), gamma_k=1.0, f_val=1.0)
+    adam_da_step(st6, np.array([1.0]), sched=1.0, f_val=1.0)
     expect("adam0.m", st6.m[0], 0.01)
     expect("adam0.v", st6.v[0], 0.001)
     expect("adam0.x", st6.x[0], 1.0 - 0.01 / (math.sqrt(0.001) + 1e-8))

@@ -15,7 +15,7 @@ from dadapt.convex import (
     run_convex,
     select_return_index,
 )
-from dadapt.core import ConfigError, Schedule
+from dadapt.core import ConfigError, Diverged, Schedule
 from dadapt.problems import abs_value_problem, piecewise_max_problem, random_piecewise_max
 from dadapt.core import Rng
 
@@ -294,3 +294,21 @@ class TestRunConvex:
         res = run_convex(prob, np.array([1.0]), algorithm="gd", d0=0.1, n=100, g_value=2.0)
         lams = res.traj.extra("lam")
         assert res.traj.avg_den == pytest.approx(sum(lams), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "init, step",
+    [
+        (lambda: da_init(np.array([1.0]), 0.1), da_step),
+        (lambda: gd_init(np.array([1.0]), 0.1, G=1.0), gd_step),
+        (lambda: adagrad_da_init(np.array([1.0]), 0.1, g_inf=1.0), adagrad_da_step),
+    ],
+)
+def test_non_finite_gradient_raises_diverged(init, step):
+    st = init()
+    step(st, np.array([1.0]))
+    with pytest.raises(Diverged) as info:
+        step(st, np.array([math.inf]))
+    assert info.value.k == 1
+    assert info.value.traj is st.traj
+    assert len(st.traj.records) == 1

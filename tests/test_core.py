@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from dadapt.core import (
+    DIVERGENCE_NORM,
     ConfigError,
+    Diverged,
+    Problem,
     Rng,
     Schedule,
     StepRecord,
     Trajectory,
+    drive,
     schedule_eval,
     seeded_rng,
     weighted_average_update,
@@ -194,3 +198,69 @@ def test_normal_spare_determinism():
     ys = [b.normal() for _ in range(7)]
     assert xs == ys
     assert all(math.isfinite(v) for v in xs)
+
+
+class _ScaleState:
+    """Toy stepper state: each step multiplies x by a fixed factor."""
+
+    def __init__(self, x0, factor):
+        self.x = np.array(x0, dtype=np.float64)
+        self.factor = factor
+        self.traj = Trajectory("toy", self.x.shape[0])
+        self.seen = []
+
+    def step(self, state, g, f_val=math.nan, sched=1.0):
+        assert state is self
+        self.seen.append((g.copy(), f_val, sched))
+        self.traj.append(StepRecord(len(self.traj.records), 1.0, 0.0, sched, f_val, 0.0))
+        self.x = self.x * self.factor
+
+
+def _counting_problem(calls):
+    def value(x):
+        calls["value"] += 1
+        return float(x[0])
+
+    def subgradient(x, rng=None):
+        calls["subgradient"] += 1
+        return np.ones_like(x)
+
+    return Problem(dim=1, value=value, subgradient=subgradient)
+
+
+class TestDrive:
+    def test_g0_reused_and_f_on_cadence(self):
+        calls = {"value": 0, "subgradient": 0}
+        st = _ScaleState([1.0], 1.0)
+        drive(_counting_problem(calls), st, st.step, 10, Schedule(), None, 3, g0=np.array([5.0]))
+        assert calls == {"subgradient": 9, "value": 4}
+        assert st.seen[0][0][0] == 5.0 and st.seen[1][0][0] == 1.0
+        fs = [f for _, f, _ in st.seen]
+        assert [k for k, f in enumerate(fs) if not math.isnan(f)] == [0, 3, 6, 9]
+
+    def test_schedule_multiplier_passed(self):
+        calls = {"value": 0, "subgradient": 0}
+        st = _ScaleState([1.0], 1.0)
+        sched = Schedule(kind="stagewise", stage_fractions=(0.5,), stage_factor=0.1)
+        drive(_counting_problem(calls), st, st.step, 4, sched, None, 1)
+        assert [s for _, _, s in st.seen] == [schedule_eval(sched, k, 4) for k in range(4)]
+
+    def test_stops_at_first_iterate_past_norm(self):
+        st = _ScaleState([1.0], 1e4)
+        problem = _counting_problem({"value": 0, "subgradient": 0})
+        with pytest.raises(Diverged) as info:
+            drive(problem, st, st.step, 10, Schedule(), None, 1)
+        # 1e4, 1e8, 1e12 stay inside the closed ball; 1e16 does not
+        assert info.value.k == 3
+        assert info.value.traj is st.traj
+        assert len(st.traj.records) == 4
+        assert abs(st.x[0]) > DIVERGENCE_NORM
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_iterate_diverges(self, bad):
+        st = _ScaleState([1.0, bad], 1.0)
+        problem = _counting_problem({"value": 0, "subgradient": 0})
+        with pytest.raises(Diverged) as info:
+            drive(problem, st, st.step, 5, Schedule(), None, 1)
+        assert info.value.k == 0
+        assert isinstance(info.value, ValueError)

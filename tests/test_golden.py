@@ -1,0 +1,120 @@
+"""Byte-level regression gate on the CSVs that run_experiment writes.
+
+Every algorithm runs on abs, piecewise and a small synthetic logistic
+problem with seeds (0, 1), plus schedule, cadence, G-mode, zero-gradient
+and divergence variants. The SHA-256 of each steps/summary/aggregate CSV
+must equal the digest stored in golden_sha256.json. A change that is meant
+to alter output bytes re-records the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dadapt.core import ConfigError
+from dadapt.harness import (
+    BASELINE_ALGORITHMS,
+    DADAPT_ALGORITHMS,
+    ExperimentConfig,
+    run_experiment,
+)
+
+GOLDEN_PATH = Path(__file__).with_name("golden_sha256.json")
+SEEDS = (0, 1)
+
+PROBLEMS = {
+    "abs": dict(problem="abs", n_steps=100),
+    "piecewise": dict(problem="piecewise", n_steps=200),
+    "logistic": dict(problem="synth_logistic", synth_n=200, synth_dim=5, epochs=3),
+}
+# baselines that need a known D, G or optimal value
+NEEDS_KNOWN_GEOMETRY = ("fixed", "polyak")
+
+
+def _cases() -> dict[str, dict]:
+    cases = {}
+    for pname, base in PROBLEMS.items():
+        for algo in DADAPT_ALGORITHMS + BASELINE_ALGORITHMS:
+            if pname == "logistic" and algo in NEEDS_KNOWN_GEOMETRY:
+                continue
+            cases[f"{pname}-{algo}"] = dict(base, algorithm=algo)
+    for algo in DADAPT_ALGORITHMS:
+        cases[f"piecewise-{algo}-stagewise"] = dict(
+            PROBLEMS["piecewise"], algorithm=algo, schedule="stagewise"
+        )
+    for pname, algo in (("piecewise", "da_I"), ("piecewise", "polyak"), ("logistic", "adagrad")):
+        cases[f"{pname}-{algo}-record7"] = dict(
+            PROBLEMS[pname], algorithm=algo, record_f_every=7
+        )
+    for algo in ("da_I", "da_II"):
+        cases[f"piecewise-{algo}-gfixed"] = dict(
+            PROBLEMS["piecewise"], algorithm=algo, g_mode="fixed"
+        )
+    for algo in DADAPT_ALGORITHMS + BASELINE_ALGORITHMS:
+        if algo == "adagrad_norm":
+            continue  # its ball radius is |x0|, so x0 = 0 is a config error
+        cases[f"abs-{algo}-x0zero"] = dict(PROBLEMS["abs"], algorithm=algo, x0=0.0)
+    # runs that leave the 1e12 ball and stop with the failing step's row kept
+    cases["abs-fixed-diverge"] = dict(PROBLEMS["abs"], algorithm="fixed", lr=1e15)
+    cases["abs-adagrad-diverge"] = dict(PROBLEMS["abs"], algorithm="adagrad", lr=1e15)
+    cases["abs-sgd_da-diverge"] = dict(PROBLEMS["abs"], algorithm="sgd_da", d0=1e15)
+    cases["logistic-adam_da-diverge"] = dict(
+        PROBLEMS["logistic"], algorithm="adam_da", d0=1e15
+    )
+    return cases
+
+
+CASES = _cases()
+
+
+def _digests(out_dir: Path) -> dict[str, str]:
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.glob("*.csv"))
+    }
+
+
+def _run(name: str, out_dir: Path) -> dict[str, str]:
+    config = ExperimentConfig(seeds=SEEDS, out_dir=str(out_dir), **CASES[name])
+    return _digests(run_experiment(config).out_dir)
+
+
+def _golden() -> dict[str, dict[str, str]]:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_bytes_unchanged(name, tmp_path):
+    expected = _golden()[name]
+    got = _run(name, tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [fname for fname in expected if got[fname] != expected[fname]]
+    assert not changed, f"{name}: bytes changed in {changed}"
+
+
+@pytest.mark.parametrize("algo", NEEDS_KNOWN_GEOMETRY)
+def test_logistic_rejects_geometry_baselines(algo, tmp_path):
+    config = ExperimentConfig(
+        seeds=SEEDS, out_dir=str(tmp_path), algorithm=algo, **PROBLEMS["logistic"]
+    )
+    with pytest.raises(ConfigError):
+        run_experiment(config)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {name: _run(name, Path(tmp) / name) for name in sorted(CASES)}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"{len(golden)} cases -> {GOLDEN_PATH}", file=sys.stderr)

@@ -19,7 +19,6 @@ from dadapt.harness import (
     build_problem,
     config_hash,
     d0_sweep,
-    fixed_step_run,
     grid_search,
     mean_2se,
     parse_config_text,
@@ -101,24 +100,55 @@ class TestPolyak:
 
 
 class TestFixedStep:
+    @staticmethod
+    def run(**kwargs):
+        return run_single(ExperimentConfig(problem="abs", algorithm="fixed", **kwargs), 0)
+
     def test_abs_average_within_rate(self):
-        prob = abs_value_problem()
-        x_avg = fixed_step_run(prob, np.array([1.0]), D=1.0, G=1.0, n=100)
+        out = self.run(n_steps=100)
         # classic averaged-subgradient guarantee: DG/sqrt(n) scale
-        assert prob.value(x_avg) <= 1.0
+        assert out.summary["avg_f"] <= 1.0
 
     def test_single_step_size(self):
-        prob = abs_value_problem()
-        x_avg = fixed_step_run(prob, np.array([1.0]), D=0.5, G=1.0, n=1)
-        # one step of size D/G then average of the two points
-        assert x_avg[0] == pytest.approx((1.0 + 0.5) / 2.0)
+        out = self.run(n_steps=1, lr=0.5)
+        # one step of size lr*D/G then the average of the two points
+        assert out.summary["avg_f"] == (1.0 + 0.5) / 2.0
 
     def test_validation(self):
-        prob = abs_value_problem()
         with pytest.raises(ConfigError):
-            fixed_step_run(prob, np.array([1.0]), D=1.0, G=1.0, n=0)
-        with pytest.raises(ConfigError):
-            fixed_step_run(prob, np.array([1.0]), D=0.0, G=1.0, n=5)
+            self.run(n_steps=0)
+
+
+class TestDivergence:
+    """A diverging run stops at the failing step and keeps the rows before it."""
+
+    @staticmethod
+    def check(out):
+        s = out.summary
+        assert s["diverged"] is True
+        assert s["steps"] == len(out.rows) > 0
+        assert math.isnan(s["final_f"])
+        assert math.isfinite(s["final_d"])
+
+    @pytest.mark.parametrize("algo", ["da_I", "da_II", "gd", "adagrad_da"])
+    def test_huge_features_keep_rows(self, algo, tmp_path):
+        path = tmp_path / "big.svm"
+        path.write_text(
+            "+1 1:1e10 2:-1e10\n-1 1:-1e10 2:1e10\n+1 1:2e10 2:1e10\n-1 1:-1e10 2:-2e10\n"
+        )
+        cfg = ExperimentConfig(
+            problem="libsvm", libsvm_path=str(path), algorithm=algo, d0=1e300, n_steps=100
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(run_single(cfg, 0))
+
+    @pytest.mark.parametrize("algo", ["da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da"])
+    def test_huge_d0_stops_at_first_bad_iterate(self, algo):
+        cfg = ExperimentConfig(problem="piecewise", algorithm=algo, d0=1e300, n_steps=200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run_single(cfg, 0)
+        self.check(out)
+        assert out.summary["steps"] < 200
 
 
 class TestConfig:
@@ -428,10 +458,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "0 failed" in err
 
-    def test_trace_toy(self, capsys):
+    def test_trace_toy(self, tmp_path, capsys):
         code = cli.main(["trace-toy", "--steps", "50"])
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        text = capsys.readouterr().out
+        # byte-equal to the steps CSV of the matching `run`
+        cli.main(["run", "--set", "d0=0.1", "--set", "n_steps=50", "--set", f"out_dir={tmp_path}"])
+        (steps_csv,) = tmp_path.glob("*/steps_seed0.csv")
+        assert steps_csv.read_bytes() == text.encode()
+        lines = text.strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 51
         ds = [float(line.split(",")[1]) for line in lines[1:]]

@@ -26,7 +26,7 @@ class TestSgdDaTrace:
 
     def test_step0(self):
         st = self.make()
-        sgd_da_step(st, np.array([1.0]), gamma_k=1.0, f_val=1.0)
+        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
         assert st.traj.extra("lam")[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.9, abs=TRACE_TOL)
@@ -36,8 +36,8 @@ class TestSgdDaTrace:
 
     def test_step1(self):
         st = self.make()
-        sgd_da_step(st, np.array([1.0]), gamma_k=1.0, f_val=1.0)
-        sgd_da_step(st, np.array([1.0]), gamma_k=1.0, f_val=0.99)
+        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
+        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=0.99)
         assert st.hypergrad_sum == pytest.approx(0.01, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(0.2, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.8, abs=TRACE_TOL)
@@ -49,17 +49,17 @@ class TestSgdDaTrace:
         st = sgd_da_init(np.array([1.0, -2.0]), d0=0.1, beta=0.0, G=1.0)
         rng = Rng(0, 0)
         for _ in range(25):
-            sgd_da_step(st, rng.normals(2), gamma_k=1.0)
+            sgd_da_step(st, rng.normals(2), sched=1.0)
             assert np.array_equal(st.x, st.z)
 
     def test_g_heuristic_from_first_nonzero(self):
         st = sgd_da_init(np.array([1.0]), d0=0.1)
         assert st.G is None
-        sgd_da_step(st, np.array([0.0]), gamma_k=1.0)  # skipped, k advances
+        sgd_da_step(st, np.array([0.0]), sched=1.0)  # skipped, k advances
         assert st.G is None
         assert st.k == 1
         assert np.array_equal(st.x, np.array([1.0]))
-        sgd_da_step(st, np.array([2.0]), gamma_k=1.0)
+        sgd_da_step(st, np.array([2.0]), sched=1.0)
         assert st.G == pytest.approx(2.0)
         # lam = d * gamma / G = 0.1/2
         assert st.traj.extra("lam")[-1] == pytest.approx(0.05, abs=TRACE_TOL)
@@ -72,7 +72,7 @@ class TestSgdDaTrace:
         for _ in range(30):
             g = rng.normals(2)
             d_before = st.d
-            sgd_da_step(st, g, gamma_k=1.0)
+            sgd_da_step(st, g, sched=1.0)
             acc += (d_before / 2.0) * g
             assert np.allclose(st.z, np.array([1.0, 0.5]) - acc, atol=1e-12)
 
@@ -86,7 +86,7 @@ class TestSgdDaTrace:
             lam = st.d * 1.0 / 1.0
             hyper += lam * g * s
             s += lam * g
-            sgd_da_step(st, np.array([g]), gamma_k=1.0)
+            sgd_da_step(st, np.array([g]), sched=1.0)
             expected = 0.0 if s == 0.0 else 2.0 * hyper / abs(s)
             assert st.d_hat_last == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -99,9 +99,9 @@ class TestSgdDaTrace:
             sgd_da_init(np.array([1.0]), d0=0.1, G=0.0)
         st = sgd_da_init(np.array([1.0]), d0=0.1, G=1.0)
         with pytest.raises(ConfigError):
-            sgd_da_step(st, np.array([1.0]), gamma_k=0.0)
+            sgd_da_step(st, np.array([1.0]), sched=0.0)
         with pytest.raises(ConfigError):
-            sgd_da_step(st, np.array([1.0]), gamma_k=1.5)
+            sgd_da_step(st, np.array([1.0]), sched=1.5)
 
 
 class TestAdamDaTrace:
@@ -109,7 +109,7 @@ class TestAdamDaTrace:
 
     def test_step0(self):
         st = adam_da_init(np.array([1.0]), d0=0.1)
-        adam_da_step(st, np.array([1.0]), gamma_k=1.0, f_val=1.0)
+        adam_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
         assert st.m[0] == pytest.approx(0.01, abs=TRACE_TOL)
         assert st.v[0] == pytest.approx(0.001, abs=TRACE_TOL)
         denom = math.sqrt(0.001) + 1e-8
@@ -126,7 +126,7 @@ class TestAdamDaTrace:
     def test_zero_gradient_fixpoint(self):
         st = adam_da_init(np.array([1.0]), d0=0.1)
         for _ in range(5):
-            adam_da_step(st, np.array([0.0]), gamma_k=1.0)
+            adam_da_step(st, np.array([0.0]), sched=1.0)
         assert st.x[0] == 1.0
         assert st.d == 0.1
 
@@ -136,7 +136,7 @@ class TestAdamDaTrace:
         for _ in range(10):
             g = rng.normals(1)
             d_before = st.d
-            adam_da_step(st, g, gamma_k=1.0)
+            adam_da_step(st, g, sched=1.0)
             assert np.allclose(st.m, d_before * g, atol=1e-15)
 
     def test_decay_zero_is_noop_bitwise(self):
@@ -144,16 +144,16 @@ class TestAdamDaTrace:
         b = adam_da_init(np.array([1.0, -1.0]), d0=0.1)
         rng1, rng2 = Rng(2, 0), Rng(2, 0)
         for _ in range(20):
-            adam_da_step(a, rng1.normals(2), gamma_k=1.0)
-            adam_da_step(b, rng2.normals(2), gamma_k=1.0)
+            adam_da_step(a, rng1.normals(2), sched=1.0)
+            adam_da_step(b, rng2.normals(2), sched=1.0)
         assert np.array_equal(a.x, b.x)
         assert a.d == b.d
 
     def test_decay_shrinks_iterate(self):
         a = adam_da_init(np.array([10.0]), d0=0.1, decay=0.1)
         b = adam_da_init(np.array([10.0]), d0=0.1, decay=0.0)
-        adam_da_step(a, np.array([1.0]), gamma_k=1.0)
-        adam_da_step(b, np.array([1.0]), gamma_k=1.0)
+        adam_da_step(a, np.array([1.0]), sched=1.0)
+        adam_da_step(b, np.array([1.0]), sched=1.0)
         assert a.x[0] == pytest.approx(b.x[0] * (1.0 - 0.1 * 0.1 * 1.0), rel=1e-12)
 
     def test_v_nonnegative_d_monotone(self):
@@ -161,7 +161,7 @@ class TestAdamDaTrace:
         rng = Rng(6, 0)
         prev_d = st.d
         for _ in range(100):
-            adam_da_step(st, rng.normals(3), gamma_k=1.0)
+            adam_da_step(st, rng.normals(3), sched=1.0)
             assert np.all(st.v >= 0.0)
             assert st.d >= prev_d
             prev_d = st.d
@@ -178,7 +178,7 @@ class TestAdamDaTrace:
         for k in range(50):
             g = rng.normals(2)
             da_s += (1.0 / c**k) * st.d * g  # st.d is the pre-step value here
-            adam_da_step(st, g, gamma_k=1.0)
+            adam_da_step(st, g, sched=1.0)
             expected = c**k * (1.0 - c) * da_s
             scale = max(float(np.abs(expected).max()), 1e-300)
             assert float(np.abs(st.s - expected).max()) / scale < 1e-10
@@ -194,7 +194,7 @@ class TestAdamDaTrace:
             adam_da_init(np.array([1.0]), d0=0.1, decay=-0.1)
         st = adam_da_init(np.array([1.0]), d0=0.1)
         with pytest.raises(ConfigError):
-            adam_da_step(st, np.array([1.0]), gamma_k=-0.5)
+            adam_da_step(st, np.array([1.0]), sched=-0.5)
 
 
 class TestEmaPair:
