@@ -311,7 +311,6 @@ def adagrad_da_step(
         lam=lam,
         wg_term=wg_term,
         s_l1_after=s_l1,
-        s_wnorm2_after=s_wnorm2,
         a_l1_after=float(state.a.sum()),
     )
 
@@ -385,7 +384,8 @@ def run_convex(
     the max norm) fall back to the first gradient's norm when the bound is
     not supplied; such runs are marked heuristic_g in the trajectory meta.
     For dual-averaging runs the result carries the selected-prefix average
-    x_avg_t as well; the prefix-selection guarantee is proved for the
+    x_avg_t as well, at the index select_return_index would pick from the
+    run's d sequence; the prefix-selection guarantee is proved for the
     G-seeded denominator (g_mode="fixed"), and the index is reported for
     the plain mode too.
     """
@@ -396,7 +396,6 @@ def run_convex(
     if g_mode not in ("none", "fixed"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     x0 = np.asarray(x0, dtype=np.float64)
-    schedule.validate()
 
     g0 = np.asarray(problem.subgradient(x0, rng), dtype=np.float64)
     g0_norm2 = float(g0 @ g0)
@@ -411,7 +410,9 @@ def run_convex(
         )
 
     heuristic_g = False
-    xs: list[Vector] = []  # visited dual-averaging points, for the prefix average
+    # the selected prefix is picked online: after step k, state.d is d_{k+1}
+    # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio
+    best, d_sum, t_index, x_avg_t = math.inf, 0.0, None, None
     if algorithm == "da":
         g_fixed = None
         if g_mode == "fixed":
@@ -422,8 +423,13 @@ def run_convex(
         state = da_init(x0, d0, option=option, g_fixed=g_fixed)
 
         def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
-            xs.append(state.x.copy())
+            nonlocal best, d_sum, t_index, x_avg_t
+            k = state.k
+            d_sum += state.d
             da_step(state, g, f_val=f_val, sched=sched)
+            ratio = state.d / d_sum
+            if ratio <= best:  # ties go to the later k
+                best, t_index, x_avg_t = ratio, k, state.traj.average()
 
     elif algorithm == "gd":
         G = g_value
@@ -444,21 +450,11 @@ def run_convex(
 
     drive(problem, state, step, n, schedule, rng, record_f_every, g0=g0)
 
-    traj = state.traj
-    result = ConvexRunResult(
-        traj=traj,
-        x_avg=traj.average(),
+    return ConvexRunResult(
+        traj=state.traj,
+        x_avg=state.traj.average(),
         x_final=state.x.copy(),
         d_final=state.d,
+        t_index=t_index,
+        x_avg_t=x_avg_t,
     )
-    if algorithm == "da":
-        t = select_return_index(traj.d_series())
-        lams = traj.extras["lam"]
-        num = np.zeros_like(x0)
-        den = 0.0
-        for k in range(t + 1):
-            num += lams[k] * xs[k]
-            den += lams[k]
-        result.t_index = t
-        result.x_avg_t = num / den
-    return result

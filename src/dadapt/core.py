@@ -162,6 +162,9 @@ class Schedule:
     stage_factor: float = 0.1
     warmup_steps: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.kind not in ("flat", "stagewise", "inverse_sqrt_warmup", "cosine"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
@@ -188,7 +191,6 @@ def schedule_eval(schedule: Schedule, k: int, n_total: int) -> float:
         raise ConfigError("step index must be >= 0")
     if n_total <= 0:
         raise ConfigError("n_total must be positive")
-    schedule.validate()
     if schedule.kind == "flat":
         return 1.0
     if schedule.kind == "stagewise":
@@ -211,10 +213,10 @@ def schedule_eval(schedule: Schedule, k: int, n_total: int) -> float:
 class Problem:
     """First-order oracle for a convex objective.
 
-    subgradient(x, rng) must return an element of the subdifferential at x
-    for deterministic problems; stochastic problems (minibatch losses) set
-    stochastic=True and return an estimate instead. lipschitz / lipschitz_inf
-    bound the subgradient in the Euclidean / max norm when known.
+    subgradient(x, rng) returns an element of the subdifferential at x, or
+    an unbiased estimate of one for minibatch losses. lipschitz /
+    lipschitz_inf bound the subgradient in the Euclidean / max norm when
+    known.
     """
 
     dim: int
@@ -224,8 +226,6 @@ class Problem:
     known_fstar: Optional[float] = None
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
-    cheap_value: bool = True
-    stochastic: bool = False
     name: str = "problem"
 
 
@@ -324,14 +324,19 @@ def drive(
     step 0 instead of a fresh oracle call. f is evaluated at the visited
     point every record_f_every steps and passed as NaN otherwise. Raises
     Diverged at the first step whose new iterate has a NaN or a coordinate
-    beyond DIVERGENCE_NORM; that step's record is kept.
+    beyond DIVERGENCE_NORM; that step's record is kept. numpy's overflow
+    and invalid-value warnings are silenced inside the loop, since the
+    iterate check reports a run that goes that way.
     """
-    for k in range(n):
-        if k == 0 and g0 is not None:
-            g = g0
-        else:
-            g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
-        f_val = problem.value(state.x) if k % record_f_every == 0 else _NAN
-        step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
-        if not np.abs(state.x).max(initial=0.0) <= DIVERGENCE_NORM:
-            raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
+    if record_f_every <= 0:
+        raise ConfigError("record_f_every must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            if k == 0 and g0 is not None:
+                g = g0
+            else:
+                g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
+            f_val = problem.value(state.x) if k % record_f_every == 0 else _NAN
+            step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
+            if not np.abs(state.x).max(initial=0.0) <= DIVERGENCE_NORM:
+                raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")

@@ -3,9 +3,8 @@
 Runs are keyed by (config hash, seed) and are byte-identical across
 invocations: per-step CSVs record a fixed schema, per-seed summaries feed
 a mean / two-standard-error aggregate, and all randomness flows through
-the seeded in-repo generator. The wall-clock column is written as 0.0
-unless timing is explicitly enabled, so default outputs stay
-reproducible.
+the seeded in-repo generator. No wall-clock time is written, so outputs
+depend only on the config and the seed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import hashlib
 import io
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -70,7 +68,7 @@ __all__ = [
     "DIVERGENCE_NORM",
 ]
 
-CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2", "elapsed"]
+CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2"]
 
 DADAPT_ALGORITHMS = ("da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da")
 BASELINE_ALGORITHMS = ("adagrad", "adagrad_norm", "polyak", "fixed")
@@ -244,7 +242,6 @@ class ExperimentConfig:
     libsvm_path: str = ""
     record_f_every: int = 1
     out_dir: str = "runs"
-    timing: bool = False
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -305,20 +302,18 @@ def config_hash(config: ExperimentConfig) -> str:
     payload = "\n".join(
         f"{f.name}={getattr(config, f.name)!r}"
         for f in dataclasses.fields(ExperimentConfig)
-        if f.name not in ("out_dir", "timing")  # identity excludes output plumbing
+        if f.name != "out_dir"  # identity excludes output plumbing
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _schedule_from_config(config: ExperimentConfig) -> Schedule:
-    sched = Schedule(
+    return Schedule(
         kind=config.schedule,
         stage_fractions=tuple(config.stage_fractions),
         stage_factor=config.stage_factor,
         warmup_steps=config.warmup_steps,
     )
-    sched.validate()
-    return sched
 
 
 # --------------------------------------------------------------------------
@@ -422,11 +417,8 @@ class RunOutput:
     summary: dict
 
 
-def _rows_from_trajectory(traj, elapsed: float) -> list[tuple]:
-    return [
-        (rec.k, rec.d, rec.dhat, rec.scale, rec.f, rec.gnorm2, elapsed)
-        for rec in traj.records
-    ]
+def _rows_from_trajectory(traj) -> list[tuple]:
+    return [(rec.k, rec.d, rec.dhat, rec.scale, rec.f, rec.gnorm2) for rec in traj.records]
 
 
 def _final_f(bundle: ProblemBundle, x: Vector) -> float:
@@ -483,7 +475,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
     chash = config_hash(config)
     rng = seeded_rng(seed, int(chash[:8], 16))
     algo = config.algorithm
-    t_start = time.perf_counter() if config.timing else 0.0
 
     summary = {
         "algorithm": algo,
@@ -546,8 +537,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
     if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step
         summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
-    elapsed = time.perf_counter() - t_start if config.timing else 0.0
-    rows = _rows_from_trajectory(traj, elapsed)
+    rows = _rows_from_trajectory(traj)
     return RunOutput(config_hash=chash, seed=seed, rows=rows, summary=summary)
 
 
@@ -765,23 +755,26 @@ def _verify_run_set(n_problems: int, n_steps: int, seed0: int = 0):
     """Small representative runs of every convex variant on random problems."""
     runs = []
     for i in range(n_problems):
-        rng = Rng(seed0 + i, stream_id=1)
-        prob = random_piecewise_max(rng, dim=6, pieces=6)
-        direction = rng.normals(6)
-        direction /= math.sqrt(float(direction @ direction))
-        x0 = prob.known_minimizer + direction
+        config = ExperimentConfig(
+            problem="piecewise",
+            problem_seed=seed0 + i,
+            piecewise_dim=6,
+            piecewise_pieces=6,
+            n_steps=n_steps,
+        )
+        bundle = build_problem(config, 0)
         for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
             result = run_convex(
-                prob,
-                x0,
+                bundle.problem,
+                bundle.x0,
                 algorithm=algo,
                 d0=1e-3,
                 n=n_steps,
                 option=option,
-                g_value=prob.lipschitz,
-                g_inf=prob.lipschitz_inf,
+                g_value=bundle.G,
+                g_inf=bundle.G_inf,
             )
-            runs.append((prob, result, f"{algo}_{option}_problem{i}"))
+            runs.append((result, f"{algo}_{option}_problem{i}"))
     return runs
 
 
@@ -795,7 +788,7 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
 
     if suite in ("lemmas", "all"):
         runs = _verify_run_set(n_problems, n_steps)
-        for prob, result, tag in runs:
+        for result, tag in runs:
             traj = result.traj
             if traj.kind in ("da", "gd"):
                 rep = analysis.check_telescoping(traj)
@@ -819,7 +812,7 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
 
     if suite in ("bounds", "all"):
         runs = _verify_run_set(n_problems, n_steps, seed0=100)
-        for prob, result, tag in runs:
+        for result, tag in runs:
             rep = analysis.check_d_lower_bound(result.traj, 1.0)
             reports.append(replace(rep, context=f"{rep.context} [{tag}]"))
             rep = analysis.check_snorm_bound(result.traj)

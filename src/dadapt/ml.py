@@ -109,9 +109,7 @@ def sgd_da_step(
     d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm
 
     state.traj.append(
-        StepRecord(state.k, state.d, d_hat, lam, f_val, gnorm2),
-        lam=lam,
-        snorm_after=snorm,
+        StepRecord(state.k, state.d, d_hat, lam, f_val, gnorm2), lam=lam
     )
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
@@ -198,9 +196,7 @@ def adam_da_step(
     d_hat = 0.0 if s_l1 == 0.0 else state.r / ((1.0 - sb2) * s_l1)
 
     state.traj.append(
-        StepRecord(state.k, state.d, d_hat, dg, f_val, gnorm2),
-        s_l1_after=s_l1,
-        r_after=state.r,
+        StepRecord(state.k, state.d, d_hat, dg, f_val, gnorm2), s_l1_after=s_l1
     )
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat

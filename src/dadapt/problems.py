@@ -327,6 +327,5 @@ class LogisticProblem:
             dim=self.dim,
             value=self.full_value,
             subgradient=subgradient,
-            stochastic=stochastic,
             name="logistic",
         )

@@ -1,5 +1,6 @@
 """Convex solvers: hand-traced steps, fixpoints, stacking, run driver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from dadapt.convex import (
     run_convex,
     select_return_index,
 )
-from dadapt.core import ConfigError, Diverged, Schedule
+from dadapt.core import ConfigError, Diverged, Schedule, schedule_eval
 from dadapt.problems import abs_value_problem, piecewise_max_problem, random_piecewise_max
 from dadapt.core import Rng
 
@@ -249,6 +250,42 @@ class TestRunConvex:
         assert res.x_avg_t is not None
         d_seq = res.traj.d_series()
         assert res.t_index == select_return_index(d_seq)
+
+    def test_online_prefix_matches_replay(self):
+        # run_convex picks the prefix as the run goes; replaying the visited
+        # points after the run must give the same index and the same bits
+        n = 150
+        schedules = (Schedule(), Schedule(kind="stagewise"))
+        short_prefixes = 0
+        for seed in range(4):
+            rng = Rng(seed, 1)
+            prob = random_piecewise_max(rng, dim=6, pieces=6)
+            x0 = prob.known_minimizer + rng.normals(6)
+            for option, g_mode, sched, d0 in itertools.product(
+                ("I", "II"), ("none", "fixed"), schedules, (1e-3, 1e-2)
+            ):
+                res = run_convex(
+                    prob, x0, algorithm="da", d0=d0, n=n, option=option,
+                    g_mode=g_mode, g_value=prob.lipschitz, schedule=sched,
+                )
+                g_fixed = prob.lipschitz if g_mode == "fixed" else None
+                st = da_init(x0, d0, option=option, g_fixed=g_fixed)
+                xs = []
+                for k in range(n):
+                    xs.append(st.x.copy())
+                    da_step(st, prob.subgradient(st.x), sched=schedule_eval(sched, k, n))
+                d_seq = st.traj.d_series()
+                assert res.traj.d_series() == d_seq
+                t = select_return_index(d_seq)
+                lams = st.traj.extra("lam")
+                num, den = np.zeros_like(x0), 0.0
+                for k in range(t + 1):
+                    num += lams[k] * xs[k]
+                    den += lams[k]
+                assert res.t_index == t
+                assert np.array_equal(res.x_avg_t, num / den)
+                short_prefixes += t < n - 1
+        assert short_prefixes > 0  # the sweep reaches prefixes short of the run
 
     def test_heuristic_g_flagged(self):
         prob = abs_value_problem()

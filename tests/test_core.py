@@ -116,6 +116,8 @@ class TestSchedule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             schedule_eval(Schedule(kind="linear"), 0, 10)
+        with pytest.raises(ConfigError):
+            Schedule(kind="linear")
 
     def test_bad_indices_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from dadapt import cli
 from dadapt.core import ConfigError, Rng
 from dadapt.harness import (
+    BASELINE_ALGORITHMS,
     CSV_HEADER,
+    DADAPT_ALGORITHMS,
     SUMMARY_HEADER,
     ExperimentConfig,
     adagrad_norm_init,
@@ -139,13 +142,15 @@ class TestDivergence:
         cfg = ExperimentConfig(
             problem="libsvm", libsvm_path=str(path), algorithm=algo, d0=1e300, n_steps=100
         )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the run reports it, numpy stays quiet
             self.check(run_single(cfg, 0))
 
     @pytest.mark.parametrize("algo", ["da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da"])
     def test_huge_d0_stops_at_first_bad_iterate(self, algo):
         cfg = ExperimentConfig(problem="piecewise", algorithm=algo, d0=1e300, n_steps=200)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the run reports it, numpy stays quiet
             out = run_single(cfg, 0)
         self.check(out)
         assert out.summary["steps"] < 200
@@ -192,9 +197,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides(ExperimentConfig(), {"nope": "1"})
 
+    @pytest.mark.parametrize("algo", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
+    def test_record_f_every_must_be_positive(self, algo):
+        cfg = ExperimentConfig(algorithm=algo, n_steps=5, record_f_every=0)
+        with pytest.raises(ConfigError):
+            run_single(cfg, 0)
+
     def test_hash_stable_and_ignores_output_plumbing(self):
         a = ExperimentConfig(n_steps=10)
-        b = ExperimentConfig(n_steps=10, out_dir="elsewhere", timing=True)
+        b = ExperimentConfig(n_steps=10, out_dir="elsewhere")
         c = ExperimentConfig(n_steps=11)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
@@ -309,12 +320,6 @@ class TestRunExperiment:
         assert a != b  # different batch orders
         assert a.splitlines()[0] == b.splitlines()[0]
 
-    def test_elapsed_zero_without_timing_flag(self, tmp_path):
-        cfg = ExperimentConfig(n_steps=5, d0=0.1, seeds=(0,), out_dir=str(tmp_path))
-        result = run_experiment(cfg)
-        rows = read_csv(result.out_dir / "steps_seed0.csv")
-        assert all(row["elapsed"] == "0.0" for row in rows)
-
     def test_out_of_theory_flagged_and_run_completes(self):
         # d0 above the true distance: outside the guarantee, still runs
         out = run_single(
@@ -335,6 +340,25 @@ class TestRunExperiment:
             seed=0,
         )
         assert out.summary["diverged"] is True
+
+    def test_worker_processes_keep_bytes(self, tmp_path, monkeypatch):
+        written = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DADAPT_WORKERS", workers)
+            cfg = ExperimentConfig(
+                problem="synth_logistic", algorithm="sgd_da", epochs=1,
+                synth_n=64, synth_dim=4, seeds=(0, 1, 2), out_dir=str(tmp_path / workers),
+            )
+            out_dir = run_experiment(cfg).out_dir
+            written[workers] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        assert len(written["1"]) == 5
+        assert written["2"] == written["1"]
+
+    def test_bad_worker_count_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DADAPT_WORKERS", "abc")
+        cfg = ExperimentConfig(n_steps=5, seeds=(0, 1), out_dir=str(tmp_path))
+        with pytest.raises(ConfigError):
+            run_experiment(cfg)
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ConfigError):
@@ -443,6 +467,19 @@ class TestCli:
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "bogus_key=1"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_bad_record_cadence_exit_two(self, tmp_path, capsys):
+        code = cli.main(
+            [
+                "run",
+                "--set", "algorithm=sgd_da",
+                "--set", "record_f_every=0",
+                "--set", "n_steps=5",
+                "--set", f"out_dir={tmp_path}",
+            ]
+        )
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
