@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: run, grid, sweep-d0, verify, trace-toy. Exit codes: 0 on
-success, 1 when a verification check fails, 2 on configuration errors.
+success, 1 when a verification check fails or every grid point diverges,
+2 on configuration errors and malformed dataset files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .core import ConfigError
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
+    GridDiverged,
     apply_overrides,
     csv_text,
     d0_sweep,
@@ -24,6 +26,7 @@ from .harness import (
     run_single,
     verify_suite,
 )
+from .problems import ParseError
 
 __all__ = ["main"]
 
@@ -187,6 +190,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except ParseError as err:
+        print(f"data error: {err}", file=sys.stderr)
+        return 2
+    except GridDiverged as err:
+        print(f"grid failed: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

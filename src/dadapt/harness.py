@@ -40,6 +40,7 @@ from .core import (
 )
 from .ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 from .problems import (
+    Dataset,
     LogisticProblem,
     abs_value_problem,
     parse_libsvm,
@@ -60,8 +61,10 @@ __all__ = [
     "CSV_HEADER",
     "csv_text",
     "RunOutput",
+    "load_dataset",
     "run_single",
     "run_experiment",
+    "GridDiverged",
     "grid_search",
     "d0_sweep",
     "verify_suite",
@@ -103,8 +106,9 @@ class AdaGradNormState:
 
 
 def adagrad_norm_init(x0: Vector, radius: float) -> AdaGradNormState:
-    if radius <= 0.0:
-        raise ConfigError("ball radius must be positive")
+    """Radius 0 is allowed: its ball is {x0}, so the run stays at x0."""
+    if not radius >= 0.0:  # negative or NaN
+        raise ConfigError(f"ball radius must be non-negative, got {radius!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("adagrad_norm", x0.shape[0])
     return AdaGradNormState(x0=x0.copy(), x=x0.copy(), radius=radius, sum_gsq=0.0, traj=traj)
@@ -333,7 +337,36 @@ class ProblemBundle:
     logistic: Optional[LogisticProblem] = None
 
 
-def build_problem(config: ExperimentConfig, seed: int) -> ProblemBundle:
+def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
+    """The data a dataset problem trains on; None for abs and piecewise.
+
+    It depends on the config alone, never on the run seed, so one load can
+    serve every seed and every run of a grid or sweep.
+    """
+    if config.problem == "synth_logistic":
+        return synth_dataset(
+            config.problem_seed,
+            config.synth_n,
+            config.synth_dim,
+            margin=config.synth_margin,
+            flip=config.synth_flip,
+        )
+    if config.problem == "libsvm":
+        path = Path(config.libsvm_path)
+        if not path.is_file():
+            raise ConfigError(f"dataset file {path} not found")
+        dataset = parse_libsvm(path.read_text())
+        if len(dataset) == 0:
+            raise ConfigError(f"dataset file {path} holds no examples")
+        return dataset
+    return None
+
+
+def build_problem(
+    config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
+) -> ProblemBundle:
+    """The problem of one (config, seed) run; a dataset problem loads its
+    data unless it is passed in."""
     if config.problem == "abs":
         prob = abs_value_problem()
         x0 = np.array([config.x0], dtype=np.float64)
@@ -372,21 +405,8 @@ def build_problem(config: ExperimentConfig, seed: int) -> ProblemBundle:
             fstar=prob.known_fstar,
         )
     if config.problem in ("synth_logistic", "libsvm"):
-        if config.problem == "synth_logistic":
-            dataset = synth_dataset(
-                config.problem_seed,
-                config.synth_n,
-                config.synth_dim,
-                margin=config.synth_margin,
-                flip=config.synth_flip,
-            )
-        else:
-            path = Path(config.libsvm_path)
-            if not path.is_file():
-                raise ConfigError(f"dataset file {path} not found")
-            dataset = parse_libsvm(path.read_text())
-            if len(dataset) == 0:
-                raise ConfigError(f"dataset file {path} holds no examples")
+        if dataset is None:
+            dataset = load_dataset(config)
         batch = len(dataset) if config.full_batch else config.batch_size
         # batch order is keyed by the seed alone so runs that differ only in
         # optimizer settings see identical data sequences
@@ -464,13 +484,15 @@ def _start(config: ExperimentConfig, bundle: ProblemBundle):
     raise ConfigError(f"unknown algorithm {algo!r}")
 
 
-def run_single(config: ExperimentConfig, seed: int) -> RunOutput:
+def run_single(
+    config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
+) -> RunOutput:
     """Execute one (config, seed) run and return rows plus a summary.
 
     A run that diverges stops at the failing step, keeps its rows up to and
     including that step, and reports final_f as NaN.
     """
-    bundle = build_problem(config, seed)
+    bundle = build_problem(config, seed, dataset)
     sched = _schedule_from_config(config)
     chash = config_hash(config)
     rng = seeded_rng(seed, int(chash[:8], 16))
@@ -602,15 +624,19 @@ def _worker_count() -> int:
         raise ConfigError(f"DADAPT_WORKERS={raw!r} is not an integer") from None
 
 
-def _run_seeds(config: ExperimentConfig) -> list[RunOutput]:
+def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[RunOutput]:
     seeds = list(config.seeds)
     if not seeds:
         raise ConfigError("config lists no seeds")
     workers = _worker_count()
+    if dataset is None:
+        dataset = load_dataset(config)
+    # the seeds share the data; each builds its own batch order from its seed
     if workers == 1 or len(seeds) == 1:
-        return [run_single(config, seed) for seed in seeds]
+        return [run_single(config, seed, dataset) for seed in seeds]
+    n = len(seeds)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_single, [config] * len(seeds), seeds))
+        return list(pool.map(run_single, [config] * n, seeds, [dataset] * n))
 
 
 @dataclass
@@ -621,9 +647,14 @@ class ExperimentResult:
     aggregate: dict[str, tuple[float, float]]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run every seed, write per-seed CSVs, a summary, and an aggregate."""
-    outputs = _run_seeds(config)
+def run_experiment(
+    config: ExperimentConfig, dataset: Optional[Dataset] = None
+) -> ExperimentResult:
+    """Run every seed, write per-seed CSVs, a summary, and an aggregate.
+
+    The dataset, when not passed in, is loaded once for all the seeds.
+    """
+    outputs = _run_seeds(config, dataset)
     chash = outputs[0].config_hash
     out_dir = Path(config.out_dir) / chash
     for out in outputs:
@@ -646,6 +677,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config_hash=chash, out_dir=out_dir, outputs=outputs, aggregate=aggregate
     )
+
+
+class GridDiverged(ValueError):
+    """Every point of a step-size grid diverged, so there is no best lr."""
 
 
 @dataclass
@@ -672,17 +707,18 @@ def grid_search(
         )
     if not lrs:
         raise ConfigError("empty lr grid")
+    dataset = load_dataset(config)  # the lr changes the runs, not the data
     rows = []
     best_lr, best_f = None, math.inf
     for lr in sorted(float(lr) for lr in lrs):  # ties resolve to the smaller lr
-        result = run_experiment(replace(config, lr=lr))
+        result = run_experiment(replace(config, lr=lr), dataset)
         diverged = any(out.summary["diverged"] for out in result.outputs)
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
         rows.append((lr, m, se2, diverged))
         if not diverged and not math.isnan(m) and m < best_f:
             best_lr, best_f = lr, m
     if best_lr is None:
-        raise ValueError("every grid point diverged")
+        raise GridDiverged("every grid point diverged")
     out_path = Path(config.out_dir) / f"grid_{config_hash(config)}.csv"
     _write_atomic(
         out_path,
@@ -694,7 +730,7 @@ def grid_search(
             raise ConfigError(
                 f"comparison run must be one of {DADAPT_ALGORITHMS}"
             )
-        compare = run_experiment(replace(config, algorithm=compare_algorithm))
+        compare = run_experiment(replace(config, algorithm=compare_algorithm), dataset)
         compare_f = compare.aggregate.get("final_f", (_NAN, _NAN))[0]
         _write_atomic(
             out_path.with_name(out_path.stem + "_compare.csv"),
@@ -726,12 +762,13 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
         raise ConfigError("d0 sweep applies to the adaptive algorithms only")
     if not d0s:
         raise ConfigError("empty d0 list")
+    dataset = load_dataset(config)
     rows = []
     finals = []
     for d0 in d0s:
         if d0 <= 0.0:
             raise ConfigError("d0 must be positive")
-        result = run_experiment(replace(config, d0=float(d0)))
+        result = run_experiment(replace(config, d0=float(d0)), dataset)
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
         out_of_theory = any(out.summary["out_of_theory"] for out in result.outputs)
         rows.append((float(d0), m, se2, out_of_theory))

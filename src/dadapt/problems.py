@@ -243,6 +243,11 @@ def synth_dataset(
 # Logistic regression
 
 
+def _mean_logistic_loss(t: np.ndarray) -> float:
+    """Mean of log(1 + exp(-t)) over the margins t = y * Xw."""
+    return float(np.logaddexp(0.0, -t).mean())
+
+
 def logistic_value_grad(
     X: np.ndarray, y: np.ndarray, w: Vector
 ) -> tuple[float, Vector]:
@@ -252,7 +257,7 @@ def logistic_value_grad(
     the gradient coefficient sigma(-t) is computed through the same form.
     """
     t = y * (X @ w)
-    loss = float(np.logaddexp(0.0, -t).mean())
+    loss = _mean_logistic_loss(t)
     coeff = -y * np.exp(-np.logaddexp(0.0, t))  # -y * sigma(-t)
     grad = X.T @ coeff / X.shape[0]
     return loss, grad
@@ -303,8 +308,8 @@ class LogisticProblem:
         return logistic_value_grad(self.X[batch], self.y[batch], w)
 
     def full_value(self, w: Vector) -> float:
-        loss, _ = logistic_value_grad(self.X, self.y, w)
-        return loss
+        # the loss half of logistic_value_grad, without the gradient's X.T pass
+        return _mean_logistic_loss(self.y * (self.X @ w))
 
     def full_grad(self, w: Vector) -> Vector:
         _, grad = logistic_value_grad(self.X, self.y, w)

@@ -60,7 +60,7 @@ def _cases() -> dict[str, dict]:
         )
     for algo in DADAPT_ALGORITHMS + BASELINE_ALGORITHMS:
         if algo == "adagrad_norm":
-            continue  # its ball radius is |x0|, so x0 = 0 is a config error
+            continue  # test_harness.py::TestAdaGradNorm::test_zero_radius_run covers it
         cases[f"abs-{algo}-x0zero"] = dict(PROBLEMS["abs"], algorithm=algo, x0=0.0)
     # runs that leave the 1e12 ball and stop with the failing step's row kept
     cases["abs-fixed-diverge"] = dict(PROBLEMS["abs"], algorithm="fixed", lr=1e15)

@@ -29,7 +29,12 @@ from dadapt.harness import (
     run_experiment,
     run_single,
 )
-from dadapt.problems import abs_value_problem, piecewise_max_problem
+from dadapt.problems import (
+    abs_value_problem,
+    piecewise_max_problem,
+    serialize_libsvm,
+    synth_dataset,
+)
 
 
 class TestAdaGradNorm:
@@ -67,7 +72,26 @@ class TestAdaGradNorm:
 
     def test_radius_validation(self):
         with pytest.raises(ConfigError):
-            adagrad_norm_init(np.array([1.0]), radius=0.0)
+            adagrad_norm_init(np.array([1.0]), radius=-1.0)
+        with pytest.raises(ConfigError):
+            adagrad_norm_init(np.array([1.0]), radius=float("nan"))
+
+    def test_zero_radius_run(self, tmp_path, capsys):
+        # on abs the radius is lr * |x0|; from x0 = 0 the ball is {0}
+        code = cli.main(
+            [
+                "run",
+                "--set", "algorithm=adagrad_norm",
+                "--set", "x0=0",
+                "--set", "n_steps=100",
+                "--set", f"out_dir={tmp_path}",
+            ]
+        )
+        assert code == 0
+        (out_dir,) = tmp_path.iterdir()
+        (summary,) = read_csv(out_dir / "summary.csv")
+        assert float(summary["final_f"]) == 0.0
+        assert len(read_csv(out_dir / "steps_seed0.csv")) == 100
 
 
 class TestPolyak:
@@ -364,6 +388,78 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(n_steps=5, seeds=()))
 
+    @pytest.mark.parametrize("algo", ["da_I", "sgd_da"])
+    def test_libsvm_file_matches_synth_bytes(self, algo, tmp_path):
+        data = tmp_path / "synth.svm"
+        data.write_text(serialize_libsvm(synth_dataset(3, 200, 5, flip=0.1)))
+        common = dict(algorithm=algo, epochs=2, seeds=(0, 1))
+        synth = ExperimentConfig(
+            problem="synth_logistic", problem_seed=3, synth_n=200, synth_dim=5,
+            synth_flip=0.1, out_dir=str(tmp_path / "synth"), **common,
+        )
+        libsvm = ExperimentConfig(
+            problem="libsvm", libsvm_path=str(data), out_dir=str(tmp_path / "libsvm"),
+            **common,
+        )
+        written = []
+        for cfg in (synth, libsvm):
+            out_dir = run_experiment(cfg).out_dir
+            written.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(written[0]) == 4
+        assert written[1] == written[0]
+
+
+class TestDatasetLoads:
+    """An experiment, grid or sweep builds or reads its dataset once."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        import dadapt.harness as hz
+
+        calls = []
+        for name in ("synth_dataset", "parse_libsvm"):
+            real = getattr(hz, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(hz, name, counted)
+        return calls
+
+    def make_cfg(self, tmp_path, **kw):
+        base = dict(
+            problem="synth_logistic", algorithm="sgd_da", epochs=1, synth_n=64,
+            synth_dim=4, seeds=(0, 1, 2), out_dir=str(tmp_path),
+        )
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    def test_experiment_seeds_share_one_build(self, tmp_path, loads):
+        result = run_experiment(self.make_cfg(tmp_path))
+        assert loads == ["synth_dataset"]
+        assert len(result.outputs) == 3
+
+    def test_grid_and_comparison_share_one_build(self, tmp_path, loads):
+        result = grid_search(
+            self.make_cfg(tmp_path, algorithm="adagrad"), [0.1, 1.0, 10.0],
+            compare_algorithm="adagrad_da",
+        )
+        assert loads == ["synth_dataset"]
+        assert len(result.rows) == 3 and math.isfinite(result.compare_f)
+
+    def test_sweep_shares_one_build(self, tmp_path, loads):
+        result = d0_sweep(self.make_cfg(tmp_path), [1e-6, 1e-4, 1e-2])
+        assert loads == ["synth_dataset"]
+        assert len(result.rows) == 3
+
+    def test_libsvm_file_read_once(self, tmp_path, loads):
+        data = tmp_path / "data.svm"
+        data.write_text(serialize_libsvm(synth_dataset(1, 40, 3)))
+        cfg = self.make_cfg(tmp_path, problem="libsvm", libsvm_path=str(data))
+        run_experiment(cfg)
+        assert loads == ["parse_libsvm"]
+
 
 class TestGridSearch:
     def make_cfg(self, tmp_path, **kw):
@@ -391,8 +487,8 @@ class TestGridSearch:
         # force identical means so the tie-break is observable
         real = hz.run_experiment
 
-        def fake(config):
-            res = real(config)
+        def fake(config, *args):
+            res = real(config, *args)
             res.aggregate["final_f"] = (0.5, 0.0)
             return res
 
@@ -523,6 +619,38 @@ class TestCli:
         )
         assert code == 0
         assert "best lr" in capsys.readouterr().out
+
+    def test_malformed_dataset_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "bad.svm"
+        data.write_text("+1 2:1.0\n+1 1:0.5 1:2\n")
+        code = cli.main(
+            [
+                "run",
+                "--set", "problem=libsvm",
+                "--set", f"libsvm_path={data}",
+                "--set", "epochs=1",
+                "--set", f"out_dir={tmp_path}",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2: ")
+        assert "Traceback" not in err
+
+    def test_grid_all_diverged_exit_one(self, tmp_path, capsys):
+        code = cli.main(
+            [
+                "grid",
+                "--set", "algorithm=fixed",
+                "--set", "n_steps=10",
+                "--set", f"out_dir={tmp_path}",
+                "--lrs", "1e30",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "every grid point diverged" in err
 
     def test_bad_lrs_exit_two(self, capsys):
         code = cli.main(

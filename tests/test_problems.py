@@ -182,6 +182,20 @@ class TestLogisticOracle:
             acc += -lp.y[i] * sigma_neg * lp.X[i]
         np.testing.assert_allclose(lp.full_grad(w), acc / 100.0, rtol=1e-12)
 
+    def test_full_value_is_the_loss_of_value_grad(self):
+        # bit for bit, over random weights, w = 0 (every margin t = 0) and
+        # weights large enough to saturate both tails of logaddexp
+        ds = synth_dataset(seed=5, n_examples=200, dim=6, flip=0.2)
+        lp = LogisticProblem(ds, batch_size=16)
+        rng = Rng(5, 7)
+        large = 1e3 * rng.normals(lp.dim)
+        t = lp.y * (lp.X @ large)
+        assert t.min() < -800.0 and t.max() > 800.0  # exp(-t) over- and underflows
+        for w in (rng.normals(lp.dim), np.zeros(lp.dim), large, -large):
+            loss, _ = logistic_value_grad(lp.X, lp.y, w)
+            assert lp.full_value(w) == loss
+            assert math.isfinite(loss)
+
     def test_bias_column(self):
         ds = parse_libsvm("+1 1:3\n")
         lp = LogisticProblem(ds, batch_size=1)
