@@ -42,7 +42,6 @@ from .core import (
     Trajectory,
     drive,
     schedule_eval,
-    seeded_rng,
 )
 from .harness import (
     ExperimentConfig,

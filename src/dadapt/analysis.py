@@ -11,8 +11,6 @@ reason in the context field, never as failures.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex import ConvexRunResult
-from .core import Problem, Trajectory, Vector
+from .core import Problem, Trajectory, Vector, csv_text
 
 __all__ = [
     "BoundReport",
@@ -67,24 +65,11 @@ class BoundReport:
     context: str = ""
     skipped: bool = False
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.name,
-            repr(self.lhs),
-            repr(self.rhs),
-            repr(self.slack),
-            str(self.satisfied),
-            self.context,
-        ]
-
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rep in reports:
-        writer.writerow(rep.csv_row())
-    return buf.getvalue()
+    return csv_text(
+        CSV_HEADER, [(r.name, r.lhs, r.rhs, r.slack, r.satisfied, r.context) for r in reports]
+    )
 
 
 def _skipped(name: str, reason: str) -> BoundReport:

@@ -12,13 +12,12 @@ import sys
 from pathlib import Path
 
 from .analysis import reports_to_csv
-from .core import ConfigError
+from .core import ConfigError, csv_text
 from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     GridDiverged,
     apply_overrides,
-    csv_text,
     d0_sweep,
     grid_search,
     load_config,
@@ -93,20 +92,6 @@ def _cmd_sweep_d0(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = verify_suite(args.suite, quick=not args.full)
-    if args.inject_failure:
-        # deliberate broken entry so the failure path itself can be exercised
-        from .analysis import BoundReport
-
-        reports.append(
-            BoundReport(
-                name="injected_failure",
-                lhs=1.0,
-                rhs=0.0,
-                slack=-1.0,
-                satisfied=False,
-                context="doctored check, requested via --inject-failure",
-            )
-        )
     text = reports_to_csv(reports)
     if args.out:
         Path(args.out).write_text(text)
@@ -167,11 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all", choices=["lemmas", "bounds", "all"])
     p_verify.add_argument("--out", help="write the CSV report here instead of stdout")
     p_verify.add_argument("--full", action="store_true", help="larger, slower battery")
-    p_verify.add_argument(
-        "--inject-failure",
-        action="store_true",
-        help="append one doctored failing check (tests the exit code path)",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_toy = sub.add_parser("trace-toy", help="emit the 1-d absolute-value trace")

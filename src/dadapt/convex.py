@@ -97,15 +97,14 @@ def da_init(
     option: str = "I",
     g_fixed: Optional[float] = None,
 ) -> DAState:
-    if d0 <= 0.0:
+    if not d0 > 0.0:  # also rejects NaN
         raise ConfigError("d0 must be positive")
     if option not in ("I", "II"):
         raise ConfigError(f"unknown option {option!r}")
-    if g_fixed is not None and g_fixed <= 0.0:
+    if g_fixed is not None and not g_fixed > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("da", x0.shape[0])
-    traj.meta["option"] = option
     traj.meta["g_mode"] = "fixed" if g_fixed is not None else "none"
     return DAState(
         x0=x0.copy(),
@@ -193,9 +192,9 @@ class GDState:
 
 
 def gd_init(x0: Vector, d0: float, G: float) -> GDState:
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
-    if G <= 0.0:
+    if not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("gd", x0.shape[0])
@@ -265,9 +264,9 @@ class AdaGradDAState:
 
 
 def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
-    if g_inf <= 0.0:
+    if not g_inf > 0.0:
         raise ConfigError("max-norm gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("adagrad_da", x0.shape[0])

@@ -1,5 +1,5 @@
 """Shared primitives: problem oracles, step-size schedules, run trajectories,
-RNG, and the one loop that drives a stepper against an oracle.
+RNG, the one loop that drives a stepper against an oracle, and CSV text.
 
 Everything downstream (the optimizers, the bound checkers, the benchmark
 harness) builds on the types here. All vectors are float64 numpy arrays and
@@ -9,9 +9,11 @@ runs produce identical results on any platform.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,14 +25,13 @@ __all__ = [
     "Diverged",
     "DIVERGENCE_NORM",
     "Rng",
-    "seeded_rng",
     "Schedule",
     "schedule_eval",
     "Problem",
     "StepRecord",
     "Trajectory",
-    "weighted_average_update",
     "drive",
+    "csv_text",
 ]
 
 _NAN = float("nan")
@@ -138,13 +139,6 @@ class Rng:
 
     def normals(self, n: int) -> Vector:
         return np.array([self.normal() for _ in range(n)], dtype=np.float64)
-
-    def uniforms(self, n: int) -> Vector:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
-
-
-def seeded_rng(master_seed: int, stream_id: int = 0) -> Rng:
-    return Rng(master_seed, stream_id)
 
 
 # --------------------------------------------------------------------------
@@ -268,7 +262,12 @@ class Trajectory:
             self.extras.setdefault(key, []).append(val)
 
     def update_average(self, x: Vector, w: float) -> None:
-        weighted_average_update(self, x, w)
+        """Fold the point x with weight w >= 0 into the running average."""
+        if w < 0.0:
+            raise ValueError("average weight must be >= 0")
+        if w > 0.0:
+            self.avg_num += w * x
+            self.avg_den += w
 
     def average(self) -> Vector:
         if self.avg_den <= 0.0:
@@ -290,22 +289,12 @@ class Trajectory:
         return self.extras[key]
 
 
-def weighted_average_update(traj: Trajectory, x: Vector, w: float) -> Trajectory:
-    """Fold the point x with weight w >= 0 into traj's running average."""
-    if w < 0.0:
-        raise ValueError("average weight must be >= 0")
-    if w > 0.0:
-        traj.avg_num += w * x
-        traj.avg_den += w
-    return traj
-
-
 # --------------------------------------------------------------------------
 # The step loop
 #
 # Every optimizer is a pair init(x0, ...) -> state and
-# step(state, g, f_val=nan, sched=1.0), where the stepper reads state.x,
-# moves it, and appends one StepRecord to state.traj.
+# step(state, g, f_val=nan, sched=1.0) -> None, where the stepper reads
+# state.x, moves it, and appends one StepRecord to state.traj.
 
 
 def drive(
@@ -340,3 +329,19 @@ def drive(
             step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
             if not np.abs(state.x).max(initial=0.0) <= DIVERGENCE_NORM:
                 raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
+
+
+# --------------------------------------------------------------------------
+# CSV text
+#
+# The one byte format of every CSV the package writes: floats as repr, so
+# they read back to the same bits, and everything else as str.
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()

@@ -9,10 +9,8 @@ depend only on the config and the seed.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -35,8 +33,8 @@ from .core import (
     StepRecord,
     Trajectory,
     Vector,
+    csv_text,
     drive,
-    seeded_rng,
 )
 from .ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 from .problems import (
@@ -59,7 +57,6 @@ __all__ = [
     "apply_overrides",
     "config_hash",
     "CSV_HEADER",
-    "csv_text",
     "RunOutput",
     "load_dataset",
     "run_single",
@@ -116,17 +113,17 @@ def adagrad_norm_init(x0: Vector, radius: float) -> AdaGradNormState:
 
 def adagrad_norm_step(
     state: AdaGradNormState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> Vector:
+) -> None:
     """x <- project(x - radius/sqrt(sum ||g||^2) * g) onto the x0-ball.
 
     Skipped while every gradient seen so far is zero (the step size is
-    undefined until the accumulator is positive). Returns the new point.
+    undefined until the accumulator is positive).
     """
     gnorm2 = float(g @ g)
     state.sum_gsq += gnorm2
     if state.sum_gsq == 0.0:
         _record(state, _NAN, f_val, gnorm2)
-        return state.x
+        return
     gamma = state.radius / math.sqrt(state.sum_gsq)
     x = state.x - gamma * g
     delta = x - state.x0
@@ -135,7 +132,6 @@ def adagrad_norm_step(
         x = state.x0 + delta * (state.radius / dist)
     state.x = x
     _record(state, gamma, f_val, gnorm2)
-    return state.x
 
 
 def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
@@ -326,15 +322,13 @@ def _schedule_from_config(config: ExperimentConfig) -> Schedule:
 
 @dataclass
 class ProblemBundle:
+    """A run's problem, start and length; D is the start's distance to the
+    known minimizer. The oracle's constants stay on the problem."""
+
     problem: Problem
     x0: Vector
     n_steps: int
     D: Optional[float] = None
-    G: Optional[float] = None
-    G_inf: Optional[float] = None
-    x_star: Optional[Vector] = None
-    fstar: Optional[float] = None
-    logistic: Optional[LogisticProblem] = None
 
 
 def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
@@ -344,13 +338,16 @@ def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
     serve every seed and every run of a grid or sweep.
     """
     if config.problem == "synth_logistic":
-        return synth_dataset(
-            config.problem_seed,
-            config.synth_n,
-            config.synth_dim,
-            margin=config.synth_margin,
-            flip=config.synth_flip,
-        )
+        try:
+            return synth_dataset(
+                config.problem_seed,
+                config.synth_n,
+                config.synth_dim,
+                margin=config.synth_margin,
+                flip=config.synth_flip,
+            )
+        except ValueError as err:
+            raise ConfigError(f"synth_logistic: {err}") from None
     if config.problem == "libsvm":
         path = Path(config.libsvm_path)
         if not path.is_file():
@@ -373,37 +370,24 @@ def build_problem(
         n = config.n_steps
         if n <= 0:
             raise ConfigError("abs problem needs n_steps > 0")
-        return ProblemBundle(
-            problem=prob,
-            x0=x0,
-            n_steps=n,
-            D=abs(config.x0),
-            G=1.0,
-            G_inf=1.0,
-            x_star=prob.known_minimizer,
-            fstar=0.0,
-        )
+        return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=abs(config.x0))
     if config.problem == "piecewise":
+        if not config.x0_distance >= 0.0:  # negative or NaN
+            raise ConfigError(f"x0_distance must be non-negative, got {config.x0_distance!r}")
         rng = Rng(config.problem_seed, stream_id=1)
-        prob = random_piecewise_max(
-            rng, dim=config.piecewise_dim, pieces=config.piecewise_pieces
-        )
+        try:
+            prob = random_piecewise_max(
+                rng, dim=config.piecewise_dim, pieces=config.piecewise_pieces
+            )
+        except ValueError as err:
+            raise ConfigError(f"piecewise: {err}") from None
         direction = rng.normals(config.piecewise_dim)
         direction /= math.sqrt(float(direction @ direction))
         x0 = prob.known_minimizer + config.x0_distance * direction
         n = config.n_steps
         if n <= 0:
             raise ConfigError("piecewise problem needs n_steps > 0")
-        return ProblemBundle(
-            problem=prob,
-            x0=x0,
-            n_steps=n,
-            D=config.x0_distance,
-            G=prob.lipschitz,
-            G_inf=prob.lipschitz_inf,
-            x_star=prob.known_minimizer,
-            fstar=prob.known_fstar,
-        )
+        return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=config.x0_distance)
     if config.problem in ("synth_logistic", "libsvm"):
         if dataset is None:
             dataset = load_dataset(config)
@@ -420,7 +404,6 @@ def build_problem(
             problem=logistic.problem(stochastic=not config.full_batch),
             x0=np.zeros(logistic.dim, dtype=np.float64),
             n_steps=n,
-            logistic=logistic,
         )
     raise ConfigError(f"unknown problem {config.problem!r}")
 
@@ -441,16 +424,36 @@ def _rows_from_trajectory(traj) -> list[tuple]:
     return [(rec.k, rec.d, rec.dhat, rec.scale, rec.f, rec.gnorm2) for rec in traj.records]
 
 
-def _final_f(bundle: ProblemBundle, x: Vector) -> float:
-    return float(bundle.problem.value(x))
+def _new_summary(config: ExperimentConfig, seed: int) -> dict:
+    """A run's summary before it runs; its keys are the summary.csv columns."""
+    return {
+        "algorithm": config.algorithm,
+        "seed": seed,
+        "d0": config.d0,
+        "lr": config.lr,
+        "steps": 0,
+        "final_f": _NAN,
+        "avg_f": _NAN,
+        "f_at_t": _NAN,
+        "t_index": -1,
+        "final_d": _NAN,
+        "heuristic_G": False,
+        "out_of_theory": False,
+        "diverged": False,
+        "exited_at_start": False,
+    }
+
+
+SUMMARY_HEADER = list(_new_summary(ExperimentConfig(), 0))
 
 
 def _start(config: ExperimentConfig, bundle: ProblemBundle):
     """Initial state and stepper for a method that run_convex does not set up."""
     algo = config.algorithm
     x0 = bundle.x0
+    prob = bundle.problem
     if algo == "sgd_da":
-        return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=bundle.G), sgd_da_step
+        return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=prob.lipschitz), sgd_da_step
     if algo == "adam_da":
         state = adam_da_init(
             x0,
@@ -466,17 +469,15 @@ def _start(config: ExperimentConfig, bundle: ProblemBundle):
         return adagrad_norm_init(x0, radius), adagrad_norm_step
     traj = Trajectory(algo, x0.shape[0])
     if algo == "fixed":
-        if bundle.D is None or bundle.G is None:
+        if bundle.D is None or prob.lipschitz is None:
             raise ConfigError("fixed-step baseline needs known D and G")
-        gamma = config.lr * bundle.D / (bundle.G * math.sqrt(bundle.n_steps))
+        gamma = config.lr * bundle.D / (prob.lipschitz * math.sqrt(bundle.n_steps))
         traj.update_average(x0, 1.0)
         return _FixedState(x=x0.copy(), gamma=gamma, traj=traj), _fixed_step
     if algo == "polyak":
-        if bundle.fstar is None:
+        if prob.known_fstar is None:
             raise ConfigError("polyak baseline needs the optimal value")
-        state = _PolyakState(
-            x=x0.copy(), value=bundle.problem.value, fstar=bundle.fstar, traj=traj
-        )
+        state = _PolyakState(x=x0.copy(), value=prob.value, fstar=prob.known_fstar, traj=traj)
         return state, _polyak_state_step
     if algo == "adagrad":
         state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
@@ -493,63 +494,48 @@ def run_single(
     including that step, and reports final_f as NaN.
     """
     bundle = build_problem(config, seed, dataset)
+    prob = bundle.problem
     sched = _schedule_from_config(config)
     chash = config_hash(config)
-    rng = seeded_rng(seed, int(chash[:8], 16))
+    rng = Rng(seed, int(chash[:8], 16))
     algo = config.algorithm
-
-    summary = {
-        "algorithm": algo,
-        "seed": seed,
-        "d0": config.d0,
-        "lr": config.lr,
-        "steps": 0,
-        "final_f": _NAN,
-        "avg_f": _NAN,
-        "f_at_t": _NAN,
-        "t_index": -1,
-        "final_d": _NAN,
-        "heuristic_G": False,
-        "out_of_theory": False,
-        "diverged": False,
-        "exited_at_start": False,
-    }
+    summary = _new_summary(config, seed)
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
         summary["out_of_theory"] = True
 
     try:
         if algo in ("da_I", "da_II", "gd", "adagrad_da"):
             result = run_convex(
-                bundle.problem,
+                prob,
                 bundle.x0,
                 algorithm="da" if algo.startswith("da_") else algo,
                 d0=config.d0,
                 n=bundle.n_steps,
                 option="II" if algo == "da_II" else "I",
                 g_mode=config.g_mode,
-                g_value=bundle.G,
-                g_inf=bundle.G_inf,
+                g_value=prob.lipschitz,
+                g_inf=prob.lipschitz_inf,
                 schedule=sched,
                 rng=rng,
                 record_f_every=config.record_f_every,
             )
             traj = result.traj
             summary["exited_at_start"] = result.exited_at_start
-            summary["final_f"] = _final_f(bundle, result.x_final)
+            summary["final_f"] = prob.value(result.x_final)
             if not result.exited_at_start:
-                summary["avg_f"] = _final_f(bundle, result.x_avg)
+                summary["avg_f"] = prob.value(result.x_avg)
                 if result.t_index is not None:
                     summary["t_index"] = result.t_index
-                    summary["f_at_t"] = _final_f(bundle, result.x_avg_t)
+                    summary["f_at_t"] = prob.value(result.x_avg_t)
         else:
             state, step = _start(config, bundle)
             traj = state.traj
-            drive(bundle.problem, state, step, bundle.n_steps, sched, rng, config.record_f_every)
+            drive(prob, state, step, bundle.n_steps, sched, rng, config.record_f_every)
             if algo == "fixed":
-                summary["avg_f"] = _final_f(bundle, traj.average())
+                summary["avg_f"] = prob.value(traj.average())
                 summary["final_f"] = summary["avg_f"]
             else:
-                summary["final_f"] = _final_f(bundle, state.x)
+                summary["final_f"] = prob.value(state.x)
     except Diverged as err:
         traj = err.traj
         summary["diverged"] = True
@@ -567,44 +553,11 @@ def run_single(
 # Experiments, grids, sweeps
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    return buf.getvalue()
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-SUMMARY_HEADER = [
-    "algorithm",
-    "seed",
-    "d0",
-    "lr",
-    "steps",
-    "final_f",
-    "avg_f",
-    "f_at_t",
-    "t_index",
-    "final_d",
-    "heuristic_G",
-    "out_of_theory",
-    "diverged",
-    "exited_at_start",
-]
 
 
 def mean_2se(values: Sequence[float]) -> tuple[float, float]:
@@ -659,7 +612,7 @@ def run_experiment(
     out_dir = Path(config.out_dir) / chash
     for out in outputs:
         _write_atomic(out_dir / f"steps_seed{out.seed}.csv", csv_text(CSV_HEADER, out.rows))
-    summary_rows = [[out.summary.get(k, "") for k in SUMMARY_HEADER] for out in outputs]
+    summary_rows = [[out.summary[k] for k in SUMMARY_HEADER] for out in outputs]
     _write_atomic(out_dir / "summary.csv", csv_text(SUMMARY_HEADER, summary_rows))
 
     aggregate: dict[str, tuple[float, float]] = {}
@@ -766,7 +719,7 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
     rows = []
     finals = []
     for d0 in d0s:
-        if d0 <= 0.0:
+        if not d0 > 0.0:  # also rejects NaN
             raise ConfigError("d0 must be positive")
         result = run_experiment(replace(config, d0=float(d0)), dataset)
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
@@ -808,8 +761,8 @@ def _verify_run_set(n_problems: int, n_steps: int, seed0: int = 0):
                 d0=1e-3,
                 n=n_steps,
                 option=option,
-                g_value=bundle.G,
-                g_inf=bundle.G_inf,
+                g_value=bundle.problem.lipschitz,
+                g_inf=bundle.problem.lipschitz_inf,
             )
             runs.append((result, f"{algo}_{option}_problem{i}"))
     return runs

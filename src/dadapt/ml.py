@@ -61,11 +61,11 @@ class SGDDAState:
 def sgd_da_init(
     x0: Vector, d0: float = 1e-6, beta: float = 0.9, G: Optional[float] = None
 ) -> SGDDAState:
-    if d0 <= 0.0:
+    if not d0 > 0.0:  # also rejects NaN
         raise ConfigError("d0 must be positive")
     if not (0.0 <= beta < 1.0):
         raise ConfigError("beta must lie in [0, 1)")
-    if G is not None and G <= 0.0:
+    if G is not None and not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("sgd_da", x0.shape[0])
@@ -145,13 +145,13 @@ def adam_da_init(
     eps: float = 1e-8,
     decay: float = 0.0,
 ) -> AdamDAState:
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
     if not (0.0 <= beta1 < 1.0) or not (0.0 < beta2 < 1.0):
         raise ConfigError("betas must lie in [0, 1)")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ConfigError("eps must be positive")
-    if decay < 0.0:
+    if not decay >= 0.0:
         raise ConfigError("decay must be >= 0")
     x0 = np.asarray(x0, dtype=np.float64)
     return AdamDAState(
@@ -195,9 +195,7 @@ def adam_da_step(
     s_l1 = float(np.abs(state.s).sum())
     d_hat = 0.0 if s_l1 == 0.0 else state.r / ((1.0 - sb2) * s_l1)
 
-    state.traj.append(
-        StepRecord(state.k, state.d, d_hat, dg, f_val, gnorm2), s_l1_after=s_l1
-    )
+    state.traj.append(StepRecord(state.k, state.d, d_hat, dg, f_val, gnorm2))
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1

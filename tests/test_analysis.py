@@ -344,5 +344,5 @@ class TestReportSerialization:
 
     def test_repr_floats_round_trip(self):
         rep = BoundReport("x", 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, True, "")
-        row = rep.csv_row()
+        row = reports_to_csv([rep]).splitlines()[1].split(",")
         assert float(row[1]) == 1.0 / 3.0

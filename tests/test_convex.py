@@ -19,6 +19,7 @@ from dadapt.convex import (
 from dadapt.core import ConfigError, Diverged, Schedule, schedule_eval
 from dadapt.problems import abs_value_problem, piecewise_max_problem, random_piecewise_max
 from dadapt.core import Rng
+from dadapt.ml import adam_da_init, sgd_da_init
 
 TRACE_TOL = 1e-9
 
@@ -349,3 +350,25 @@ def test_non_finite_gradient_raises_diverged(init, step):
     assert info.value.k == 1
     assert info.value.traj is st.traj
     assert len(st.traj.records) == 1
+
+
+@pytest.mark.parametrize(
+    "init, kwargs",
+    [
+        (da_init, dict(d0=math.nan)),
+        (da_init, dict(d0=0.1, g_fixed=math.nan)),
+        (gd_init, dict(d0=math.nan, G=1.0)),
+        (gd_init, dict(d0=0.1, G=math.nan)),
+        (adagrad_da_init, dict(d0=math.nan, g_inf=1.0)),
+        (adagrad_da_init, dict(d0=0.1, g_inf=math.nan)),
+        (sgd_da_init, dict(d0=math.nan)),
+        (sgd_da_init, dict(G=math.nan)),
+        (adam_da_init, dict(d0=math.nan)),
+        (adam_da_init, dict(eps=math.nan)),
+        (adam_da_init, dict(decay=math.nan)),
+    ],
+)
+def test_nan_setting_rejected(init, kwargs):
+    # NaN fails every comparison, so each guard is written as not (x > 0)
+    with pytest.raises(ConfigError):
+        init(np.array([1.0]), **kwargs)

@@ -16,50 +16,48 @@ from dadapt.core import (
     Trajectory,
     drive,
     schedule_eval,
-    seeded_rng,
-    weighted_average_update,
 )
 
 
 class TestRng:
     def test_same_seed_same_stream_identical(self):
-        a = seeded_rng(42, 0)
-        b = seeded_rng(42, 0)
+        a = Rng(42, 0)
+        b = Rng(42, 0)
         assert [a.u64() for _ in range(100)] == [b.u64() for _ in range(100)]
 
     def test_stream_separation(self):
-        a = seeded_rng(42, 0)
-        b = seeded_rng(42, 1)
+        a = Rng(42, 0)
+        b = Rng(42, 1)
         assert [a.u64() for _ in range(100)] != [b.u64() for _ in range(100)]
 
     def test_uniform_range(self):
-        rng = seeded_rng(42, 0)
+        rng = Rng(42, 0)
         draws = [rng.uniform() for _ in range(1000)]
         assert all(0.0 <= u < 1.0 for u in draws)
 
     def test_normal_moments(self):
-        rng = seeded_rng(7, 0)
+        rng = Rng(7, 0)
         xs = rng.normals(20000)
         assert abs(float(xs.mean())) < 0.05
         assert abs(float(xs.std()) - 1.0) < 0.05
 
     def test_integer_range_and_determinism(self):
-        rng = seeded_rng(3, 5)
+        rng = Rng(3, 5)
         draws = [rng.integer(7) for _ in range(500)]
         assert all(0 <= v < 7 for v in draws)
         assert set(draws) == set(range(7))
-        rng2 = seeded_rng(3, 5)
+        rng2 = Rng(3, 5)
         assert draws == [rng2.integer(7) for _ in range(500)]
 
     def test_permutation_is_permutation(self):
-        rng = seeded_rng(11, 0)
+        rng = Rng(11, 0)
         perm = rng.permutation(50)
         assert sorted(perm) == list(range(50))
-        rng2 = seeded_rng(11, 0)
+        rng2 = Rng(11, 0)
         assert np.array_equal(perm, rng2.permutation(50))
 
     def test_cross_seed_difference(self):
-        assert seeded_rng(1, 0).u64() != seeded_rng(2, 0).u64()
+        assert Rng(1, 0).u64() != Rng(2, 0).u64()
 
 
 class TestSchedule:
@@ -129,32 +127,32 @@ class TestSchedule:
 class TestWeightedAverage:
     def test_single_point(self):
         traj = Trajectory("da", 2)
-        weighted_average_update(traj, np.array([1.0, 1.0]), 2.0)
+        traj.update_average(np.array([1.0, 1.0]), 2.0)
         assert np.allclose(traj.average(), [1.0, 1.0])
 
     def test_equal_weights_midpoint(self):
         traj = Trajectory("da", 2)
-        weighted_average_update(traj, np.array([0.0, 0.0]), 1.0)
-        weighted_average_update(traj, np.array([2.0, 0.0]), 1.0)
+        traj.update_average(np.array([0.0, 0.0]), 1.0)
+        traj.update_average(np.array([2.0, 0.0]), 1.0)
         assert np.allclose(traj.average(), [1.0, 0.0])
 
     def test_unequal_weights(self):
         # (1*1 + 3*4) / 4 = 3.25
         traj = Trajectory("da", 1)
-        weighted_average_update(traj, np.array([1.0]), 1.0)
-        weighted_average_update(traj, np.array([4.0]), 3.0)
+        traj.update_average(np.array([1.0]), 1.0)
+        traj.update_average(np.array([4.0]), 3.0)
         assert np.allclose(traj.average(), [3.25])
 
     def test_zero_weight_is_noop(self):
         traj = Trajectory("da", 1)
-        weighted_average_update(traj, np.array([1.0]), 1.0)
-        weighted_average_update(traj, np.array([100.0]), 0.0)
+        traj.update_average(np.array([1.0]), 1.0)
+        traj.update_average(np.array([100.0]), 0.0)
         assert np.allclose(traj.average(), [1.0])
 
     def test_negative_weight_rejected(self):
         traj = Trajectory("da", 1)
         with pytest.raises(ValueError):
-            weighted_average_update(traj, np.array([1.0]), -0.5)
+            traj.update_average(np.array([1.0]), -0.5)
 
     def test_average_before_any_weight_fails(self):
         traj = Trajectory("da", 1)
@@ -183,10 +181,6 @@ class TestTrajectory:
             traj.extra("nope")
 
 
-def test_rng_direct_construction_matches_seeded():
-    assert Rng(9, 4).u64() == seeded_rng(9, 4).u64()
-
-
 def test_schedule_eval_pure():
     sched = Schedule(kind="stagewise")
     assert schedule_eval(sched, 70, 100) == schedule_eval(sched, 70, 100)
@@ -194,8 +188,8 @@ def test_schedule_eval_pure():
 
 def test_normal_spare_determinism():
     # Box-Muller caches a spare; interleaving must not break determinism
-    a = seeded_rng(5, 0)
-    b = seeded_rng(5, 0)
+    a = Rng(5, 0)
+    b = Rng(5, 0)
     xs = [a.normal() for _ in range(7)]
     ys = [b.normal() for _ in range(7)]
     assert xs == ys

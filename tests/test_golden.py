@@ -2,8 +2,9 @@
 
 Every algorithm runs on abs, piecewise and a small synthetic logistic
 problem with seeds (0, 1), plus schedule, cadence, G-mode, zero-gradient
-and divergence variants. The SHA-256 of each steps/summary/aggregate CSV
-must equal the digest stored in golden_sha256.json. A change that is meant
+and divergence variants. The SHA-256 of each steps/summary/aggregate CSV,
+and of the report CSV of `dadapt verify --suite all`, must equal the
+digest stored in golden_sha256.json. A change that is meant
 to alter output bytes re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from dadapt import cli
 from dadapt.core import ConfigError
 from dadapt.harness import (
     BASELINE_ALGORITHMS,
@@ -29,6 +31,7 @@ from dadapt.harness import (
 
 GOLDEN_PATH = Path(__file__).with_name("golden_sha256.json")
 SEEDS = (0, 1)
+VERIFY_CASE = "verify-all"
 
 PROBLEMS = {
     "abs": dict(problem="abs", n_steps=100),
@@ -87,12 +90,17 @@ def _run(name: str, out_dir: Path) -> dict[str, str]:
     return _digests(run_experiment(config).out_dir)
 
 
+def _verify(out_dir: Path) -> dict[str, str]:
+    assert cli.main(["verify", "--suite", "all", "--out", str(out_dir / "verify.csv")]) == 0
+    return _digests(out_dir)
+
+
 def _golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_golden_covers_every_case():
-    assert sorted(_golden()) == sorted(CASES)
+    assert sorted(_golden()) == sorted([*CASES, VERIFY_CASE])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -102,6 +110,10 @@ def test_csv_bytes_unchanged(name, tmp_path):
     assert sorted(got) == sorted(expected)
     changed = [fname for fname in expected if got[fname] != expected[fname]]
     assert not changed, f"{name}: bytes changed in {changed}"
+
+
+def test_verify_report_bytes_unchanged(tmp_path):
+    assert _verify(tmp_path) == _golden()[VERIFY_CASE]
 
 
 @pytest.mark.parametrize("algo", NEEDS_KNOWN_GEOMETRY)
@@ -116,5 +128,6 @@ def test_logistic_rejects_geometry_baselines(algo, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: _run(name, Path(tmp) / name) for name in sorted(CASES)}
+        golden[VERIFY_CASE] = _verify(Path(tmp))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"{len(golden)} cases -> {GOLDEN_PATH}", file=sys.stderr)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dadapt import cli
+from dadapt.analysis import BoundReport
 from dadapt.core import ConfigError, Rng
 from dadapt.harness import (
     BASELINE_ALGORITHMS,
@@ -41,8 +42,8 @@ class TestAdaGradNorm:
     def test_first_abs_step_lands_at_zero(self):
         # gamma = D/|g| = 1 on the first step, so x0=1 maps to exactly 0
         st = adagrad_norm_init(np.array([1.0]), radius=1.0)
-        x = adagrad_norm_step(st, np.array([1.0]))
-        assert x[0] == 0.0
+        adagrad_norm_step(st, np.array([1.0]))
+        assert st.x[0] == 0.0
 
     def test_projection_clips_to_radius(self):
         st = adagrad_norm_init(np.array([0.0]), radius=1.0)
@@ -57,11 +58,11 @@ class TestAdaGradNorm:
     def test_zero_gradients_skipped(self):
         st = adagrad_norm_init(np.array([2.0]), radius=1.0)
         for _ in range(3):
-            x = adagrad_norm_step(st, np.array([0.0]))
-            assert x[0] == 2.0
+            adagrad_norm_step(st, np.array([0.0]))
+            assert st.x[0] == 2.0
         # first real gradient then moves the point
-        x = adagrad_norm_step(st, np.array([1.0]))
-        assert x[0] == 1.0
+        adagrad_norm_step(st, np.array([1.0]))
+        assert st.x[0] == 1.0
 
     def test_zero_gradient_after_start_keeps_point(self):
         st = adagrad_norm_init(np.array([1.0]), radius=1.0)
@@ -240,13 +241,13 @@ class TestBuildProblem:
     def test_abs_bundle(self):
         bundle = build_problem(ExperimentConfig(n_steps=5, x0=-2.0), seed=0)
         assert bundle.D == 2.0
-        assert bundle.G == 1.0
+        assert bundle.problem.lipschitz == 1.0
         assert bundle.x0[0] == -2.0
 
     def test_piecewise_distance_exact(self):
         cfg = ExperimentConfig(problem="piecewise", n_steps=5, x0_distance=3.0)
         bundle = build_problem(cfg, seed=0)
-        delta = bundle.x0 - bundle.x_star
+        delta = bundle.x0 - bundle.problem.known_minimizer
         assert math.sqrt(float(delta @ delta)) == pytest.approx(3.0, rel=1e-12)
         assert bundle.D == 3.0
 
@@ -549,8 +550,9 @@ class TestD0Sweep:
         cfg = ExperimentConfig(
             problem="abs", algorithm="da_I", n_steps=30, out_dir=str(tmp_path)
         )
-        with pytest.raises(ConfigError):
-            d0_sweep(cfg, [0.0])
+        for bad in (0.0, math.nan):
+            with pytest.raises(ConfigError):
+                d0_sweep(cfg, [bad])
 
 
 class TestCli:
@@ -579,11 +581,35 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_verify_failure_exit_one(self, capsys):
-        code = cli.main(["verify", "--suite", "lemmas", "--inject-failure"])
+    def test_verify_failure_exit_one(self, monkeypatch, capsys):
+        failing = BoundReport("doctored", 1.0, 0.0, -1.0, False, "lhs above rhs")
+        monkeypatch.setattr(cli, "verify_suite", lambda suite, quick: [failing])
+        code = cli.main(["verify", "--suite", "lemmas"])
         assert code == 1
         out = capsys.readouterr()
-        assert "injected_failure" in out.out
+        assert "doctored" in out.out
+        assert "1 failed" in out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--set", "d0=nan"],
+            ["sweep-d0", "--d0s", "nan,1e-3"],
+            ["run", "--set", "problem=piecewise", "--set", "piecewise_dim=0"],
+            ["run", "--set", "problem=piecewise", "--set", "piecewise_pieces=1"],
+            ["run", "--set", "problem=piecewise", "--set", "x0_distance=-1",
+             "--set", "algorithm=fixed"],
+            ["run", "--set", "problem=piecewise", "--set", "x0_distance=nan"],
+            ["run", "--set", "problem=synth_logistic", "--set", "synth_n=0"],
+            ["run", "--set", "problem=synth_logistic", "--set", "synth_flip=1"],
+        ],
+    )
+    def test_bad_setting_exit_two(self, argv, tmp_path, capsys):
+        code = cli.main(argv + ["--set", "n_steps=5", "--set", f"out_dir={tmp_path}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert not list(tmp_path.iterdir())  # nothing written
 
     def test_verify_lemmas_clean(self, capsys):
         code = cli.main(["verify", "--suite", "lemmas"])
