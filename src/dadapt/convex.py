@@ -323,6 +323,22 @@ def adagrad_da_step(
 # Return-point selection and the run driver
 
 
+def _prefix_step(
+    best: float, d_sum: float, d_k: float, d_next: float
+) -> tuple[float, float, bool]:
+    """One step of select_return_index's rule, for k = 0, 1, ... in turn.
+
+    Folds d_k into d_sum = d_0 + .. + d_k and returns the best ratio
+    d_{k+1} / d_sum so far, the new d_sum, and whether the prefix ending at
+    k is now the pick. A tie goes to the later k.
+    """
+    d_sum += d_k
+    ratio = d_next / d_sum
+    if ratio <= best:
+        return ratio, d_sum, True
+    return best, d_sum, False
+
+
 def select_return_index(d_seq: list[float]) -> int:
     """Index t minimizing d_{k+1} / sum_{i<=k} d_i, ties going to the largest k.
 
@@ -338,14 +354,10 @@ def select_return_index(d_seq: list[float]) -> int:
         if d < prev:
             raise ValueError("d sequence must be non-decreasing")
         prev = d
-    best_t = 0
-    best_ratio = math.inf
-    running = 0.0
+    best_t, best, d_sum = 0, math.inf, 0.0
     for k in range(len(d_seq) - 1):
-        running += d_seq[k]
-        ratio = d_seq[k + 1] / running
-        if ratio <= best_ratio:
-            best_ratio = ratio
+        best, d_sum, picked = _prefix_step(best, d_sum, d_seq[k], d_seq[k + 1])
+        if picked:
             best_t = k
     return best_t
 
@@ -378,7 +390,8 @@ def run_convex(
     """Run one of the convex methods for n steps against a problem oracle.
 
     algorithm is "da", "gd", or "adagrad_da". A zero first gradient means x0
-    is already optimal and the run returns immediately. Methods that need a
+    is already optimal: the run returns there, after the settings are
+    checked as for any other run. Methods that need a
     gradient-norm bound (gd always, da with g_mode="fixed", adagrad_da in
     the max norm) fall back to the first gradient's norm when the bound is
     not supplied; such runs are marked heuristic_g in the trajectory meta.
@@ -398,16 +411,12 @@ def run_convex(
 
     g0 = np.asarray(problem.subgradient(x0, rng), dtype=np.float64)
     g0_norm2 = float(g0 @ g0)
-    if g0_norm2 == 0.0:
-        traj = Trajectory(algorithm, x0.shape[0])
-        return ConvexRunResult(
-            traj=traj,
-            x_avg=x0.copy(),
-            x_final=x0.copy(),
-            d_final=d0,
-            exited_at_start=True,
-        )
-
+    # a zero first gradient ends the run at x0 once the init has checked the
+    # settings; the first gradient's norms, the fallback bounds, are never
+    # read on that path and stand at 1 there
+    at_optimum = g0_norm2 == 0.0
+    g0_norm = 1.0 if at_optimum else math.sqrt(g0_norm2)
+    g0_max = 1.0 if at_optimum else float(np.abs(g0).max())
     heuristic_g = False
     # the selected prefix is picked online: after step k, state.d is d_{k+1}
     # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio
@@ -417,34 +426,41 @@ def run_convex(
         if g_mode == "fixed":
             g_fixed = g_value
             if g_fixed is None:
-                g_fixed = math.sqrt(g0_norm2)
+                g_fixed = g0_norm
                 heuristic_g = True
         state = da_init(x0, d0, option=option, g_fixed=g_fixed)
 
         def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
             nonlocal best, d_sum, t_index, x_avg_t
-            k = state.k
-            d_sum += state.d
+            k, d_k = state.k, state.d
             da_step(state, g, f_val=f_val, sched=sched)
-            ratio = state.d / d_sum
-            if ratio <= best:  # ties go to the later k
-                best, t_index, x_avg_t = ratio, k, state.traj.average()
+            best, d_sum, picked = _prefix_step(best, d_sum, d_k, state.d)
+            if picked:
+                t_index, x_avg_t = k, state.traj.average()
 
     elif algorithm == "gd":
         G = g_value
         if G is None:
-            G = math.sqrt(g0_norm2)
+            G = g0_norm
             heuristic_g = True
         state = gd_init(x0, d0, G=G)
         step = gd_step
     elif algorithm == "adagrad_da":
         if g_inf is None:
-            g_inf = float(np.abs(g0).max())
+            g_inf = g0_max
             heuristic_g = True
         state = adagrad_da_init(x0, d0, g_inf=g_inf)
         step = adagrad_da_step
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if at_optimum:
+        return ConvexRunResult(
+            traj=state.traj,
+            x_avg=x0.copy(),
+            x_final=x0.copy(),
+            d_final=d0,
+            exited_at_start=True,
+        )
     state.traj.meta["heuristic_g"] = heuristic_g
 
     drive(problem, state, step, n, schedule, rng, record_f_every, g0=g0)

@@ -5,15 +5,21 @@ Everything downstream (the optimizers, the bound checkers, the benchmark
 harness) builds on the types here. All vectors are float64 numpy arrays and
 all randomness flows through the in-repo generator below, so that repeated
 runs produce identical results on any platform.
+
+The generator's scalar draw Rng.u64 is the reference. Its bulk draws
+(normals, normal_rows, permutation) run many steps at once in numpy uint64,
+and return the same bits and leave the same state as the scalar calls they
+stand for.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +80,81 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+# Bulk draws run 256 lanes of the generator side by side in numpy uint64.
+# xoshiro256's state transition T is linear over GF(2), and _CHARPOLY (bit i
+# is the coefficient of x^i) is its characteristic polynomial P. So T^B s is
+# the XOR of T^i s over the set bits i of x^B mod P: the construction behind
+# xoshiro's jump() (Blackman & Vigna, arXiv 1805.01407). Lane j starts at
+# T^(256 j) s and yields draws 256 j .. 256 j + 255 of a block. The lanes cost
+# a few milliseconds per block whatever its length, so below _BULK_MIN draws
+# a loop over local variables is faster; the crossover was measured on a
+# 2-vCPU Xeon with Python 3.11 and numpy 2.4.
+_CHARPOLY = 0x1_0003C03C_3F3ECB19_04B4EDCF_26259F85_0280002B_CEFD1A5E_9D116F2B_B0F0F001
+_LANES = 256
+_BLOCK = _LANES * _LANES
+_BULK_MIN = 4096
+
+_TWO_PI = 2.0 * math.pi
+_U64 = np.uint64
+
+
+@functools.cache
+def _lane_jumps() -> np.ndarray:
+    """Row j holds x^(256 j) mod P for j = 0 .. 256, 4 bits to an entry,
+    from bit 0 up."""
+    rows = []
+    a = 1
+    for _ in range(_LANES + 1):
+        rows.append(a.to_bytes(32, "little"))
+        for _ in range(_LANES):
+            a <<= 1
+            if a >> 256:
+                a ^= _CHARPOLY
+    octets = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(_LANES + 1, 32)
+    return np.stack([octets & 15, octets >> 4], axis=2).reshape(_LANES + 1, 64)
+
+
+def _scramble(s1: np.ndarray) -> np.ndarray:
+    """xoshiro256**'s output rotl(s1 * 5, 7) * 9 of each s1, in place."""
+    s1 *= _U64(5)
+    high = s1 >> _U64(57)
+    s1 <<= _U64(7)
+    s1 |= high
+    s1 *= _U64(9)
+    return s1
+
+
+def _unit(draws: np.ndarray) -> np.ndarray:
+    """Rng.uniform of each draw: its top 53 bits over 2^53, exactly."""
+    u = (draws >> _U64(11)).astype(np.float64)
+    u *= 2.0**-53
+    return u
+
+
+def _map(f: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, a.tolist()), dtype=np.float64, count=a.shape[0])
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """The normals Rng.normal makes from these uniforms, taken in pairs
+    (u1, u2), written over them.
+
+    log, cos and sin stay in math, element by element: numpy's versions are
+    not bit-equal to them. The products and the correctly rounded sqrt are
+    the same in numpy.
+    """
+    u1, u2 = u[0::2], u[1::2]
+    u1[u1 == 0.0] = 2.0**-53
+    r = _map(math.log, u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    u2 *= _TWO_PI
+    cos, sin = _map(math.cos, u2), _map(math.sin, u2)
+    np.multiply(r, cos, out=u1)
+    np.multiply(r, sin, out=u2)
+    return u
+
+
 class Rng:
     """Seeded random stream. Distinct stream_ids give unrelated sequences."""
 
@@ -131,14 +212,142 @@ class Rng:
                 return v % n
 
     def permutation(self, n: int) -> np.ndarray:
-        order = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        """Fisher-Yates with integer(i + 1) for i = n - 1 .. 1.
+
+        The n - 1 draws are taken in bulk and reduced in numpy, and the swaps
+        run on a list. integer(b) redraws only values of at least
+        2^64 - (2^64 mod b) > 2^64 - n; a draw that high (odds below n^2 in
+        2^64) sends the call back to the scalar draws from the saved state.
+        """
+        if n < 2:
+            return np.arange(n)
+        saved = self._s0, self._s1, self._s2, self._s3
+        draws = self._u64s(n - 1)
+        if int(draws.max()) >= (1 << 64) - n:
+            self._s0, self._s1, self._s2, self._s3 = saved
+            order = np.arange(n)
+            for i in range(n - 1, 0, -1):
+                j = self.integer(i + 1)
+                order[i], order[j] = order[j], order[i]
+            return order
+        draws %= np.arange(n, 1, -1, dtype=_U64)
+        order = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), memoryview(draws)):
             order[i], order[j] = order[j], order[i]
-        return order
+        return np.array(order, dtype=int)
 
     def normals(self, n: int) -> Vector:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n calls of normal(); below _BULK_MIN they are made one by one."""
+        if n < _BULK_MIN:
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        out = np.empty(n, dtype=np.float64)
+        self._fill_normals(out.reshape(1, n), None)
+        return out
+
+    def normal_rows(
+        self, rows: int, dim: int, uniforms: bool = False
+    ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Rows of dim normals, each followed by one uniform when uniforms is set.
+
+        Yields the rows in blocks (X, u): X a new (k, dim) array of the next
+        k rows and u a new array of their k uniforms, or None. The draws are
+        those of `self.normals(dim)` and then `self.uniform()` for each row in
+        turn, made in bulk a block at a time.
+        """
+        if dim < 1:
+            raise ValueError("normal_rows needs dim >= 1")
+        step = max(1, _BLOCK // (dim + 2))  # a row takes at most dim + 2 draws
+        for start in range(0, rows, step):
+            k = min(step, rows - start)
+            X = np.empty((k, dim), dtype=np.float64)
+            u = np.empty(k, dtype=np.float64) if uniforms else None
+            self._fill_normals(X, u)
+            yield X, u
+
+    def _fill_normals(self, out: np.ndarray, uniforms: Optional[np.ndarray]) -> None:
+        """Fill the rows of out, C-contiguous and not empty, and uniforms
+        after each row."""
+        rows, dim = out.shape
+        flat = out.reshape(-1)
+        spare = self._spare_normal
+        have = 0 if spare is None else 1
+        # Box-Muller pairs drawn by the end of each row; the spare covers one
+        pairs = (np.arange(1, rows + 1) * dim - have + 1) // 2
+        u = _unit(self._u64s(2 * int(pairs[-1]) + (0 if uniforms is None else rows)))
+        if uniforms is not None:
+            at = 2 * pairs + np.arange(rows)  # each row's uniform comes after its pairs
+            uniforms[:] = u[at]
+            u = np.delete(u, at)
+        z = _box_muller(u)
+        if have:
+            flat[0] = spare
+        flat[have:] = z[: flat.shape[0] - have]
+        self._spare_normal = float(z[-1]) if have + z.shape[0] > flat.shape[0] else None
+
+    def _u64s(self, n: int) -> np.ndarray:
+        """The next n u64() values."""
+        if n < _BULK_MIN:
+            return _scramble(np.array(self._walk(n), dtype=_U64))
+        out = np.empty(n, dtype=_U64)
+        for i in range(0, n, _BLOCK):
+            self._lane_block(out[i : i + _BLOCK])
+        return out
+
+    def _walk(self, n: int, states: bool = False) -> list:
+        """s1 of the state before each of the next n steps, or the whole
+        (s0, s1, s2, s3) when states is set; the generator takes the steps."""
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        seen = []
+        for _ in range(n):
+            seen.append((s0, s1, s2, s3) if states else s1)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return seen
+
+    def _lane_block(self, out: np.ndarray) -> None:
+        """Fill out, at most _BLOCK long, with the next draws."""
+        m = out.shape[0]
+        full, rem = divmod(m, _LANES)
+        lanes = full + 1  # the last lane makes the rem leftover draws
+        # lane starts: the XOR of T^i s over the set bits i of x^(256 j) mod P,
+        # 4 bits at a time from tables of the XORs of 4 consecutive T^i s
+        walk = np.array(self._walk(_LANES, states=True), dtype=_U64).reshape(64, 4, 4)
+        tables = np.zeros((64, 16, 4), dtype=_U64)
+        for b in range(4):
+            tables[:, 1 << b : 2 << b] = tables[:, : 1 << b] ^ walk[:, b, None, :]
+        jumps = _lane_jumps()[:lanes]
+        starts = np.zeros((lanes, 4), dtype=_U64)
+        for g in range(64):
+            starts ^= tables[g, jumps[:, g]]
+        s0, s1, s2, s3 = (starts[:, w].copy() for w in range(4))
+        by_lane = out[: full * _LANES].reshape(full, _LANES)
+        t = np.empty(lanes, dtype=_U64)
+        end = None
+        for r in range(_LANES if full else rem):
+            if r == rem:
+                end = s0[-1], s1[-1], s2[-1], s3[-1]
+            by_lane[:, r] = s1[:full]
+            if r < rem:
+                out[full * _LANES + r] = s1[full]
+            np.left_shift(s1, _U64(17), out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, _U64(45), out=t)
+            s3 >>= _U64(19)
+            s3 |= t
+        if end is None:
+            end = s0[-1], s1[-1], s2[-1], s3[-1]
+        _scramble(out)
+        self._s0, self._s1, self._s2, self._s3 = (int(v) for v in end)
 
 
 # --------------------------------------------------------------------------

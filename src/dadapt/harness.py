@@ -243,6 +243,14 @@ class ExperimentConfig:
     record_f_every: int = 1
     out_dir: str = "runs"
 
+    def __post_init__(self) -> None:
+        # one check for every real-valued setting, however the config was
+        # built; signs and ranges are checked where a setting is used
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
@@ -372,7 +380,7 @@ def build_problem(
             raise ConfigError("abs problem needs n_steps > 0")
         return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=abs(config.x0))
     if config.problem == "piecewise":
-        if not config.x0_distance >= 0.0:  # negative or NaN
+        if config.x0_distance < 0.0:
             raise ConfigError(f"x0_distance must be non-negative, got {config.x0_distance!r}")
         rng = Rng(config.problem_seed, stream_id=1)
         try:

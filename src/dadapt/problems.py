@@ -229,13 +229,16 @@ def synth_dataset(
     w /= math.sqrt(float(w @ w))
     indices = np.arange(1, dim + 1, dtype=np.int64)
     examples = []
-    for _ in range(n_examples):
-        x = rng.normals(dim)
-        label = 1 if float(w @ x) >= 0.0 else -1
-        x = x + margin * label * w
-        if flip > 0.0 and rng.uniform() < flip:
-            label = -label
-        examples.append(Example(indices=indices.copy(), values=x, label=label))
+    # per example: rng.normals(dim), then rng.uniform() when labels flip; the
+    # examples' values are the rows of the blocks, pushed along w in place
+    for X, u in rng.normal_rows(n_examples, dim, uniforms=flip > 0.0):
+        labels = [1 if float(w @ x) >= 0.0 else -1 for x in X]
+        X += (margin * np.array(labels, dtype=np.float64))[:, None] * w
+        if u is not None:
+            labels = [-label if v < flip else label for label, v in zip(labels, u.tolist())]
+        examples += [
+            Example(indices=indices.copy(), values=x, label=label) for x, label in zip(X, labels)
+        ]
     return Dataset(examples=examples, dim=dim)
 
 

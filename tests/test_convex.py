@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dadapt.convex import (
+    _prefix_step,
     adagrad_da_init,
     adagrad_da_step,
     da_init,
@@ -202,6 +203,17 @@ class TestSelectReturnIndex:
     def test_single_candidate(self):
         assert select_return_index([0.5, 3.0]) == 0
 
+    def test_tied_ratios_pick_the_later_k(self):
+        # d = [1, 1, 2]: the ratios d_{k+1} / sum_{i<=k} d_i are 1/1 and 2/2
+        d_seq = [1.0, 1.0, 2.0]
+        best, d_sum, picks = math.inf, 0.0, []
+        for k in range(len(d_seq) - 1):
+            best, d_sum, picked = _prefix_step(best, d_sum, d_seq[k], d_seq[k + 1])
+            picks.append(picked)
+        assert picks == [True, True]
+        assert (best, d_sum) == (1.0, 2.0)
+        assert select_return_index(d_seq) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             select_return_index([1.0])
@@ -229,6 +241,21 @@ class TestRunConvex:
         assert res.x_final[0] == 0.0
         assert len(res.traj.records) == 0
         assert res.d_final == 0.1
+
+    @pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
+    def test_start_at_minimizer_still_checks_settings(self, algorithm):
+        prob = abs_value_problem()
+        for d0 in (math.nan, 0.0, -1.0):
+            with pytest.raises(ConfigError):
+                run_convex(prob, np.array([0.0]), algorithm=algorithm, d0=d0, n=5)
+        with pytest.raises(ConfigError):
+            run_convex(prob, np.array([0.0]), algorithm="da", d0=0.1, n=5, option="III")
+        # without a supplied bound there is no first-gradient fallback, and
+        # the run still exits at the start
+        res = run_convex(prob, np.array([0.0]), algorithm=algorithm, d0=0.1, n=5, g_mode="fixed")
+        assert res.exited_at_start
+        assert len(res.traj.records) == 0
+        assert "heuristic_g" not in res.traj.meta
 
     def test_deterministic_reruns(self):
         rng_a = Rng(5, 1)

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dadapt.core import (
+    _BLOCK,
+    _BULK_MIN,
+    _CHARPOLY,
     DIVERGENCE_NORM,
     ConfigError,
     Diverged,
@@ -58,6 +63,126 @@ class TestRng:
 
     def test_cross_seed_difference(self):
         assert Rng(1, 0).u64() != Rng(2, 0).u64()
+
+    def test_known_answer(self):
+        # recorded from the scalar generator before it had bulk draws
+        rng = Rng(0, 0)
+        assert [rng.u64() for _ in range(4)] == [
+            0x422EA740D0977210,
+            0xE062B061B42E2928,
+            0x5A071FC5930841B6,
+            0x01334EF8ED3CC2BD,
+        ]
+        rng = Rng(0, 0)
+        assert [rng.normal() for _ in range(3)] == [
+            1.1740369082005633,
+            -1.1520277521805258,
+            1.4450963333431925,
+        ]
+
+
+def _scalar_permutation(rng: Rng, n: int) -> np.ndarray:
+    order = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integer(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _same_stream(bulk: Rng, ref: Rng) -> None:
+    # the spare normal and the next scalar draw agree
+    assert bulk.normal() == ref.normal()
+    assert bulk.u64() == ref.u64()
+
+
+# lengths of a bulk call: short ones, and those either side of the crossover
+# to the lanes and of a lane block
+_EDGES = [_BULK_MIN - 1, _BULK_MIN, _BULK_MIN + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]
+_CALLS = st.lists(
+    st.tuples(
+        st.sampled_from(["normals", "permutation", "normal_rows"]),
+        st.one_of(st.integers(0, 300), st.sampled_from(_EDGES)),
+        st.integers(1, 60),  # dim of normal_rows
+        st.booleans(),  # normal_rows draws a uniform after each row
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestRngBulk:
+    """The bulk draws against u64(), normal(), uniform() and integer()."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1), calls=_CALLS)
+    @example(seed=0, stream=0, calls=[("normals", _BLOCK + 1, 1, False)])
+    @example(seed=17, stream=2, calls=[("permutation", _BLOCK + 2, 1, False)])
+    @example(seed=5, stream=0, calls=[("normal_rows", 3 * _BLOCK, 41, True)])
+    def test_bulk_matches_scalar(self, seed, stream, calls):
+        bulk, ref = Rng(seed, stream), Rng(seed, stream)
+        for kind, n, dim, uniforms in calls:
+            if kind == "normals":
+                want = np.array([ref.normal() for _ in range(n)])
+                assert bulk.normals(n).tobytes() == want.tobytes()
+            elif kind == "permutation":
+                want = _scalar_permutation(ref, n)
+                got = bulk.permutation(n)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            else:
+                rows, done = n // dim, 0
+                for X, u in bulk.normal_rows(rows, dim, uniforms=uniforms):
+                    for i, x in enumerate(X):
+                        want = np.array([ref.normal() for _ in range(dim)])
+                        assert x.tobytes() == want.tobytes()
+                        assert (u[i] == ref.uniform()) if uniforms else u is None
+                    done += X.shape[0]
+                assert done == rows
+            _same_stream(bulk, ref)
+
+    def test_normal_rows_need_a_column(self):
+        with pytest.raises(ValueError):
+            next(Rng(0, 0).normal_rows(3, 0))
+
+    def test_permutation_redraw_falls_back_to_scalar(self):
+        # choose s1 so that the first draw is 2^64 - 1, which integer(3)
+        # rejects (2^64 mod 3 = 1); rotl(s1 * 5, 7) * 9 inverted
+        mask = 2**64 - 1
+        x = (mask * pow(9, -1, 2**64)) & mask
+        x = ((x >> 7) | (x << 57)) & mask
+        s1 = (x * pow(5, -1, 2**64)) & mask
+        bulk, ref, skip = Rng(3, 0), Rng(3, 0), Rng(3, 0)
+        for rng in (bulk, ref, skip):
+            rng._s1 = s1
+        assert skip.u64() == mask
+        assert np.array_equal(bulk.permutation(3), _scalar_permutation(ref, 3))
+        skip.u64()
+        skip.u64()  # the redraw: three draws for two swaps
+        assert bulk.u64() == ref.u64() == skip.u64()
+
+    def test_charpoly_gives_the_published_jump(self):
+        # x^(2^128) mod P is the polynomial of xoshiro256's jump(), whose
+        # coefficients the reference implementation lists as four words
+        def mulmod(a: int, b: int) -> int:
+            out = 0
+            while b:
+                if b & 1:
+                    out ^= a
+                b >>= 1
+                a <<= 1
+                if a >> 256:
+                    a ^= _CHARPOLY
+            return out
+
+        x = 2  # the polynomial x
+        for _ in range(128):
+            x = mulmod(x, x)
+        assert [(x >> (64 * i)) & (2**64 - 1) for i in range(4)] == [
+            0x180EC6D33CFD0ABA,
+            0xD5A61266F0C9392C,
+            0xA9582618E03FC9AA,
+            0x39ABDC4529B1661C,
+        ]
 
 
 class TestSchedule:

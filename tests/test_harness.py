@@ -222,6 +222,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides(ExperimentConfig(), {"nope": "1"})
 
+    @pytest.mark.parametrize(
+        "text", ["lr = nan", "x0 = -inf", "x0_distance = inf", "stage_fractions = 0.5,nan"]
+    )
+    def test_non_finite_setting_rejected(self, text):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config_text(text)
+        key, _, value = text.partition(" = ")
+        with pytest.raises(ConfigError, match="must be finite"):
+            apply_overrides(ExperimentConfig(), {key: value})
+
     @pytest.mark.parametrize("algo", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
     def test_record_f_every_must_be_positive(self, algo):
         cfg = ExperimentConfig(algorithm=algo, n_steps=5, record_f_every=0)
@@ -602,6 +612,10 @@ class TestCli:
             ["run", "--set", "problem=piecewise", "--set", "x0_distance=nan"],
             ["run", "--set", "problem=synth_logistic", "--set", "synth_n=0"],
             ["run", "--set", "problem=synth_logistic", "--set", "synth_flip=1"],
+            ["run", "--set", "algorithm=fixed", "--set", "lr=nan"],
+            ["run", "--set", "x0=nan"],
+            ["run", "--set", "problem=piecewise", "--set", "x0_distance=inf"],
+            ["run", "--set", "x0=0", "--set", "d0=-1"],
         ],
     )
     def test_bad_setting_exit_two(self, argv, tmp_path, capsys):

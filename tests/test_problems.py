@@ -105,6 +105,28 @@ class TestSynthDataset:
         b = synth_dataset(seed=2, n_examples=30, dim=5)
         assert not np.array_equal(a.examples[0].values, b.examples[0].values)
 
+    @pytest.mark.parametrize(
+        "seed, n, dim, margin, flip",
+        [(0, 40, 7, 0.3, 0.2), (17, 25, 4, 0.0, 0.0), (2, 1400, 51, 0.5, 0.05), (3, 3, 1, 1.0, 0.5)],
+    )
+    def test_equals_scalar_draws(self, seed, n, dim, margin, flip):
+        # the example-by-example loop on scalar draws is the reference; the
+        # 1400 x 51 case spans two bulk blocks and carries a spare normal
+        rng = Rng(seed, stream_id=0)
+        w = np.array([rng.normal() for _ in range(dim)])
+        w /= math.sqrt(float(w @ w))
+        ds = synth_dataset(seed, n, dim, margin=margin, flip=flip)
+        assert len(ds) == n and ds.dim == dim
+        for ex in ds.examples:
+            x = np.array([rng.normal() for _ in range(dim)])
+            label = 1 if float(w @ x) >= 0.0 else -1
+            x = x + margin * label * w
+            if flip > 0.0 and rng.uniform() < flip:
+                label = -label
+            assert ex.values.tobytes() == x.tobytes()
+            assert ex.label == label
+            assert np.array_equal(ex.indices, np.arange(1, dim + 1))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_dataset(seed=0, n_examples=0, dim=5)
