@@ -7,7 +7,7 @@ all randomness flows through the in-repo generator below, so that repeated
 runs produce identical results on any platform.
 
 The generator's scalar draw Rng.u64 is the reference. Its bulk draws
-(normals, normal_rows, permutation) run many steps at once in numpy uint64,
+(normal_rows, permutation) run many steps at once in numpy uint64,
 and return the same bits and leave the same state as the scalar calls they
 stand for.
 """
@@ -237,12 +237,8 @@ class Rng:
         return np.array(order, dtype=int)
 
     def normals(self, n: int) -> Vector:
-        """n calls of normal(); below _BULK_MIN they are made one by one."""
-        if n < _BULK_MIN:
-            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
-        out = np.empty(n, dtype=np.float64)
-        self._fill_normals(out.reshape(1, n), None)
-        return out
+        """n calls of normal()."""
+        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
 
     def normal_rows(
         self, rows: int, dim: int, uniforms: bool = False
