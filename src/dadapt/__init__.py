@@ -69,7 +69,6 @@ from .ml import (
 )
 from .problems import (
     Dataset,
-    Example,
     LogisticProblem,
     ParseError,
     abs_value_problem,

@@ -19,7 +19,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -240,25 +240,20 @@ class Rng:
         """n calls of normal()."""
         return np.array([self.normal() for _ in range(n)], dtype=np.float64)
 
-    def normal_rows(
-        self, rows: int, dim: int, uniforms: bool = False
-    ) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Rows of dim normals, each followed by one uniform when uniforms is set.
+    def normal_rows(self, out: np.ndarray, uniforms: Optional[np.ndarray] = None) -> None:
+        """Fill the rows of out, a C-contiguous (rows, dim) float64 array,
+        with normals, and uniforms[i] after row i when uniforms is given.
 
-        Yields the rows in blocks (X, u): X a new (k, dim) array of the next
-        k rows and u a new array of their k uniforms, or None. The draws are
-        those of `self.normals(dim)` and then `self.uniform()` for each row in
-        turn, made in bulk a block at a time.
+        The draws are those of `self.normals(dim)` and then `self.uniform()`
+        for each row in turn, made in bulk a block of rows at a time.
         """
-        if dim < 1:
-            raise ValueError("normal_rows needs dim >= 1")
+        rows, dim = out.shape
+        if dim < 1 or not out.flags.c_contiguous:
+            raise ValueError("normal_rows needs a C-contiguous out with dim >= 1")
         step = max(1, _BLOCK // (dim + 2))  # a row takes at most dim + 2 draws
         for start in range(0, rows, step):
-            k = min(step, rows - start)
-            X = np.empty((k, dim), dtype=np.float64)
-            u = np.empty(k, dtype=np.float64) if uniforms else None
-            self._fill_normals(X, u)
-            yield X, u
+            end = start + step
+            self._fill_normals(out[start:end], None if uniforms is None else uniforms[start:end])
 
     def _fill_normals(self, out: np.ndarray, uniforms: Optional[np.ndarray]) -> None:
         """Fill the rows of out, C-contiguous and not empty, and uniforms

@@ -244,12 +244,22 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self) -> None:
-        # one check for every real-valued setting, however the config was
-        # built; signs and ranges are checked where a setting is used
+        # the checks that hold for every problem and algorithm, however the
+        # config was built; the problem generators check their own shapes
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if kind in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.d0 <= 0.0:
+            raise ConfigError(f"d0 must be positive, got {self.d0!r}")
+        if self.x0_distance < 0.0:
+            raise ConfigError(f"x0_distance must be non-negative, got {self.x0_distance!r}")
+        if self.lr < 0.0:
+            raise ConfigError(f"lr must be non-negative, got {self.lr!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -380,8 +390,6 @@ def build_problem(
             raise ConfigError("abs problem needs n_steps > 0")
         return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=abs(config.x0))
     if config.problem == "piecewise":
-        if config.x0_distance < 0.0:
-            raise ConfigError(f"x0_distance must be non-negative, got {config.x0_distance!r}")
         rng = Rng(config.problem_seed, stream_id=1)
         try:
             prob = random_piecewise_max(
@@ -727,8 +735,6 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
     rows = []
     finals = []
     for d0 in d0s:
-        if not d0 > 0.0:  # also rejects NaN
-            raise ConfigError("d0 must be positive")
         result = run_experiment(replace(config, d0=float(d0)), dataset)
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
         out_of_theory = any(out.summary["out_of_theory"] for out in result.outputs)

@@ -1,10 +1,10 @@
 """Benchmark objectives and dataset handling.
 
 Deterministic convex test problems (absolute value, piecewise-linear max
-with a constructed minimizer) plus binary logistic regression over sparse
-index:value datasets, with a text parser/serializer for the standard
-`label idx:val ...` format, a synthetic linearly-structured generator,
-and epoch-shuffled minibatching.
+with a constructed minimizer) plus binary logistic regression over dense
+datasets (a feature matrix and a label vector), with a text
+parser/serializer for the standard `label idx:val ...` format, a
+synthetic linearly-structured generator, and epoch-shuffled minibatching.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .core import Problem, Rng, Vector
 
 __all__ = [
     "ParseError",
-    "Example",
     "Dataset",
     "parse_libsvm",
     "serialize_libsvm",
@@ -119,34 +118,34 @@ def random_piecewise_max(
 
 
 # --------------------------------------------------------------------------
-# Sparse datasets
+# Datasets
 
 
 @dataclass(frozen=True)
-class Example:
-    indices: np.ndarray  # 1-based, strictly ascending
-    values: np.ndarray
-    label: int  # +1 or -1
-
-
-@dataclass
 class Dataset:
-    examples: list[Example]
-    dim: int
+    """Binary examples as the rows of X, shape (n, dim), where absent
+    features are 0, with their labels y, shape (n,), each +1.0 or -1.0."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.y.shape[0]
 
 
-def _parse_label(token: str, line: int) -> int:
+def _parse_label(token: str, line: int) -> float:
     try:
         v = float(token)
     except ValueError:
         raise ParseError(f"label {token!r} is not numeric", line) from None
     if v == 1.0:
-        return 1
+        return 1.0
     if v == -1.0 or v == 0.0:
-        return -1
+        return -1.0
     raise ParseError(f"label {token!r} is not binary; multiclass data is rejected", line)
 
 
@@ -158,7 +157,10 @@ def parse_libsvm(text: str) -> Dataset:
     `#` starts a comment; blank lines are skipped. The dimension is the
     largest index seen.
     """
-    examples: list[Example] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
+    labels: list[float] = []
     dim = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -166,8 +168,6 @@ def parse_libsvm(text: str) -> Dataset:
             continue
         tokens = line.split()
         label = _parse_label(tokens[0], lineno)
-        indices: list[int] = []
-        values: list[float] = []
         prev = 0
         for tok in tokens[1:]:
             head, sep, tail = tok.partition(":")
@@ -186,27 +186,25 @@ def parse_libsvm(text: str) -> Dataset:
                 )
             if not math.isfinite(val):
                 raise ParseError(f"non-finite value in {tok!r}", lineno)
-            indices.append(idx)
+            rows.append(len(labels))
+            cols.append(idx - 1)
             values.append(val)
             prev = idx
-        if indices:
-            dim = max(dim, indices[-1])
-        examples.append(
-            Example(
-                indices=np.array(indices, dtype=np.int64),
-                values=np.array(values, dtype=np.float64),
-                label=label,
-            )
-        )
-    return Dataset(examples=examples, dim=dim)
+        dim = max(dim, prev)
+        labels.append(label)
+    X = np.zeros((len(labels), dim), dtype=np.float64)
+    X[rows, cols] = values
+    return Dataset(X=X, y=np.array(labels, dtype=np.float64))
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of parse_libsvm; float values keep full round-trip precision."""
+    """Inverse of parse_libsvm: each row's nonzero entries, with values in
+    full round-trip precision. A trailing all-zero column is not written,
+    so it does not come back."""
     lines = []
-    for ex in dataset.examples:
-        parts = ["+1" if ex.label > 0 else "-1"]
-        parts.extend(f"{int(i)}:{float(v)!r}" for i, v in zip(ex.indices, ex.values))
+    for x, label in zip(dataset.X.tolist(), dataset.y.tolist()):
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(f"{i}:{v!r}" for i, v in enumerate(x, start=1) if v != 0.0)
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -227,19 +225,16 @@ def synth_dataset(
     rng = Rng(seed, stream_id=0)
     w = rng.normals(dim)
     w /= math.sqrt(float(w @ w))
-    indices = np.arange(1, dim + 1, dtype=np.int64)
-    examples = []
-    # per example: rng.normals(dim), then rng.uniform() when labels flip; the
-    # examples' values are the rows of the blocks, pushed along w in place
-    for X, u in rng.normal_rows(n_examples, dim, uniforms=flip > 0.0):
-        labels = [1 if float(w @ x) >= 0.0 else -1 for x in X]
-        X += (margin * np.array(labels, dtype=np.float64))[:, None] * w
-        if u is not None:
-            labels = [-label if v < flip else label for label, v in zip(labels, u.tolist())]
-        examples += [
-            Example(indices=indices.copy(), values=x, label=label) for x, label in zip(X, labels)
-        ]
-    return Dataset(examples=examples, dim=dim)
+    X = np.empty((n_examples, dim), dtype=np.float64)
+    u = np.empty(n_examples, dtype=np.float64) if flip > 0.0 else None
+    # per example: rng.normals(dim), then rng.uniform() when labels flip
+    rng.normal_rows(X, u)
+    # a per-row dot product, since the gemv X @ w is not bit-equal to it
+    y = np.array([1.0 if float(w @ x) >= 0.0 else -1.0 for x in X])
+    X += (margin * y)[:, None] * w
+    if u is not None:
+        y[u < flip] *= -1.0
+    return Dataset(X=X, y=y)
 
 
 # --------------------------------------------------------------------------
@@ -270,42 +265,36 @@ class LogisticProblem:
     """Binary logistic regression with an always-1 bias feature.
 
     The weight vector has dataset.dim + 1 entries; the trailing entry
-    multiplies the bias feature, which lives at index dim + 1 in the
-    sparse format. Minibatches are drawn by epoch: a fresh seeded
-    permutation per pass, consecutive slices, short final batch kept.
+    multiplies the bias, a column of ones appended to the dataset's X.
+    Minibatches are drawn by epoch: a fresh seeded permutation per pass,
+    consecutive slices, short final batch kept.
     """
 
     def __init__(self, dataset: Dataset, batch_size: int = 16, rng: Optional[Rng] = None):
-        if len(dataset) == 0:
-            raise ValueError("empty dataset")
         n = len(dataset)
-        self.dataset = dataset
-        self.batch_size = min(max(batch_size, 1), n)
+        if n == 0:
+            raise ValueError("empty dataset")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
+        self.n = n
+        self.batch_size = min(batch_size, n)
         self.rng = rng if rng is not None else Rng(0, 0)
-        self.dim = dataset.dim + 1  # bias included
-        X = np.zeros((n, self.dim), dtype=np.float64)
-        y = np.zeros(n, dtype=np.float64)
-        for i, ex in enumerate(dataset.examples):
-            X[i, ex.indices - 1] = ex.values
-            X[i, self.dim - 1] = 1.0
-            y[i] = float(ex.label)
-        self.X = X
-        self.y = y
+        self.X = np.hstack([dataset.X, np.ones((n, 1))])
+        self.y = dataset.y
+        self.dim = self.X.shape[1]  # bias included
         self._order: Optional[np.ndarray] = None
         self._pos = 0
 
     def next_batch(self) -> np.ndarray:
-        n = len(self.dataset)
-        if self._order is None or self._pos >= n:
-            self._order = self.rng.permutation(n)
+        if self._order is None or self._pos >= self.n:
+            self._order = self.rng.permutation(self.n)
             self._pos = 0
         batch = self._order[self._pos : self._pos + self.batch_size]
         self._pos += self.batch_size
         return batch
 
     def batches_per_epoch(self) -> int:
-        n = len(self.dataset)
-        return (n + self.batch_size - 1) // self.batch_size
+        return (self.n + self.batch_size - 1) // self.batch_size
 
     def value_grad(self, w: Vector, batch: np.ndarray) -> tuple[float, Vector]:
         return logistic_value_grad(self.X[batch], self.y[batch], w)

@@ -130,19 +130,21 @@ class TestRngBulk:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             else:
-                rows, done = n // dim, 0
-                for X, u in bulk.normal_rows(rows, dim, uniforms=uniforms):
-                    for i, x in enumerate(X):
-                        want = np.array([ref.normal() for _ in range(dim)])
-                        assert x.tobytes() == want.tobytes()
-                        assert (u[i] == ref.uniform()) if uniforms else u is None
-                    done += X.shape[0]
-                assert done == rows
+                X = np.empty((n // dim, dim))
+                u = np.empty(n // dim) if uniforms else None
+                bulk.normal_rows(X, u)
+                for i, x in enumerate(X):
+                    want = np.array([ref.normal() for _ in range(dim)])
+                    assert x.tobytes() == want.tobytes()
+                    if uniforms:
+                        assert u[i] == ref.uniform()
             _same_stream(bulk, ref)
 
     def test_normal_rows_need_a_column(self):
         with pytest.raises(ValueError):
-            next(Rng(0, 0).normal_rows(3, 0))
+            Rng(0, 0).normal_rows(np.empty((3, 0)))
+        with pytest.raises(ValueError):  # a fill through a copy would be lost
+            Rng(0, 0).normal_rows(np.empty((3, 4)).T)
 
     def test_permutation_redraw_falls_back_to_scalar(self):
         # choose s1 so that the first draw is 2^64 - 1, which integer(3)

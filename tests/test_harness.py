@@ -472,6 +472,61 @@ class TestDatasetLoads:
         assert loads == ["parse_libsvm"]
 
 
+class TestDegenerateDatasets:
+    """libsvm files with no features, one class or no examples, from the CLI."""
+
+    # the algorithms that run on dataset problems: all but those needing a known D or f*
+    ALGORITHMS = [
+        a for a in DADAPT_ALGORITHMS + BASELINE_ALGORITHMS if a not in ("polyak", "fixed")
+    ]
+
+    def run_file(self, tmp_path, text, algo):
+        data = tmp_path / "data.svm"
+        data.write_text(text)
+        code = cli.main(
+            [
+                "run",
+                "--set", "problem=libsvm",
+                "--set", f"libsvm_path={data}",
+                "--set", f"algorithm={algo}",
+                "--set", "epochs=5",
+                "--set", "seeds=0,1",
+                "--set", f"out_dir={tmp_path / 'out'}",
+            ]
+        )
+        return code, list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_featureless_file_fits_the_bias_alone(self, tmp_path, algo):
+        # dim 0: the model is the bias, and one example of each label has a
+        # zero full-batch gradient at the zero start, so the loss stays log 2
+        code, (out_dir,) = self.run_file(tmp_path, "+1\n-1\n", algo)
+        assert code == 0
+        for row in read_csv(out_dir / "summary.csv"):
+            assert float(row["final_f"]) == math.log(2.0)
+            assert row["diverged"] == "False"
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_one_class_file_runs_with_finite_rows(self, tmp_path, algo):
+        code, (out_dir,) = self.run_file(tmp_path, "+1 1:0.5\n+1 1:1.5 2:-1\n+1 2:2\n", algo)
+        assert code == 0
+        for seed in (0, 1):
+            rows = read_csv(out_dir / f"steps_seed{seed}.csv")
+            assert len(rows) == 5  # 5 epochs of one batch
+            # d and dhat are NaN by design in the baselines' rows
+            assert all(
+                math.isfinite(float(row[key]))
+                for row in rows for key in ("gamma_or_lambda", "f", "gnorm2")
+            )
+
+    def test_empty_file_is_a_config_error(self, tmp_path, capsys):
+        code, written = self.run_file(tmp_path, "# no examples\n\n", "sgd_da")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "holds no examples" in err
+        assert not written
+
+
 class TestGridSearch:
     def make_cfg(self, tmp_path, **kw):
         base = dict(
@@ -616,6 +671,10 @@ class TestCli:
             ["run", "--set", "x0=nan"],
             ["run", "--set", "problem=piecewise", "--set", "x0_distance=inf"],
             ["run", "--set", "x0=0", "--set", "d0=-1"],
+            ["run", "--set", "batch_size=0"],
+            ["run", "--set", "batch_size=-5"],
+            ["run", "--set", "seeds=0,0"],
+            ["run", "--set", "algorithm=adagrad", "--set", "lr=-1"],
         ],
     )
     def test_bad_setting_exit_two(self, argv, tmp_path, capsys):

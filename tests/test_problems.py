@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadapt.core import Rng
 from dadapt.problems import (
     Dataset,
-    Example,
     LogisticProblem,
     ParseError,
     abs_value_problem,
@@ -21,37 +22,52 @@ from dadapt.problems import (
 )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw) -> Dataset:
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(0, 5)) if n else 0
+    entries = st.lists(st.one_of(st.just(0.0), _FINITE), min_size=n * dim, max_size=n * dim)
+    X = np.array(draw(entries), dtype=np.float64).reshape(n, dim)
+    if dim:
+        # the format has no way to write a trailing all-zero column
+        X[draw(st.integers(0, n - 1)), -1] = draw(_FINITE.filter(lambda v: v != 0.0))
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    return Dataset(X=X, y=y)
+
+
 class TestParser:
     def test_basic_line(self):
         ds = parse_libsvm("1 1:0.5 3:-2\n")
         assert ds.dim == 3
         assert len(ds) == 1
-        ex = ds.examples[0]
-        assert ex.label == 1
-        assert list(ex.indices) == [1, 3]
-        assert list(ex.values) == [0.5, -2.0]
+        assert ds.y.tolist() == [1.0]
+        assert ds.X.tolist() == [[0.5, 0.0, -2.0]]
 
     def test_empty_text(self):
         ds = parse_libsvm("")
         assert len(ds) == 0
         assert ds.dim == 0
+        assert ds.X.shape == (0, 0)
 
     def test_two_examples(self):
         ds = parse_libsvm("+1 2:1\n-1 1:1\n")
         assert len(ds) == 2
         assert ds.dim == 2
-        assert ds.examples[0].label == 1
-        assert ds.examples[1].label == -1
+        assert ds.y.tolist() == [1.0, -1.0]
+        assert ds.X.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_zero_label_maps_to_negative(self):
         ds = parse_libsvm("0 1:1\n")
-        assert ds.examples[0].label == -1
+        assert ds.y.tolist() == [-1.0]
 
     def test_crlf_and_comments(self):
         ds = parse_libsvm("# header\r\n+1 1:2.5 # trailing\r\n\r\n-1 2:1\r\n")
         assert len(ds) == 2
         assert ds.dim == 2
-        assert ds.examples[0].values[0] == 2.5
+        assert ds.X[0, 0] == 2.5
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -83,27 +99,37 @@ class TestParser:
         ds2 = parse_libsvm(text)
         assert ds2.dim == ds.dim
         assert len(ds2) == len(ds)
-        for a, b in zip(ds.examples, ds2.examples):
-            assert a.label == b.label
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.values, b.values)  # repr round-trips exactly
+        assert np.array_equal(ds2.y, ds.y)
+        assert np.array_equal(ds2.X, ds.X)  # repr round-trips exactly
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ds=_datasets())
+    def test_round_trip_random(self, ds):
+        back = parse_libsvm(serialize_libsvm(ds))
+        assert back.X.shape == ds.X.shape
+        assert np.array_equal(back.X, ds.X)
+        assert np.array_equal(back.y, ds.y)
 
     def test_serialize_empty(self):
-        assert serialize_libsvm(Dataset(examples=[], dim=0)) == ""
+        assert serialize_libsvm(Dataset(X=np.zeros((0, 0)), y=np.zeros(0))) == ""
+
+    def test_serialize_writes_nonzero_entries(self):
+        X = np.array([[0.0, 1.5, 0.0, -2.0], [0.0, 0.0, 0.0, 0.0]])
+        ds = Dataset(X=X, y=np.array([1.0, -1.0]))
+        assert serialize_libsvm(ds) == "+1 2:1.5 4:-2.0\n-1\n"
 
 
 class TestSynthDataset:
     def test_deterministic(self):
         a = synth_dataset(seed=1, n_examples=30, dim=5)
         b = synth_dataset(seed=1, n_examples=30, dim=5)
-        for ea, eb in zip(a.examples, b.examples):
-            assert ea.label == eb.label
-            assert np.array_equal(ea.values, eb.values)
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.X, b.X)
 
     def test_seed_changes_data(self):
         a = synth_dataset(seed=1, n_examples=30, dim=5)
         b = synth_dataset(seed=2, n_examples=30, dim=5)
-        assert not np.array_equal(a.examples[0].values, b.examples[0].values)
+        assert not np.array_equal(a.X[0], b.X[0])
 
     @pytest.mark.parametrize(
         "seed, n, dim, margin, flip",
@@ -117,15 +143,14 @@ class TestSynthDataset:
         w /= math.sqrt(float(w @ w))
         ds = synth_dataset(seed, n, dim, margin=margin, flip=flip)
         assert len(ds) == n and ds.dim == dim
-        for ex in ds.examples:
+        for row, got in zip(ds.X, ds.y):
             x = np.array([rng.normal() for _ in range(dim)])
             label = 1 if float(w @ x) >= 0.0 else -1
             x = x + margin * label * w
             if flip > 0.0 and rng.uniform() < flip:
                 label = -label
-            assert ex.values.tobytes() == x.tobytes()
-            assert ex.label == label
-            assert np.array_equal(ex.indices, np.arange(1, dim + 1))
+            assert row.tobytes() == x.tobytes()
+            assert got == label
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -226,7 +251,17 @@ class TestLogisticOracle:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            LogisticProblem(Dataset(examples=[], dim=0))
+            LogisticProblem(Dataset(X=np.zeros((0, 0)), y=np.zeros(0)))
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        ds = synth_dataset(seed=7, n_examples=5, dim=2)
+        with pytest.raises(ValueError, match="batch_size"):
+            LogisticProblem(ds, batch_size=batch_size)
+
+    def test_over_large_batch_is_the_whole_dataset(self):
+        ds = synth_dataset(seed=7, n_examples=5, dim=2)
+        assert LogisticProblem(ds, batch_size=100).batch_size == 5
 
 
 class TestBatching:
