@@ -77,6 +77,16 @@ def _skipped(name: str, reason: str) -> BoundReport:
     return BoundReport(name, nan, nan, nan, True, f"skipped: {reason}", skipped=True)
 
 
+def _report(
+    name: str, lhs: float, rhs: float, context: str, satisfied: Optional[bool] = None
+) -> BoundReport:
+    """A report with slack rhs - lhs, satisfied by default iff
+    lhs <= rhs + INEQUALITY_ATOL."""
+    if satisfied is None:
+        satisfied = lhs <= rhs + INEQUALITY_ATOL
+    return BoundReport(name, lhs, rhs, rhs - lhs, satisfied, context)
+
+
 def log2p(x: float) -> float:
     """max(1, log2(x)); the clamped log that appears in the rate bounds."""
     if x <= 0.0:
@@ -92,16 +102,8 @@ def check_d_lower_bound(traj: Trajectory, D: float) -> BoundReport:
     """Every candidate dhat stays below the true initial distance D."""
     if not traj.records:
         raise ValueError("trajectory has no recorded steps")
-    lhs = max(rec.dhat for rec in traj.records)
-    slack = D - lhs
-    return BoundReport(
-        name="d_lower_bound",
-        lhs=lhs,
-        rhs=D,
-        slack=slack,
-        satisfied=lhs <= D + INEQUALITY_ATOL,
-        context=f"kind={traj.kind} steps={len(traj.records)}",
-    )
+    lhs = max(traj.extra("dhat"))
+    return _report("d_lower_bound", lhs, D, f"kind={traj.kind} steps={len(traj.records)}")
 
 
 # --------------------------------------------------------------------------
@@ -120,42 +122,24 @@ def check_telescoping(traj: Trajectory) -> BoundReport:
         raise ValueError(f"no telescoping form for trajectory kind {traj.kind!r}")
     if not traj.records:
         # zero steps: every sum is empty and s_0 = 0
-        return BoundReport(
-            name="telescoping",
-            lhs=0.0,
-            rhs=0.0,
-            slack=0.0,
-            satisfied=True,
-            context=f"kind={traj.kind} empty run",
-        )
+        return _report("telescoping", 0.0, 0.0, f"kind={traj.kind} empty run")
+    wg = traj.extra("wg_term")
+    s2 = traj.extra("snorm2_after")
+    lhs = -sum(traj.extra("hyper_term"))
     if traj.kind == "da":
-        hyper = traj.extra("hyper_term")
-        wg = traj.extra("wg_term")
-        s2 = traj.extra("snorm2_after")
         gam = traj.extra("gamma")
         gam_next = traj.extra("gamma_next")
-        lhs = -sum(hyper)
         rhs = (
             -0.5 * gam_next[-1] * s2[-1]
             + 0.5 * sum(wg)
             + 0.5 * sum((gn - go) * s for go, gn, s in zip(gam, gam_next, s2))
         )
     else:
-        hyper = traj.extra("hyper_term")
-        wg = traj.extra("wg_term")
-        s2 = traj.extra("snorm2_after")
-        lhs = -sum(hyper)
         rhs = -0.5 * s2[-1] + 0.5 * sum(wg)
     scale = max(abs(lhs), abs(rhs), 1.0)
     resid = abs(lhs - rhs)
-    return BoundReport(
-        name="telescoping",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=resid <= IDENTITY_RTOL * scale,
-        context=f"kind={traj.kind} residual={resid:.3e} (two-sided, relative)",
-    )
+    context = f"kind={traj.kind} residual={resid:.3e} (two-sided, relative)"
+    return _report("telescoping", lhs, rhs, context, resid <= IDENTITY_RTOL * scale)
 
 
 # --------------------------------------------------------------------------
@@ -189,14 +173,7 @@ def check_streeter_mcmahan(
             total += g * g
             lhs += g * g / total
         rhs = math.log(len(gn) + 1)
-        return BoundReport(
-            name="streeter_mcmahan_log",
-            lhs=lhs,
-            rhs=rhs,
-            slack=rhs - lhs,
-            satisfied=lhs <= rhs + INEQUALITY_ATOL,
-            context=f"n={len(gn) - 1}",
-        )
+        return _report("streeter_mcmahan_log", lhs, rhs, f"n={len(gn) - 1}")
     if variant != "sqrt":
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -213,17 +190,8 @@ def check_streeter_mcmahan(
     ok1 = lhs1 <= rhs1 + INEQUALITY_ATOL
     ok2 = lhs2 <= rhs2 + INEQUALITY_ATOL
     # the unweighted display is the report's face; both must hold
-    return BoundReport(
-        name="streeter_mcmahan",
-        lhs=lhs1,
-        rhs=rhs1,
-        slack=rhs1 - lhs1,
-        satisfied=ok1 and ok2,
-        context=(
-            f"n={len(gn) - 1} half_weighted={lhs2:.6e}<="
-            f"{rhs2:.6e} ok={ok2}"
-        ),
-    )
+    context = f"n={len(gn) - 1} half_weighted={lhs2:.6e}<={rhs2:.6e} ok={ok2}"
+    return _report("streeter_mcmahan", lhs1, rhs1, context, ok1 and ok2)
 
 
 # --------------------------------------------------------------------------
@@ -253,14 +221,7 @@ def check_mindk(d_seq: Sequence[float]) -> BoundReport:
         running += ds[n]
         lhs = min(lhs, ds[n + 1] / running)
     rhs = 4.0 * log2p(growth) / (N + 1)
-    return BoundReport(
-        name="mindk",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=lhs <= rhs + INEQUALITY_ATOL,
-        context=f"N={N} growth={growth:.3e}",
-    )
+    return _report("mindk", lhs, rhs, f"N={N} growth={growth:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -290,20 +251,14 @@ def check_rate_theorem2(
     if n < 2.0 * math.log2(max(D / d0, 1.0)):
         return _skipped("rate_theorem2", f"n={n} < 2*log2(D/d_0={D / d0:.3e})")
     t = result.t_index
-    gsum_t = sum(rec.gnorm2 for rec in traj.records[: t + 1])
+    gsum_t = sum(traj.extra("gnorm2")[: t + 1])
     lhs = problem.value(result.x_avg_t) - problem.known_fstar
     rhs_gradsum = 16.0 * log2p(d_final / d0) / (n + 1) * D * math.sqrt(gsum_t)
     rhs_dg = 16.0 * D * G * log2p(D / d0) / math.sqrt(n + 1)
     rhs = min(rhs_gradsum, rhs_dg)
     ok = lhs <= rhs_gradsum + INEQUALITY_ATOL and lhs <= rhs_dg + INEQUALITY_ATOL
-    return BoundReport(
-        name="rate_theorem2",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=ok,
-        context=f"t={t} n={n} gradsum_form={rhs_gradsum:.6e} dg_form={rhs_dg:.6e}",
-    )
+    context = f"t={t} n={n} gradsum_form={rhs_gradsum:.6e} dg_form={rhs_dg:.6e}"
+    return _report("rate_theorem2", lhs, rhs, context, ok)
 
 
 def check_rate_asymptotic(
@@ -325,14 +280,7 @@ def check_rate_asymptotic(
     g0 = math.sqrt(traj.records[0].gnorm2)
     lhs = problem.value(result.x_avg) - problem.known_fstar
     rhs = 16.0 * D * G / math.sqrt(n + 1) + 8.0 * D * G * G / ((n + 1) * g0)
-    return BoundReport(
-        name="rate_asymptotic",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=lhs <= rhs + INEQUALITY_ATOL,
-        context=f"n={n} g0={g0:.6e}",
-    )
+    return _report("rate_asymptotic", lhs, rhs, f"n={n} g0={g0:.6e}")
 
 
 # --------------------------------------------------------------------------
@@ -353,14 +301,7 @@ def check_dasym(result: ConvexRunResult, x_star: Vector, D: float) -> BoundRepor
         return _skipped("dasym", f"final distance {dist:.3e} > 0.01*D, not converged")
     lhs = D / (1.0 + math.sqrt(3.0)) - 0.05 * D
     rhs = result.d_final
-    return BoundReport(
-        name="dasym",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=lhs <= rhs + INEQUALITY_ATOL,
-        context=f"finite-horizon slack 0.05*D, final distance {dist:.3e}",
-    )
+    return _report("dasym", lhs, rhs, f"finite-horizon slack 0.05*D, final distance {dist:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -432,14 +373,7 @@ def check_snorm_bound(traj: Trajectory) -> BoundReport:
         rhs = 3.0 * d_final * traj.extra("a_l1_after")[-1]
     else:
         raise ValueError(f"no dual-average norm bound for kind {traj.kind!r}")
-    return BoundReport(
-        name="snorm_bound",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        satisfied=lhs <= rhs + INEQUALITY_ATOL,
-        context=f"kind={traj.kind} d_final={d_final:.6e}",
-    )
+    return _report("snorm_bound", lhs, rhs, f"kind={traj.kind} d_final={d_final:.6e}")
 
 
 # --------------------------------------------------------------------------
@@ -459,11 +393,4 @@ def check_ema_equivalence(c: float, gs: Sequence[float]) -> BoundReport:
         expected = (pair.c ** (pair.k - 1)) * (1.0 - pair.c) * pair.u
         scale = max(abs(expected), abs(pair.u_hat), 1e-300)
         worst = max(worst, abs(pair.u_hat - expected) / scale)
-    return BoundReport(
-        name="ema_equivalence",
-        lhs=worst,
-        rhs=EMA_RTOL,
-        slack=EMA_RTOL - worst,
-        satisfied=worst <= EMA_RTOL,
-        context=f"c={c} steps={len(gs)}",
-    )
+    return _report("ema_equivalence", worst, EMA_RTOL, f"c={c} steps={len(gs)}", worst <= EMA_RTOL)

@@ -23,8 +23,8 @@ Three variants live here:
 
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
-plain listings. Steppers mutate their state and append to a Trajectory;
-run_convex sets one up and hands it to core.drive.
+plain listings. Steppers mutate their state and append one row to a
+Trajectory; run_convex sets one up and hands it to core.drive.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     Problem,
     Rng,
     Schedule,
-    StepRecord,
     Trajectory,
     Vector,
     drive,
@@ -104,7 +103,11 @@ def da_init(
     if g_fixed is not None and not g_fixed > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("da", x0.shape[0])
+    traj = Trajectory(
+        "da",
+        x0.shape[0],
+        ("gamma", "gamma_next", "wg_term", "hyper_term", "snorm2_after", "lam"),
+    )
     traj.meta["g_mode"] = "fixed" if g_fixed is not None else "none"
     return DAState(
         x0=x0.copy(),
@@ -157,15 +160,10 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
         d_hat = state.hypergrad_sum / snorm
 
     state.traj.update_average(state.x, lam)
-    state.traj.append(
-        StepRecord(state.k, state.d, d_hat, gamma_next, f_val, gnorm2),
-        gamma=gamma_old,
-        gamma_next=gamma_next,
-        wg_term=wg_term,
-        hyper_term=hyper_term,
-        snorm2_after=snorm2,
-        lam=lam,
-    )
+    state.traj.append((
+        state.k, state.d, d_hat, gamma_next, f_val, gnorm2,
+        gamma_old, gamma_next, wg_term, hyper_term, snorm2, lam,
+    ))
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
@@ -197,7 +195,7 @@ def gd_init(x0: Vector, d0: float, G: float) -> GDState:
     if not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("gd", x0.shape[0])
+    traj = Trajectory("gd", x0.shape[0], ("lam", "wg_term", "hyper_term", "snorm2_after"))
     return GDState(
         x=x0.copy(),
         s=np.zeros_like(x0),
@@ -233,11 +231,7 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.traj.update_average(state.x, lam)
     state.traj.append(
-        StepRecord(state.k, state.d, d_hat, lam, f_val, gnorm2),
-        lam=lam,
-        wg_term=wg_term,
-        hyper_term=hyper_term,
-        snorm2_after=snorm2,
+        (state.k, state.d, d_hat, lam, f_val, gnorm2, lam, wg_term, hyper_term, snorm2)
     )
 
     state.d = max(state.d, d_hat)
@@ -269,7 +263,7 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
     if not g_inf > 0.0:
         raise ConfigError("max-norm gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("adagrad_da", x0.shape[0])
+    traj = Trajectory("adagrad_da", x0.shape[0], ("lam", "wg_term", "s_l1_after", "a_l1_after"))
     return AdaGradDAState(
         x0=x0.copy(),
         x=x0.copy(),
@@ -291,27 +285,24 @@ def adagrad_da_step(
     lam = sched * state.d
 
     # weighted gradient-norm term uses the denominators before this gradient
-    wg_term = lam * lam * float((g * g / state.a).sum())
+    wg_term = lam * lam * float(np.add.reduce(g * g / state.a))
     state.sum_weighted += wg_term
 
     state.s += lam * g
     np.sqrt(state.a * state.a + g * g, out=state.a)
 
-    s_l1 = float(np.abs(state.s).sum())
-    s_wnorm2 = float((state.s * state.s / state.a).sum())
+    s_l1 = float(np.add.reduce(np.abs(state.s)))
+    s_wnorm2 = float(np.add.reduce(state.s * state.s / state.a))
     if s_l1 == 0.0:
         d_hat = 0.0
     else:
         d_hat = (s_wnorm2 - state.sum_weighted) / (2.0 * s_l1)
 
     state.traj.update_average(state.x, lam)
-    state.traj.append(
-        StepRecord(state.k, state.d, d_hat, 1.0 / float(state.a.max()), f_val, gnorm2),
-        lam=lam,
-        wg_term=wg_term,
-        s_l1_after=s_l1,
-        a_l1_after=float(state.a.sum()),
-    )
+    state.traj.append((
+        state.k, state.d, d_hat, 1.0 / float(np.maximum.reduce(state.a)), f_val, gnorm2,
+        lam, wg_term, s_l1, float(np.add.reduce(state.a)),
+    ))
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat

@@ -18,8 +18,9 @@ import csv
 import functools
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -408,9 +409,10 @@ class Problem:
     """First-order oracle for a convex objective.
 
     subgradient(x, rng) returns an element of the subdifferential at x, or
-    an unbiased estimate of one for minibatch losses. lipschitz /
-    lipschitz_inf bound the subgradient in the Euclidean / max norm when
-    known.
+    an unbiased estimate of one for minibatch losses. fused, when set,
+    returns value(x) and subgradient(x, rng) from one evaluation.
+    lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
+    norm when known.
     """
 
     dim: int
@@ -421,14 +423,25 @@ class Problem:
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
     name: str = "problem"
+    fused: Optional[Callable[[Vector, Optional[Rng]], tuple[float, Vector]]] = None
+
+    def value_and_subgradient(self, x: Vector, rng: Optional[Rng] = None) -> tuple[float, Vector]:
+        """(value(x), subgradient(x, rng)): fused, or value and subgradient as bound now."""
+        if self.fused is not None:
+            return self.fused(x, rng)
+        g = self.subgradient(x, rng)
+        return self.value(x), g
 
 
 # --------------------------------------------------------------------------
 # Trajectories
+#
+# A step appends one flat row (k, d, dhat, scale, f, gnorm2, *extras), the
+# extras being the per-step series its kind names once, at init, for the
+# bound checkers. Reads pack the rows into one (n, 6 + K) float64 table.
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     k: int
     d: float  # estimate in force when the step was taken
     dhat: float  # candidate produced by the step
@@ -437,29 +450,68 @@ class StepRecord:
     gnorm2: float
 
 
+def _step_record(row: list) -> StepRecord:
+    return StepRecord(int(row[0]), *row[1:6])
+
+
+class _Records(Sequence):
+    """Read-only StepRecord view of a trajectory's rows."""
+
+    def __init__(self, traj: "Trajectory"):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj._table.shape[0] + len(self._traj._rows)
+
+    def __getitem__(self, i):
+        rows = self._traj.pack()[i, :6].tolist()
+        return list(map(_step_record, rows)) if isinstance(i, slice) else _step_record(rows)
+
+    def __iter__(self):
+        return map(_step_record, self._traj.pack()[:, :6].tolist())
+
+
 class Trajectory:
     """Per-step log of a run plus the weighted-average accumulator.
 
-    extras holds named per-step scalar series that the bound checkers need
-    (inner products, norm accumulators); each optimizer documents the keys
-    it writes. d is checked to be non-decreasing on append.
+    extras names the per-step series that the bound checkers read (inner
+    products, norm accumulators) after the StepRecord fields; columns names
+    every column of the table, and records is a read-only StepRecord view of
+    its rows. d is checked to be non-decreasing on append.
     """
 
-    def __init__(self, kind: str, dim: int):
+    def __init__(self, kind: str, dim: int, extras: Sequence[str] = ()):
         self.kind = kind
         self.dim = dim
-        self.records: list[StepRecord] = []
-        self.extras: dict[str, list[float]] = {}
+        self.columns = StepRecord._fields + tuple(extras)
+        self._rows: list[tuple] = []
+        self._table = np.empty((0, len(self.columns)), dtype=np.float64)
+        self._last_d = -math.inf
         self.meta: dict[str, object] = {}
         self.avg_num: Vector = np.zeros(dim, dtype=np.float64)
         self.avg_den: float = 0.0
 
-    def append(self, rec: StepRecord, **extra: float) -> None:
-        if self.records and rec.d < self.records[-1].d:
+    def append(self, row: tuple) -> None:
+        """Log one step: (k, d, dhat, scale, f, gnorm2, *extras)."""
+        if row[1] < self._last_d:
             raise ValueError("d decreased between steps; trajectory corrupt")
-        self.records.append(rec)
-        for key, val in extra.items():
-            self.extras.setdefault(key, []).append(val)
+        self._last_d = row[1]
+        self._rows.append(row)
+
+    def pack(self) -> np.ndarray:
+        """The (n, 6 + K) table of every row appended so far; rows appended
+        after a read are packed onto it at the next read."""
+        if self._rows:
+            new = np.array(self._rows, dtype=np.float64)
+            self._rows = []
+            if new.ndim != 2 or new.shape[1] != self._table.shape[1]:
+                raise ValueError(f"rows of kind {self.kind!r} need {self._table.shape[1]} fields")
+            self._table = np.concatenate([self._table, new]) if self._table.shape[0] else new
+        return self._table
+
+    @property
+    def records(self) -> _Records:
+        return _Records(self)
 
     def update_average(self, x: Vector, w: float) -> None:
         """Fold the point x with weight w >= 0 into the running average."""
@@ -476,17 +528,18 @@ class Trajectory:
 
     def d_series(self) -> list[float]:
         """d_0 .. d_{n+1} for a run of n+1 recorded steps."""
-        if not self.records:
+        table = self.pack()
+        if not table.shape[0]:
             raise ValueError("empty trajectory")
-        ds = [rec.d for rec in self.records]
-        last = self.records[-1]
-        ds.append(max(last.d, last.dhat))
+        ds = table[:, 1].tolist()
+        ds.append(max(ds[-1], table[-1, 2].item()))
         return ds
 
     def extra(self, key: str) -> list[float]:
-        if key not in self.extras:
+        """The column named key, as Python floats."""
+        if key not in self.columns:
             raise ValueError(f"trajectory of kind {self.kind!r} has no {key!r} series")
-        return self.extras[key]
+        return self.pack()[:, self.columns.index(key)].tolist()
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +547,7 @@ class Trajectory:
 #
 # Every optimizer is a pair init(x0, ...) -> state and
 # step(state, g, f_val=nan, sched=1.0) -> None, where the stepper reads
-# state.x, moves it, and appends one StepRecord to state.traj.
+# state.x, moves it, and appends one row to state.traj.
 
 
 def drive(
@@ -510,25 +563,35 @@ def drive(
     """Take n steps of step from state.x against problem's oracle.
 
     g0, when given, is the gradient at the starting point and is used for
-    step 0 instead of a fresh oracle call. f is evaluated at the visited
-    point every record_f_every steps and passed as NaN otherwise. Raises
-    Diverged at the first step whose new iterate has a NaN or a coordinate
-    beyond DIVERGENCE_NORM; that step's record is kept. numpy's overflow
-    and invalid-value warnings are silenced inside the loop, since the
-    iterate check reports a run that goes that way.
+    step 0 instead of a fresh oracle call. Every record_f_every steps f is
+    taken at the visited point, with the gradient, from one fused oracle
+    call; it is NaN otherwise. Raises Diverged at the first step whose new
+    iterate has a NaN or a coordinate beyond DIVERGENCE_NORM; that step's
+    record is kept, and the trajectory is packed however the loop ends.
+    numpy's overflow and invalid-value warnings are silenced in the loop.
     """
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            if k == 0 and g0 is not None:
-                g = g0
-            else:
-                g = np.asarray(problem.subgradient(state.x, rng), dtype=np.float64)
-            f_val = problem.value(state.x) if k % record_f_every == 0 else _NAN
-            step(state, g, f_val=f_val, sched=schedule_eval(schedule, k, n))
-            if not np.abs(state.x).max(initial=0.0) <= DIVERGENCE_NORM:
-                raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
+    subgradient = problem.subgradient
+    value_and_subgradient = problem.value_and_subgradient
+    flat = schedule.kind == "flat"
+    sched = 1.0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n):
+                if k % record_f_every:
+                    f_val, g = _NAN, subgradient(state.x, rng)
+                elif k == 0 and g0 is not None:
+                    f_val, g = problem.value(state.x), g0
+                else:
+                    f_val, g = value_and_subgradient(state.x, rng)
+                if not flat:
+                    sched = schedule_eval(schedule, k, n)
+                step(state, np.asarray(g, dtype=np.float64), f_val=f_val, sched=sched)
+                if not np.maximum.reduce(np.abs(state.x), initial=0.0) <= DIVERGENCE_NORM:
+                    raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
+    finally:
+        state.traj.pack()
 
 
 # --------------------------------------------------------------------------

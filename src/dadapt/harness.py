@@ -30,7 +30,6 @@ from .core import (
     Problem,
     Rng,
     Schedule,
-    StepRecord,
     Trajectory,
     Vector,
     csv_text,
@@ -86,7 +85,7 @@ _NAN = float("nan")
 
 
 def _record(state, gamma: float, f_val: float, gnorm2: float) -> None:
-    state.traj.append(StepRecord(state.k, _NAN, _NAN, gamma, f_val, gnorm2))
+    state.traj.append((state.k, _NAN, _NAN, gamma, f_val, gnorm2))
     state.k += 1
 
 
@@ -258,8 +257,8 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be non-negative, got {self.lr!r}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size!r}")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must not repeat, got {self.seeds!r}")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must list one or more distinct seeds, got {self.seeds!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -436,10 +435,6 @@ class RunOutput:
     summary: dict
 
 
-def _rows_from_trajectory(traj) -> list[tuple]:
-    return [(rec.k, rec.d, rec.dhat, rec.scale, rec.f, rec.gnorm2) for rec in traj.records]
-
-
 def _new_summary(config: ExperimentConfig, seed: int) -> dict:
     """A run's summary before it runs; its keys are the summary.csv columns."""
     return {
@@ -561,8 +556,7 @@ def run_single(
     if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step
         summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
-    rows = _rows_from_trajectory(traj)
-    return RunOutput(config_hash=chash, seed=seed, rows=rows, summary=summary)
+    return RunOutput(config_hash=chash, seed=seed, rows=list(traj.records), summary=summary)
 
 
 # --------------------------------------------------------------------------
@@ -595,8 +589,6 @@ def _worker_count() -> int:
 
 def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[RunOutput]:
     seeds = list(config.seeds)
-    if not seeds:
-        raise ConfigError("config lists no seeds")
     workers = _worker_count()
     if dataset is None:
         dataset = load_dataset(config)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, Diverged, StepRecord, Trajectory, Vector
+from .core import ConfigError, Diverged, Trajectory, Vector
 
 __all__ = [
     "SGDDAState",
@@ -68,7 +68,7 @@ def sgd_da_init(
     if G is not None and not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("sgd_da", x0.shape[0])
+    traj = Trajectory("sgd_da", x0.shape[0], ("lam",))
     traj.meta["heuristic_g"] = G is None
     return SGDDAState(
         x=x0.copy(),
@@ -92,9 +92,7 @@ def sgd_da_step(
     if state.G is None:
         if gnorm2 == 0.0:
             # nothing observable yet; skip, only the counter advances
-            state.traj.append(
-                StepRecord(state.k, state.d, state.d_hat_last, 0.0, f_val, 0.0)
-            )
+            state.traj.append((state.k, state.d, state.d_hat_last, 0.0, f_val, 0.0, 0.0))
             state.k += 1
             return
         state.G = math.sqrt(gnorm2)
@@ -108,9 +106,7 @@ def sgd_da_step(
     snorm = math.sqrt(float(state.s @ state.s))
     d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm
 
-    state.traj.append(
-        StepRecord(state.k, state.d, d_hat, lam, f_val, gnorm2), lam=lam
-    )
+    state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2, lam))
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1
@@ -188,14 +184,14 @@ def adam_da_step(
         state.x = state.x * (1.0 - state.decay * dg)
 
     # hypergradient average consumes the pre-update s in the A^-1 inner product
-    ip_w = float((g * state.s / denom).sum())
+    ip_w = float(np.add.reduce(g * state.s / denom))
     state.r = sb2 * state.r + (1.0 - sb2) * dg * ip_w
     state.s = sb2 * state.s + (1.0 - sb2) * dg * g
 
-    s_l1 = float(np.abs(state.s).sum())
+    s_l1 = float(np.add.reduce(np.abs(state.s)))
     d_hat = 0.0 if s_l1 == 0.0 else state.r / ((1.0 - sb2) * s_l1)
 
-    state.traj.append(StepRecord(state.k, state.d, d_hat, dg, f_val, gnorm2))
+    state.traj.append((state.k, state.d, d_hat, dg, f_val, gnorm2))
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1

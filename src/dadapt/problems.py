@@ -84,6 +84,14 @@ def piecewise_max_problem(
         scores = slopes @ x + offsets
         return slopes[int(np.argmax(scores))].copy()
 
+    def value_and_subgradient(x: Vector, rng: Optional[Rng] = None) -> tuple[float, Vector]:
+        scores = slopes @ x + offsets
+        i = scores.argmax()
+        f = float(scores[i])
+        if f == 0.0 or f != f:  # max may pick another zero sign or NaN
+            f = float(scores.max())
+        return f, slopes[i].copy()
+
     norms = np.sqrt((slopes * slopes).sum(axis=1))
     return Problem(
         dim=slopes.shape[1],
@@ -94,6 +102,7 @@ def piecewise_max_problem(
         lipschitz=float(norms.max()),
         lipschitz_inf=float(np.abs(slopes).max()),
         name="piecewise_max",
+        fused=value_and_subgradient,
     )
 
 
@@ -231,7 +240,9 @@ def synth_dataset(
     rng.normal_rows(X, u)
     # a per-row dot product, since the gemv X @ w is not bit-equal to it
     y = np.array([1.0 if float(w @ x) >= 0.0 else -1.0 for x in X])
-    X += (margin * y)[:, None] * w
+    if margin != 0.0:  # a column at a time, with no (n, dim) temporary
+        for j in range(dim):
+            X[:, j] += (margin * y) * w[j]
     if u is not None:
         y[u < flip] *= -1.0
     return Dataset(X=X, y=y)

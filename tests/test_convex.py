@@ -361,6 +361,27 @@ class TestRunConvex:
         assert res.traj.avg_den == pytest.approx(sum(lams), rel=1e-12)
 
 
+@pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
+@pytest.mark.parametrize("every", [1, 7])
+def test_fused_oracle_on_f_steps_only(algorithm, every):
+    # g0 comes from subgradient and step 0 reuses it, asking value alone for
+    # f; each later step makes one call: fused on f-steps, subgradient else
+    prob = random_piecewise_max(Rng(4, 1), dim=4, pieces=5)
+    calls = []
+    for name in ("value", "subgradient", "fused"):
+        fn = getattr(prob, name)
+        setattr(prob, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    n = 50
+    res = run_convex(
+        prob, prob.known_minimizer + 1.0, algorithm=algorithm, d0=1e-3, n=n,
+        record_f_every=every,
+    )
+    later = ["fused" if k % every == 0 else "subgradient" for k in range(1, n)]
+    assert calls == ["subgradient", "value"] + later
+    assert calls.count("fused") == (n - 1 if every == 1 else 7)
+    assert [rec.k for rec in res.traj.records if not math.isnan(rec.f)] == list(range(0, n, every))
+
+
 @pytest.mark.parametrize(
     "init, step",
     [

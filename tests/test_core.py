@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dadapt.convex import da_init, da_step
 from dadapt.core import (
     _BLOCK,
     _BULK_MIN,
@@ -295,9 +296,9 @@ class TestTrajectory:
             traj.append(StepRecord(1, 0.5, 0.0, 1.0, 0.0, 1.0))
 
     def test_d_series_includes_final_estimate(self):
-        traj = Trajectory("da", 1)
-        traj.append(StepRecord(0, 1.0, 0.0, 1.0, 0.0, 1.0), wg_term=0.5)
-        traj.append(StepRecord(1, 1.0, 3.0, 1.0, 0.0, 1.0), wg_term=0.25)
+        traj = Trajectory("da", 1, ("wg_term",))
+        traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5))
+        traj.append((1, 1.0, 3.0, 1.0, 0.0, 1.0, 0.25))
         # the in-force series plus the estimate the last step produced
         assert traj.d_series() == [1.0, 1.0, 3.0]
         assert traj.extra("wg_term") == [0.5, 0.25]
@@ -306,6 +307,49 @@ class TestTrajectory:
         traj = Trajectory("da", 1)
         with pytest.raises(ValueError):
             traj.extra("nope")
+
+    def test_records_and_extras_are_python_scalars(self):
+        traj = Trajectory("da", 1, ("wg_term",))
+        for k in range(3):
+            traj.append((k, 1.0, 0.5, 0.25, math.nan, np.float64(2.0), np.float64(k / 3)))
+        records = traj.records
+        assert len(records) == 3
+        for rec in [records[0], records[-1], *records[1:], *records]:
+            assert type(rec) is StepRecord and type(rec.k) is int
+            assert all(type(v) is float for v in rec[1:])
+        assert [rec.k for rec in records] == [0, 1, 2]
+        assert all(type(v) is float for v in traj.extra("wg_term"))
+        assert traj.extra("wg_term") == [0.0, 1 / 3, 2 / 3]
+        assert traj.extra("gnorm2") == [2.0, 2.0, 2.0]  # every column has a name
+        assert repr(traj.extra("wg_term")[1]) == repr(1 / 3)  # no np.float64(...) in CSVs
+
+    def test_append_after_read(self):
+        traj = Trajectory("da", 1, ("wg_term",))
+        traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5))
+        assert traj.records[0] == StepRecord(0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        traj.append((1, 2.0, 0.0, 1.0, 0.0, 1.0, 0.25))
+        assert len(traj.records) == 2  # counted before the new row is packed
+        with pytest.raises(ValueError):
+            traj.append((2, 1.5, 0.0, 1.0, 0.0, 1.0, 0.0))  # d fell after a read
+        traj.append((2, 2.0, 4.0, 1.0, 0.0, 1.0, 0.125))
+        assert traj.d_series() == [1.0, 2.0, 2.0, 4.0]
+        assert traj.extra("wg_term") == [0.5, 0.25, 0.125]
+        assert traj.pack().shape == (3, 7)
+
+    def test_empty_trajectory(self):
+        traj = Trajectory("da", 1, ("wg_term",))
+        assert len(traj.records) == 0 and not traj.records and list(traj.records) == []
+        assert traj.extra("wg_term") == []
+        with pytest.raises(IndexError):
+            traj.records[0]
+        with pytest.raises(ValueError, match="empty trajectory"):
+            traj.d_series()
+
+    def test_row_width_checked(self):
+        traj = Trajectory("da", 1, ("wg_term",))
+        traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="7 fields"):
+            traj.pack()
 
 
 def test_schedule_eval_pure():
@@ -378,6 +422,29 @@ class TestDrive:
         assert info.value.traj is st.traj
         assert len(st.traj.records) == 4
         assert abs(st.x[0]) > DIVERGENCE_NORM
+
+    def test_diverged_rows_are_packed_and_readable(self):
+        st = _ScaleState([1.0], 1e4)
+        problem = _counting_problem({"value": 0, "subgradient": 0})
+        with pytest.raises(Diverged) as info:
+            drive(problem, st, st.step, 10, Schedule(), None, 1)
+        traj = info.value.traj
+        assert traj._rows == []  # packed when drive raised
+        assert traj.pack().shape == (4, 6)
+        assert [rec.k for rec in traj.records] == [0, 1, 2, 3]
+        assert traj.records[-1] == StepRecord(3, 1.0, 0.0, 1.0, 1e12, 0.0)
+
+    def test_stepper_divergence_is_packed_too(self):
+        def subgradient(x, rng=None):
+            return np.array([math.inf]) if abs(x[0]) < 0.5 else np.ones(1)
+
+        problem = Problem(dim=1, value=lambda x: float(x[0]), subgradient=subgradient)
+        st = da_init(np.array([1.0]), 0.3)
+        with pytest.raises(Diverged, match="non-finite gradient") as info:
+            drive(problem, st, da_step, 10, Schedule(), None, 1)
+        traj = info.value.traj
+        assert traj._rows == [] and len(traj.records) == info.value.k >= 1
+        assert len(traj.extra("lam")) == len(traj.records)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_iterate_diverges(self, bad):

@@ -232,6 +232,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be finite"):
             apply_overrides(ExperimentConfig(), {key: value})
 
+    @pytest.mark.parametrize("seeds", [(), (0, 0)])
+    def test_seeds_present_and_distinct(self, seeds):
+        with pytest.raises(ConfigError, match="distinct seeds"):
+            ExperimentConfig(seeds=seeds)
+        with pytest.raises(ConfigError, match="distinct seeds"):
+            apply_overrides(ExperimentConfig(), {"seeds": ",".join(map(str, seeds))})
+
     @pytest.mark.parametrize("algo", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
     def test_record_f_every_must_be_positive(self, algo):
         cfg = ExperimentConfig(algorithm=algo, n_steps=5, record_f_every=0)
@@ -675,6 +682,7 @@ class TestCli:
             ["run", "--set", "batch_size=-5"],
             ["run", "--set", "seeds=0,0"],
             ["run", "--set", "algorithm=adagrad", "--set", "lr=-1"],
+            ["run", "--set", "seeds="],
         ],
     )
     def test_bad_setting_exit_two(self, argv, tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Problem constructions, dataset parsing, logistic oracle correctness."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadapt.core import Rng
@@ -361,6 +362,63 @@ class TestPiecewiseConstruction:
             random_piecewise_max(Rng(0, 8), dim=0)
         with pytest.raises(ValueError):
             random_piecewise_max(Rng(0, 8), pieces=1)
+
+
+_TIE_PRONE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+_SLOPE = st.one_of(_TIE_PRONE, st.floats(-1e3, 1e3))
+_POINT = st.one_of(_SLOPE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _piecewise_cases(draw):
+    """Slopes whose rows repeat (tied pieces), offsets and a point x that
+    may hold NaN, infinities and signed zeros."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(_SLOPE, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    offsets = draw(st.lists(_SLOPE, min_size=len(rows), max_size=len(rows)))
+    x = draw(st.lists(_POINT, min_size=dim, max_size=dim))
+    return np.array(rows), np.array(offsets), np.array(x)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestFusedOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(_piecewise_cases())
+    @example((np.array([[1.0], [1.0]]), np.array([-0.0, 0.0]), np.array([0.0])))
+    @example((np.array([[-1.0], [1.0]]), np.array([-0.0, -0.0]), np.array([0.0])))
+    @example((np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), np.array([math.nan])))
+    @example((np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), np.array([math.inf])))
+    def test_bit_equal_to_value_and_subgradient(self, case):
+        prob = piecewise_max_problem(*case)
+        x = case[2]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the scores
+            f, g = prob.value_and_subgradient(x)
+            f_ref, g_ref = prob.value(x), prob.subgradient(x)
+        assert type(f) is float
+        assert _bits(f) == _bits(f_ref)
+        assert g.dtype == g_ref.dtype and g.tobytes() == g_ref.tobytes()
+
+    def test_ties_take_the_lowest_index(self):
+        slopes = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        prob = piecewise_max_problem(slopes, np.zeros(3))
+        f, g = prob.value_and_subgradient(np.array([1.0, 1.0]))
+        assert f == 1.0 and g.tolist() == [0.0, 1.0]
+        g[0] = 5.0  # a copy, not a view of the slopes
+        assert prob.value_and_subgradient(np.array([1.0, 1.0]))[1].tolist() == [0.0, 1.0]
+
+    def test_other_problems_use_value_and_subgradient_as_bound_at_call(self):
+        prob = abs_value_problem()
+        calls = []
+        value, subgradient = prob.value, prob.subgradient
+        prob.value = lambda x: calls.append("value") or value(x)
+        prob.subgradient = lambda x, rng=None: calls.append("subgradient") or subgradient(x)
+        f, g = prob.value_and_subgradient(np.array([-2.0]))
+        assert (f, g.tolist()) == (2.0, [-1.0])
+        assert calls == ["subgradient", "value"]
 
 
 class TestAbsProblem:
