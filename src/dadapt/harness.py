@@ -431,7 +431,7 @@ def build_problem(
 class RunOutput:
     config_hash: str
     seed: int
-    rows: list[tuple]  # CSV_HEADER schema
+    rows: Sequence[tuple]  # CSV_HEADER schema: the run's trajectory records
     summary: dict
 
 
@@ -556,7 +556,7 @@ def run_single(
     if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step
         summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
-    return RunOutput(config_hash=chash, seed=seed, rows=list(traj.records), summary=summary)
+    return RunOutput(config_hash=chash, seed=seed, rows=traj.records, summary=summary)
 
 
 # --------------------------------------------------------------------------
