@@ -376,6 +376,12 @@ def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
     return None
 
 
+def _load_shared(config: ExperimentConfig) -> Optional[Dataset]:
+    """load_dataset for the runs of a grid or sweep, which share each seed's epoch orders too."""
+    dataset = load_dataset(config)
+    return None if dataset is None else replace(dataset, shared_orders={})
+
+
 def build_problem(
     config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
 ) -> ProblemBundle:
@@ -407,9 +413,7 @@ def build_problem(
         if dataset is None:
             dataset = load_dataset(config)
         batch = len(dataset) if config.full_batch else config.batch_size
-        # batch order is keyed by the seed alone so runs that differ only in
-        # optimizer settings see identical data sequences
-        logistic = LogisticProblem(dataset, batch_size=batch, rng=Rng(seed, stream_id=2))
+        logistic = LogisticProblem(dataset, batch_size=batch, seed=seed)
         n = config.n_steps
         if n <= 0:
             if config.epochs <= 0:
@@ -668,7 +672,7 @@ def grid_search(
         )
     if not lrs:
         raise ConfigError("empty lr grid")
-    dataset = load_dataset(config)  # the lr changes the runs, not the data
+    dataset = _load_shared(config)  # the lr changes the runs, not the data
     rows = []
     best_lr, best_f = None, math.inf
     for lr in sorted(float(lr) for lr in lrs):  # ties resolve to the smaller lr
@@ -723,7 +727,7 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
         raise ConfigError("d0 sweep applies to the adaptive algorithms only")
     if not d0s:
         raise ConfigError("empty d0 list")
-    dataset = load_dataset(config)
+    dataset = _load_shared(config)
     rows = []
     finals = []
     for d0 in d0s:
@@ -735,6 +739,8 @@ def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
     lo, hi = min(finals), max(finals)
     scale = max(abs(lo), abs(hi))
     spread = (hi - lo) / scale if scale > 0.0 else 0.0
+    if any(math.isnan(m) for m in finals):  # min and max would pass a NaN over
+        spread = _NAN
     out_path = Path(config.out_dir) / f"sweep_d0_{config_hash(config)}.csv"
     _write_atomic(
         out_path,

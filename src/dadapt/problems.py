@@ -10,7 +10,7 @@ synthetic linearly-structured generator, and epoch-shuffled minibatching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -137,6 +137,8 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
+    # seed -> the EpochOrders every run over this data reads, as grid points do
+    shared_orders: Optional[dict] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -144,6 +146,26 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.y.shape[0]
+
+
+class EpochOrders:
+    """A seed's epoch orders of n examples, epoch e's being the (e+1)-th
+    Rng(seed, 2).permutation(n), drawn when first asked for. keep=True keeps
+    every order drawn; else only the latest, for one reader going in turn."""
+
+    def __init__(self, n: int, seed: int, keep: bool = False):
+        self.n, self._keep = n, keep
+        self._rng = Rng(seed, stream_id=2)  # runs differing in settings alone see the same data
+        self._orders: dict[int, np.ndarray] = {}  # epoch -> order
+        self._drawn = 0
+
+    def __call__(self, epoch: int) -> np.ndarray:
+        while self._drawn <= epoch:
+            if not self._keep:
+                self._orders.clear()
+            self._orders[self._drawn] = self._rng.permutation(self.n)
+            self._drawn += 1
+        return self._orders[epoch]
 
 
 def _parse_label(token: str, line: int) -> float:
@@ -257,6 +279,13 @@ def _mean_logistic_loss(t: np.ndarray) -> float:
     return float(np.logaddexp(0.0, -t).mean())
 
 
+def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, Vector]:
+    """The margins t = y * Xw and the mean logistic gradient over the rows of X."""
+    t = y * (X @ w)
+    coeff = -y * np.exp(-np.logaddexp(0.0, t))  # -y * sigma(-t)
+    return t, X.T @ coeff / X.shape[0]
+
+
 def logistic_value_grad(
     X: np.ndarray, y: np.ndarray, w: Vector
 ) -> tuple[float, Vector]:
@@ -265,11 +294,8 @@ def logistic_value_grad(
     Stable for any margin: loss is logaddexp(0, -t) with t = y * Xw, and
     the gradient coefficient sigma(-t) is computed through the same form.
     """
-    t = y * (X @ w)
-    loss = _mean_logistic_loss(t)
-    coeff = -y * np.exp(-np.logaddexp(0.0, t))  # -y * sigma(-t)
-    grad = X.T @ coeff / X.shape[0]
-    return loss, grad
+    t, grad = _margins_grad(X, y, w)
+    return _mean_logistic_loss(t), grad
 
 
 class LogisticProblem:
@@ -277,11 +303,11 @@ class LogisticProblem:
 
     The weight vector has dataset.dim + 1 entries; the trailing entry
     multiplies the bias, a column of ones appended to the dataset's X.
-    Minibatches are drawn by epoch: a fresh seeded permutation per pass,
-    consecutive slices, short final batch kept.
+    Minibatches are consecutive slices of the seed's epoch orders, short
+    final batch kept; the oracle's gradients compute no loss.
     """
 
-    def __init__(self, dataset: Dataset, batch_size: int = 16, rng: Optional[Rng] = None):
+    def __init__(self, dataset: Dataset, batch_size: int = 16, seed: int = 0):
         n = len(dataset)
         if n == 0:
             raise ValueError("empty dataset")
@@ -289,42 +315,39 @@ class LogisticProblem:
             raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
         self.n = n
         self.batch_size = min(batch_size, n)
-        self.rng = rng if rng is not None else Rng(0, 0)
+        shared = dataset.shared_orders
+        if shared is None:  # a lone run keeps one order at a time
+            self.orders = EpochOrders(n, seed)
+        else:
+            self.orders = shared.setdefault(seed, EpochOrders(n, seed, keep=True))
         self.X = np.hstack([dataset.X, np.ones((n, 1))])
         self.y = dataset.y
         self.dim = self.X.shape[1]  # bias included
-        self._order: Optional[np.ndarray] = None
-        self._pos = 0
+        self._batches = 0  # drawn so far
 
     def next_batch(self) -> np.ndarray:
-        if self._order is None or self._pos >= self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        batch = self._order[self._pos : self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return batch
+        epoch, i = divmod(self._batches, self.batches_per_epoch())
+        self._batches += 1
+        start = i * self.batch_size
+        return self.orders(epoch)[start : start + self.batch_size]
 
     def batches_per_epoch(self) -> int:
         return (self.n + self.batch_size - 1) // self.batch_size
-
-    def value_grad(self, w: Vector, batch: np.ndarray) -> tuple[float, Vector]:
-        return logistic_value_grad(self.X[batch], self.y[batch], w)
 
     def full_value(self, w: Vector) -> float:
         # the loss half of logistic_value_grad, without the gradient's X.T pass
         return _mean_logistic_loss(self.y * (self.X @ w))
 
     def full_grad(self, w: Vector) -> Vector:
-        _, grad = logistic_value_grad(self.X, self.y, w)
-        return grad
+        return _margins_grad(self.X, self.y, w)[1]
 
     def problem(self, stochastic: bool = True) -> Problem:
         """Oracle view: full-loss values, batch (or full) gradients."""
         if stochastic:
 
             def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
-                _, grad = self.value_grad(x, self.next_batch())
-                return grad
+                batch = self.next_batch()
+                return _margins_grad(self.X[batch], self.y[batch], x)[1]
 
         else:
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +480,46 @@ class TestDatasetLoads:
         assert loads == ["parse_libsvm"]
 
 
+class TestSharedEpochOrders:
+    """Grid and sweep points share each seed's epoch orders and write the
+    bytes of the same runs made alone."""
+
+    def make_cfg(self, out_dir, **kw):
+        base = dict(
+            problem="synth_logistic", algorithm="sgd_da", epochs=3, synth_n=64,
+            synth_dim=4, seeds=(0, 1), out_dir=str(out_dir),
+        )
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    @staticmethod
+    def written(out_dir):
+        return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.glob("*/*.csv"))}
+
+    def test_sweep_points_match_lone_runs(self, tmp_path):
+        # the first point diverges in epoch 0; the second reads every epoch after it
+        cfg = self.make_cfg(tmp_path / "sweep")
+        d0_sweep(cfg, [1e15, 1e-6])
+        lone = [run_experiment(replace(cfg, d0=d0, out_dir=str(tmp_path / "lone")))
+                for d0 in (1e15, 1e-6)]
+        assert [out.summary["steps"] for out in lone[0].outputs] == [1, 1]
+        assert [out.summary["steps"] for out in lone[1].outputs] == [12, 12]
+        assert len(self.written(tmp_path / "sweep")) == 8
+        assert self.written(tmp_path / "sweep") == self.written(tmp_path / "lone")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_grid_points_match_lone_runs(self, tmp_path, monkeypatch, workers):
+        # with two workers the shared orders travel to the pool by pickle
+        cfg = self.make_cfg(tmp_path / "grid", algorithm="adagrad")
+        monkeypatch.setenv("DADAPT_WORKERS", workers)
+        grid_search(cfg, [0.1, 10.0], compare_algorithm="adagrad_da")
+        monkeypatch.setenv("DADAPT_WORKERS", "1")
+        for run in (replace(cfg, lr=0.1), replace(cfg, lr=10.0), replace(cfg, algorithm="adagrad_da")):
+            run_experiment(replace(run, out_dir=str(tmp_path / "lone")))
+        assert len(self.written(tmp_path / "grid")) == 12
+        assert self.written(tmp_path / "grid") == self.written(tmp_path / "lone")
+
+
 class TestDegenerateDatasets:
     """libsvm files with no features, one class or no examples, from the CLI."""
 
@@ -617,6 +658,23 @@ class TestD0Sweep:
         )
         with pytest.raises(ConfigError):
             d0_sweep(cfg, [0.1])
+
+    @pytest.mark.parametrize("d0s", [(1e15, 1e-6, 1e-3), (1e-6, 1e15, 1e-3)])
+    def test_diverged_point_makes_spread_nan(self, tmp_path, capsys, d0s):
+        # min and max return a NaN in the first place and skip one elsewhere
+        cfg = ExperimentConfig(
+            problem="synth_logistic", algorithm="sgd_da", epochs=1, synth_n=64,
+            synth_dim=4, out_dir=str(tmp_path),
+        )
+        result = d0_sweep(cfg, d0s)
+        assert [math.isnan(m) for _, m, _, _ in result.rows] == [d0 == 1e15 for d0 in d0s]
+        assert math.isnan(result.relative_spread)
+        argv = ["sweep-d0", "--d0s", ",".join(map(repr, d0s))]
+        for key in ("problem", "algorithm", "epochs", "synth_n", "synth_dim", "out_dir"):
+            argv += ["--set", f"{key}={getattr(cfg, key)}"]
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert "relative spread of mean final loss: nan\n" in capsys.readouterr().out
 
     def test_nonpositive_d0_rejected(self, tmp_path):
         cfg = ExperimentConfig(

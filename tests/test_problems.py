@@ -1,7 +1,10 @@
 """Problem constructions, dataset parsing, logistic oracle correctness."""
 
+import gc
 import math
 import struct
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,8 +212,8 @@ class TestLogisticOracle:
         lp = LogisticProblem(ds, batch_size=16)
         w = Rng(0, 5).normals(lp.dim)
         batch = np.arange(16)
-        loss, grad = lp.value_grad(w, batch)
-        singles = [lp.value_grad(w, np.array([i])) for i in range(16)]
+        loss, grad = logistic_value_grad(lp.X[batch], lp.y[batch], w)
+        singles = [logistic_value_grad(lp.X[[i]], lp.y[[i]], w) for i in range(16)]
         assert loss == pytest.approx(
             sum(s[0] for s in singles) / 16.0, rel=1e-15
         )
@@ -244,6 +247,30 @@ class TestLogisticOracle:
             assert lp.full_value(w) == loss
             assert math.isfinite(loss)
 
+    def test_oracle_gradients_are_those_of_value_grad(self):
+        # bit for bit: 16-row and 1-row minibatches and the full batch, with
+        # margins past +-800, where exp(-t) over- and underflows
+        ds = synth_dataset(seed=5, n_examples=200, dim=6, flip=0.2)
+        rng = Rng(5, 7)
+        large = 1e3 * rng.normals(ds.dim + 1)
+        weights = [rng.normals(ds.dim + 1), np.zeros(ds.dim + 1), large, -large]
+        for batch_size in (16, 1):
+            oracle = LogisticProblem(ds, batch_size=batch_size, seed=3)
+            twin = LogisticProblem(ds, batch_size=batch_size, seed=3)  # same batches
+            subgradient = oracle.problem().subgradient
+            for w in weights:
+                batch = twin.next_batch()
+                _, grad = logistic_value_grad(oracle.X[batch], oracle.y[batch], w)
+                assert np.array_equal(subgradient(w), grad)
+        lp = LogisticProblem(ds, batch_size=16)
+        t = lp.y * (lp.X @ large)
+        assert t.min() < -800.0 and t.max() > 800.0
+        full = lp.problem(stochastic=False).subgradient
+        for w in weights:
+            _, grad = logistic_value_grad(lp.X, lp.y, w)
+            assert np.array_equal(full(w), grad)
+            assert np.array_equal(lp.full_grad(w), grad)
+
     def test_bias_column(self):
         ds = parse_libsvm("+1 1:3\n")
         lp = LogisticProblem(ds, batch_size=1)
@@ -268,29 +295,63 @@ class TestLogisticOracle:
 class TestBatching:
     def test_epoch_covers_every_example(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
-        lp = LogisticProblem(ds, batch_size=16, rng=Rng(1, 2))
+        lp = LogisticProblem(ds, batch_size=16, seed=1)
         seen = np.concatenate([lp.next_batch() for _ in range(lp.batches_per_epoch())])
         assert sorted(seen.tolist()) == list(range(37))
         assert lp.batches_per_epoch() == 3  # 16 + 16 + 5
 
     def test_short_final_batch_kept(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
-        lp = LogisticProblem(ds, batch_size=16, rng=Rng(1, 2))
+        lp = LogisticProblem(ds, batch_size=16, seed=1)
         sizes = [len(lp.next_batch()) for _ in range(3)]
         assert sizes == [16, 16, 5]
 
     def test_fresh_permutation_each_epoch(self):
         ds = synth_dataset(seed=9, n_examples=8, dim=2)
-        lp = LogisticProblem(ds, batch_size=8, rng=Rng(1, 2))
+        lp = LogisticProblem(ds, batch_size=8, seed=1)
         first = lp.next_batch().copy()
         second = lp.next_batch().copy()
         assert sorted(first.tolist()) == sorted(second.tolist())
         assert not np.array_equal(first, second)  # reshuffled
 
+    def test_batches_are_slices_of_seeded_permutations(self):
+        ds = synth_dataset(seed=9, n_examples=37, dim=2)
+        lp = LogisticProblem(ds, batch_size=16, seed=4)
+        rng = Rng(4, 2)
+        for _ in range(3):
+            order = rng.permutation(37)
+            for start in (0, 16, 32):
+                assert np.array_equal(lp.next_batch(), order[start : start + 16])
+
+    def test_lone_problem_keeps_one_epoch_order(self):
+        # a lone run holds only the order it reads; a shared source, as a
+        # grid's, keeps every order it has drawn for the runs after it
+        ds = synth_dataset(seed=9, n_examples=37, dim=2)
+        for shared, kept in ((None, 1), ({}, 3)):
+            lp = LogisticProblem(replace(ds, shared_orders=shared), batch_size=16, seed=4)
+            orders = []
+            for _ in range(3):
+                orders.append(weakref.ref(lp.next_batch().base))  # a batch views its order
+                lp.next_batch()
+                lp.next_batch()
+            gc.collect()
+            assert sum(ref() is not None for ref in orders) == kept
+
+    def test_shared_orders_match_lone_ones(self):
+        # a run that stops in epoch 0 and one that reads on see the orders of lone runs
+        ds = synth_dataset(seed=9, n_examples=37, dim=2)
+        shared = replace(ds, shared_orders={})
+        lone = LogisticProblem(ds, batch_size=16, seed=4)
+        LogisticProblem(shared, batch_size=16, seed=4).next_batch()
+        later = LogisticProblem(shared, batch_size=16, seed=4)
+        for _ in range(9):
+            assert np.array_equal(later.next_batch(), lone.next_batch())
+        assert list(shared.shared_orders) == [4]
+
     def test_batch_order_reproducible(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
-        a = LogisticProblem(ds, batch_size=16, rng=Rng(4, 2))
-        b = LogisticProblem(ds, batch_size=16, rng=Rng(4, 2))
+        a = LogisticProblem(ds, batch_size=16, seed=4)
+        b = LogisticProblem(ds, batch_size=16, seed=4)
         for _ in range(7):
             assert np.array_equal(a.next_batch(), b.next_batch())
 
