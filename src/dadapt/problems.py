@@ -278,8 +278,21 @@ def synth_dataset(
 
 
 def _mean_logistic_loss(t: np.ndarray) -> float:
-    """Mean of log(1 + exp(-t)) over the margins t = y * Xw."""
-    return float(np.logaddexp(0.0, -t).mean())
+    """Mean of log(1 + exp(-t)) over the margins t = y * Xw.
+
+    Each term is the stable softplus of z = -t, max(z, 0) + log1p(exp(-|z|)),
+    computed as log1p(exp(-|t|)) - min(t, 0) in place on two arrays made
+    here, so numpy's vectorized exp and log1p do the work (np.logaddexp
+    calls libm's scalar exp and log1p once per element). Each term is within
+    2 ulp of logaddexp(0, -t), and equal to it at 0, at +-inf and where
+    exp(-|t|) underflows; NaN stays NaN. t is not modified.
+    """
+    loss = np.abs(t)
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    np.subtract(loss, np.minimum(t, 0.0), out=loss)
+    return float(loss.mean())
 
 
 def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, Vector]:
@@ -294,8 +307,11 @@ def logistic_value_grad(
 ) -> tuple[float, Vector]:
     """Mean logistic loss and gradient over the rows of X.
 
-    Stable for any margin: loss is logaddexp(0, -t) with t = y * Xw, and
-    the gradient coefficient sigma(-t) is computed through the same form.
+    Stable for any margin, with t = y * Xw: the loss is the softplus
+    log1p(exp(-|t|)) - min(t, 0) of -t (see _mean_logistic_loss), and the
+    gradient coefficient sigma(-t) is exp(-logaddexp(0, t)). The loss took
+    this form in place of logaddexp(0, -t); the recorded values moved by a
+    few ulp, while gradients, and so iterates, kept their bits.
     """
     t, grad = _margins_grad(X, y, w)
     return _mean_logistic_loss(t), grad
