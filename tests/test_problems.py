@@ -3,6 +3,7 @@
 import gc
 import math
 import struct
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from dadapt.problems import (
     Dataset,
     LogisticProblem,
     ParseError,
+    _mean_logistic_loss,
     abs_value_problem,
     logistic_value_grad,
     parse_libsvm,
@@ -235,7 +237,7 @@ class TestLogisticOracle:
 
     def test_full_value_is_the_loss_of_value_grad(self):
         # bit for bit, over random weights, w = 0 (every margin t = 0) and
-        # weights large enough to saturate both tails of logaddexp
+        # weights large enough to saturate both tails of the loss
         ds = synth_dataset(seed=5, n_examples=200, dim=6, flip=0.2)
         lp = LogisticProblem(ds, batch_size=16)
         rng = Rng(5, 7)
@@ -270,6 +272,50 @@ class TestLogisticOracle:
             _, grad = logistic_value_grad(lp.X, lp.y, w)
             assert np.array_equal(full(w), grad)
             assert np.array_equal(lp.full_grad(w), grad)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 300.0])
+    def test_mean_loss_matches_exact_sum(self, scale):
+        # the terms' exact sum over max(z, 0) + log1p(exp(-|z|)), z = -t, from libm
+        t = np.random.default_rng(int(scale * 10)).standard_normal(10000) * scale
+        terms = (max(z, 0.0) + math.log1p(math.exp(-abs(z))) for z in (-t).tolist())
+        ref = math.fsum(terms) / t.size
+        saved = t.copy()
+        assert abs(_mean_logistic_loss(t) - ref) <= 4 * np.spacing(ref)
+        assert np.array_equal(t, saved)
+
+    def test_loss_terms_at_the_edges(self):
+        # each one-margin mean is the term for z = -t, against logaddexp(0, z)
+        exact = [0.0, -0.0, 800.0, -800.0, math.inf, -math.inf]
+        close = [36.0, -36.0, 745.0, -745.0, 1e308, -1e308]
+        for z in exact + close:
+            got = _mean_logistic_loss(np.array([-z]))
+            want = float(np.logaddexp(0.0, z))
+            if z in exact:
+                assert got == want, z
+            else:
+                assert abs(got - want) <= 2 * np.spacing(want), z
+        assert math.isnan(_mean_logistic_loss(np.array([math.nan])))
+
+    def test_huge_infinite_and_nan_margins_raise_no_warning(self):
+        # the margins y * (X @ w) are w[0] times (1, -1, 0.5): huge, infinite or NaN
+        lp = LogisticProblem(Dataset(X=np.array([[1.0], [-1.0], [0.5]]), y=np.ones(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(lp.full_value(np.array([1e308, 0.0])))
+            assert lp.full_value(np.array([math.inf, 0.0])) == math.inf
+            assert math.isnan(lp.full_value(np.array([math.nan, 0.0])))
+            margins = np.array([1e308, -1e308, math.inf, -math.inf, math.nan])
+            assert math.isnan(_mean_logistic_loss(margins))
+            assert _mean_logistic_loss(margins[:4]) == math.inf
+
+    def test_full_value_leaves_its_inputs_unchanged(self):
+        ds = synth_dataset(seed=3, n_examples=64, dim=4, flip=0.2)
+        lp = LogisticProblem(ds, batch_size=8)
+        w = Rng(3, 7).normals(lp.dim)
+        saved = lp.X.copy(), lp.y.copy(), w.copy()
+        first = lp.full_value(w)
+        assert all(np.array_equal(a, b) for a, b in zip((lp.X, lp.y, w), saved))
+        assert lp.full_value(w) == first
 
     def test_bias_column(self):
         ds = parse_libsvm("+1 1:3\n")
