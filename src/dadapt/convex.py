@@ -43,7 +43,9 @@ from .core import (
     Schedule,
     Trajectory,
     Vector,
+    _dot,
     drive,
+    _weighted_average,
 )
 
 __all__ = [
@@ -62,11 +64,6 @@ __all__ = [
 ]
 
 _NAN = float("nan")
-
-
-def _check_gradient(state, gnorm2: float) -> None:
-    if not math.isfinite(gnorm2):
-        raise Diverged(state.k, state.traj, "non-finite gradient")
 
 
 # --------------------------------------------------------------------------
@@ -127,8 +124,9 @@ def da_init(
 
 
 def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
-    gnorm2 = float(g @ g)
-    _check_gradient(state, gnorm2)
+    gnorm2 = _dot(g, g)
+    if not math.isfinite(gnorm2):
+        raise Diverged(state.k, state.traj, "non-finite gradient")
     if state.gamma is None:
         if gnorm2 == 0.0:
             raise ValueError("zero first gradient; the driver returns x0 directly")
@@ -137,7 +135,7 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     lam = sched * state.d
 
     # accumulators consume the pre-update gamma, d, and s
-    ip_gs = float(g @ state.s)
+    ip_gs = _dot(g, state.s)
     hyper_term = lam * gamma_old * ip_gs
     wg_term = gamma_old * lam * lam * gnorm2
     state.hypergrad_sum += hyper_term
@@ -150,7 +148,7 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     else:
         gamma_next = 1.0 / math.sqrt(state.g_fixed**2 + state.sum_gsq)
 
-    snorm2 = float(state.s @ state.s)
+    snorm2 = _dot(state.s, state.s)
     snorm = math.sqrt(snorm2)
     if snorm == 0.0:
         d_hat = 0.0
@@ -167,7 +165,8 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    state.x = state.x0 - gamma_next * state.s
+    np.multiply(state.s, -gamma_next, out=state.x)  # x0 - gamma * s, in place
+    state.x += state.x0
     state.gamma = gamma_next
     state.k += 1
 
@@ -210,19 +209,20 @@ def gd_init(x0: Vector, d0: float, G: float) -> GDState:
 
 
 def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
-    gnorm2 = float(g @ g)
-    _check_gradient(state, gnorm2)
+    gnorm2 = _dot(g, g)
+    if not math.isfinite(gnorm2):
+        raise Diverged(state.k, state.traj, "non-finite gradient")
     # the step size denominator includes the current gradient
     state.sum_gsq += gnorm2
     lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)
 
-    ip_gs = float(g @ state.s)
+    ip_gs = _dot(g, state.s)
     hyper_term = lam * ip_gs
     wg_term = lam * lam * gnorm2
     state.sum_lambda_sq += wg_term
     state.s += lam * g
 
-    snorm2 = float(state.s @ state.s)
+    snorm2 = _dot(state.s, state.s)
     snorm = math.sqrt(snorm2)
     if snorm == 0.0:
         d_hat = 0.0
@@ -236,7 +236,7 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    state.x = state.x - lam * g
+    state.x -= lam * g
     state.k += 1
 
 
@@ -280,16 +280,18 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
 def adagrad_da_step(
     state: AdaGradDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    gnorm2 = float(g @ g)
-    _check_gradient(state, gnorm2)
+    gnorm2 = _dot(g, g)
+    if not math.isfinite(gnorm2):
+        raise Diverged(state.k, state.traj, "non-finite gradient")
     lam = sched * state.d
 
     # weighted gradient-norm term uses the denominators before this gradient
-    wg_term = lam * lam * float(np.add.reduce(g * g / state.a))
+    g2 = g * g
+    wg_term = lam * lam * float(np.add.reduce(g2 / state.a))
     state.sum_weighted += wg_term
 
     state.s += lam * g
-    np.sqrt(state.a * state.a + g * g, out=state.a)
+    np.sqrt(state.a * state.a + g2, out=state.a)
 
     s_l1 = float(np.add.reduce(np.abs(state.s)))
     s_wnorm2 = float(np.add.reduce(state.s * state.s / state.a))
@@ -306,7 +308,7 @@ def adagrad_da_step(
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    state.x = state.x0 - state.s / state.a
+    np.subtract(state.x0, np.divide(state.s, state.a, out=state.x), out=state.x)
     state.k += 1
 
 
@@ -410,8 +412,9 @@ def run_convex(
     g0_max = 1.0 if at_optimum else float(np.abs(g0).max())
     heuristic_g = False
     # the selected prefix is picked online: after step k, state.d is d_{k+1}
-    # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio
-    best, d_sum, t_index, x_avg_t = math.inf, 0.0, None, None
+    # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio;
+    # a pick keeps the average's numerator and weight, divided at the end
+    best, d_sum, t_index, picked_avg = math.inf, 0.0, None, None
     if algorithm == "da":
         g_fixed = None
         if g_mode == "fixed":
@@ -422,12 +425,12 @@ def run_convex(
         state = da_init(x0, d0, option=option, g_fixed=g_fixed)
 
         def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
-            nonlocal best, d_sum, t_index, x_avg_t
+            nonlocal best, d_sum, t_index, picked_avg
             k, d_k = state.k, state.d
             da_step(state, g, f_val=f_val, sched=sched)
             best, d_sum, picked = _prefix_step(best, d_sum, d_k, state.d)
             if picked:
-                t_index, x_avg_t = k, state.traj.average()
+                t_index, picked_avg = k, (state.traj.avg_num.copy(), state.traj.avg_den)
 
     elif algorithm == "gd":
         G = g_value
@@ -462,5 +465,5 @@ def run_convex(
         x_final=state.x.copy(),
         d_final=state.d,
         t_index=t_index,
-        x_avg_t=x_avg_t,
+        x_avg_t=None if picked_avg is None else _weighted_average(*picked_avg),
     )

@@ -32,6 +32,7 @@ from .core import (
     Schedule,
     Trajectory,
     Vector,
+    _dot,
     csv_text,
     drive,
 )
@@ -118,7 +119,7 @@ def adagrad_norm_step(
     Skipped while every gradient seen so far is zero (the step size is
     undefined until the accumulator is positive).
     """
-    gnorm2 = float(g @ g)
+    gnorm2 = _dot(g, g)
     state.sum_gsq += gnorm2
     if state.sum_gsq == 0.0:
         _record(state, _NAN, f_val, gnorm2)
@@ -126,7 +127,7 @@ def adagrad_norm_step(
     gamma = state.radius / math.sqrt(state.sum_gsq)
     x = state.x - gamma * g
     delta = x - state.x0
-    dist = math.sqrt(float(delta @ delta))
+    dist = math.sqrt(_dot(delta, delta))
     if dist > state.radius:
         x = state.x0 + delta * (state.radius / dist)
     state.x = x
@@ -159,7 +160,7 @@ def _polyak_state_step(
     state: _PolyakState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
     fx = state.value(state.x) if math.isnan(f_val) else f_val
-    gg = float(g @ g)
+    gg = _dot(g, g)
     gamma = (fx - state.fstar) / gg if gg > 0.0 else 0.0
     state.x = polyak_step(state.x, g, fx, state.fstar)
     _record(state, gamma, f_val, gg)
@@ -178,7 +179,7 @@ class _FixedState:
 def _fixed_step(state: _FixedState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
     state.x = state.x - state.gamma * g
     state.traj.update_average(state.x, 1.0)
-    _record(state, state.gamma, f_val, float(g @ g))
+    _record(state, state.gamma, f_val, _dot(g, g))
 
 
 @dataclass
@@ -198,7 +199,7 @@ def _adagrad_step(
     step = np.divide(g, state.acc, out=np.zeros_like(g), where=state.acc > 0.0)
     mult = state.lr * sched
     state.x = state.x - mult * step
-    _record(state, mult, f_val, float(g @ g))
+    _record(state, mult, f_val, _dot(g, g))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, Diverged, Trajectory, Vector
+from .core import ConfigError, Diverged, Trajectory, Vector, _dot
 
 __all__ = [
     "SGDDAState",
@@ -87,7 +87,7 @@ def sgd_da_init(
 def sgd_da_step(
     state: SGDDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    gnorm2 = float(g @ g)
+    gnorm2 = _dot(g, g)
     _check_step_inputs(state, gnorm2, sched)
     if state.G is None:
         if gnorm2 == 0.0:
@@ -98,12 +98,12 @@ def sgd_da_step(
         state.G = math.sqrt(gnorm2)
 
     lam = state.d * sched / state.G
-    state.hypergrad_sum += lam * float(g @ state.s)  # pre-update s
+    state.hypergrad_sum += lam * _dot(g, state.s)  # pre-update s
     state.s += lam * g
     state.z -= lam * g
     state.x = state.beta * state.x + (1.0 - state.beta) * state.z
 
-    snorm = math.sqrt(float(state.s @ state.s))
+    snorm = math.sqrt(_dot(state.s, state.s))
     d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm
 
     state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2, lam))
@@ -170,7 +170,7 @@ def adam_da_init(
 def adam_da_step(
     state: AdamDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    gnorm2 = float(g @ g)
+    gnorm2 = _dot(g, g)
     _check_step_inputs(state, gnorm2, sched)
     dg = state.d * sched
     sb2 = math.sqrt(state.beta2)

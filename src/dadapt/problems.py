@@ -30,6 +30,8 @@ __all__ = [
     "logistic_value_grad",
 ]
 
+_MAX_CELLS = 2**28  # the largest X parse_libsvm makes: 2 GiB of float64
+
 
 class ParseError(ValueError):
     """Malformed dataset text; carries the 1-based line number."""
@@ -189,7 +191,7 @@ def parse_libsvm(text: str) -> Dataset:
     Labels 1/+1 map to +1 and 0/-1 map to -1; anything else is rejected.
     Indices are 1-based and must be strictly ascending within a line.
     `#` starts a comment; blank lines are skipped. The dimension is the
-    largest index seen.
+    largest index seen; a dense X of over _MAX_CELLS cells is refused.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -225,6 +227,8 @@ def parse_libsvm(text: str) -> Dataset:
             values.append(val)
             prev = idx
         dim = max(dim, prev)
+        if (len(labels) + 1) * dim > _MAX_CELLS:
+            raise ParseError(f"X of {len(labels) + 1} x {dim} is over {_MAX_CELLS} cells", lineno)
         labels.append(label)
     X = np.zeros((len(labels), dim), dtype=np.float64)
     X[rows, cols] = values

@@ -361,6 +361,32 @@ class TestRunConvex:
         assert res.traj.avg_den == pytest.approx(sum(lams), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "algorithm, option", [("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")]
+)
+def test_outputs_share_no_memory_and_rerun_equal(algorithm, option):
+    # the steppers move the iterate in place and the prefix average is taken
+    # from a snapshot: neither may write the caller's x0 or tie outputs together
+    prob = random_piecewise_max(Rng(7, 1), dim=5, pieces=4)
+    x0 = prob.known_minimizer + Rng(7, 2).normals(5)
+    x0_bytes = x0.tobytes()
+
+    def run():
+        res = run_convex(prob, x0, algorithm=algorithm, d0=1e-3, n=300, option=option)
+        outs = [res.x_final, res.x_avg] + ([res.x_avg_t] if algorithm == "da" else [])
+        return res, outs
+
+    res, outs = run()
+    assert x0.tobytes() == x0_bytes
+    for a, b in itertools.combinations(outs + [x0], 2):
+        assert not np.shares_memory(a, b)
+    again, outs_again = run()
+    assert x0.tobytes() == x0_bytes
+    assert again.traj.pack().tobytes() == res.traj.pack().tobytes()
+    assert [a.tobytes() for a in outs_again] == [a.tobytes() for a in outs]
+    assert (again.t_index, again.d_final) == (res.t_index, res.d_final)
+
+
 @pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
 @pytest.mark.parametrize("every", [1, 7])
 def test_fused_oracle_on_f_steps_only(algorithm, every):

@@ -1,11 +1,13 @@
 """Core primitives: RNG streams, schedules, trajectories, averaging."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dadapt.convex import da_init, da_step
 from dadapt.core import (
@@ -13,6 +15,7 @@ from dadapt.core import (
     _BULK_MIN,
     _CHARPOLY,
     DIVERGENCE_NORM,
+    _dot,
     ConfigError,
     Diverged,
     Problem,
@@ -454,3 +457,67 @@ class TestDrive:
             drive(problem, st, st.step, 5, Schedule(), None, 1)
         assert info.value.k == 0
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [DIVERGENCE_NORM],  # on the bound: inside the closed ball
+            [0.0, -DIVERGENCE_NORM],
+            [np.nextafter(DIVERGENCE_NORM, math.inf)],
+            [math.nan],
+            [math.inf],
+            [1e200],  # its square overflows to inf
+            [0.9e12] * 4,  # ||x||_2 is 1.8e12, past the prefilter; max|x_i| is inside
+        ],
+    )
+    def test_prefilter_keeps_exact_outcome(self, x):
+        # drive skips the exact max-abs test below 0.999 DIVERGENCE_NORM**2;
+        # the run must still end exactly where that test alone ends it
+        x = np.array(x)
+        exact = not np.maximum.reduce(np.abs(x), initial=0.0) <= DIVERGENCE_NORM
+        st_ = _ScaleState(np.ones_like(x), 1.0)
+
+        def step(state, g, f_val=math.nan, sched=1.0):
+            st_.step(state, g, f_val, sched)
+            if len(st_.seen) == 3:
+                state.x = x.copy()
+
+        problem = _counting_problem({"value": 0, "subgradient": 0})
+        if not exact:
+            drive(problem, st_, step, 5, Schedule(), None, 1)
+            assert len(st_.traj.records) == 5
+            return
+        with pytest.raises(Diverged) as info:
+            drive(problem, st_, step, 5, Schedule(), None, 1)
+        assert info.value.k == 2
+        assert str(info.value) == f"iterate NaN or beyond {DIVERGENCE_NORM:g} at step 2"
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+_DOT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and their edge
+    st.floats(allow_nan=False, allow_infinity=False),  # the full exponent range
+)
+
+
+@st.composite
+def _dot_pairs(draw):
+    n = draw(st.one_of(st.integers(0, 70), st.just(1000)))
+    return (
+        draw(arrays(np.float64, n, elements=_DOT_ENTRIES)),
+        draw(arrays(np.float64, n, elements=_DOT_ENTRIES)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=_dot_pairs())
+@example(pair=(np.array([1.0]), np.array([-0.0])))  # a bare .dot gives -0.0 here
+@example(pair=(np.array([-0.0, 0.0]), np.array([1.0, -1.0])))
+def test_dot_is_matmul_bit_for_bit(pair):
+    a, b = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(_dot(a, b)) == _bits(float(a @ b))

@@ -3,6 +3,7 @@
 import gc
 import math
 import struct
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -94,6 +95,22 @@ class TestParser:
     def test_zero_index_rejected(self):
         with pytest.raises(ParseError):
             parse_libsvm("+1 0:1\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("+1 268435457:1\n", 1), ("+1 134217729:1\n-1 1:1\n", 2)],
+    )
+    def test_dense_size_capped(self, text, line):
+        # rows x dim past 2**28 cells is refused before X is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == line
+        assert peak < 1 << 20
 
     def test_nonfinite_value_rejected(self):
         with pytest.raises(ParseError):
