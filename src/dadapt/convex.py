@@ -44,8 +44,8 @@ from .core import (
     Trajectory,
     Vector,
     _dot,
-    drive,
     _weighted_average,
+    drive,
 )
 
 __all__ = [

@@ -15,7 +15,6 @@ from dadapt.core import (
     _BULK_MIN,
     _CHARPOLY,
     DIVERGENCE_NORM,
-    _dot,
     ConfigError,
     Diverged,
     Problem,
@@ -23,6 +22,7 @@ from dadapt.core import (
     Schedule,
     StepRecord,
     Trajectory,
+    _dot,
     drive,
     schedule_eval,
 )
