@@ -165,7 +165,7 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    np.multiply(state.s, -gamma_next, out=state.x)  # x0 - gamma * s, in place
+    np.multiply(state.s, -gamma_next, state.x)  # x0 - gamma * s, in place
     state.x += state.x0
     state.gamma = gamma_next
     state.k += 1
@@ -308,7 +308,7 @@ def adagrad_da_step(
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    np.subtract(state.x0, np.divide(state.s, state.a, out=state.x), out=state.x)
+    np.subtract(state.x0, np.divide(state.s, state.a, state.x), state.x)
     state.k += 1
 
 

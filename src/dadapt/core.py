@@ -49,8 +49,8 @@ DIVERGENCE_NORM = 1e12
 
 
 def _dot(a: Vector, b: Vector) -> float:
-    """float(a @ b) for 1-D float64 a and b, bit for bit, at half the call
-    cost. The + 0.0 matters: at dim 1, [1.0].dot([-0.0]) is -0.0 where
+    """float(a @ b) for 1-D float64 a and b, bit for bit, with less call
+    overhead. The + 0.0 matters: at dim 1, [1.0].dot([-0.0]) is -0.0 where
     [1.0] @ [-0.0] is 0.0; adding 0.0 turns -0.0 into 0.0 and keeps the rest."""
     return float(a.dot(b)) + 0.0
 

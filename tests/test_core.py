@@ -475,23 +475,22 @@ class TestDrive:
         # the run must still end exactly where that test alone ends it
         x = np.array(x)
         exact = not np.maximum.reduce(np.abs(x), initial=0.0) <= DIVERGENCE_NORM
-        st_ = _ScaleState(np.ones_like(x), 1.0)
+        toy = _ScaleState(np.ones_like(x), 1.0)
 
         def step(state, g, f_val=math.nan, sched=1.0):
-            st_.step(state, g, f_val, sched)
-            if len(st_.seen) == 3:
+            toy.step(state, g, f_val, sched)
+            if len(toy.seen) == 3:
                 state.x = x.copy()
 
         problem = _counting_problem({"value": 0, "subgradient": 0})
-        if not exact:
-            drive(problem, st_, step, 5, Schedule(), None, 1)
-            assert len(st_.traj.records) == 5
-            return
-        with pytest.raises(Diverged) as info:
-            drive(problem, st_, step, 5, Schedule(), None, 1)
-        assert info.value.k == 2
-        assert str(info.value) == f"iterate NaN or beyond {DIVERGENCE_NORM:g} at step 2"
-
+        if exact:
+            with pytest.raises(Diverged) as info:
+                drive(problem, toy, step, 5, Schedule(), None, 1)
+            assert info.value.k == 2
+            assert str(info.value) == f"iterate NaN or beyond {DIVERGENCE_NORM:g} at step 2"
+        else:
+            drive(problem, toy, step, 5, Schedule(), None, 1)
+            assert len(toy.traj.records) == 5
 
 def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
