@@ -165,8 +165,7 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    np.multiply(state.s, -gamma_next, state.x)  # x0 - gamma * s, in place
-    state.x += state.x0
+    state.x = state.x0 - gamma_next * state.s
     state.gamma = gamma_next
     state.k += 1
 
@@ -236,7 +235,7 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    state.x -= lam * g
+    state.x = state.x - lam * g
     state.k += 1
 
 
@@ -308,7 +307,7 @@ def adagrad_da_step(
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    np.subtract(state.x0, np.divide(state.s, state.a, state.x), state.x)
+    state.x = state.x0 - state.s / state.a
     state.k += 1
 
 

@@ -365,8 +365,8 @@ class TestRunConvex:
     "algorithm, option", [("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")]
 )
 def test_outputs_share_no_memory_and_rerun_equal(algorithm, option):
-    # the steppers move the iterate in place and the prefix average is taken
-    # from a snapshot: neither may write the caller's x0 or tie outputs together
+    # the prefix average is taken from a snapshot of the running sums: it may
+    # not write the caller's x0 or tie the outputs together
     prob = random_piecewise_max(Rng(7, 1), dim=5, pieces=4)
     x0 = prob.known_minimizer + Rng(7, 2).normals(5)
     x0_bytes = x0.tobytes()

@@ -492,6 +492,7 @@ class TestDrive:
             drive(problem, toy, step, 5, Schedule(), None, 1)
             assert len(toy.traj.records) == 5
 
+
 def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
