@@ -20,6 +20,7 @@ from .analysis import (
     check_telescoping,
     log2p,
     reports_to_csv,
+    verify_suite,
 )
 from .convex import (
     ConvexRunResult,
@@ -56,7 +57,6 @@ from .harness import (
     polyak_step,
     run_experiment,
     run_single,
-    verify_suite,
 )
 from .ml import (
     EmaPair,
@@ -75,6 +75,7 @@ from .problems import (
     logistic_value_grad,
     parse_libsvm,
     piecewise_max_problem,
+    piecewise_start,
     random_piecewise_max,
     serialize_libsvm,
     synth_dataset,

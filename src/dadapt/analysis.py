@@ -6,19 +6,22 @@ Identities are compared at 1e-8 relative tolerance, inequalities at 1e-9
 absolute slack, and the option-dominance comparison at 1e-12 relative;
 those defaults are pinned by the acceptance tests. Checks whose
 preconditions do not hold on the given data come back skipped with the
-reason in the context field, never as failures.
+reason in the context field, never as failures. verify_suite runs the
+battery behind `dadapt verify` over small runs made here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .convex import ConvexRunResult
-from .core import Problem, Trajectory, Vector, csv_text
+from .convex import ConvexRunResult, run_convex
+from .core import ConfigError, Problem, Rng, Trajectory, Vector, csv_text
+from .problems import abs_value_problem, piecewise_start
 
 __all__ = [
     "BoundReport",
@@ -38,6 +41,7 @@ __all__ = [
     "check_snorm_bound",
     "check_ema_equivalence",
     "reports_to_csv",
+    "verify_suite",
 ]
 
 IDENTITY_RTOL = 1e-8
@@ -394,3 +398,72 @@ def check_ema_equivalence(c: float, gs: Sequence[float]) -> BoundReport:
         scale = max(abs(expected), abs(pair.u_hat), 1e-300)
         worst = max(worst, abs(pair.u_hat - expected) / scale)
     return _report("ema_equivalence", worst, EMA_RTOL, f"c={c} steps={len(gs)}", worst <= EMA_RTOL)
+
+
+# --------------------------------------------------------------------------
+# The battery behind `dadapt verify`
+
+
+def _tagged(report: BoundReport, tag: str) -> BoundReport:
+    return replace(report, context=f"{report.context} [{tag}]")
+
+
+def _variant_runs(n_problems: int, n_steps: int, seed0: int):
+    """(trajectory, tag) of every convex variant on small random problems."""
+    for i in range(n_problems):
+        prob, x0 = piecewise_start(seed0 + i, dim=6, pieces=6, distance=1.0)
+        for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
+            result = run_convex(
+                prob,
+                x0,
+                algorithm=algo,
+                d0=1e-3,
+                n=n_steps,
+                option=option,
+                g_value=prob.lipschitz,
+                g_inf=prob.lipschitz_inf,
+            )
+            yield result.traj, f"{algo}_{option}_problem{i}"
+
+
+def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
+    """Battery behind `verify`: lemma identities and/or rate bounds."""
+    if suite not in ("lemmas", "bounds", "all"):
+        raise ConfigError(f"unknown suite {suite!r}")
+    reports: list[BoundReport] = []
+    n_problems = 5 if quick else 20
+    n_steps = 200 if quick else 1000
+
+    if suite in ("lemmas", "all"):
+        for traj, tag in _variant_runs(n_problems, n_steps, seed0=0):
+            if traj.kind in ("da", "gd"):
+                reports.append(_tagged(check_telescoping(traj), tag))
+            if traj.kind == "da":
+                reports.append(_tagged(check_option_dominance(traj), tag))
+        rng = Rng(7, stream_id=2)
+        for i in range(n_problems):
+            G = 1.0 + rng.uniform()
+            gnorms = [G * rng.uniform() for _ in range(n_steps)]
+            reports.append(check_streeter_mcmahan(gnorms, G, variant="sqrt"))
+            reports.append(check_streeter_mcmahan(gnorms, G, variant="log"))
+            ds = [1e-4]
+            for _ in range(n_steps):
+                ds.append(ds[-1] * (1.0 + rng.uniform() * 0.05))
+            reports.append(check_mindk(ds))
+        for c in (0.5, 0.9, 0.999):
+            gs = [rng.normal() for _ in range(100)]
+            reports.append(check_ema_equivalence(c, gs))
+
+    if suite in ("bounds", "all"):
+        for traj, tag in _variant_runs(n_problems, n_steps, seed0=100):
+            reports.append(_tagged(check_d_lower_bound(traj, 1.0), tag))
+            reports.append(_tagged(check_snorm_bound(traj), tag))
+        abs_prob = abs_value_problem()
+        da_on_abs = partial(run_convex, abs_prob, np.array([1.0]), algorithm="da", d0=0.1)
+        n_rate = 2000 if quick else 10000
+        result = da_on_abs(n=n_rate, g_mode="fixed", g_value=1.0)
+        reports.append(check_rate_theorem2(result, abs_prob, D=1.0, G=1.0))
+        reports.append(check_rate_asymptotic(da_on_abs(n=n_rate), abs_prob, D=1.0, G=1.0))
+        result_long = da_on_abs(n=20000 if quick else 100000, g_mode="fixed", g_value=1.0)
+        reports.append(check_dasym(result_long, abs_prob.known_minimizer, D=1.0))
+    return reports

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import reports_to_csv
+from .analysis import reports_to_csv, verify_suite
 from .core import ConfigError, csv_text
 from .harness import (
     CSV_HEADER,
@@ -23,7 +23,6 @@ from .harness import (
     load_config,
     run_experiment,
     run_single,
-    verify_suite,
 )
 from .problems import ParseError
 
@@ -69,9 +68,7 @@ def _cmd_run(args) -> int:
 def _cmd_grid(args) -> int:
     config = _config_from_args(args)
     result = grid_search(config, _floats(args.lrs), compare_algorithm=args.compare)
-    print("lr,mean_final_f,two_se,diverged")
-    for lr, m, se2, diverged in result.rows:
-        print(f"{lr!r},{m!r},{se2!r},{diverged}")
+    print(result.out_path.read_text(), end="")
     print(f"best lr {result.best_lr!r} with mean final loss {result.best_f!r}")
     if result.compare_algorithm:
         print(f"{result.compare_algorithm} (no tuning): {result.compare_f!r}")
@@ -82,9 +79,7 @@ def _cmd_grid(args) -> int:
 def _cmd_sweep_d0(args) -> int:
     config = _config_from_args(args)
     result = d0_sweep(config, _floats(args.d0s))
-    print("d0,mean_final_f,two_se,out_of_theory")
-    for d0, m, se2, flag in result.rows:
-        print(f"{d0!r},{m!r},{se2!r},{flag}")
+    print(result.out_path.read_text(), end="")
     print(f"relative spread of mean final loss: {result.relative_spread!r}")
     print(f"table -> {result.out_path}")
     return 0

@@ -20,15 +20,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import analysis
-from .analysis import BoundReport
 from .convex import run_convex
 from .core import (
     DIVERGENCE_NORM,
     ConfigError,
     Diverged,
     Problem,
-    Rng,
     Schedule,
     Trajectory,
     Vector,
@@ -42,7 +39,7 @@ from .problems import (
     LogisticProblem,
     abs_value_problem,
     parse_libsvm,
-    random_piecewise_max,
+    piecewise_start,
     synth_dataset,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "GridDiverged",
     "grid_search",
     "d0_sweep",
-    "verify_suite",
     "DIVERGENCE_NORM",
 ]
 
@@ -72,6 +68,7 @@ CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2"]
 
 DADAPT_ALGORITHMS = ("da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da")
 BASELINE_ALGORITHMS = ("adagrad", "adagrad_norm", "polyak", "fixed")
+PROBLEMS = ("abs", "piecewise", "synth_logistic", "libsvm")
 GRID_BASELINES = ("adagrad", "adagrad_norm", "fixed")
 
 _NAN = float("nan")
@@ -211,13 +208,13 @@ def _adagrad_step(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    problem: str = "abs"  # abs | piecewise | synth_logistic | libsvm
-    algorithm: str = "da_I"
+    problem: str = "abs"  # one of PROBLEMS
+    algorithm: str = "da_I"  # one of DADAPT_ALGORITHMS + BASELINE_ALGORITHMS
     d0: float = 1e-6
     x0: float = 1.0  # starting scalar for abs
     n_steps: int = 0  # 0 means derive from epochs for dataset problems
     epochs: int = 0
-    g_mode: str = "none"  # none | fixed, dual-averaging runs only
+    g_mode: str = "none"  # none | fixed, read by the dual-averaging runs only
     lr: float = 1.0  # baseline multiplier
     beta: float = 0.9
     beta1: float = 0.9
@@ -250,6 +247,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if kind in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name, known in (
+            ("problem", PROBLEMS),
+            ("algorithm", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS),
+            ("g_mode", ("none", "fixed")),
+        ):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if self.record_f_every < 1:
+            raise ConfigError(f"record_f_every must be positive, got {self.record_f_every!r}")
         if self.d0 <= 0.0:
             raise ConfigError(f"d0 must be positive, got {self.d0!r}")
         if self.x0_distance < 0.0:
@@ -377,55 +383,36 @@ def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
     return None
 
 
-def _load_shared(config: ExperimentConfig) -> Optional[Dataset]:
-    """load_dataset for the runs of a grid or sweep, which share each seed's epoch orders too."""
-    dataset = load_dataset(config)
-    return None if dataset is None else replace(dataset, shared_orders={})
-
-
 def build_problem(
     config: ExperimentConfig, seed: int, dataset: Optional[Dataset] = None
 ) -> ProblemBundle:
     """The problem of one (config, seed) run; a dataset problem loads its
     data unless it is passed in."""
+    if config.problem in ("abs", "piecewise") and config.n_steps <= 0:
+        raise ConfigError(f"{config.problem} problem needs n_steps > 0")
     if config.problem == "abs":
-        prob = abs_value_problem()
         x0 = np.array([config.x0], dtype=np.float64)
-        n = config.n_steps
-        if n <= 0:
-            raise ConfigError("abs problem needs n_steps > 0")
-        return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=abs(config.x0))
+        return ProblemBundle(abs_value_problem(), x0, config.n_steps, D=abs(config.x0))
     if config.problem == "piecewise":
-        rng = Rng(config.problem_seed, stream_id=1)
         try:
-            prob = random_piecewise_max(
-                rng, dim=config.piecewise_dim, pieces=config.piecewise_pieces
+            prob, x0 = piecewise_start(
+                config.problem_seed, config.piecewise_dim,
+                config.piecewise_pieces, config.x0_distance,
             )
         except ValueError as err:
             raise ConfigError(f"piecewise: {err}") from None
-        direction = rng.normals(config.piecewise_dim)
-        direction /= math.sqrt(float(direction @ direction))
-        x0 = prob.known_minimizer + config.x0_distance * direction
-        n = config.n_steps
-        if n <= 0:
-            raise ConfigError("piecewise problem needs n_steps > 0")
-        return ProblemBundle(problem=prob, x0=x0, n_steps=n, D=config.x0_distance)
-    if config.problem in ("synth_logistic", "libsvm"):
-        if dataset is None:
-            dataset = load_dataset(config)
-        batch = len(dataset) if config.full_batch else config.batch_size
-        logistic = LogisticProblem(dataset, batch_size=batch, seed=seed)
-        n = config.n_steps
-        if n <= 0:
-            if config.epochs <= 0:
-                raise ConfigError("dataset problems need n_steps or epochs")
-            n = config.epochs * logistic.batches_per_epoch()
-        return ProblemBundle(
-            problem=logistic.problem(stochastic=not config.full_batch),
-            x0=np.zeros(logistic.dim, dtype=np.float64),
-            n_steps=n,
-        )
-    raise ConfigError(f"unknown problem {config.problem!r}")
+        return ProblemBundle(prob, x0, config.n_steps, D=config.x0_distance)
+    if dataset is None:  # synth_logistic or libsvm, the problems left
+        dataset = load_dataset(config)
+    batch = len(dataset) if config.full_batch else config.batch_size
+    logistic = LogisticProblem(dataset, batch_size=batch, seed=seed)
+    n = config.n_steps
+    if n <= 0:
+        if config.epochs <= 0:
+            raise ConfigError("dataset problems need n_steps or epochs")
+        n = config.epochs * logistic.batches_per_epoch()
+    problem = logistic.problem(stochastic=not config.full_batch)
+    return ProblemBundle(problem, np.zeros(logistic.dim, dtype=np.float64), n)
 
 
 # --------------------------------------------------------------------------
@@ -495,10 +482,8 @@ def _start(config: ExperimentConfig, bundle: ProblemBundle):
             raise ConfigError("polyak baseline needs the optimal value")
         state = _PolyakState(x=x0.copy(), value=prob.value, fstar=prob.known_fstar, traj=traj)
         return state, _polyak_state_step
-    if algo == "adagrad":
-        state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
-        return state, _adagrad_step
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
+    return state, _adagrad_step  # adagrad, the one algorithm left
 
 
 def run_single(
@@ -512,8 +497,6 @@ def run_single(
     bundle = build_problem(config, seed, dataset)
     prob = bundle.problem
     sched = _schedule_from_config(config)
-    chash = config_hash(config)
-    rng = Rng(seed, int(chash[:8], 16))
     algo = config.algorithm
     summary = _new_summary(config, seed)
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
@@ -532,7 +515,6 @@ def run_single(
                 g_value=prob.lipschitz,
                 g_inf=prob.lipschitz_inf,
                 schedule=sched,
-                rng=rng,
                 record_f_every=config.record_f_every,
             )
             traj = result.traj
@@ -546,7 +528,7 @@ def run_single(
         else:
             state, step = _start(config, bundle)
             traj = state.traj
-            drive(prob, state, step, bundle.n_steps, sched, rng, config.record_f_every)
+            drive(prob, state, step, bundle.n_steps, sched, None, config.record_f_every)
             if algo == "fixed":
                 summary["avg_f"] = prob.value(traj.average())
                 summary["final_f"] = summary["avg_f"]
@@ -561,7 +543,7 @@ def run_single(
     if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step
         summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
-    return RunOutput(config_hash=chash, seed=seed, rows=traj.records, summary=summary)
+    return RunOutput(config_hash=config_hash(config), seed=seed, rows=traj.records, summary=summary)
 
 
 # --------------------------------------------------------------------------
@@ -649,6 +631,28 @@ class GridDiverged(ValueError):
     """Every point of a step-size grid diverged, so there is no best lr."""
 
 
+def _sweep(
+    config: ExperimentConfig, key: str, values: list, flag: str, name: str, summarise: Callable
+):
+    """One experiment per value of config.<key>, all on one load of the data,
+    their epoch orders shared. Writes <name>_<hash>.csv with rows (value, mean
+    final_f, 2se, any seed's summary[flag]) once summarise(rows) has passed
+    them; returns the rows, what summarise returned, the path and the data."""
+    points = [replace(config, **{key: value}) for value in values]  # bad values fail here
+    dataset = load_dataset(config)  # the value changes the runs, not the data
+    if dataset is not None:
+        dataset = replace(dataset, shared_orders={})
+    rows = []
+    for value, point in zip(values, points):
+        result = run_experiment(point, dataset)
+        m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
+        rows.append((value, m, se2, any(out.summary[flag] for out in result.outputs)))
+    summary = summarise(rows)
+    out_path = Path(config.out_dir) / f"{name}_{config_hash(config)}.csv"
+    _write_atomic(out_path, csv_text([key, "mean_final_f", "two_se", flag], rows))
+    return rows, summary, out_path, dataset
+
+
 @dataclass
 class GridResult:
     rows: list[tuple[float, float, float, bool]]  # lr, mean final_f, 2se, diverged
@@ -659,10 +663,16 @@ class GridResult:
     compare_f: float = _NAN
 
 
+def _best_point(rows) -> tuple[float, float]:
+    """(mean final_f, lr) of the best finite point that did not diverge."""
+    finite = [(m, lr) for lr, m, _, diverged in rows if not diverged and m < math.inf]
+    if not finite:
+        raise GridDiverged("every grid point diverged")
+    return min(finite)  # ties go to the smaller lr
+
+
 def grid_search(
-    config: ExperimentConfig,
-    lrs: Sequence[float],
-    compare_algorithm: Optional[str] = None,
+    config: ExperimentConfig, lrs: Sequence[float], compare_algorithm: Optional[str] = None
 ) -> GridResult:
     """Sweep a baseline's step-size multiplier; adaptive runs never appear
     as grid points, but one can be run alongside for comparison."""
@@ -673,46 +683,20 @@ def grid_search(
         )
     if not lrs:
         raise ConfigError("empty lr grid")
-    dataset = _load_shared(config)  # the lr changes the runs, not the data
-    rows = []
-    best_lr, best_f = None, math.inf
-    for lr in sorted(float(lr) for lr in lrs):  # ties resolve to the smaller lr
-        result = run_experiment(replace(config, lr=lr), dataset)
-        diverged = any(out.summary["diverged"] for out in result.outputs)
-        m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
-        rows.append((lr, m, se2, diverged))
-        if not diverged and not math.isnan(m) and m < best_f:
-            best_lr, best_f = lr, m
-    if best_lr is None:
-        raise GridDiverged("every grid point diverged")
-    out_path = Path(config.out_dir) / f"grid_{config_hash(config)}.csv"
-    _write_atomic(
-        out_path,
-        csv_text(["lr", "mean_final_f", "two_se", "diverged"], rows),
+    if compare_algorithm is not None and compare_algorithm not in DADAPT_ALGORITHMS:
+        raise ConfigError(f"comparison run must be one of {DADAPT_ALGORITHMS}")
+    rows, (best_f, best_lr), out_path, dataset = _sweep(
+        config, "lr", sorted(float(lr) for lr in lrs), "diverged", "grid", _best_point
     )
     compare_f = _NAN
     if compare_algorithm is not None:
-        if compare_algorithm not in DADAPT_ALGORITHMS:
-            raise ConfigError(
-                f"comparison run must be one of {DADAPT_ALGORITHMS}"
-            )
         compare = run_experiment(replace(config, algorithm=compare_algorithm), dataset)
         compare_f = compare.aggregate.get("final_f", (_NAN, _NAN))[0]
-        _write_atomic(
-            out_path.with_name(out_path.stem + "_compare.csv"),
-            csv_text(
-                ["algorithm", "mean_final_f"],
-                [["best_grid", best_f], [compare_algorithm, compare_f]],
-            ),
+        table = csv_text(
+            ["algorithm", "mean_final_f"], [["best_grid", best_f], [compare_algorithm, compare_f]]
         )
-    return GridResult(
-        rows=rows,
-        best_lr=best_lr,
-        best_f=best_f,
-        out_path=out_path,
-        compare_algorithm=compare_algorithm,
-        compare_f=compare_f,
-    )
+        _write_atomic(out_path.with_name(out_path.stem + "_compare.csv"), table)
+    return GridResult(rows, best_lr, best_f, out_path, compare_algorithm, compare_f)
 
 
 @dataclass
@@ -722,118 +706,23 @@ class SweepResult:
     out_path: Optional[Path] = None
 
 
+def _relative_spread(rows) -> float:
+    """(max - min) / max |.| of the points' mean final_f; NaN if one is NaN."""
+    finals = [m for _, m, _, _ in rows]
+    if any(math.isnan(m) for m in finals):  # min and max would pass a NaN over
+        return _NAN
+    lo, hi = min(finals), max(finals)
+    scale = max(abs(lo), abs(hi))
+    return (hi - lo) / scale if scale > 0.0 else 0.0
+
+
 def d0_sweep(config: ExperimentConfig, d0s: Sequence[float]) -> SweepResult:
     """Run the same adaptive config across initial estimates d0."""
     if config.algorithm not in DADAPT_ALGORITHMS:
         raise ConfigError("d0 sweep applies to the adaptive algorithms only")
     if not d0s:
         raise ConfigError("empty d0 list")
-    dataset = _load_shared(config)
-    rows = []
-    finals = []
-    for d0 in d0s:
-        result = run_experiment(replace(config, d0=float(d0)), dataset)
-        m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
-        out_of_theory = any(out.summary["out_of_theory"] for out in result.outputs)
-        rows.append((float(d0), m, se2, out_of_theory))
-        finals.append(m)
-    lo, hi = min(finals), max(finals)
-    scale = max(abs(lo), abs(hi))
-    spread = (hi - lo) / scale if scale > 0.0 else 0.0
-    if any(math.isnan(m) for m in finals):  # min and max would pass a NaN over
-        spread = _NAN
-    out_path = Path(config.out_dir) / f"sweep_d0_{config_hash(config)}.csv"
-    _write_atomic(
-        out_path,
-        csv_text(["d0", "mean_final_f", "two_se", "out_of_theory"], rows),
+    rows, spread, out_path, _ = _sweep(
+        config, "d0", [float(d0) for d0 in d0s], "out_of_theory", "sweep_d0", _relative_spread
     )
     return SweepResult(rows=rows, relative_spread=spread, out_path=out_path)
-
-
-# --------------------------------------------------------------------------
-# Verification batteries for the CLI
-
-
-def _verify_run_set(n_problems: int, n_steps: int, seed0: int = 0):
-    """Small representative runs of every convex variant on random problems."""
-    runs = []
-    for i in range(n_problems):
-        config = ExperimentConfig(
-            problem="piecewise",
-            problem_seed=seed0 + i,
-            piecewise_dim=6,
-            piecewise_pieces=6,
-            n_steps=n_steps,
-        )
-        bundle = build_problem(config, 0)
-        for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
-            result = run_convex(
-                bundle.problem,
-                bundle.x0,
-                algorithm=algo,
-                d0=1e-3,
-                n=n_steps,
-                option=option,
-                g_value=bundle.problem.lipschitz,
-                g_inf=bundle.problem.lipschitz_inf,
-            )
-            runs.append((result, f"{algo}_{option}_problem{i}"))
-    return runs
-
-
-def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
-    """Battery behind `verify`: lemma identities and/or rate bounds."""
-    if suite not in ("lemmas", "bounds", "all"):
-        raise ConfigError(f"unknown suite {suite!r}")
-    reports: list[BoundReport] = []
-    n_problems = 5 if quick else 20
-    n_steps = 200 if quick else 1000
-
-    if suite in ("lemmas", "all"):
-        runs = _verify_run_set(n_problems, n_steps)
-        for result, tag in runs:
-            traj = result.traj
-            if traj.kind in ("da", "gd"):
-                rep = analysis.check_telescoping(traj)
-                reports.append(replace(rep, context=f"{rep.context} [{tag}]"))
-            if traj.kind == "da":
-                rep = analysis.check_option_dominance(traj)
-                reports.append(replace(rep, context=f"{rep.context} [{tag}]"))
-        rng = Rng(7, stream_id=2)
-        for i in range(n_problems):
-            G = 1.0 + rng.uniform()
-            gnorms = [G * rng.uniform() for _ in range(n_steps)]
-            reports.append(analysis.check_streeter_mcmahan(gnorms, G, variant="sqrt"))
-            reports.append(analysis.check_streeter_mcmahan(gnorms, G, variant="log"))
-            ds = [1e-4]
-            for _ in range(n_steps):
-                ds.append(ds[-1] * (1.0 + rng.uniform() * 0.05))
-            reports.append(analysis.check_mindk(ds))
-        for c in (0.5, 0.9, 0.999):
-            gs = [rng.normal() for _ in range(100)]
-            reports.append(analysis.check_ema_equivalence(c, gs))
-
-    if suite in ("bounds", "all"):
-        runs = _verify_run_set(n_problems, n_steps, seed0=100)
-        for result, tag in runs:
-            rep = analysis.check_d_lower_bound(result.traj, 1.0)
-            reports.append(replace(rep, context=f"{rep.context} [{tag}]"))
-            rep = analysis.check_snorm_bound(result.traj)
-            reports.append(replace(rep, context=f"{rep.context} [{tag}]"))
-        abs_prob = abs_value_problem()
-        x0 = np.array([1.0])
-        n_rate = 2000 if quick else 10000
-        result = run_convex(
-            abs_prob, x0, algorithm="da", d0=0.1, n=n_rate, g_mode="fixed", g_value=1.0
-        )
-        reports.append(analysis.check_rate_theorem2(result, abs_prob, D=1.0, G=1.0))
-        result_plain = run_convex(abs_prob, x0, algorithm="da", d0=0.1, n=n_rate)
-        reports.append(analysis.check_rate_asymptotic(result_plain, abs_prob, D=1.0, G=1.0))
-        n_asym = 20000 if quick else 100000
-        result_long = run_convex(
-            abs_prob, x0, algorithm="da", d0=0.1, n=n_asym, g_mode="fixed", g_value=1.0
-        )
-        reports.append(
-            analysis.check_dasym(result_long, abs_prob.known_minimizer, D=1.0)
-        )
-    return reports

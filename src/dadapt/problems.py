@@ -26,6 +26,7 @@ __all__ = [
     "abs_value_problem",
     "piecewise_max_problem",
     "random_piecewise_max",
+    "piecewise_start",
     "LogisticProblem",
     "logistic_value_grad",
 ]
@@ -126,6 +127,16 @@ def random_piecewise_max(
     return piecewise_max_problem(
         slopes, offsets, known_minimizer=x_star, known_fstar=fstar
     )
+
+
+def piecewise_start(seed: int, dim: int, pieces: int, distance: float) -> tuple[Problem, Vector]:
+    """A random piecewise problem and a start `distance` from its minimizer,
+    both drawn from Rng(seed, stream_id=1): the problem, then the direction."""
+    rng = Rng(seed, stream_id=1)
+    prob = random_piecewise_max(rng, dim=dim, pieces=pieces)
+    direction = rng.normals(dim)
+    direction /= math.sqrt(float(direction @ direction))
+    return prob, prob.known_minimizer + distance * direction
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dadapt.harness import (
     DADAPT_ALGORITHMS,
     SUMMARY_HEADER,
     ExperimentConfig,
+    GridDiverged,
     adagrad_norm_init,
     adagrad_norm_step,
     apply_overrides,
@@ -242,9 +243,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("algo", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
     def test_record_f_every_must_be_positive(self, algo):
-        cfg = ExperimentConfig(algorithm=algo, n_steps=5, record_f_every=0)
         with pytest.raises(ConfigError):
+            cfg = ExperimentConfig(algorithm=algo, n_steps=5, record_f_every=0)
             run_single(cfg, 0)
+
+    @pytest.mark.parametrize(
+        "setting", [{"algorithm": "bogus"}, {"problem": "rosenbrock"}, {"g_mode": "auto"}]
+    )
+    def test_unknown_choice_rejected_when_built(self, setting):
+        (key, value), = setting.items()
+        with pytest.raises(ConfigError, match=f"unknown {key} '{value}'"):
+            ExperimentConfig(**setting)
+        with pytest.raises(ConfigError, match=f"unknown {key} '{value}'"):
+            apply_overrides(ExperimentConfig(), {key: value})
 
     def test_hash_stable_and_ignores_output_plumbing(self):
         a = ExperimentConfig(n_steps=10)
@@ -631,6 +642,22 @@ class TestGridSearch:
         with pytest.raises(ConfigError):
             grid_search(self.make_cfg(tmp_path), [1.0], compare_algorithm="polyak")
 
+    def test_all_diverged_writes_no_table(self, tmp_path):
+        cfg = self.make_cfg(tmp_path)
+        with pytest.raises(GridDiverged):
+            grid_search(cfg, [1e15, 1e16], compare_algorithm="da_I")
+        assert not list(tmp_path.glob("grid_*.csv"))
+        # the points' own runs are written, the comparison never runs
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_cli_prints_the_table_it_wrote(self, tmp_path, capsys):
+        argv = ["grid", "--lrs", "1,0.1", "--set", "algorithm=fixed", "--set", "n_steps=30"]
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path}"]) == 0
+        out = capsys.readouterr().out
+        (table,) = tmp_path.glob("grid_*.csv")
+        assert out.startswith(table.read_text())
+        assert out.count("\n") == table.read_text().count("\n") + 2
+
 
 class TestD0Sweep:
     def test_single_point_spread_zero(self, tmp_path):
@@ -749,6 +776,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert not list(tmp_path.iterdir())  # nothing written
+
+    def test_bad_compare_writes_nothing(self, tmp_path, capsys):
+        argv = ["grid", "--set", "algorithm=adagrad", "--set", "n_steps=50",
+                "--lrs", "0.1,1,10", "--compare", "polyak", "--set", f"out_dir={tmp_path}"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: comparison run")
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_sweep_value_fails_before_any_run(self, tmp_path, capsys):
+        argv = ["sweep-d0", "--d0s", "1e-3,nan", "--set", "n_steps=5"]
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: d0 must be finite")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("setting", ["algorithm=bogus", "record_f_every=0", "g_mode=auto"])
+    def test_bad_setting_fails_before_the_data_is_built(self, setting, tmp_path, monkeypatch):
+        import dadapt.harness as hz
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("dataset built for a config that cannot run")
+
+        monkeypatch.setattr(hz, "synth_dataset", no_build)
+        argv = ["run", "--set", "problem=synth_logistic", "--set", "epochs=1",
+                "--set", setting, "--set", f"out_dir={tmp_path}"]
+        assert cli.main(argv) == 2
+        assert not list(tmp_path.iterdir())
 
     def test_verify_lemmas_clean(self, capsys):
         code = cli.main(["verify", "--suite", "lemmas"])

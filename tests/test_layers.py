@@ -1,0 +1,80 @@
+"""The names the benchmark reaches into, and which modules import which.
+
+bench/tracing.py rebinds package functions by name and bench/workloads.py
+calls them through their modules, so a rename in the package breaks the
+benchmark without failing any other test. The layering keeps the optimizers,
+problems and checkers free of the harness and the command line.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import dadapt
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(dadapt.__file__).parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_and_methods_exist():
+    tracing = _load_tracing()
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for module, attr, _, _ in tracing.FUNCTIONS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    for cls, attr, _ in tracing.METHODS:
+        assert callable(getattr(cls, attr, None)), f"{cls.__name__}.{attr}"
+    traced = {attr for module, attr, _, _ in tracing.FUNCTIONS if module is dadapt.analysis}
+    assert {"check_d_lower_bound", "check_telescoping", "check_snorm_bound"} <= traced
+
+
+def test_workload_attributes_exist():
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    read = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("harness", "convex", "analysis", "problems")
+    }
+    assert ("harness", "grid_search") in read and ("convex", "run_convex") in read
+    for module, attr in sorted(read):
+        assert hasattr(getattr(dadapt, module), attr), f"{module}.{attr}"
+
+
+def _imported(module: str) -> set[str]:
+    """The dadapt modules a package module imports, anywhere in its code."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            # inside the package, "from . import x" and "from .x import y" have level 1
+            source = ("dadapt." if node.level else "") + (node.module or "")
+            if source.rstrip(".") == "dadapt":
+                names.update(alias.name for alias in node.names)
+            elif source.startswith("dadapt."):
+                names.add(source.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("dadapt."))
+    return names
+
+
+def test_imported_reads_relative_and_absolute_imports():
+    assert _imported("analysis") >= {"convex", "core", "problems", "ml"}
+    assert _imported("cli") >= {"analysis", "harness", "problems"}
+
+
+def test_harness_does_not_import_analysis():
+    assert "analysis" not in _imported("harness")
+
+
+@pytest.mark.parametrize("module", ["analysis", "core", "convex", "ml", "problems"])
+def test_library_does_not_import_harness_or_cli(module):
+    assert not _imported(module) & {"harness", "cli"}

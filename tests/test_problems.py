@@ -23,6 +23,7 @@ from dadapt.problems import (
     logistic_value_grad,
     parse_libsvm,
     piecewise_max_problem,
+    piecewise_start,
     random_piecewise_max,
     serialize_libsvm,
     synth_dataset,
@@ -486,6 +487,15 @@ class TestPiecewiseConstruction:
             random_piecewise_max(Rng(0, 8), dim=0)
         with pytest.raises(ValueError):
             random_piecewise_max(Rng(0, 8), pieces=1)
+
+    def test_start_draws_problem_then_direction(self):
+        prob, x0 = piecewise_start(5, dim=4, pieces=3, distance=2.5)
+        rng = Rng(5, stream_id=1)
+        same = random_piecewise_max(rng, dim=4, pieces=3)
+        assert np.array_equal(prob.known_minimizer, same.known_minimizer)
+        direction = rng.normals(4)
+        assert np.allclose(x0 - prob.known_minimizer, 2.5 * direction / np.linalg.norm(direction))
+        assert np.linalg.norm(x0 - prob.known_minimizer) == pytest.approx(2.5, rel=1e-12)
 
 
 _TIE_PRONE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
