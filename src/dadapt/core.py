@@ -397,7 +397,10 @@ def schedule_eval(schedule: Schedule, k: int, n_total: int) -> float:
     if schedule.kind == "flat":
         return 1.0
     if schedule.kind == "stagewise":
-        passed = sum(1 for f in schedule.stage_fractions if k >= f * n_total)
+        passed = 0
+        for f in schedule.stage_fractions:
+            if k >= f * n_total:
+                passed += 1
         return schedule.stage_factor**passed
     if schedule.kind == "inverse_sqrt_warmup":
         kk = max(k, 1)
@@ -622,11 +625,32 @@ def drive(
 # The one byte format of every CSV the package writes: floats as repr, so
 # they read back to the same bits, and everything else as str.
 
+# a trajectory table is turned into Python floats this many rows at a time;
+# the whole table as lists would cost its size again in memory
+_TABLE_BLOCK = 512
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> str:
+    """The CSV text of header and rows.
+
+    rows is a sequence of rows, or a trajectory table: an (n, 6) float64
+    array in StepRecord's column order (Trajectory.pack()[:, :6]), whose
+    step column is written as an int. A table is written row by row,
+    _TABLE_BLOCK rows at a time, with the bytes the StepRecord rows give.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != len(StepRecord._fields):
+            raise ValueError(f"a trajectory table has shape (n, 6), got {rows.shape}")
+        for start in range(0, rows.shape[0], _TABLE_BLOCK):
+            block = rows[start : start + _TABLE_BLOCK].tolist()
+            buf.write("".join(
+                f"{int(k)},{d!r},{dhat!r},{scale!r},{f!r},{gnorm2!r}\n"
+                for k, d, dhat, scale, f, gnorm2 in block
+            ))
+        return buf.getvalue()
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue()

@@ -191,9 +191,16 @@ class _AdaGradState:
 def _adagrad_step(
     state: _AdaGradState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
-    # plain coordinate-wise accumulation, lr times schedule on top
-    state.acc = np.sqrt(state.acc * state.acc + g * g)
-    step = np.divide(g, state.acc, out=np.zeros_like(g), where=state.acc > 0.0)
+    # plain coordinate-wise accumulation, lr times schedule on top; acc is
+    # the state's own, so it is updated in place
+    acc = state.acc
+    np.multiply(acc, acc, out=acc)
+    acc += g * g
+    np.sqrt(acc, out=acc)
+    if np.minimum.reduce(acc, initial=math.inf) > 0.0:
+        step = g / acc
+    else:  # a coordinate with no gradient yet (acc 0) or a NaN one takes no step
+        step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
     mult = state.lr * sched
     state.x = state.x - mult * step
     _record(state, mult, f_val, _dot(g, g))
@@ -254,6 +261,12 @@ class ExperimentConfig:
         ):
             if getattr(self, name) not in known:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if self.algorithm in ("polyak", "fixed") and self.problem in ("synth_logistic", "libsvm"):
+            # their step sizes need the optimal value (polyak) or D and G (fixed)
+            raise ConfigError(
+                f"{self.algorithm} baseline needs a problem with a known optimum "
+                f"(abs or piecewise), got {self.problem!r}"
+            )
         if self.record_f_every < 1:
             raise ConfigError(f"record_f_every must be positive, got {self.record_f_every!r}")
         if self.d0 <= 0.0:
@@ -423,7 +436,7 @@ def build_problem(
 class RunOutput:
     config_hash: str
     seed: int
-    rows: Sequence[tuple]  # CSV_HEADER schema: the run's trajectory records
+    rows: np.ndarray  # CSV_HEADER schema: the (n, 6) view of the run's trajectory table
     summary: dict
 
 
@@ -471,15 +484,11 @@ def _start(config: ExperimentConfig, bundle: ProblemBundle):
         radius = config.lr * (bundle.D if bundle.D is not None else 1.0)
         return adagrad_norm_init(x0, radius), adagrad_norm_step
     traj = Trajectory(algo, x0.shape[0])
-    if algo == "fixed":
-        if bundle.D is None or prob.lipschitz is None:
-            raise ConfigError("fixed-step baseline needs known D and G")
+    if algo == "fixed":  # ExperimentConfig keeps it to problems with known D and G
         gamma = config.lr * bundle.D / (prob.lipschitz * math.sqrt(bundle.n_steps))
         traj.update_average(x0, 1.0)
         return _FixedState(x=x0.copy(), gamma=gamma, traj=traj), _fixed_step
-    if algo == "polyak":
-        if prob.known_fstar is None:
-            raise ConfigError("polyak baseline needs the optimal value")
+    if algo == "polyak":  # and this one to problems with a known optimal value
         state = _PolyakState(x=x0.copy(), value=prob.value, fstar=prob.known_fstar, traj=traj)
         return state, _polyak_state_step
     state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
@@ -538,12 +547,13 @@ def run_single(
         traj = err.traj
         summary["diverged"] = True
 
-    summary["steps"] = len(traj.records)
+    rows = traj.pack()[:, :6]
+    summary["steps"] = len(rows)
     summary["heuristic_G"] = bool(traj.meta.get("heuristic_g", False))
     if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step
-        summary["final_d"] = traj.d_series()[-1] if traj.records else config.d0
-    return RunOutput(config_hash=config_hash(config), seed=seed, rows=traj.records, summary=summary)
+        summary["final_d"] = traj.d_series()[-1] if len(rows) else config.d0
+    return RunOutput(config_hash=config_hash(config), seed=seed, rows=rows, summary=summary)
 
 
 # --------------------------------------------------------------------------

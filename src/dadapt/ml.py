@@ -99,8 +99,9 @@ def sgd_da_step(
 
     lam = state.d * sched / state.G
     state.hypergrad_sum += lam * _dot(g, state.s)  # pre-update s
-    state.s += lam * g
-    state.z -= lam * g
+    lam_g = lam * g
+    state.s += lam_g
+    state.z -= lam_g
     state.x = state.beta * state.x + (1.0 - state.beta) * state.z
 
     snorm = math.sqrt(_dot(state.s, state.s))

@@ -312,9 +312,15 @@ def _mean_logistic_loss(t: np.ndarray) -> float:
 
 def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, Vector]:
     """The margins t = y * Xw and the mean logistic gradient over the rows of X."""
-    t = y * (X @ w)
-    coeff = -y * np.exp(-np.logaddexp(0.0, t))  # -y * sigma(-t)
-    return t, X.T @ coeff / X.shape[0]
+    t = X @ w
+    t *= y
+    coeff = np.logaddexp(0.0, t)
+    np.negative(coeff, out=coeff)
+    np.exp(coeff, out=coeff)
+    coeff *= -y  # -y * sigma(-t)
+    grad = X.T @ coeff
+    grad /= X.shape[0]
+    return t, grad
 
 
 def logistic_value_grad(
@@ -379,7 +385,7 @@ class LogisticProblem:
 
             def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
                 batch = self.next_batch()
-                return _margins_grad(self.X[batch], self.y[batch], x)[1]
+                return _margins_grad(self.X.take(batch, axis=0), self.y.take(batch), x)[1]
 
         else:
 

@@ -1,5 +1,7 @@
 """Core primitives: RNG streams, schedules, trajectories, averaging."""
 
+import csv
+import io
 import math
 import struct
 
@@ -23,6 +25,7 @@ from dadapt.core import (
     StepRecord,
     Trajectory,
     _dot,
+    csv_text,
     drive,
     schedule_eval,
 )
@@ -231,6 +234,18 @@ class TestSchedule:
             for k in range(200):
                 v = schedule_eval(sched, k, 200)
                 assert 0.0 < v <= 1.0
+
+    @pytest.mark.parametrize("fractions", [(0.6, 0.8, 0.95), (0.1, 1 / 3, 0.7, 1.0), (0.29,)])
+    @pytest.mark.parametrize("n_total", [1, 3, 7, 100, 1000, 88200, 10**9 + 7])
+    def test_stagewise_stage_edges(self, fractions, n_total):
+        # at and either side of each stage start, against the sum the loop replaced
+        sched = Schedule(kind="stagewise", stage_fractions=fractions, stage_factor=0.3)
+        for f in fractions:
+            for k in {math.ceil(f * n_total) - 1, math.ceil(f * n_total), math.floor(f * n_total)}:
+                if k < 0:
+                    continue
+                passed = sum(1 for g in fractions if k >= g * n_total)
+                assert schedule_eval(sched, k, n_total) == 0.3**passed
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ConfigError):
@@ -521,3 +536,60 @@ def test_dot_is_matmul_bit_for_bit(pair):
     a, b = pair
     with np.errstate(over="ignore", invalid="ignore"):
         assert _bits(_dot(a, b)) == _bits(float(a @ b))
+
+
+# --------------------------------------------------------------------------
+# CSV text of a trajectory table
+
+
+def _csv_via_records(header, table: np.ndarray) -> str:
+    """The steps CSV as written before tables: csv.writer over StepRecord rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in table.tolist():
+        record = StepRecord(int(row[0]), *row[1:6])
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in record])
+    return buf.getvalue()
+
+
+_CSV_SPECIALS = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                 -1e300, 1e-310, 1.0, 0.1, 2.0**53]
+_CSV_ENTRIES = st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats(width=64))
+
+
+@st.composite
+def _step_tables(draw):
+    n = draw(st.one_of(st.sampled_from([0, 1, 511, 512, 513, 1025]), st.integers(0, 40)))
+    steps = draw(arrays(np.int64, n, elements=st.integers(0, 2**53)))
+    values = draw(arrays(np.float64, (n, 5), elements=_CSV_ENTRIES))
+    return np.column_stack([steps.astype(np.float64), values])
+
+
+class TestCsvTable:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(table=_step_tables())
+    def test_table_matches_record_rows(self, table):
+        header = list(StepRecord._fields)
+        assert csv_text(header, table) == _csv_via_records(header, table)
+
+    def test_block_edges_and_views(self):
+        # the (n, 6) view of a wider table, across every block boundary
+        n = 2 * 512 + 3
+        wide = np.arange(n * 8, dtype=np.float64).reshape(n, 8) / 7.0
+        wide[:, 0] = np.arange(n)
+        view = wide[:, :6]
+        text = csv_text(["a", "b", "c", "d", "e", "f"], view)
+        assert text == _csv_via_records(["a", "b", "c", "d", "e", "f"], view)
+        assert text.count("\n") == n + 1
+
+    def test_table_needs_six_columns(self):
+        for shape in ((3, 7), (3,), (3, 5)):
+            with pytest.raises(ValueError, match="shape"):
+                csv_text(["k"], np.zeros(shape))
+
+    def test_rows_keep_their_format(self):
+        rows = [["x", 1, 0.1, True, -0.0], ["a,b", 2**60, math.nan, None, 1e300]]
+        assert csv_text(["s", "i", "f", "b", "z"], rows) == (
+            's,i,f,b,z\nx,1,0.1,True,-0.0\n"a,b",1152921504606846976,nan,None,1e+300\n'
+        )

@@ -118,11 +118,11 @@ def test_verify_report_bytes_unchanged(tmp_path):
 
 @pytest.mark.parametrize("algo", NEEDS_KNOWN_GEOMETRY)
 def test_logistic_rejects_geometry_baselines(algo, tmp_path):
-    config = ExperimentConfig(
-        seeds=SEEDS, out_dir=str(tmp_path), algorithm=algo, **PROBLEMS["logistic"]
-    )
-    with pytest.raises(ConfigError):
-        run_experiment(config)
+    # the config itself refuses the pair, before any data is built
+    with pytest.raises(ConfigError, match="known optimum"):
+        ExperimentConfig(
+            seeds=SEEDS, out_dir=str(tmp_path), algorithm=algo, **PROBLEMS["logistic"]
+        )
 
 
 if __name__ == "__main__":

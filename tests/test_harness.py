@@ -11,7 +11,7 @@ import pytest
 
 from dadapt import cli
 from dadapt.analysis import BoundReport
-from dadapt.core import ConfigError, Rng
+from dadapt.core import ConfigError, Problem, Rng, Schedule, drive
 from dadapt.harness import (
     BASELINE_ALGORITHMS,
     CSV_HEADER,
@@ -19,6 +19,8 @@ from dadapt.harness import (
     SUMMARY_HEADER,
     ExperimentConfig,
     GridDiverged,
+    _AdaGradState,
+    _adagrad_step,
     adagrad_norm_init,
     adagrad_norm_step,
     apply_overrides,
@@ -147,6 +149,68 @@ class TestFixedStep:
     def test_validation(self):
         with pytest.raises(ConfigError):
             self.run(n_steps=0)
+
+
+def _adagrad_out_of_place(x, acc, g, mult):
+    """One AdaGrad step as written before acc was updated in place."""
+    acc = np.sqrt(acc * acc + g * g)
+    step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
+    return x - mult * step, acc
+
+
+class TestAdaGradStep:
+    @staticmethod
+    def drive_scripted(grads, lr=0.7):
+        """Drive _adagrad_step through grads; the iterate after each step."""
+        from dadapt.core import Trajectory
+
+        x0 = np.array([1.0, -2.0, 0.5, 3.0])
+        state = _AdaGradState(x=x0.copy(), acc=np.zeros(4), lr=lr, traj=Trajectory("adagrad", 4))
+        script = iter(grads)
+        problem = Problem(dim=4, value=lambda x: 0.0, subgradient=lambda x, rng: next(script))
+        seen = []
+
+        def step(st, g, f_val, sched):
+            _adagrad_step(st, g, f_val, sched)
+            seen.append(st.x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes drive
+            drive(problem, state, step, len(grads), Schedule(), None, 1)
+        return x0, seen
+
+    def check_against_reference(self, grads, lr=0.7):
+        x0, seen = self.drive_scripted(grads, lr)
+        x, acc = x0, np.zeros(4)
+        for g, got in zip(grads, seen):
+            x, acc = _adagrad_out_of_place(x, acc, g, lr)
+            assert got.tobytes() == x.tobytes()
+        return seen
+
+    def test_all_zero_coordinate_takes_no_step(self):
+        gen = np.random.default_rng(0)
+        grads = [gen.standard_normal(4) * [1.0, 0.0, 1.0, 1.0] for _ in range(12)]
+        grads[3][2] = 0.0  # a zero after nonzero gradients steps with acc > 0
+        seen = self.check_against_reference(grads)
+        assert all(x[1] == -2.0 for x in seen)
+
+    def test_coordinate_that_starts_late(self):
+        # acc is 0 in coordinate 3 until step 5, then the fast path takes over
+        gen = np.random.default_rng(1)
+        grads = [gen.standard_normal(4) * [1.0, 1.0, 1.0, float(k >= 5)] for k in range(10)]
+        self.check_against_reference(grads)
+
+    def test_nan_gradient_freezes_its_coordinate(self):
+        # a NaN accumulator takes no step, as with the where= mask
+        gen = np.random.default_rng(2)
+        grads = [gen.standard_normal(4) for _ in range(8)]
+        grads[2][0] = np.nan
+        seen = self.check_against_reference(grads)
+        assert len({x[0] for x in seen[2:]}) == 1 and np.isfinite(seen[-1]).all()
+
+    def test_all_nonzero_is_plain_division(self):
+        gen = np.random.default_rng(3)
+        self.check_against_reference([gen.standard_normal(4) for _ in range(20)], lr=1e-3)
 
 
 class TestDivergence:
@@ -802,6 +866,29 @@ class TestCli:
                 "--set", setting, "--set", f"out_dir={tmp_path}"]
         assert cli.main(argv) == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("problem", ["synth_logistic", "libsvm"])
+    @pytest.mark.parametrize("algo", ["polyak", "fixed"])
+    def test_geometry_baselines_refused_before_the_data_is_loaded(
+        self, algo, problem, tmp_path, monkeypatch, capsys
+    ):
+        import dadapt.harness as hz
+
+        with pytest.raises(ConfigError, match=f"{algo} baseline needs a problem with a known optimum"):
+            ExperimentConfig(problem=problem, algorithm=algo, epochs=1)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("dataset loaded for a config that cannot run")
+
+        monkeypatch.setattr(hz, "load_dataset", no_load)
+        data = tmp_path / "data.svm"
+        data.write_text("+1 1:1\n-1 1:2\n")
+        argv = ["run", "--set", f"problem={problem}", "--set", f"algorithm={algo}",
+                "--set", "epochs=1", "--set", f"libsvm_path={data}",
+                "--set", f"out_dir={tmp_path / 'out'}"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_verify_lemmas_clean(self, capsys):
         code = cli.main(["verify", "--suite", "lemmas"])

@@ -18,6 +18,7 @@ from dadapt.problems import (
     Dataset,
     LogisticProblem,
     ParseError,
+    _margins_grad,
     _mean_logistic_loss,
     abs_value_problem,
     logistic_value_grad,
@@ -354,6 +355,89 @@ class TestLogisticOracle:
     def test_over_large_batch_is_the_whole_dataset(self):
         ds = synth_dataset(seed=7, n_examples=5, dim=2)
         assert LogisticProblem(ds, batch_size=100).batch_size == 5
+
+
+def _margins_grad_out_of_place(X, y, w):
+    """_margins_grad as written before it worked in place on its own arrays."""
+    t = y * (X @ w)
+    coeff = -y * np.exp(-np.logaddexp(0.0, t))
+    return t, X.T @ coeff / X.shape[0]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class TestMarginsGradInPlace:
+    """The in-place _margins_grad and the take() gather keep every bit."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0, 1e150])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_margins(self, seed, scale):
+        gen = np.random.default_rng(seed)
+        n, dim = gen.integers(1, 40), gen.integers(1, 12)
+        X, y, w = _read_only(
+            gen.standard_normal((n, dim)),
+            gen.choice([-1.0, 1.0], n),
+            scale * gen.standard_normal(dim),
+        )
+        with np.errstate(over="ignore"):
+            got, want = _margins_grad(X, y, w), _margins_grad_out_of_place(X, y, w)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_extreme_margins(self):
+        # margins of 0, +-0, +-huge, +-inf and NaN, one row each
+        col = np.array([0.0, -0.0, 1.0, -1.0, 1e-310, 700.0, -750.0, 1e300, -1e300,
+                        np.inf, -np.inf, np.nan])
+        X = np.column_stack([col, np.ones_like(col)])
+        y = np.where(np.arange(col.size) % 2, 1.0, -1.0)
+        _read_only(X, y)
+        for w0 in (1.0, -1.0, 0.0, 1e10):
+            w = np.array([w0, 0.0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _margins_grad(X, y, w), _margins_grad_out_of_place(X, y, w)
+                rows = [(_margins_grad(X[i : i + 1], y[i : i + 1], w),
+                         _margins_grad_out_of_place(X[i : i + 1], y[i : i + 1], w))
+                        for i in range(col.size)]
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            for one, ref in rows:  # a NaN row alone, not summed away
+                for a, b in zip(one, ref):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_inputs_unwritten(self):
+        ds = synth_dataset(seed=3, n_examples=40, dim=5)
+        lp = LogisticProblem(ds, batch_size=7)
+        w = Rng(0, 5).normals(lp.dim)
+        copies = [a.copy() for a in (lp.X, lp.y, w)]
+        t, grad = _margins_grad(lp.X, lp.y, w)
+        for a, before in zip((lp.X, lp.y, w), copies):
+            assert a.tobytes() == before.tobytes()
+        for out in (t, grad):  # fresh arrays, not views of the inputs
+            assert not any(np.shares_memory(out, a) for a in (lp.X, lp.y, w))
+
+    def test_take_gathers_the_same_rows(self):
+        ds = synth_dataset(seed=3, n_examples=37, dim=4)
+        lp = LogisticProblem(ds, batch_size=16)
+        batches = [lp.next_batch() for _ in range(7)] + [np.array([5, 5, 0, 36]), np.array([], int)]
+        for batch in batches:
+            taken = lp.X.take(batch, axis=0)
+            assert taken.flags.c_contiguous and taken.tobytes() == lp.X[batch].tobytes()
+            assert lp.y.take(batch).tobytes() == lp.y[batch].tobytes()
+
+    def test_oracle_gradients_unchanged(self):
+        # the minibatch oracle against the fancy-indexed, out-of-place reference
+        ds = synth_dataset(seed=5, n_examples=50, dim=6, flip=0.1)
+        oracle = LogisticProblem(ds, batch_size=8, seed=2).problem()
+        ref = LogisticProblem(ds, batch_size=8, seed=2)
+        w = Rng(1, 5).normals(ref.dim)
+        for _ in range(15):
+            batch = ref.next_batch()
+            want = _margins_grad_out_of_place(ref.X[batch], ref.y[batch], w)[1]
+            assert oracle.subgradient(w, None).tobytes() == want.tobytes()
 
 
 class TestBatching:
