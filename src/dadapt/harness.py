@@ -192,11 +192,11 @@ def _adagrad_step(
     state: _AdaGradState, g: Vector, f_val: float = _NAN, sched: float = 1.0
 ) -> None:
     # plain coordinate-wise accumulation, lr times schedule on top; acc is
-    # the state's own, so it is updated in place
+    # the state's own, so it is updated in place (out by position)
     acc = state.acc
-    np.multiply(acc, acc, out=acc)
+    np.multiply(acc, acc, acc)
     acc += g * g
-    np.sqrt(acc, out=acc)
+    np.sqrt(acc, acc)
     if np.minimum.reduce(acc, initial=math.inf) > 0.0:
         step = g / acc
     else:  # a coordinate with no gradient yet (acc 0) or a NaN one takes no step

@@ -315,12 +315,10 @@ def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, 
     t = X @ w
     t *= y
     coeff = np.logaddexp(0.0, t)
-    np.negative(coeff, out=coeff)
-    np.exp(coeff, out=coeff)
+    np.negative(coeff, coeff)  # in place; out by position costs less than out=
+    np.exp(coeff, coeff)
     coeff *= -y  # -y * sigma(-t)
-    grad = X.T @ coeff
-    grad /= X.shape[0]
-    return t, grad
+    return t, X.T @ coeff / X.shape[0]
 
 
 def logistic_value_grad(
@@ -385,7 +383,7 @@ class LogisticProblem:
 
             def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
                 batch = self.next_batch()
-                return _margins_grad(self.X.take(batch, axis=0), self.y.take(batch), x)[1]
+                return _margins_grad(self.X.take(batch, axis=0), self.y[batch], x)[1]
 
         else:
 
