@@ -11,7 +11,7 @@ import pytest
 
 from dadapt import cli
 from dadapt.analysis import BoundReport
-from dadapt.core import ConfigError, Problem, Rng, Schedule, drive
+from dadapt.core import ConfigError, Problem, Rng, Schedule, Trajectory, drive
 from dadapt.harness import (
     BASELINE_ALGORITHMS,
     CSV_HEADER,
@@ -162,8 +162,6 @@ class TestAdaGradStep:
     @staticmethod
     def drive_scripted(grads, lr=0.7):
         """Drive _adagrad_step through grads; the iterate after each step."""
-        from dadapt.core import Trajectory
-
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         state = _AdaGradState(x=x0.copy(), acc=np.zeros(4), lr=lr, traj=Trajectory("adagrad", 4))
         script = iter(grads)
