@@ -21,6 +21,7 @@ import numpy as np
 
 from .convex import ConvexRunResult, run_convex
 from .core import ConfigError, Problem, Rng, Trajectory, Vector, csv_text
+from .ml import ema_pair, ema_pair_step
 from .problems import abs_value_problem, piecewise_start
 
 __all__ = [
@@ -386,8 +387,6 @@ def check_snorm_bound(traj: Trajectory) -> BoundReport:
 
 def check_ema_equivalence(c: float, gs: Sequence[float]) -> BoundReport:
     """After each update, u_hat == c^k (1-c) u for the paired recursions."""
-    from .ml import ema_pair, ema_pair_step
-
     pair = ema_pair(c)
     worst = 0.0
     for g in gs:

@@ -121,15 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learning-rate-free convex optimization benchmark harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config arguments of the subcommands that build an ExperimentConfig
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a key = value config file")
+    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
-    p_run = sub.add_parser("run", help="run one experiment config across its seeds")
-    p_run.add_argument("--config", help="path to a key = value config file")
-    p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    p_run = sub.add_parser(
+        "run", parents=[common], help="run one experiment config across its seeds"
+    )
     p_run.set_defaults(func=_cmd_run)
 
-    p_grid = sub.add_parser("grid", help="step-size grid search for a baseline")
-    p_grid.add_argument("--config", help="path to a key = value config file")
-    p_grid.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    p_grid = sub.add_parser("grid", parents=[common], help="step-size grid search for a baseline")
     p_grid.add_argument("--lrs", required=True, help="comma-separated multipliers")
     p_grid.add_argument(
         "--compare",
@@ -137,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_grid.set_defaults(func=_cmd_grid)
 
-    p_sweep = sub.add_parser("sweep-d0", help="sensitivity sweep over the initial d")
-    p_sweep.add_argument("--config", help="path to a key = value config file")
-    p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    p_sweep = sub.add_parser(
+        "sweep-d0", parents=[common], help="sensitivity sweep over the initial d"
+    )
     p_sweep.add_argument("--d0s", required=True, help="comma-separated initial estimates")
     p_sweep.set_defaults(func=_cmd_sweep_d0)
 

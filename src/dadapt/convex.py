@@ -39,7 +39,6 @@ from .core import (
     ConfigError,
     Diverged,
     Problem,
-    Rng,
     Schedule,
     Trajectory,
     Vector,
@@ -376,7 +375,6 @@ def run_convex(
     g_value: Optional[float] = None,
     g_inf: Optional[float] = None,
     schedule: Schedule = Schedule(),
-    rng: Optional[Rng] = None,
     record_f_every: int = 1,
 ) -> ConvexRunResult:
     """Run one of the convex methods for n steps against a problem oracle.
@@ -401,7 +399,7 @@ def run_convex(
         raise ConfigError(f"unknown g_mode {g_mode!r}")
     x0 = np.asarray(x0, dtype=np.float64)
 
-    g0 = np.asarray(problem.subgradient(x0, rng), dtype=np.float64)
+    g0 = np.asarray(problem.subgradient(x0), dtype=np.float64)
     g0_norm2 = float(g0 @ g0)
     # a zero first gradient ends the run at x0 once the init has checked the
     # settings; the first gradient's norms, the fallback bounds, are never
@@ -456,7 +454,7 @@ def run_convex(
         )
     state.traj.meta["heuristic_g"] = heuristic_g
 
-    drive(problem, state, step, n, schedule, rng, record_f_every, g0=g0)
+    drive(problem, state, step, n, schedule, record_f_every, g0=g0)
 
     return ConvexRunResult(
         traj=state.traj,

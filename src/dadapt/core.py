@@ -419,28 +419,28 @@ def schedule_eval(schedule: Schedule, k: int, n_total: int) -> float:
 class Problem:
     """First-order oracle for a convex objective.
 
-    subgradient(x, rng) returns an element of the subdifferential at x, or
-    an unbiased estimate of one for minibatch losses. fused, when set,
-    returns value(x) and subgradient(x, rng) from one evaluation.
+    subgradient(x) returns an element of the subdifferential at x, or an
+    unbiased estimate of one for minibatch losses; a stochastic oracle draws
+    from a stream of its own, as LogisticProblem does. fused, when set,
+    returns value(x) and subgradient(x) from one evaluation.
     lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
     norm when known.
     """
 
     dim: int
     value: Callable[[Vector], float]
-    subgradient: Callable[[Vector, Optional[Rng]], Vector]
+    subgradient: Callable[[Vector], Vector]
     known_minimizer: Optional[Vector] = None
     known_fstar: Optional[float] = None
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
-    name: str = "problem"
-    fused: Optional[Callable[[Vector, Optional[Rng]], tuple[float, Vector]]] = None
+    fused: Optional[Callable[[Vector], tuple[float, Vector]]] = None
 
-    def value_and_subgradient(self, x: Vector, rng: Optional[Rng] = None) -> tuple[float, Vector]:
-        """(value(x), subgradient(x, rng)): fused, or value and subgradient as bound now."""
+    def value_and_subgradient(self, x: Vector) -> tuple[float, Vector]:
+        """(value(x), subgradient(x)): fused, or value and subgradient as bound now."""
         if self.fused is not None:
-            return self.fused(x, rng)
-        g = self.subgradient(x, rng)
+            return self.fused(x)
+        g = self.subgradient(x)
         return self.value(x), g
 
 
@@ -574,7 +574,6 @@ def drive(
     step: Callable,
     n: int,
     schedule: Schedule,
-    rng: Optional[Rng],
     record_f_every: int,
     g0: Optional[Vector] = None,
 ) -> None:
@@ -603,11 +602,11 @@ def drive(
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n):
                 if k % record_f_every:
-                    f_val, g = _NAN, subgradient(state.x, rng)
+                    f_val, g = _NAN, subgradient(state.x)
                 elif k == 0 and g0 is not None:
                     f_val, g = problem.value(state.x), g0
                 else:
-                    f_val, g = value_and_subgradient(state.x, rng)
+                    f_val, g = value_and_subgradient(state.x)
                 if not flat:
                     sched = schedule_eval(schedule, k, n)
                 step(state, np.asarray(g, dtype=np.float64), f_val=f_val, sched=sched)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .convex import run_convex
 from .core import (
-    DIVERGENCE_NORM,
     ConfigError,
     Diverged,
     Problem,
@@ -61,7 +60,6 @@ __all__ = [
     "GridDiverged",
     "grid_search",
     "d0_sweep",
-    "DIVERGENCE_NORM",
 ]
 
 CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2"]
@@ -249,9 +247,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # the checks that hold for every problem and algorithm, however the
-        # config was built; the problem generators check their own shapes
+        # config was built; the problem generators check their own shapes.
+        # numpy scalars become the Python values they hold, so that the hash,
+        # which reads repr, and the CSVs see 0.1 and never np.float64(0.1)
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
+            value = tuple(map(_plain, value)) if kind.startswith("tuple") else _plain(value)
+            object.__setattr__(self, name, value)
             if kind in ("float", "tuple[float, ...]") and not np.isfinite(value).all():
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         for name, known in (
@@ -279,9 +281,26 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size!r}")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must list one or more distinct seeds, got {self.seeds!r}")
+        # the optimizer and schedule settings, checked as sgd_da_init,
+        # adam_da_init and Schedule check them, whatever the algorithm
+        for name in ("beta", "beta1"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not 0.0 < self.beta2 < 1.0:
+            raise ConfigError(f"beta2 must lie in (0, 1), got {self.beta2!r}")
+        if self.eps <= 0.0:
+            raise ConfigError(f"eps must be positive, got {self.eps!r}")
+        if self.decay < 0.0:
+            raise ConfigError(f"decay must be non-negative, got {self.decay!r}")
+        _schedule_from_config(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _plain(value):
+    """The Python value a numpy scalar holds; any other value as it is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _parse_value(key: str, raw: str):
@@ -537,7 +556,7 @@ def run_single(
         else:
             state, step = _start(config, bundle)
             traj = state.traj
-            drive(prob, state, step, bundle.n_steps, sched, None, config.record_f_every)
+            drive(prob, state, step, bundle.n_steps, sched, config.record_f_every)
             if algo == "fixed":
                 summary["avg_f"] = prob.value(traj.average())
                 summary["final_f"] = summary["avg_f"]
@@ -593,7 +612,8 @@ def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[Run
     if workers == 1 or len(seeds) == 1:
         return [run_single(config, seed, dataset) for seed in seeds]
     n = len(seeds)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts all its workers at the first submit, so no more than the seeds
+    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
         return list(pool.map(run_single, [config] * n, seeds, [dataset] * n))
 
 

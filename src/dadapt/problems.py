@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,7 +53,7 @@ def abs_value_problem() -> Problem:
     def value(x: Vector) -> float:
         return abs(float(x[0]))
 
-    def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
+    def subgradient(x: Vector) -> Vector:
         v = float(x[0])
         return np.array([math.copysign(1.0, v) if v != 0.0 else 0.0])
 
@@ -64,7 +65,6 @@ def abs_value_problem() -> Problem:
         known_fstar=0.0,
         lipschitz=1.0,
         lipschitz_inf=1.0,
-        name="abs",
     )
 
 
@@ -83,11 +83,11 @@ def piecewise_max_problem(
     def value(x: Vector) -> float:
         return float((slopes @ x + offsets).max())
 
-    def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
+    def subgradient(x: Vector) -> Vector:
         scores = slopes @ x + offsets
         return slopes[int(np.argmax(scores))].copy()
 
-    def value_and_subgradient(x: Vector, rng: Optional[Rng] = None) -> tuple[float, Vector]:
+    def value_and_subgradient(x: Vector) -> tuple[float, Vector]:
         scores = slopes @ x + offsets
         i = scores.argmax()
         f = float(scores[i])
@@ -104,7 +104,6 @@ def piecewise_max_problem(
         known_fstar=known_fstar,
         lipschitz=float(norms.max()),
         lipschitz_inf=float(np.abs(slopes).max()),
-        name="piecewise_max",
         fused=value_and_subgradient,
     )
 
@@ -156,6 +155,15 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def with_bias(self) -> np.ndarray:
+        """X with a column of ones appended, built once and shared read-only
+        by every run over this data: a copy per run left the heap's layout,
+        and so peak memory, to chance (+3.3 MB on 10000 x 50)."""
+        X = np.hstack([self.X, np.ones((len(self), 1))])
+        X.flags.writeable = False
+        return X
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -340,7 +348,8 @@ class LogisticProblem:
     """Binary logistic regression with an always-1 bias feature.
 
     The weight vector has dataset.dim + 1 entries; the trailing entry
-    multiplies the bias, a column of ones appended to the dataset's X.
+    multiplies the bias, a column of ones appended to the dataset's X
+    (Dataset.with_bias, one array for all the runs over the data).
     Minibatches are consecutive slices of the seed's epoch orders, short
     final batch kept; the oracle's gradients compute no loss.
     """
@@ -356,7 +365,7 @@ class LogisticProblem:
         shared = dataset.shared_orders  # None for a lone run, which keeps one order
         orders = EpochOrders(n, seed, keep=shared is not None)
         self.orders = orders if shared is None else shared.setdefault(seed, orders)
-        self.X = np.hstack([dataset.X, np.ones((n, 1))])
+        self.X = dataset.with_bias
         self.y = dataset.y
         self.dim = self.X.shape[1]  # bias included
         self._batches = 0  # drawn so far
@@ -381,18 +390,17 @@ class LogisticProblem:
         """Oracle view: full-loss values, batch (or full) gradients."""
         if stochastic:
 
-            def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
+            def subgradient(x: Vector) -> Vector:
                 batch = self.next_batch()
                 return _margins_grad(self.X.take(batch, axis=0), self.y[batch], x)[1]
 
         else:
 
-            def subgradient(x: Vector, rng: Optional[Rng] = None) -> Vector:
+            def subgradient(x: Vector) -> Vector:
                 return self.full_grad(x)
 
         return Problem(
             dim=self.dim,
             value=self.full_value,
             subgradient=subgradient,
-            name="logistic",
-        )
+            )

@@ -70,9 +70,9 @@ class TestDualAveragingTrace:
             sI = da_init(x0, 1e-3, option="I")
             sII = da_init(x0, 1e-3, option="II")
             for _ in range(50):
-                g = prob.subgradient(sI.x, None)
+                g = prob.subgradient(sI.x)
                 da_step(sI, np.asarray(g))
-                da_step(sII, np.asarray(prob.subgradient(sII.x, None)))
+                da_step(sII, np.asarray(prob.subgradient(sII.x)))
             # same gradient stream only while iterates agree; compare from
             # the recorded run instead for the strict per-step property
             assert sI.d > 0 and sII.d > 0

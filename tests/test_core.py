@@ -406,7 +406,7 @@ def _counting_problem(calls):
         calls["value"] += 1
         return float(x[0])
 
-    def subgradient(x, rng=None):
+    def subgradient(x):
         calls["subgradient"] += 1
         return np.ones_like(x)
 
@@ -417,7 +417,7 @@ class TestDrive:
     def test_g0_reused_and_f_on_cadence(self):
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
-        drive(_counting_problem(calls), st, st.step, 10, Schedule(), None, 3, g0=np.array([5.0]))
+        drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3, g0=np.array([5.0]))
         assert calls == {"subgradient": 9, "value": 4}
         assert st.seen[0][0][0] == 5.0 and st.seen[1][0][0] == 1.0
         fs = [f for _, f, _ in st.seen]
@@ -427,14 +427,14 @@ class TestDrive:
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
         sched = Schedule(kind="stagewise", stage_fractions=(0.5,), stage_factor=0.1)
-        drive(_counting_problem(calls), st, st.step, 4, sched, None, 1)
+        drive(_counting_problem(calls), st, st.step, 4, sched, 1)
         assert [s for _, _, s in st.seen] == [schedule_eval(sched, k, 4) for k in range(4)]
 
     def test_stops_at_first_iterate_past_norm(self):
         st = _ScaleState([1.0], 1e4)
         problem = _counting_problem({"value": 0, "subgradient": 0})
         with pytest.raises(Diverged) as info:
-            drive(problem, st, st.step, 10, Schedule(), None, 1)
+            drive(problem, st, st.step, 10, Schedule(), 1)
         # 1e4, 1e8, 1e12 stay inside the closed ball; 1e16 does not
         assert info.value.k == 3
         assert info.value.traj is st.traj
@@ -445,7 +445,7 @@ class TestDrive:
         st = _ScaleState([1.0], 1e4)
         problem = _counting_problem({"value": 0, "subgradient": 0})
         with pytest.raises(Diverged) as info:
-            drive(problem, st, st.step, 10, Schedule(), None, 1)
+            drive(problem, st, st.step, 10, Schedule(), 1)
         traj = info.value.traj
         assert traj._rows == []  # packed when drive raised
         assert traj.pack().shape == (4, 6)
@@ -453,13 +453,13 @@ class TestDrive:
         assert traj.records[-1] == StepRecord(3, 1.0, 0.0, 1.0, 1e12, 0.0)
 
     def test_stepper_divergence_is_packed_too(self):
-        def subgradient(x, rng=None):
+        def subgradient(x):
             return np.array([math.inf]) if abs(x[0]) < 0.5 else np.ones(1)
 
         problem = Problem(dim=1, value=lambda x: float(x[0]), subgradient=subgradient)
         st = da_init(np.array([1.0]), 0.3)
         with pytest.raises(Diverged, match="non-finite gradient") as info:
-            drive(problem, st, da_step, 10, Schedule(), None, 1)
+            drive(problem, st, da_step, 10, Schedule(), 1)
         traj = info.value.traj
         assert traj._rows == [] and len(traj.records) == info.value.k >= 1
         assert len(traj.extra("lam")) == len(traj.records)
@@ -469,7 +469,7 @@ class TestDrive:
         st = _ScaleState([1.0, bad], 1.0)
         problem = _counting_problem({"value": 0, "subgradient": 0})
         with pytest.raises(Diverged) as info:
-            drive(problem, st, st.step, 5, Schedule(), None, 1)
+            drive(problem, st, st.step, 5, Schedule(), 1)
         assert info.value.k == 0
         assert isinstance(info.value, ValueError)
 
@@ -500,11 +500,11 @@ class TestDrive:
         problem = _counting_problem({"value": 0, "subgradient": 0})
         if exact:
             with pytest.raises(Diverged) as info:
-                drive(problem, toy, step, 5, Schedule(), None, 1)
+                drive(problem, toy, step, 5, Schedule(), 1)
             assert info.value.k == 2
             assert str(info.value) == f"iterate NaN or beyond {DIVERGENCE_NORM:g} at step 2"
         else:
-            drive(problem, toy, step, 5, Schedule(), None, 1)
+            drive(problem, toy, step, 5, Schedule(), 1)
             assert len(toy.traj.records) == 5
 
 

@@ -165,7 +165,7 @@ class TestAdaGradStep:
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         state = _AdaGradState(x=x0.copy(), acc=np.zeros(4), lr=lr, traj=Trajectory("adagrad", 4))
         script = iter(grads)
-        problem = Problem(dim=4, value=lambda x: 0.0, subgradient=lambda x, rng: next(script))
+        problem = Problem(dim=4, value=lambda x: 0.0, subgradient=lambda x: next(script))
         seen = []
 
         def step(st, g, f_val, sched):
@@ -174,7 +174,7 @@ class TestAdaGradStep:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning escapes drive
-            drive(problem, state, step, len(grads), Schedule(), None, 1)
+            drive(problem, state, step, len(grads), Schedule(), 1)
         return x0, seen
 
     def check_against_reference(self, grads, lr=0.7):
@@ -318,6 +318,29 @@ class TestConfig:
             ExperimentConfig(**setting)
         with pytest.raises(ConfigError, match=f"unknown {key} '{value}'"):
             apply_overrides(ExperimentConfig(), {key: value})
+
+    def test_numpy_scalars_stored_as_python_values(self, tmp_path):
+        a = ExperimentConfig(n_steps=3, lr=np.float64(0.1))
+        b = ExperimentConfig(n_steps=3, lr=0.1)
+        assert a == b and config_hash(a) == config_hash(b)
+        c = ExperimentConfig(
+            n_steps=np.int64(3), seeds=(np.int64(0), 1), stage_fractions=(np.float64(0.5),),
+            full_batch=np.bool_(False),
+        )
+        assert config_hash(c) == config_hash(
+            ExperimentConfig(n_steps=3, seeds=(0, 1), stage_fractions=(0.5,))
+        )
+        assert [type(v) for v in (c.n_steps, *c.seeds, *c.stage_fractions, c.full_batch)] == [
+            int, int, int, float, bool
+        ]
+        written = []
+        for d0 in (np.float64(0.1), 0.1):
+            cfg = ExperimentConfig(n_steps=20, d0=d0, out_dir=str(tmp_path / type(d0).__name__))
+            out_dir = run_experiment(cfg).out_dir
+            written.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert written[0] == written[1]
+        summary = written[0]["summary.csv"].decode().splitlines()
+        assert float(summary[1].split(",")[SUMMARY_HEADER.index("d0")]) == 0.1
 
     def test_hash_stable_and_ignores_output_plumbing(self):
         a = ExperimentConfig(n_steps=10)
@@ -469,6 +492,32 @@ class TestRunExperiment:
             written[workers] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
         assert len(written["1"]) == 5
         assert written["2"] == written["1"]
+
+    @pytest.mark.parametrize("workers, seeds, pool", [("32", (0, 1), 2), ("2", (0, 1, 2), 2)])
+    def test_pool_capped_at_seed_count(self, workers, seeds, pool, tmp_path, monkeypatch):
+        import dadapt.harness as hz
+
+        sizes = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("DADAPT_WORKERS", workers)
+        cfg = ExperimentConfig(n_steps=5, seeds=seeds, out_dir=str(tmp_path))
+        outputs = run_experiment(cfg).outputs
+        assert sizes == [pool]
+        assert [out.seed for out in outputs] == list(seeds)
 
     def test_bad_worker_count_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DADAPT_WORKERS", "abc")
@@ -863,6 +912,36 @@ class TestCli:
         argv = ["run", "--set", "problem=synth_logistic", "--set", "epochs=1",
                 "--set", setting, "--set", f"out_dir={tmp_path}"]
         assert cli.main(argv) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["schedule=bogus"],
+            ["schedule=inverse_sqrt_warmup", "warmup_steps=0"],
+            ["beta=1.0"],
+            ["beta2=1.5"],
+            ["eps=0"],
+            ["beta1=-0.1"],
+            ["decay=-1"],
+            ["schedule=stagewise", "stage_factor=2"],
+        ],
+    )
+    def test_bad_schedule_or_optimizer_fails_before_the_data_is_loaded(
+        self, settings, tmp_path, monkeypatch, capsys
+    ):
+        import dadapt.harness as hz
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("dataset loaded for a config that cannot run")
+
+        monkeypatch.setattr(hz, "load_dataset", no_load)
+        argv = ["run", "--set", "problem=synth_logistic", "--set", "epochs=1",
+                "--set", f"out_dir={tmp_path}"]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("problem", ["synth_logistic", "libsvm"])

@@ -436,7 +436,7 @@ class TestMarginsGradInPlace:
         for _ in range(15):
             batch = ref.next_batch()
             want = _margins_grad_out_of_place(ref.X[batch], ref.y[batch], w)[1]
-            assert oracle.subgradient(w, None).tobytes() == want.tobytes()
+            assert oracle.subgradient(w).tobytes() == want.tobytes()
 
 
 class TestBatching:
@@ -494,6 +494,17 @@ class TestBatching:
         for _ in range(9):
             assert np.array_equal(later.next_batch(), lone.next_batch())
         assert list(shared.shared_orders) == [4]
+
+    def test_runs_over_one_dataset_share_one_bias_matrix(self):
+        ds = synth_dataset(seed=9, n_examples=37, dim=2)
+        a = LogisticProblem(ds, batch_size=16, seed=4)
+        b = LogisticProblem(ds, batch_size=8, seed=5)
+        assert a.X is b.X is ds.with_bias
+        want = np.hstack([ds.X, np.ones((37, 1))])
+        assert a.X.tobytes() == want.tobytes() and a.X.shape == (37, 3)
+        with pytest.raises(ValueError):
+            a.X[0, 0] = 1.0  # shared, so read-only
+        assert LogisticProblem(replace(ds, shared_orders={})).X is not a.X
 
     def test_batch_order_reproducible(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
@@ -632,7 +643,7 @@ class TestFusedOracle:
         calls = []
         value, subgradient = prob.value, prob.subgradient
         prob.value = lambda x: calls.append("value") or value(x)
-        prob.subgradient = lambda x, rng=None: calls.append("subgradient") or subgradient(x)
+        prob.subgradient = lambda x: calls.append("subgradient") or subgradient(x)
         f, g = prob.value_and_subgradient(np.array([-2.0]))
         assert (f, g.tolist()) == (2.0, [-1.0])
         assert calls == ["subgradient", "value"]
