@@ -44,17 +44,15 @@ from .core import (
     drive,
     schedule_eval,
 )
+from .baselines import adagrad_norm_init, adagrad_norm_step, polyak_step
 from .harness import (
     ExperimentConfig,
-    adagrad_norm_init,
-    adagrad_norm_step,
     apply_overrides,
     config_hash,
     d0_sweep,
     grid_search,
     load_config,
     parse_config_text,
-    polyak_step,
     run_experiment,
     run_single,
 )

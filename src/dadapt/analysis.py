@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .convex import ConvexRunResult, run_convex
-from .core import ConfigError, Problem, Rng, Trajectory, Vector, csv_text
+from .core import ConfigError, Problem, Rng, Trajectory, Vector, _sum, csv_text
 from .ml import ema_pair, ema_pair_step
 from .problems import abs_value_problem, piecewise_start
 
@@ -130,17 +130,17 @@ def check_telescoping(traj: Trajectory) -> BoundReport:
         return _report("telescoping", 0.0, 0.0, f"kind={traj.kind} empty run")
     wg = traj.extra("wg_term")
     s2 = traj.extra("snorm2_after")
-    lhs = -sum(traj.extra("hyper_term"))
+    lhs = -_sum(traj.extra("hyper_term"))
     if traj.kind == "da":
         gam = traj.extra("gamma")
         gam_next = traj.extra("gamma_next")
         rhs = (
             -0.5 * gam_next[-1] * s2[-1]
-            + 0.5 * sum(wg)
-            + 0.5 * sum((gn - go) * s for go, gn, s in zip(gam, gam_next, s2))
+            + 0.5 * _sum(wg)
+            + 0.5 * _sum((gn - go) * s for go, gn, s in zip(gam, gam_next, s2))
         )
     else:
-        rhs = -0.5 * s2[-1] + 0.5 * sum(wg)
+        rhs = -0.5 * s2[-1] + 0.5 * _sum(wg)
     scale = max(abs(lhs), abs(rhs), 1.0)
     resid = abs(lhs - rhs)
     context = f"kind={traj.kind} residual={resid:.3e} (two-sided, relative)"
@@ -256,7 +256,7 @@ def check_rate_theorem2(
     if n < 2.0 * math.log2(max(D / d0, 1.0)):
         return _skipped("rate_theorem2", f"n={n} < 2*log2(D/d_0={D / d0:.3e})")
     t = result.t_index
-    gsum_t = sum(traj.extra("gnorm2")[: t + 1])
+    gsum_t = _sum(traj.extra("gnorm2")[: t + 1])
     lhs = problem.value(result.x_avg_t) - problem.known_fstar
     rhs_gradsum = 16.0 * log2p(d_final / d0) / (n + 1) * D * math.sqrt(gsum_t)
     rhs_dg = 16.0 * D * G * log2p(D / d0) / math.sqrt(n + 1)
@@ -369,10 +369,10 @@ def check_snorm_bound(traj: Trajectory) -> BoundReport:
     if traj.kind == "da":
         lhs = math.sqrt(traj.extra("snorm2_after")[-1])
         gamma_final = traj.extra("gamma_next")[-1]
-        rhs = 2.0 * d_final / gamma_final + sum(traj.extra("wg_term")) / (2.0 * d_final)
+        rhs = 2.0 * d_final / gamma_final + _sum(traj.extra("wg_term")) / (2.0 * d_final)
     elif traj.kind == "gd":
         lhs = math.sqrt(traj.extra("snorm2_after")[-1])
-        rhs = 2.0 * d_final + sum(traj.extra("wg_term")) / (2.0 * d_final)
+        rhs = 2.0 * d_final + _sum(traj.extra("wg_term")) / (2.0 * d_final)
     elif traj.kind == "adagrad_da":
         lhs = traj.extra("s_l1_after")[-1]
         rhs = 3.0 * d_final * traj.extra("a_l1_after")[-1]

@@ -3,8 +3,14 @@ RNG, the one loop that drives a stepper against an oracle, and CSV text.
 
 Everything downstream (the optimizers, the bound checkers, the benchmark
 harness) builds on the types here. All vectors are float64 numpy arrays and
-all randomness flows through the in-repo generator below, so that repeated
-runs produce identical results on any platform.
+all randomness flows through the in-repo generator below, so repeated runs
+on one machine and interpreter give identical results. Across machines that
+holds only as far as the arithmetic underneath does: the dot products go
+through OpenBLAS, whose kernel and so whose order of additions depends on
+the CPU core type it picks; numpy's exp and log1p take the SIMD targets the
+CPU offers; and the builtin sum() of floats adds left to right before
+CPython 3.12 and compensates from 3.12 on (the package adds with _sum
+below, which does not). The stored digests hold for one such setting.
 
 The generator's scalar draw Rng.u64 is the reference. Its bulk draws
 (normal_rows, permutation) run many steps at once in numpy uint64,
@@ -39,6 +45,8 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "drive",
+    "Lanes",
+    "drive_lanes",
     "csv_text",
 ]
 
@@ -53,6 +61,22 @@ def _dot(a: Vector, b: Vector) -> float:
     overhead. The + 0.0 matters: at dim 1, [1.0].dot([-0.0]) is -0.0 where
     [1.0] @ [-0.0] is 0.0; adding 0.0 turns -0.0 into 0.0 and keeps the rest."""
     return float(a.dot(b)) + 0.0
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_dot of each row of a with the same row of b, for (B, dim) float64
+    arrays: np.vecdot runs the same dot kernel on each row, and + 0.0 does
+    what it does in _dot."""
+    return np.vecdot(a, b) + 0.0
+
+
+def _sum(values) -> float:
+    """The floats of values added left to right from 0.0. The builtin sum()
+    gives these bits before CPython 3.12 and compensates from 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class ConfigError(ValueError):
@@ -616,6 +640,97 @@ def drive(
                     raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
     finally:
         state.traj.pack()
+
+
+class Lanes:
+    """B runs of one method side by side, each a lane: row i of every array
+    named in _arrays, x (the (B, dim) iterates) among them, belongs to lane
+    ids[i]. step(g, sched, out) takes one step on every lane from the (B, dim)
+    gradients g, writes d, dhat, scale and gnorm2 into columns 0, 1, 2 and 4
+    of the (B, 5) out (column 3, f, is the driver's; a column it leaves
+    holds NaN), and returns a mask of the lanes that refused their gradient,
+    or None."""
+
+    _arrays: tuple[str, ...] = ("x",)
+
+    def __init__(self, x0: Vector, lanes: int):
+        self.ids = np.arange(lanes)
+        self.x = np.tile(np.asarray(x0, dtype=np.float64), (lanes, 1))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the lanes where mask is False."""
+        self.ids = self.ids[mask]
+        for name in self._arrays:
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def drive_lanes(
+    lanes: Lanes,
+    grads: Callable[[np.ndarray], np.ndarray],
+    value: Callable[[Vector], float],
+    n: int,
+    schedule: Schedule,
+    record_f_every: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """drive for the lanes of runs that differ in their settings alone.
+
+    grads(X) gives the gradient at each row of X, with the bits each run's
+    oracle would give, from one draw of the runs' shared stream; value is
+    taken per lane on the cadence, since a stacked full-data product is not
+    bit-equal to one per lane. Returns the (n, B, 6) table of every lane's
+    rows in StepRecord's columns, NaN past a lane's end, each lane's row
+    count and whether it diverged. Lane b gets what drive gives run b alone:
+    a lane whose iterate leaves the ball keeps that step's row, one whose
+    stepper refuses its gradient stops before it, and either leaves the
+    batch. d is checked to be non-decreasing down each lane's column.
+    """
+    if record_f_every <= 0:
+        raise ConfigError("record_f_every must be positive")
+    B = lanes.ids.shape[0]
+    table = np.full((n, B, 6), _NAN)
+    table[:, :, 0] = np.arange(n)[:, None]
+    steps = np.full(B, n)
+    diverged = np.zeros(B, dtype=bool)
+    bound_sq = 0.999 * DIVERGENCE_NORM**2
+    flat = schedule.kind == "flat"
+    sched = 1.0
+    out = np.full((B, 5), _NAN)  # a step's d, dhat, scale, f and gnorm2 columns
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            ids = lanes.ids
+            g = grads(lanes.x)
+            cadence = not k % record_f_every
+            if cadence:
+                out[:, 3] = [value(x) for x in lanes.x]
+            if not flat:
+                sched = schedule_eval(schedule, k, n)
+            refused = lanes.step(g, sched, out)
+            ok = None if refused is None else ~refused
+            if ok is not None:
+                table[k, ids[ok], 1:] = out[ok]
+            elif ids.shape[0] < B:
+                table[k, ids, 1:] = out
+            else:
+                table[k, :, 1:] = out
+            if cadence:
+                out[:, 3] = _NAN
+            x = lanes.x
+            if not np.maximum.reduce(np.vecdot(x, x)) <= bound_sq:  # drive's prefilter
+                inside = np.maximum.reduce(np.abs(x), axis=1, initial=0.0) <= DIVERGENCE_NORM
+                ok = inside if ok is None else ok & inside
+            if ok is not None and np.count_nonzero(ok) < ok.shape[0]:
+                steps[ids[~ok]] = k + 1  # the failing step's row is kept
+                if refused is not None:
+                    steps[ids[refused]] = k
+                diverged[ids[~ok]] = True
+                lanes.keep(ok)
+                out = out[ok]
+                if not lanes.ids.shape[0]:
+                    break
+    d = table[:, :, 1]
+    if (d[1:] < d[:-1]).any():
+        raise ValueError("d decreased between steps; trajectory corrupt")
+    return table, steps, diverged
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Benchmark harness: baselines, experiment configs, runners, CSV output.
+"""Benchmark harness: experiment configs, runners, CSV output.
 
 Runs are keyed by (config hash, seed) and are byte-identical across
 invocations: per-step CSVs record a fixed schema, per-seed summaries feed
@@ -15,24 +15,17 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .baselines import LANE_ALGORITHMS, start, start_lanes
 from .convex import run_convex
 from .core import (
-    ConfigError,
-    Diverged,
-    Problem,
-    Schedule,
-    Trajectory,
-    Vector,
-    _dot,
-    csv_text,
-    drive,
+    ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text, drive, drive_lanes,
 )
-from .ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 from .problems import (
     Dataset,
     LogisticProblem,
@@ -43,10 +36,6 @@ from .problems import (
 )
 
 __all__ = [
-    "AdaGradNormState",
-    "adagrad_norm_init",
-    "adagrad_norm_step",
-    "polyak_step",
     "ExperimentConfig",
     "parse_config_text",
     "load_config",
@@ -70,138 +59,6 @@ PROBLEMS = ("abs", "piecewise", "synth_logistic", "libsvm")
 GRID_BASELINES = ("adagrad", "adagrad_norm", "fixed")
 
 _NAN = float("nan")
-
-
-# --------------------------------------------------------------------------
-# Baselines
-#
-# Step-size methods the adaptive ones are measured against. They are
-# steppers like the adaptive methods and run through the same core.drive;
-# their records carry NaN for d and dhat and the step size as the scale.
-
-
-def _record(state, gamma: float, f_val: float, gnorm2: float) -> None:
-    state.traj.append((state.k, _NAN, _NAN, gamma, f_val, gnorm2))
-    state.k += 1
-
-
-@dataclass
-class AdaGradNormState:
-    """Scalar-step-size baseline that knows the distance to the solution."""
-
-    x0: Vector
-    x: Vector
-    radius: float
-    sum_gsq: float
-    traj: Trajectory
-    k: int = 0
-
-
-def adagrad_norm_init(x0: Vector, radius: float) -> AdaGradNormState:
-    """Radius 0 is allowed: its ball is {x0}, so the run stays at x0."""
-    if not radius >= 0.0:  # negative or NaN
-        raise ConfigError(f"ball radius must be non-negative, got {radius!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("adagrad_norm", x0.shape[0])
-    return AdaGradNormState(x0=x0.copy(), x=x0.copy(), radius=radius, sum_gsq=0.0, traj=traj)
-
-
-def adagrad_norm_step(
-    state: AdaGradNormState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
-    """x <- project(x - radius/sqrt(sum ||g||^2) * g) onto the x0-ball.
-
-    Skipped while every gradient seen so far is zero (the step size is
-    undefined until the accumulator is positive).
-    """
-    gnorm2 = _dot(g, g)
-    state.sum_gsq += gnorm2
-    if state.sum_gsq == 0.0:
-        _record(state, _NAN, f_val, gnorm2)
-        return
-    gamma = state.radius / math.sqrt(state.sum_gsq)
-    x = state.x - gamma * g
-    delta = x - state.x0
-    dist = math.sqrt(_dot(delta, delta))
-    if dist > state.radius:
-        x = state.x0 + delta * (state.radius / dist)
-    state.x = x
-    _record(state, gamma, f_val, gnorm2)
-
-
-def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
-    """x - (fx - fstar)/||g||^2 * g; a no-op exactly at the optimal value."""
-    if fx < fstar:
-        raise ValueError("fx below the optimal value")
-    excess = fx - fstar
-    if excess == 0.0:
-        return np.asarray(x, dtype=np.float64).copy()
-    gg = float(g @ g)
-    if gg == 0.0:
-        raise ValueError("zero subgradient at a suboptimal point")
-    return x - (excess / gg) * g
-
-
-@dataclass
-class _PolyakState:
-    x: Vector
-    value: Callable[[Vector], float]  # the step needs f at every point
-    fstar: float
-    traj: Trajectory
-    k: int = 0
-
-
-def _polyak_state_step(
-    state: _PolyakState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
-    fx = state.value(state.x) if math.isnan(f_val) else f_val
-    gg = _dot(g, g)
-    gamma = (fx - state.fstar) / gg if gg > 0.0 else 0.0
-    state.x = polyak_step(state.x, g, fx, state.fstar)
-    _record(state, gamma, f_val, gg)
-
-
-@dataclass
-class _FixedState:
-    """Subgradient steps of one size; traj averages x_0 .. x_k uniformly."""
-
-    x: Vector
-    gamma: float
-    traj: Trajectory
-    k: int = 0
-
-
-def _fixed_step(state: _FixedState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
-    state.x = state.x - state.gamma * g
-    state.traj.update_average(state.x, 1.0)
-    _record(state, state.gamma, f_val, _dot(g, g))
-
-
-@dataclass
-class _AdaGradState:
-    x: Vector
-    acc: Vector  # per-coordinate root sum of squared gradients
-    lr: float
-    traj: Trajectory
-    k: int = 0
-
-
-def _adagrad_step(
-    state: _AdaGradState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
-    # plain coordinate-wise accumulation, lr times schedule on top; acc is
-    # the state's own, so it is updated in place (out by position)
-    acc = state.acc
-    np.multiply(acc, acc, acc)
-    acc += g * g
-    np.sqrt(acc, acc)
-    if np.minimum.reduce(acc, initial=math.inf) > 0.0:
-        step = g / acc
-    else:  # a coordinate with no gradient yet (acc 0) or a NaN one takes no step
-        step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
-    mult = state.lr * sched
-    state.x = state.x - mult * step
-    _record(state, mult, f_val, _dot(g, g))
 
 
 # --------------------------------------------------------------------------
@@ -269,29 +126,24 @@ class ExperimentConfig:
                 f"{self.algorithm} baseline needs a problem with a known optimum "
                 f"(abs or piecewise), got {self.problem!r}"
             )
-        if self.record_f_every < 1:
-            raise ConfigError(f"record_f_every must be positive, got {self.record_f_every!r}")
-        if self.d0 <= 0.0:
-            raise ConfigError(f"d0 must be positive, got {self.d0!r}")
-        if self.x0_distance < 0.0:
-            raise ConfigError(f"x0_distance must be non-negative, got {self.x0_distance!r}")
-        if self.lr < 0.0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size!r}")
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must list one or more distinct seeds, got {self.seeds!r}")
-        # the optimizer and schedule settings, checked as sgd_da_init,
-        # adam_da_init and Schedule check them, whatever the algorithm
-        for name in ("beta", "beta1"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not 0.0 < self.beta2 < 1.0:
-            raise ConfigError(f"beta2 must lie in (0, 1), got {self.beta2!r}")
-        if self.eps <= 0.0:
-            raise ConfigError(f"eps must be positive, got {self.eps!r}")
-        if self.decay < 0.0:
-            raise ConfigError(f"decay must be non-negative, got {self.decay!r}")
+        # then the ranges; the optimizer and schedule settings are checked as
+        # sgd_da_init, adam_da_init and Schedule check them, whatever the algorithm
+        for name, ok, rule in (
+            ("record_f_every", self.record_f_every >= 1, "be positive"),
+            ("d0", self.d0 > 0.0, "be positive"),
+            ("x0_distance", self.x0_distance >= 0.0, "be non-negative"),
+            ("lr", self.lr >= 0.0, "be non-negative"),
+            ("batch_size", self.batch_size >= 1, "be at least 1"),
+            ("beta", 0.0 <= self.beta < 1.0, "lie in [0, 1)"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "lie in [0, 1)"),
+            ("beta2", 0.0 < self.beta2 < 1.0, "lie in (0, 1)"),
+            ("eps", self.eps > 0.0, "be positive"),
+            ("decay", self.decay >= 0.0, "be non-negative"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must {rule}, got {getattr(self, name)!r}")
         _schedule_from_config(self)
 
 
@@ -365,10 +217,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _schedule_from_config(config: ExperimentConfig) -> Schedule:
     return Schedule(
-        kind=config.schedule,
-        stage_fractions=tuple(config.stage_fractions),
-        stage_factor=config.stage_factor,
-        warmup_steps=config.warmup_steps,
+        config.schedule, tuple(config.stage_fractions), config.stage_factor, config.warmup_steps
     )
 
 
@@ -385,6 +234,7 @@ class ProblemBundle:
     x0: Vector
     n_steps: int
     D: Optional[float] = None
+    model: Optional[LogisticProblem] = None  # a dataset problem's, behind problem
 
 
 def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
@@ -396,11 +246,8 @@ def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
     if config.problem == "synth_logistic":
         try:
             return synth_dataset(
-                config.problem_seed,
-                config.synth_n,
-                config.synth_dim,
-                margin=config.synth_margin,
-                flip=config.synth_flip,
+                config.problem_seed, config.synth_n, config.synth_dim,
+                margin=config.synth_margin, flip=config.synth_flip,
             )
         except ValueError as err:
             raise ConfigError(f"synth_logistic: {err}") from None
@@ -437,14 +284,14 @@ def build_problem(
     if dataset is None:  # synth_logistic or libsvm, the problems left
         dataset = load_dataset(config)
     batch = len(dataset) if config.full_batch else config.batch_size
-    logistic = LogisticProblem(dataset, batch_size=batch, seed=seed)
+    model = LogisticProblem(dataset, batch_size=batch, seed=seed)
     n = config.n_steps
     if n <= 0:
         if config.epochs <= 0:
             raise ConfigError("dataset problems need n_steps or epochs")
-        n = config.epochs * logistic.batches_per_epoch()
-    problem = logistic.problem(stochastic=not config.full_batch)
-    return ProblemBundle(problem, np.zeros(logistic.dim, dtype=np.float64), n)
+        n = config.epochs * model.batches_per_epoch()
+    problem = model.problem(stochastic=not config.full_batch)
+    return ProblemBundle(problem, np.zeros(model.dim, dtype=np.float64), n, model=model)
 
 
 # --------------------------------------------------------------------------
@@ -462,56 +309,14 @@ class RunOutput:
 def _new_summary(config: ExperimentConfig, seed: int) -> dict:
     """A run's summary before it runs; its keys are the summary.csv columns."""
     return {
-        "algorithm": config.algorithm,
-        "seed": seed,
-        "d0": config.d0,
-        "lr": config.lr,
-        "steps": 0,
-        "final_f": _NAN,
-        "avg_f": _NAN,
-        "f_at_t": _NAN,
-        "t_index": -1,
-        "final_d": _NAN,
-        "heuristic_G": False,
-        "out_of_theory": False,
-        "diverged": False,
+        "algorithm": config.algorithm, "seed": seed, "d0": config.d0, "lr": config.lr,
+        "steps": 0, "final_f": _NAN, "avg_f": _NAN, "f_at_t": _NAN, "t_index": -1,
+        "final_d": _NAN, "heuristic_G": False, "out_of_theory": False, "diverged": False,
         "exited_at_start": False,
     }
 
 
 SUMMARY_HEADER = list(_new_summary(ExperimentConfig(), 0))
-
-
-def _start(config: ExperimentConfig, bundle: ProblemBundle):
-    """Initial state and stepper for a method that run_convex does not set up."""
-    algo = config.algorithm
-    x0 = bundle.x0
-    prob = bundle.problem
-    if algo == "sgd_da":
-        return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=prob.lipschitz), sgd_da_step
-    if algo == "adam_da":
-        state = adam_da_init(
-            x0,
-            d0=config.d0,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            decay=config.decay,
-        )
-        return state, adam_da_step
-    if algo == "adagrad_norm":
-        radius = config.lr * (bundle.D if bundle.D is not None else 1.0)
-        return adagrad_norm_init(x0, radius), adagrad_norm_step
-    traj = Trajectory(algo, x0.shape[0])
-    if algo == "fixed":  # ExperimentConfig keeps it to problems with known D and G
-        gamma = config.lr * bundle.D / (prob.lipschitz * math.sqrt(bundle.n_steps))
-        traj.update_average(x0, 1.0)
-        return _FixedState(x=x0.copy(), gamma=gamma, traj=traj), _fixed_step
-    if algo == "polyak":  # and this one to problems with a known optimal value
-        state = _PolyakState(x=x0.copy(), value=prob.value, fstar=prob.known_fstar, traj=traj)
-        return state, _polyak_state_step
-    state = _AdaGradState(x=x0.copy(), acc=np.zeros_like(x0), lr=config.lr, traj=traj)
-    return state, _adagrad_step  # adagrad, the one algorithm left
 
 
 def run_single(
@@ -533,17 +338,10 @@ def run_single(
     try:
         if algo in ("da_I", "da_II", "gd", "adagrad_da"):
             result = run_convex(
-                prob,
-                bundle.x0,
-                algorithm="da" if algo.startswith("da_") else algo,
-                d0=config.d0,
-                n=bundle.n_steps,
-                option="II" if algo == "da_II" else "I",
-                g_mode=config.g_mode,
-                g_value=prob.lipschitz,
-                g_inf=prob.lipschitz_inf,
-                schedule=sched,
-                record_f_every=config.record_f_every,
+                prob, bundle.x0, algorithm="da" if algo.startswith("da_") else algo,
+                d0=config.d0, n=bundle.n_steps, option="II" if algo == "da_II" else "I",
+                g_mode=config.g_mode, g_value=prob.lipschitz, g_inf=prob.lipschitz_inf,
+                schedule=sched, record_f_every=config.record_f_every,
             )
             traj = result.traj
             summary["exited_at_start"] = result.exited_at_start
@@ -554,7 +352,7 @@ def run_single(
                     summary["t_index"] = result.t_index
                     summary["f_at_t"] = prob.value(result.x_avg_t)
         else:
-            state, step = _start(config, bundle)
+            state, step = start(config, bundle)
             traj = state.traj
             drive(prob, state, step, bundle.n_steps, sched, config.record_f_every)
             if algo == "fixed":
@@ -566,13 +364,41 @@ def run_single(
         traj = err.traj
         summary["diverged"] = True
 
-    rows = traj.pack()[:, :6]
-    summary["steps"] = len(rows)
     summary["heuristic_G"] = bool(traj.meta.get("heuristic_g", False))
-    if algo in DADAPT_ALGORITHMS:
-        # the estimate in force after the last recorded step
-        summary["final_d"] = traj.d_series()[-1] if len(rows) else config.d0
+    return _output(config, seed, traj.pack()[:, :6], summary)
+
+
+def _output(config: ExperimentConfig, seed: int, rows: np.ndarray, summary: dict) -> RunOutput:
+    summary["steps"] = len(rows)
+    if config.algorithm in DADAPT_ALGORITHMS:
+        # the estimate in force after the last recorded step, as Trajectory.d_series ends
+        summary["final_d"] = max(*rows[-1, 1:3].tolist()) if len(rows) else config.d0
     return RunOutput(config_hash=config_hash(config), seed=seed, rows=rows, summary=summary)
+
+
+def _run_lanes(
+    points: Sequence[ExperimentConfig], seed: int, dataset: Optional[Dataset]
+) -> list[RunOutput]:
+    """run_single(point, seed, dataset) of each point, the points, which
+    differ in lr or d0 alone, run in lanes with one batch gather a step."""
+    config = points[0]
+    bundle = build_problem(config, seed, dataset)
+    model = bundle.model
+    lanes = start_lanes(points, bundle.x0)
+    table, steps, diverged = drive_lanes(
+        lanes, model.lane_grads, model.full_value, bundle.n_steps,
+        _schedule_from_config(config), config.record_f_every,
+    )
+    finals = dict(zip(lanes.ids.tolist(), lanes.x))  # the lanes that ran to the end
+    outputs = []
+    for b, point in enumerate(points):
+        summary = _new_summary(point, seed)
+        summary["diverged"] = bool(diverged[b])
+        summary["heuristic_G"] = point.algorithm == "sgd_da"
+        if b in finals:
+            summary["final_f"] = model.full_value(finals[b])
+        outputs.append(_output(point, seed, table[: steps[b], b], summary))
+    return outputs
 
 
 # --------------------------------------------------------------------------
@@ -588,10 +414,10 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def mean_2se(values: Sequence[float]) -> tuple[float, float]:
     vals = [float(v) for v in values]
-    m = sum(vals) / len(vals)
+    m = _sum(vals) / len(vals)
     if len(vals) < 2:
         return m, 0.0
-    var = sum((v - m) ** 2 for v in vals) / (len(vals) - 1)
+    var = _sum((v - m) ** 2 for v in vals) / (len(vals) - 1)
     return m, 2.0 * math.sqrt(var / len(vals))
 
 
@@ -603,18 +429,23 @@ def _worker_count() -> int:
         raise ConfigError(f"DADAPT_WORKERS={raw!r} is not an integer") from None
 
 
-def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[RunOutput]:
-    seeds = list(config.seeds)
+def _map_seeds(run: Callable, seeds: Sequence[int]) -> list:
+    """[run(seed) for seed in seeds], each seed's call whole in one of the
+    DADAPT_WORKERS processes."""
     workers = _worker_count()
+    if workers == 1 or len(seeds) == 1:
+        return [run(seed) for seed in seeds]
+    # a fork pool starts all its workers at the first submit, so no more than the seeds
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+        return list(pool.map(run, seeds))
+
+
+def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[RunOutput]:
+    _worker_count()  # a bad setting fails before the data is built
     if dataset is None:
         dataset = load_dataset(config)
     # the seeds share the data; each builds its own batch order from its seed
-    if workers == 1 or len(seeds) == 1:
-        return [run_single(config, seed, dataset) for seed in seeds]
-    n = len(seeds)
-    # a fork pool starts all its workers at the first submit, so no more than the seeds
-    with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(run_single, [config] * n, seeds, [dataset] * n))
+    return _map_seeds(partial(run_single, config, dataset=dataset), config.seeds)
 
 
 @dataclass
@@ -632,7 +463,11 @@ def run_experiment(
 
     The dataset, when not passed in, is loaded once for all the seeds.
     """
-    outputs = _run_seeds(config, dataset)
+    return _write_experiment(config, _run_seeds(config, dataset))
+
+
+def _write_experiment(config: ExperimentConfig, outputs: list[RunOutput]) -> ExperimentResult:
+    """Write the runs of config's seeds, in seed order, as run_experiment does."""
     chash = outputs[0].config_hash
     out_dir = Path(config.out_dir) / chash
     for out in outputs:
@@ -652,9 +487,7 @@ def run_experiment(
     _write_atomic(
         out_dir / "aggregate.csv", csv_text(["metric", "mean", "two_se", "count"], agg_rows)
     )
-    return ExperimentResult(
-        config_hash=chash, out_dir=out_dir, outputs=outputs, aggregate=aggregate
-    )
+    return ExperimentResult(chash, out_dir, outputs, aggregate)
 
 
 class GridDiverged(ValueError):
@@ -665,16 +498,23 @@ def _sweep(
     config: ExperimentConfig, key: str, values: list, flag: str, name: str, summarise: Callable
 ):
     """One experiment per value of config.<key>, all on one load of the data,
-    their epoch orders shared. Writes <name>_<hash>.csv with rows (value, mean
-    final_f, 2se, any seed's summary[flag]) once summarise(rows) has passed
-    them; returns the rows, what summarise returned, the path and the data."""
+    their epoch orders shared; on minibatches, where a seed's points read the
+    same batch each step, a LANE_ALGORITHMS sweep runs them in lanes, each
+    seed whole in one process. Writes <name>_<hash>.csv with rows (value,
+    mean final_f, 2se, any seed's summary[flag]) once summarise(rows) has
+    passed them; returns the rows, what summarise returned, the path and the
+    data."""
     points = [replace(config, **{key: value}) for value in values]  # bad values fail here
     dataset = load_dataset(config)  # the value changes the runs, not the data
     if dataset is not None:
         dataset = replace(dataset, shared_orders={})
+    if dataset is not None and not config.full_batch and config.algorithm in LANE_ALGORITHMS:
+        by_seed = _map_seeds(partial(_run_lanes, points, dataset=dataset), config.seeds)
+        results = map(_write_experiment, points, map(list, zip(*by_seed)))
+    else:
+        results = (run_experiment(point, dataset) for point in points)
     rows = []
-    for value, point in zip(values, points):
-        result = run_experiment(point, dataset)
+    for value, result in zip(values, results):
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
         rows.append((value, m, se2, any(out.summary[flag] for out in result.outputs)))
     summary = summarise(rows)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigError, Diverged, Trajectory, Vector, _dot
+from .core import ConfigError, Diverged, Lanes, Trajectory, Vector, _dot, _rowdot
 
 __all__ = [
     "SGDDAState",
@@ -24,8 +24,10 @@ __all__ = [
     "EmaPair",
     "sgd_da_init",
     "sgd_da_step",
+    "SGDDALanes",
     "adam_da_init",
     "adam_da_step",
+    "AdamDALanes",
     "ema_pair",
     "ema_pair_step",
 ]
@@ -33,9 +35,19 @@ __all__ = [
 _NAN = float("nan")
 
 
-def _check_step_inputs(state, gnorm2: float, sched: float) -> None:
+def _check_sched(sched: float) -> None:
     if not (0.0 < sched <= 1.0):
         raise ConfigError("schedule multiplier must lie in (0, 1]")
+
+
+def _refused(gnorm2: np.ndarray) -> Optional[np.ndarray]:
+    """The lanes whose gradient has a non-finite squared norm, or None."""
+    bad = ~np.isfinite(gnorm2)
+    return bad if np.count_nonzero(bad) else None
+
+
+def _check_step_inputs(state, gnorm2: float, sched: float) -> None:
+    _check_sched(sched)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
 
@@ -111,6 +123,61 @@ def sgd_da_step(
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1
+
+
+class SGDDALanes(Lanes):
+    """sgd_da_step with no known gradient bound on lanes that share x0 and
+    beta, one d0 each: each lane takes its G from its first nonzero gradient
+    (NaN until then). A lane with a non-finite gradient is refused;
+    np.where(d_hat > d, d_hat, d) is max(d, d_hat), which keeps d when d_hat
+    is NaN."""
+
+    _arrays = ("x", "z", "s", "d", "d_hat_last", "G", "hypergrad_sum")
+
+    def __init__(self, x0: Vector, d0s, beta: float):
+        super().__init__(x0, len(d0s))
+        self.z = self.x.copy()
+        self.s = np.zeros_like(self.x)
+        self.d = np.array(d0s, dtype=np.float64)
+        self.d_hat_last = np.zeros(len(d0s))
+        self.beta = beta
+        self.G = np.full(len(d0s), _NAN)
+        self.pending = True  # a lane has no G yet
+        self.hypergrad_sum = np.zeros(len(d0s))
+
+    def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> Optional[np.ndarray]:
+        gnorm2 = _rowdot(g, g)
+        _check_sched(sched)
+        skip = None
+        if self.pending:
+            unset = np.isnan(self.G)
+            skip = unset & (gnorm2 == 0.0)  # nothing observable yet: only the counter advances
+            self.G = np.where(unset & ~skip, np.sqrt(gnorm2), self.G)
+            self.pending = bool(np.count_nonzero(np.isnan(self.G)))
+        lam = self.d * sched / self.G
+        hyp = self.hypergrad_sum + lam * _rowdot(g, self.s)  # pre-update s
+        lam_g = lam[:, None] * g
+        s = self.s + lam_g
+        z = self.z - lam_g
+        x = self.beta * self.x + (1.0 - self.beta) * z
+        snorm = np.sqrt(_rowdot(s, s))
+        d_hat = 2.0 * hyp / snorm
+        if np.count_nonzero(snorm) < snorm.shape[0]:
+            d_hat[snorm == 0.0] = 0.0
+        if skip is not None and np.count_nonzero(skip):
+            old = skip[:, None]
+            s, z, x = np.where(old, self.s, s), np.where(old, self.z, z), np.where(old, self.x, x)
+            hyp = np.where(skip, self.hypergrad_sum, hyp)
+            d_hat = np.where(skip, self.d_hat_last, d_hat)
+            lam = np.where(skip, 0.0, lam)
+        self.s, self.z, self.x, self.hypergrad_sum = s, z, x, hyp
+        out[:, 0] = self.d
+        out[:, 1] = d_hat
+        out[:, 2] = lam
+        out[:, 4] = gnorm2
+        self.d = np.where(d_hat > self.d, d_hat, self.d)
+        self.d_hat_last = d_hat
+        return _refused(gnorm2)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +263,51 @@ def adam_da_step(
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1
+
+
+class AdamDALanes(Lanes):
+    """adam_da_step on lanes that share x0 and the moment settings, one d0
+    each; refusals and the d update as in SGDDALanes. Row sums are
+    np.add.reduce along axis 1, which adds each row as the 1-D reduce does."""
+
+    _arrays = ("x", "s", "m", "v", "r", "d")
+
+    def __init__(self, x0: Vector, d0s, beta1: float, beta2: float, eps: float, decay: float):
+        super().__init__(x0, len(d0s))
+        self.s = np.zeros_like(self.x)
+        self.m = np.zeros_like(self.x)
+        self.v = np.zeros_like(self.x)
+        self.r = np.zeros(len(d0s))
+        self.d = np.array(d0s, dtype=np.float64)
+        self.beta1, self.beta2, self.eps, self.decay = beta1, beta2, eps, decay
+
+    def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> Optional[np.ndarray]:
+        gnorm2 = _rowdot(g, g)
+        _check_sched(sched)
+        dg = self.d * sched
+        sb2 = math.sqrt(self.beta2)
+
+        self.m = self.beta1 * self.m + ((1.0 - self.beta1) * dg)[:, None] * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        denom = np.sqrt(self.v) + self.eps
+        self.x = self.x - self.m / denom
+        if self.decay > 0.0:
+            self.x = self.x * (1.0 - self.decay * dg)[:, None]
+
+        ip_w = np.add.reduce(g * self.s / denom, axis=1)
+        self.r = sb2 * self.r + (1.0 - sb2) * dg * ip_w
+        self.s = sb2 * self.s + ((1.0 - sb2) * dg)[:, None] * g
+
+        s_l1 = np.add.reduce(np.abs(self.s), axis=1)
+        d_hat = self.r / ((1.0 - sb2) * s_l1)
+        if np.count_nonzero(s_l1) < s_l1.shape[0]:
+            d_hat[s_l1 == 0.0] = 0.0
+        out[:, 0] = self.d
+        out[:, 1] = d_hat
+        out[:, 2] = dg
+        out[:, 4] = gnorm2
+        self.d = np.where(d_hat > self.d, d_hat, self.d)
+        return _refused(gnorm2)
 
 
 # --------------------------------------------------------------------------

@@ -329,6 +329,18 @@ def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, 
     return t, X.T @ coeff / X.shape[0]
 
 
+def _lane_grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """_margins_grad's gradient at each row of W, bit for bit: the stacked
+    products run the gemv of X @ w and of X.T @ coeff once per row."""
+    t = np.matmul(X, W[:, :, None])[:, :, 0]
+    t *= y
+    coeff = np.logaddexp(0.0, t)
+    np.negative(coeff, coeff)
+    np.exp(coeff, coeff)
+    coeff *= -y
+    return np.matmul(X.T, coeff[:, :, None])[:, :, 0] / X.shape[0]
+
+
 def logistic_value_grad(
     X: np.ndarray, y: np.ndarray, w: Vector
 ) -> tuple[float, Vector]:
@@ -385,6 +397,12 @@ class LogisticProblem:
 
     def full_grad(self, w: Vector) -> Vector:
         return _margins_grad(self.X, self.y, w)[1]
+
+    def lane_grads(self, W: np.ndarray) -> np.ndarray:
+        """The minibatch gradient at each row of W, all on the next batch:
+        row b is what the stochastic oracle gives at W[b] in its place."""
+        batch = self.next_batch()
+        return _lane_grads(self.X.take(batch, axis=0), self.y[batch], W)
 
     def problem(self, stochastic: bool = True) -> Problem:
         """Oracle view: full-loss values, batch (or full) gradients."""

@@ -12,8 +12,12 @@ to alter output bytes re-records the file with
 and says why in CHANGES.md.
 """
 
+import builtins
+import functools
 import hashlib
 import json
+import math
+import operator
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +118,34 @@ def test_csv_bytes_unchanged(name, tmp_path):
 
 def test_verify_report_bytes_unchanged(tmp_path):
     assert _verify(tmp_path) == _golden()[VERIFY_CASE]
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, start=0):
+    """sum() as CPython 3.12 and later compute it: floats with Neumaier's
+    compensation, anything else as before."""
+    items = list(iterable)
+    if not all(type(v) is float for v in items):
+        return _BUILTIN_SUM(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_bytes_do_not_depend_on_builtin_sum(tmp_path, monkeypatch):
+    # the package adds floats left to right itself, so the report and the
+    # aggregates keep their bytes under the compensated sum() of CPython 3.12+
+    tenths = [0.1] * 10
+    assert _compensated_sum(tenths) != functools.reduce(operator.add, tenths, 0.0)
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert _verify(tmp_path) == _golden()[VERIFY_CASE]
+    name = "logistic-sgd_da"  # two seeds; its aggregate.csv averages them
+    assert _run(name, tmp_path / name) == _golden()[name]
 
 
 @pytest.mark.parametrize("algo", NEEDS_KNOWN_GEOMETRY)

@@ -11,6 +11,13 @@ import pytest
 
 from dadapt import cli
 from dadapt.analysis import BoundReport
+from dadapt.baselines import (
+    _AdaGradState,
+    _adagrad_step,
+    adagrad_norm_init,
+    adagrad_norm_step,
+    polyak_step,
+)
 from dadapt.core import ConfigError, Problem, Rng, Schedule, Trajectory, drive
 from dadapt.harness import (
     BASELINE_ALGORITHMS,
@@ -19,10 +26,6 @@ from dadapt.harness import (
     SUMMARY_HEADER,
     ExperimentConfig,
     GridDiverged,
-    _AdaGradState,
-    _adagrad_step,
-    adagrad_norm_init,
-    adagrad_norm_step,
     apply_overrides,
     build_problem,
     config_hash,
@@ -30,7 +33,6 @@ from dadapt.harness import (
     grid_search,
     mean_2se,
     parse_config_text,
-    polyak_step,
     run_experiment,
     run_single,
 )
@@ -640,6 +642,21 @@ class TestSharedEpochOrders:
             run_experiment(replace(run, out_dir=str(tmp_path / "lone")))
         assert len(self.written(tmp_path / "grid")) == 12
         assert self.written(tmp_path / "grid") == self.written(tmp_path / "lone")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "algo, key, values", [("adagrad_norm", "lr", [0.1, 1e15]), ("adam_da", "d0", [1e15, 1e-6])]
+    )
+    def test_lane_points_match_lone_runs(self, tmp_path, monkeypatch, workers, algo, key, values):
+        # the points run in lanes, each seed's in one process; one leaves the ball at once
+        cfg = self.make_cfg(tmp_path / "points", algorithm=algo)
+        monkeypatch.setenv("DADAPT_WORKERS", workers)
+        (grid_search if key == "lr" else d0_sweep)(cfg, values)
+        monkeypatch.setenv("DADAPT_WORKERS", "1")
+        for value in values:
+            run_experiment(replace(cfg, **{key: value}, out_dir=str(tmp_path / "lone")))
+        assert len(self.written(tmp_path / "points")) == 8
+        assert self.written(tmp_path / "points") == self.written(tmp_path / "lone")
 
 
 class TestDegenerateDatasets:
