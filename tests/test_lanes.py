@@ -6,6 +6,7 @@ import os
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +24,11 @@ from dadapt.problems import Dataset, _lane_grads, _margins_grad, synth_dataset
 
 DATA = synth_dataset(3, 40, 3, flip=0.1)
 
-# per-lane settings: ordinary ones, and ones that leave the 1e12 ball at
-# the first step or a few steps in
+# per-lane settings: ordinary ones, ones that leave the 1e12 ball at the
+# first step or a few steps in, and a d0 so small that the first steps
+# underflow to 0 and leave s at 0
 LRS = [1e-3, 0.1, 1.0, 10.0, 5e11, 6e11, 8e11, 1.3e12, 1.4e12, 1e15]
-D0S = [1e-8, 1e-3, 1.0, 1e4, 1e10, 5e11, 1e12, 2e12, 1e15]
+D0S = [5e-324, 1e-8, 1e-3, 1.0, 1e4, 1e10, 5e11, 1e12, 2e12, 1e15]
 
 
 def _data(huge_row):
@@ -142,14 +144,16 @@ def test_lanes_cover_each_stop():
     assert [o.summary["steps"] for o in refused] == [5, 18, 1]
 
 
-def test_zero_first_gradients_skip_until_g_is_set():
+@pytest.mark.parametrize("algo, key", [("sgd_da", "d0"), ("adagrad_norm", "lr")])
+def test_zero_gradients_skip(algo, key):
     # one example of each label at the same point: every batch of both is a
-    # zero gradient at the zero start, so sgd_da skips and never sets G
+    # zero gradient at the zero start, so sgd_da never sets G and
+    # adagrad_norm never has a step size; a batch of one is never zero
     data = Dataset(X=np.array([[1.0], [1.0]]), y=np.array([1.0, -1.0]))
-    points = [ExperimentConfig(problem="libsvm", algorithm="sgd_da", n_steps=5, batch_size=2,
-                               d0=d0) for d0 in (1e-6, 1.0)]
+    points = [ExperimentConfig(problem="libsvm", algorithm=algo, n_steps=5, batch_size=2,
+                               **{key: value}) for value in (1e-6, 1.0)]
     check_lanes_match_lone_runs(points, 0, data)
-    mixed = [replace(p, batch_size=1) for p in points]  # nonzero from the first batch
+    mixed = [replace(p, batch_size=1) for p in points]
     check_lanes_match_lone_runs(mixed, 0, data)
 
 
