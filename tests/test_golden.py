@@ -2,9 +2,12 @@
 
 Every algorithm runs on abs, piecewise and a small synthetic logistic
 problem with seeds (0, 1), plus schedule, cadence, G-mode, zero-gradient
-and divergence variants. The SHA-256 of each steps/summary/aggregate CSV,
-and of the report CSV of `dadapt verify --suite all`, must equal the
-digest stored in golden_sha256.json. A change that is meant
+and divergence variants; step-size grids and d0 sweeps, those whose points
+run in lanes and those whose points run one by one, add the grid, sweep
+and compare tables. The SHA-256 of each steps/summary/aggregate CSV, and of
+the report CSV of `dadapt verify --suite all`, must equal the digest stored
+in golden_sha256.json. The digests hold for one numpy SIMD dispatch and
+OpenBLAS core type, which a failure names. A change that is meant
 to alter output bytes re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,10 +21,12 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dadapt import cli
@@ -30,6 +35,8 @@ from dadapt.harness import (
     BASELINE_ALGORITHMS,
     DADAPT_ALGORITHMS,
     ExperimentConfig,
+    d0_sweep,
+    grid_search,
     run_experiment,
 )
 
@@ -81,6 +88,39 @@ def _cases() -> dict[str, dict]:
 
 CASES = _cases()
 
+# name -> (swept key, config, values, grid compare run)
+SWEEP_CASES = {
+    # the points run in lanes
+    "grid-logistic-adagrad-compare": (
+        "lr", dict(PROBLEMS["logistic"], algorithm="adagrad"), (0.01, 0.1, 1.0), "adagrad_da"
+    ),
+    "grid-logistic-adagrad_norm": (
+        "lr", dict(PROBLEMS["logistic"], algorithm="adagrad_norm"), (0.1, 1.0, 10.0), None
+    ),
+    "sweep-logistic-sgd_da-stagewise": (
+        "d0", dict(PROBLEMS["logistic"], algorithm="sgd_da", schedule="stagewise"),
+        (1e-6, 1e-3, 1.0), None,
+    ),
+    "sweep-logistic-adam_da-record7-diverge": (
+        "d0", dict(PROBLEMS["logistic"], algorithm="adam_da", record_f_every=7),
+        (1e-6, 1e-2, 1e15), None,
+    ),
+    # the points run one by one
+    "sweep-logistic-adagrad_da": (
+        "d0", dict(PROBLEMS["logistic"], algorithm="adagrad_da"), (1e-6, 1e-3, 1.0), None
+    ),
+    "sweep-logistic-sgd_da-fullbatch": (
+        "d0", dict(PROBLEMS["logistic"], algorithm="sgd_da", full_batch=True),
+        (1e-6, 1e-3, 1.0), None,
+    ),
+    "sweep-piecewise-da_I": (
+        "d0", dict(PROBLEMS["piecewise"], algorithm="da_I"), (1e-6, 1e-2, 10.0), None
+    ),
+    "grid-piecewise-fixed-compare": (
+        "lr", dict(PROBLEMS["piecewise"], algorithm="fixed"), (0.1, 1.0, 10.0), "da_I"
+    ),
+}
+
 
 def _digests(out_dir: Path) -> dict[str, str]:
     return {
@@ -94,6 +134,20 @@ def _run(name: str, out_dir: Path) -> dict[str, str]:
     return _digests(run_experiment(config).out_dir)
 
 
+def _sweep(name: str, out_dir: Path) -> dict[str, str]:
+    """The digest of every CSV the grid or sweep writes, by its path under out_dir."""
+    key, base, values, compare = SWEEP_CASES[name]
+    config = ExperimentConfig(seeds=SEEDS, out_dir=str(out_dir), **base)
+    if key == "lr":
+        grid_search(config, values, compare_algorithm=compare)
+    else:
+        d0_sweep(config, values)
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*.csv"))
+    }
+
+
 def _verify(out_dir: Path) -> dict[str, str]:
     assert cli.main(["verify", "--suite", "all", "--out", str(out_dir / "verify.csv")]) == 0
     return _digests(out_dir)
@@ -103,21 +157,37 @@ def _golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _dispatch() -> str:
+    """The numpy SIMD extensions and OpenBLAS core type of this process,
+    which pick the summation order of its dot products and exp/log1p."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    core = os.environ.get("OPENBLAS_CORETYPE", "default")
+    return f"numpy SIMD extensions found {simd}, OPENBLAS_CORETYPE {core}"
+
+
 def test_golden_covers_every_case():
-    assert sorted(_golden()) == sorted([*CASES, VERIFY_CASE])
+    assert sorted(_golden()) == sorted([*CASES, *SWEEP_CASES, VERIFY_CASE])
+
+
+def _check(name: str, got: dict[str, str]) -> None:
+    expected = _golden()[name]
+    assert sorted(got) == sorted(expected)
+    changed = [fname for fname in expected if got[fname] != expected[fname]]
+    assert not changed, f"{name}: bytes changed in {changed} under {_dispatch()}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_unchanged(name, tmp_path):
-    expected = _golden()[name]
-    got = _run(name, tmp_path)
-    assert sorted(got) == sorted(expected)
-    changed = [fname for fname in expected if got[fname] != expected[fname]]
-    assert not changed, f"{name}: bytes changed in {changed}"
+    _check(name, _run(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_bytes_unchanged(name, tmp_path):
+    _check(name, _sweep(name, tmp_path))
 
 
 def test_verify_report_bytes_unchanged(tmp_path):
-    assert _verify(tmp_path) == _golden()[VERIFY_CASE]
+    _check(VERIFY_CASE, _verify(tmp_path))
 
 
 _BUILTIN_SUM = builtins.sum
@@ -160,6 +230,7 @@ def test_logistic_rejects_geometry_baselines(algo, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: _run(name, Path(tmp) / name) for name in sorted(CASES)}
+        golden.update({name: _sweep(name, Path(tmp) / name) for name in sorted(SWEEP_CASES)})
         golden[VERIFY_CASE] = _verify(Path(tmp))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"{len(golden)} cases -> {GOLDEN_PATH}", file=sys.stderr)
