@@ -5,7 +5,9 @@ The baselines are steppers like the adaptive methods and run through the
 same core.drive; their records carry NaN for d and dhat and the step size
 as the scale. AdaGrad and AdaGrad-norm also come as lanes (core.Lanes), as
 sgd_da and adam_da do in dadapt.ml, for core.drive_lanes to run the points
-of a grid or d0 sweep in lockstep with the bits of the scalar steppers.
+of a grid or d0 sweep in lockstep with the bits of the scalar steppers;
+start_lanes builds them from the states start sets up, so that start alone
+maps a config to a stepper's settings.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "AdaGradNormLanes",
     "AdaGradLanes",
     "polyak_step",
+    "LANES",
     "LANE_ALGORITHMS",
     "start",
     "start_lanes",
@@ -84,15 +87,11 @@ def adagrad_norm_step(
 
 
 class AdaGradNormLanes(Lanes):
-    """adagrad_norm_step on lanes that share x0, one ball radius each."""
+    """adagrad_norm_step on lanes that share x0, one ball radius each, from
+    their adagrad_norm_init states."""
 
     _arrays = ("x", "radius", "sum_gsq")
-
-    def __init__(self, x0: Vector, radii):
-        super().__init__(x0, len(radii))
-        self.x0 = self.x[0].copy()
-        self.radius = np.array(radii, dtype=np.float64)
-        self.sum_gsq = np.zeros(len(radii))
+    _shared = ("x0",)
 
     def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> None:
         gnorm2 = _rowdot(g, g)
@@ -189,14 +188,9 @@ def _adagrad_step(
 
 
 class AdaGradLanes(Lanes):
-    """_adagrad_step on lanes that share x0, one lr each."""
+    """_adagrad_step on lanes from their _AdaGradState states, one lr each."""
 
     _arrays = ("x", "acc", "lr")
-
-    def __init__(self, x0: Vector, lrs):
-        super().__init__(x0, len(lrs))
-        self.acc = np.zeros_like(self.x)
-        self.lr = np.array(lrs, dtype=np.float64)
 
     def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> None:
         acc = self.acc
@@ -242,20 +236,18 @@ def start(config, bundle):
     return state, _adagrad_step  # adagrad, the one algorithm left
 
 
-# the algorithms that start_lanes sets up
-LANE_ALGORITHMS = ("adagrad", "adagrad_norm", "sgd_da", "adam_da")
+# the lane form of each algorithm that has one
+LANES = {
+    "adagrad": AdaGradLanes,
+    "adagrad_norm": AdaGradNormLanes,
+    "sgd_da": SGDDALanes,
+    "adam_da": AdamDALanes,
+}
+LANE_ALGORITHMS = tuple(LANES)
 
 
-def start_lanes(points, x0: Vector) -> Lanes:
-    """One lane per config of points, which differ in lr or d0 alone, from
-    x0, as start sets each up on a dataset problem: no known gradient bound
-    for sgd_da, and an AdaGrad-norm radius of lr times 1 for want of D."""
-    config = points[0]
-    if config.algorithm == "sgd_da":
-        return SGDDALanes(x0, [p.d0 for p in points], config.beta)
-    if config.algorithm == "adam_da":
-        d0s = [p.d0 for p in points]
-        return AdamDALanes(x0, d0s, config.beta1, config.beta2, config.eps, config.decay)
-    if config.algorithm == "adagrad_norm":
-        return AdaGradNormLanes(x0, [p.lr * 1.0 for p in points])
-    return AdaGradLanes(x0, [p.lr for p in points])
+def start_lanes(points, bundle):
+    """The lanes of the configs of points, which differ in lr or d0 alone,
+    on bundle, with the states that start sets up for them, one a lane."""
+    states = [start(point, bundle)[0] for point in points]
+    return LANES[points[0].algorithm](states), states

@@ -649,13 +649,21 @@ class Lanes:
     gradients g, writes d, dhat, scale and gnorm2 into columns 0, 1, 2 and 4
     of the (B, 5) out (column 3, f, is the driver's; a column it leaves
     holds NaN), and returns a mask of the lanes that refused their gradient,
-    or None."""
+    or None. The lanes are built from the runs' scalar states, as
+    baselines.start sets them up: each field named in _arrays stacked as
+    float64, None as NaN, and each named in _shared, common to the runs,
+    taken from the first."""
 
     _arrays: tuple[str, ...] = ("x",)
+    _shared: tuple[str, ...] = ()
 
-    def __init__(self, x0: Vector, lanes: int):
-        self.ids = np.arange(lanes)
-        self.x = np.tile(np.asarray(x0, dtype=np.float64), (lanes, 1))
+    def __init__(self, states: Sequence):
+        self.ids = np.arange(len(states))
+        for name in self._arrays:
+            values = [getattr(state, name) for state in states]
+            setattr(self, name, np.array([_NAN if v is None else v for v in values], np.float64))
+        for name in self._shared:
+            setattr(self, name, getattr(states[0], name))
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the lanes where mask is False."""

@@ -376,15 +376,19 @@ def _output(config: ExperimentConfig, seed: int, rows: np.ndarray, summary: dict
     return RunOutput(config_hash=config_hash(config), seed=seed, rows=rows, summary=summary)
 
 
-def _run_lanes(
+def _run_points(
     points: Sequence[ExperimentConfig], seed: int, dataset: Optional[Dataset]
 ) -> list[RunOutput]:
-    """run_single(point, seed, dataset) of each point, the points, which
-    differ in lr or d0 alone, run in lanes with one batch gather a step."""
+    """run_single(point, seed, dataset) of each point, the points differing
+    in lr or d0 alone. Two or more points of a LANE_ALGORITHMS method on
+    minibatch data run in lanes, with one batch gather a step."""
     config = points[0]
+    laned = config.algorithm in LANE_ALGORITHMS and dataset is not None and not config.full_batch
+    if len(points) < 2 or not laned:
+        return [run_single(point, seed, dataset) for point in points]
     bundle = build_problem(config, seed, dataset)
     model = bundle.model
-    lanes = start_lanes(points, bundle.x0)
+    lanes, states = start_lanes(points, bundle)
     table, steps, diverged = drive_lanes(
         lanes, model.lane_grads, model.full_value, bundle.n_steps,
         _schedule_from_config(config), config.record_f_every,
@@ -394,7 +398,7 @@ def _run_lanes(
     for b, point in enumerate(points):
         summary = _new_summary(point, seed)
         summary["diverged"] = bool(diverged[b])
-        summary["heuristic_G"] = point.algorithm == "sgd_da"
+        summary["heuristic_G"] = bool(states[b].traj.meta.get("heuristic_g", False))
         if b in finals:
             summary["final_f"] = model.full_value(finals[b])
         outputs.append(_output(point, seed, table[: steps[b], b], summary))
@@ -440,14 +444,6 @@ def _map_seeds(run: Callable, seeds: Sequence[int]) -> list:
         return list(pool.map(run, seeds))
 
 
-def _run_seeds(config: ExperimentConfig, dataset: Optional[Dataset]) -> list[RunOutput]:
-    _worker_count()  # a bad setting fails before the data is built
-    if dataset is None:
-        dataset = load_dataset(config)
-    # the seeds share the data; each builds its own batch order from its seed
-    return _map_seeds(partial(run_single, config, dataset=dataset), config.seeds)
-
-
 @dataclass
 class ExperimentResult:
     config_hash: str
@@ -463,7 +459,20 @@ def run_experiment(
 
     The dataset, when not passed in, is loaded once for all the seeds.
     """
-    return _write_experiment(config, _run_seeds(config, dataset))
+    return _run_experiments([config], dataset)[0]
+
+
+def _run_experiments(
+    points: Sequence[ExperimentConfig], dataset: Optional[Dataset]
+) -> list[ExperimentResult]:
+    """run_experiment of each point, the points differing in lr or d0 alone,
+    on one load of the data; each seed's points run whole in one process."""
+    _worker_count()  # a bad setting fails before the data is built
+    if dataset is None:
+        dataset = load_dataset(points[0])
+    # the seeds share the data; each builds its own batch order from its seed
+    by_seed = _map_seeds(partial(_run_points, points, dataset=dataset), points[0].seeds)
+    return list(map(_write_experiment, points, map(list, zip(*by_seed))))
 
 
 def _write_experiment(config: ExperimentConfig, outputs: list[RunOutput]) -> ExperimentResult:
@@ -498,21 +507,16 @@ def _sweep(
     config: ExperimentConfig, key: str, values: list, flag: str, name: str, summarise: Callable
 ):
     """One experiment per value of config.<key>, all on one load of the data,
-    their epoch orders shared; on minibatches, where a seed's points read the
-    same batch each step, a LANE_ALGORITHMS sweep runs them in lanes, each
-    seed whole in one process. Writes <name>_<hash>.csv with rows (value,
-    mean final_f, 2se, any seed's summary[flag]) once summarise(rows) has
-    passed them; returns the rows, what summarise returned, the path and the
-    data."""
+    each seed's points in one process with its epoch orders drawn once (on
+    minibatches, a LANE_ALGORITHMS sweep runs them in lanes). Writes
+    <name>_<hash>.csv with rows (value, mean final_f, 2se, any seed's
+    summary[flag]) once summarise(rows) has passed them; returns the rows,
+    what summarise returned, the path and the data."""
     points = [replace(config, **{key: value}) for value in values]  # bad values fail here
     dataset = load_dataset(config)  # the value changes the runs, not the data
     if dataset is not None:
         dataset = replace(dataset, shared_orders={})
-    if dataset is not None and not config.full_batch and config.algorithm in LANE_ALGORITHMS:
-        by_seed = _map_seeds(partial(_run_lanes, points, dataset=dataset), config.seeds)
-        results = map(_write_experiment, points, map(list, zip(*by_seed)))
-    else:
-        results = (run_experiment(point, dataset) for point in points)
+    results = _run_experiments(points, dataset)
     rows = []
     for value, result in zip(values, results):
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))

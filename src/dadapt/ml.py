@@ -126,24 +126,18 @@ def sgd_da_step(
 
 
 class SGDDALanes(Lanes):
-    """sgd_da_step with no known gradient bound on lanes that share x0 and
-    beta, one d0 each: each lane takes its G from its first nonzero gradient
-    (NaN until then). A lane with a non-finite gradient is refused;
+    """sgd_da_step on lanes that share beta, from their sgd_da_init states: a
+    lane with no known gradient bound takes its G from its first nonzero
+    gradient (NaN until then). A lane with a non-finite gradient is refused;
     np.where(d_hat > d, d_hat, d) is max(d, d_hat), which keeps d when d_hat
     is NaN."""
 
     _arrays = ("x", "z", "s", "d", "d_hat_last", "G", "hypergrad_sum")
+    _shared = ("beta",)
 
-    def __init__(self, x0: Vector, d0s, beta: float):
-        super().__init__(x0, len(d0s))
-        self.z = self.x.copy()
-        self.s = np.zeros_like(self.x)
-        self.d = np.array(d0s, dtype=np.float64)
-        self.d_hat_last = np.zeros(len(d0s))
-        self.beta = beta
-        self.G = np.full(len(d0s), _NAN)
-        self.pending = True  # a lane has no G yet
-        self.hypergrad_sum = np.zeros(len(d0s))
+    def __init__(self, states):
+        super().__init__(states)
+        self.pending = bool(np.count_nonzero(np.isnan(self.G)))  # a lane has no G yet
 
     def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> Optional[np.ndarray]:
         gnorm2 = _rowdot(g, g)
@@ -266,20 +260,13 @@ def adam_da_step(
 
 
 class AdamDALanes(Lanes):
-    """adam_da_step on lanes that share x0 and the moment settings, one d0
-    each; refusals and the d update as in SGDDALanes. Row sums are
-    np.add.reduce along axis 1, which adds each row as the 1-D reduce does."""
+    """adam_da_step on lanes that share the moment settings and decay, from
+    their adam_da_init states; refusals and the d update as in SGDDALanes.
+    Row sums are np.add.reduce along axis 1, which adds each row as the 1-D
+    reduce does."""
 
     _arrays = ("x", "s", "m", "v", "r", "d")
-
-    def __init__(self, x0: Vector, d0s, beta1: float, beta2: float, eps: float, decay: float):
-        super().__init__(x0, len(d0s))
-        self.s = np.zeros_like(self.x)
-        self.m = np.zeros_like(self.x)
-        self.v = np.zeros_like(self.x)
-        self.r = np.zeros(len(d0s))
-        self.d = np.array(d0s, dtype=np.float64)
-        self.beta1, self.beta2, self.eps, self.decay = beta1, beta2, eps, decay
+    _shared = ("beta1", "beta2", "eps", "decay")
 
     def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> Optional[np.ndarray]:
         gnorm2 = _rowdot(g, g)

@@ -738,14 +738,14 @@ class TestGridSearch:
         import dadapt.harness as hz
 
         # force identical means so the tie-break is observable
-        real = hz.run_experiment
+        real = hz._write_experiment
 
-        def fake(config, *args):
-            res = real(config, *args)
+        def fake(config, outputs):
+            res = real(config, outputs)
             res.aggregate["final_f"] = (0.5, 0.0)
             return res
 
-        monkeypatch.setattr(hz, "run_experiment", fake)
+        monkeypatch.setattr(hz, "_write_experiment", fake)
         result = grid_search(self.make_cfg(tmp_path), [10.0, 0.1, 1.0])
         assert result.best_lr == 0.1
 

@@ -14,7 +14,7 @@ from dadapt.baselines import start, start_lanes
 from dadapt.core import Diverged, Rng, _dot, _rowdot, drive, drive_lanes
 from dadapt.harness import (
     ExperimentConfig,
-    _run_lanes,
+    _run_points,
     _schedule_from_config,
     build_problem,
     d0_sweep,
@@ -77,13 +77,13 @@ def _alone(point, seed, dataset):
 
 def check_lanes_match_lone_runs(points, seed, dataset):
     bundle = build_problem(points[0], seed, dataset)
-    lanes = start_lanes(points, bundle.x0)
+    lanes, _ = start_lanes(points, bundle)
     with np.errstate(all="ignore"):
         table, steps, diverged = drive_lanes(
             lanes, bundle.model.lane_grads, bundle.model.full_value, bundle.n_steps,
             _schedule_from_config(points[0]), points[0].record_f_every,
         )
-        outputs = _run_lanes(points, seed, dataset)
+        outputs = _run_points(points, seed, dataset)
         finals = dict(zip(lanes.ids.tolist(), lanes.x))
         for b, point in enumerate(points):
             rows, x, stopped = _alone(point, seed, dataset)
@@ -132,11 +132,11 @@ def test_lanes_cover_each_stop():
     points = [ExperimentConfig(problem="synth_logistic", algorithm="sgd_da", n_steps=30,
                                batch_size=4, d0=d0) for d0 in (1e-3, 1e12, 1e15)]
     check_lanes_match_lone_runs(points, 0, DATA)
-    outs = _run_lanes(points, 0, DATA)
+    outs = _run_points(points, 0, DATA)
     assert [o.summary["diverged"] for o in outs] == [False, True, True]
     assert [o.summary["steps"] for o in outs] == [30, 18, 1]
     check_lanes_match_lone_runs(points, 0, _data(0))
-    refused = _run_lanes(points, 0, _data(0))
+    refused = _run_points(points, 0, _data(0))
     # row 0 is in the sixth batch: the first lane refuses that gradient and
     # stops before its row; the second, whose margins are huge by then,
     # weighs the row by 0 and leaves the ball as before
@@ -173,10 +173,11 @@ def test_primitives_match_scalar_forms():
 
 
 class TestWorkerPool:
-    """With worker processes, each seed's lanes stay in one process."""
+    """With worker processes, each seed's points stay in one process, in
+    lanes or one by one, and draw the seed's epoch orders once."""
 
     @staticmethod
-    def permutation_pids(tmp_path, monkeypatch, workers):
+    def permutation_pids(tmp_path, monkeypatch, algo, workers):
         log = tmp_path / f"pids{workers}.txt"
         real = Rng.permutation
 
@@ -188,16 +189,17 @@ class TestWorkerPool:
         monkeypatch.setattr(Rng, "permutation", logged)
         monkeypatch.setenv("DADAPT_WORKERS", workers)
         cfg = ExperimentConfig(
-            problem="synth_logistic", algorithm="sgd_da", epochs=3, synth_n=64, synth_dim=4,
+            problem="synth_logistic", algorithm=algo, epochs=3, synth_n=64, synth_dim=4,
             seeds=(0, 1), out_dir=str(tmp_path / workers),
         )
         result = d0_sweep(cfg, [1e-6, 1e-4, 1e-2])
         assert all(math.isfinite(m) for _, m, _, _ in result.rows)
         return log.read_text().split()
 
-    def test_orders_drawn_once_per_seed_with_any_worker_count(self, tmp_path, monkeypatch):
-        alone = self.permutation_pids(tmp_path, monkeypatch, "1")
-        pooled = self.permutation_pids(tmp_path, monkeypatch, "2")
+    @pytest.mark.parametrize("algo", ["sgd_da", "adagrad_da"])  # in lanes, point by point
+    def test_orders_drawn_once_per_seed_with_any_worker_count(self, tmp_path, monkeypatch, algo):
+        alone = self.permutation_pids(tmp_path, monkeypatch, algo, "1")
+        pooled = self.permutation_pids(tmp_path, monkeypatch, algo, "2")
         assert len(alone) == 2 * 3  # two seeds, three epochs, whatever the points
         assert len(pooled) == len(alone)
         assert len(set(pooled)) == 2 and os.getpid() not in map(int, pooled)
