@@ -39,7 +39,6 @@ from .core import (
     Problem,
     Rng,
     Schedule,
-    StepRecord,
     Trajectory,
     drive,
     schedule_eval,

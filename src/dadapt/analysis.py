@@ -105,7 +105,7 @@ def log2p(x: float) -> float:
 
 def check_d_lower_bound(traj: Trajectory, D: float) -> BoundReport:
     """Every candidate dhat stays below the true initial distance D."""
-    if not traj.records:
+    if not len(traj.records):
         raise ValueError("trajectory has no recorded steps")
     lhs = max(traj.extra("dhat"))
     return _report("d_lower_bound", lhs, D, f"kind={traj.kind} steps={len(traj.records)}")
@@ -125,7 +125,7 @@ def check_telescoping(traj: Trajectory) -> BoundReport:
     """
     if traj.kind not in ("da", "gd"):
         raise ValueError(f"no telescoping form for trajectory kind {traj.kind!r}")
-    if not traj.records:
+    if not len(traj.records):
         # zero steps: every sum is empty and s_0 = 0
         return _report("telescoping", 0.0, 0.0, f"kind={traj.kind} empty run")
     wg = traj.extra("wg_term")
@@ -251,7 +251,7 @@ def check_rate_theorem2(
     if result.t_index is None or result.x_avg_t is None:
         raise ValueError("run result carries no selected prefix")
     n = len(traj.records) - 1
-    d0 = traj.records[0].d
+    d0 = traj.extra("d")[0]
     d_final = traj.d_series()[-1]
     if n < 2.0 * math.log2(max(D / d0, 1.0)):
         return _skipped("rate_theorem2", f"n={n} < 2*log2(D/d_0={D / d0:.3e})")
@@ -279,10 +279,10 @@ def check_rate_asymptotic(
         raise ValueError("rate check needs a dual-averaging run")
     if problem.known_fstar is None:
         raise ValueError("rate check needs the optimal value")
-    if not traj.records:
+    if not len(traj.records):
         raise ValueError("trajectory has no recorded steps")
     n = len(traj.records) - 1
-    g0 = math.sqrt(traj.records[0].gnorm2)
+    g0 = math.sqrt(traj.extra("gnorm2")[0])
     lhs = problem.value(result.x_avg) - problem.known_fstar
     rhs = 16.0 * D * G / math.sqrt(n + 1) + 8.0 * D * G * G / ((n + 1) * g0)
     return _report("rate_asymptotic", lhs, rhs, f"n={n} g0={g0:.6e}")
@@ -363,7 +363,7 @@ def check_snorm_bound(traj: Trajectory) -> BoundReport:
     adagrad_da: ||s||_1 <= 3 d ||a||_1
     with d the final estimate.
     """
-    if not traj.records:
+    if not len(traj.records):
         raise ValueError("trajectory has no recorded steps")
     d_final = traj.d_series()[-1]
     if traj.kind == "da":

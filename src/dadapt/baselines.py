@@ -29,7 +29,6 @@ __all__ = [
     "AdaGradLanes",
     "polyak_step",
     "LANES",
-    "LANE_ALGORITHMS",
     "start",
     "start_lanes",
 ]
@@ -243,7 +242,6 @@ LANES = {
     "sgd_da": SGDDALanes,
     "adam_da": AdamDALanes,
 }
-LANE_ALGORITHMS = tuple(LANES)
 
 
 def start_lanes(points, bundle):

@@ -2,15 +2,18 @@
 RNG, the one loop that drives a stepper against an oracle, and CSV text.
 
 Everything downstream (the optimizers, the bound checkers, the benchmark
-harness) builds on the types here. All vectors are float64 numpy arrays and
-all randomness flows through the in-repo generator below, so repeated runs
-on one machine and interpreter give identical results. Across machines that
-holds only as far as the arithmetic underneath does: the dot products go
-through OpenBLAS, whose kernel and so whose order of additions depends on
-the CPU core type it picks; numpy's exp and log1p take the SIMD targets the
-CPU offers; and the builtin sum() of floats adds left to right before
-CPython 3.12 and compensates from 3.12 on (the package adds with _sum
-below, which does not). The stored digests hold for one such setting.
+harness) builds on the types here. A run's steps are one float64 table,
+read whole or a column by name; its six step columns are named once, in
+STEP_COLUMNS, and the steps CSV is headed by them. All vectors are float64
+numpy arrays and all randomness flows through the in-repo generator below,
+so repeated runs on one machine and interpreter give identical results.
+Across machines that holds only as far as the arithmetic underneath does:
+the dot products go through OpenBLAS, whose kernel and so whose order of
+additions depends on the CPU core type it picks; numpy's exp and log1p take
+the SIMD targets the CPU offers; and the builtin sum() of floats adds left
+to right before CPython 3.12 and compensates from 3.12 on (the package adds
+with _sum below, which does not). The stored digests hold for one such
+setting.
 
 The generator's scalar draw Rng.u64 is the reference. Its bulk draws
 (normal_rows, permutation) run many steps at once in numpy uint64,
@@ -27,7 +30,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +45,7 @@ __all__ = [
     "Schedule",
     "schedule_eval",
     "Problem",
-    "StepRecord",
+    "STEP_COLUMNS",
     "Trajectory",
     "drive",
     "Lanes",
@@ -471,39 +474,19 @@ class Problem:
 # --------------------------------------------------------------------------
 # Trajectories
 #
-# A step appends one flat row (k, d, dhat, scale, f, gnorm2, *extras), the
-# extras being the per-step series its kind names once, at init, for the
-# bound checkers. Reads pack the rows into one (n, 6 + K) float64 table.
+# A step appends one flat row (step, d, dhat, gamma_or_lambda, f, gnorm2,
+# *extras), the extras being the per-step series its kind names once, at
+# init, for the bound checkers. Reads pack the rows into one (n, 6 + K)
+# float64 table.
 
-
-class StepRecord(NamedTuple):
-    k: int
-    d: float  # estimate in force when the step was taken
-    dhat: float  # candidate produced by the step
-    scale: float  # gamma or lambda actually applied
-    f: float  # objective at the visited point, nan when not recorded
-    gnorm2: float
-
-
-def _step_record(row: list) -> StepRecord:
-    return StepRecord(int(row[0]), *row[1:6])
-
-
-class _Records(Sequence):
-    """Read-only StepRecord view of a trajectory's rows."""
-
-    def __init__(self, traj: "Trajectory"):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return self._traj._table.shape[0] + len(self._traj._rows)
-
-    def __getitem__(self, i):
-        rows = self._traj.pack()[i, :6].tolist()
-        return list(map(_step_record, rows)) if isinstance(i, slice) else _step_record(rows)
-
-    def __iter__(self):
-        return map(_step_record, self._traj.pack()[:, :6].tolist())
+# the six columns every step records, in table order:
+#   step            the step's index k
+#   d               estimate in force when the step was taken
+#   dhat            candidate produced by the step
+#   gamma_or_lambda gamma or lambda actually applied
+#   f               objective at the visited point, nan when not recorded
+#   gnorm2          squared norm of the step's gradient
+STEP_COLUMNS = ("step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2")
 
 
 def _weighted_average(num: Vector, den: float) -> Vector:
@@ -517,15 +500,16 @@ class Trajectory:
     """Per-step log of a run plus the weighted-average accumulator.
 
     extras names the per-step series that the bound checkers read (inner
-    products, norm accumulators) after the StepRecord fields; columns names
-    every column of the table, and records is a read-only StepRecord view of
-    its rows. d is checked to be non-decreasing on append.
+    products, norm accumulators) after the STEP_COLUMNS; columns names every
+    column of the table. A run is read as that table (pack, or records for
+    its STEP_COLUMNS) or one column at a time by name (extra). d is checked
+    to be non-decreasing on append.
     """
 
     def __init__(self, kind: str, dim: int, extras: Sequence[str] = ()):
         self.kind = kind
         self.dim = dim
-        self.columns = StepRecord._fields + tuple(extras)
+        self.columns = STEP_COLUMNS + tuple(extras)
         self._rows: list[tuple] = []
         self._table = np.empty((0, len(self.columns)), dtype=np.float64)
         self._last_d = -math.inf
@@ -534,7 +518,7 @@ class Trajectory:
         self.avg_den: float = 0.0
 
     def append(self, row: tuple) -> None:
-        """Log one step: (k, d, dhat, scale, f, gnorm2, *extras)."""
+        """Log one step: (step, d, dhat, gamma_or_lambda, f, gnorm2, *extras)."""
         if row[1] < self._last_d:
             raise ValueError("d decreased between steps; trajectory corrupt")
         self._last_d = row[1]
@@ -554,8 +538,9 @@ class Trajectory:
         return self._table
 
     @property
-    def records(self) -> _Records:
-        return _Records(self)
+    def records(self) -> np.ndarray:
+        """The (n, 6) STEP_COLUMNS view of the table."""
+        return self.pack()[:, :6]
 
     def update_average(self, x: Vector, w: float) -> None:
         """Fold the point x with weight w >= 0 into the running average."""
@@ -686,7 +671,7 @@ def drive_lanes(
     oracle would give, from one draw of the runs' shared stream; value is
     taken per lane on the cadence, since a stacked full-data product is not
     bit-equal to one per lane. Returns the (n, B, 6) table of every lane's
-    rows in StepRecord's columns, NaN past a lane's end, each lane's row
+    rows in STEP_COLUMNS, NaN past a lane's end, each lane's row
     count and whether it diverged. Lane b gets what drive gives run b alone:
     a lane whose iterate leaves the ball keeps that step's row, one whose
     stepper refuses its gradient stops before it, and either leaves the
@@ -756,16 +741,17 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> st
     """The CSV text of header and rows.
 
     rows is a sequence of rows, or a trajectory table: an (n, 6) float64
-    array in StepRecord's column order (Trajectory.pack()[:, :6]), whose
-    step column is written as an int. A table is written row by row,
-    _TABLE_BLOCK rows at a time, with the bytes the StepRecord rows give.
+    array in STEP_COLUMNS order (Trajectory.records), whose step column is
+    written as an int. A table is written row by row, _TABLE_BLOCK rows at
+    a time, with the bytes csv.writer gives the rows [int(step), *floats].
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != len(StepRecord._fields):
-            raise ValueError(f"a trajectory table has shape (n, 6), got {rows.shape}")
+        width = len(STEP_COLUMNS)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"a trajectory table has shape (n, {width}), got {rows.shape}")
         for start in range(0, rows.shape[0], _TABLE_BLOCK):
             block = rows[start : start + _TABLE_BLOCK].tolist()
             buf.write("".join(

@@ -21,10 +21,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import LANE_ALGORITHMS, start, start_lanes
+from .baselines import LANES, start, start_lanes
 from .convex import run_convex
 from .core import (
-    ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text, drive, drive_lanes,
+    STEP_COLUMNS, ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text, drive,
+    drive_lanes,
 )
 from .problems import (
     Dataset,
@@ -51,7 +52,7 @@ __all__ = [
     "d0_sweep",
 ]
 
-CSV_HEADER = ["step", "d", "dhat", "gamma_or_lambda", "f", "gnorm2"]
+CSV_HEADER = list(STEP_COLUMNS)
 
 DADAPT_ALGORITHMS = ("da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da")
 BASELINE_ALGORITHMS = ("adagrad", "adagrad_norm", "polyak", "fixed")
@@ -302,7 +303,7 @@ def build_problem(
 class RunOutput:
     config_hash: str
     seed: int
-    rows: np.ndarray  # CSV_HEADER schema: the (n, 6) view of the run's trajectory table
+    rows: np.ndarray  # CSV_HEADER schema: the run's Trajectory.records table
     summary: dict
 
 
@@ -365,7 +366,7 @@ def run_single(
         summary["diverged"] = True
 
     summary["heuristic_G"] = bool(traj.meta.get("heuristic_g", False))
-    return _output(config, seed, traj.pack()[:, :6], summary)
+    return _output(config, seed, traj.records, summary)
 
 
 def _output(config: ExperimentConfig, seed: int, rows: np.ndarray, summary: dict) -> RunOutput:
@@ -380,10 +381,10 @@ def _run_points(
     points: Sequence[ExperimentConfig], seed: int, dataset: Optional[Dataset]
 ) -> list[RunOutput]:
     """run_single(point, seed, dataset) of each point, the points differing
-    in lr or d0 alone. Two or more points of a LANE_ALGORITHMS method on
+    in lr or d0 alone. Two or more points of a method in baselines.LANES on
     minibatch data run in lanes, with one batch gather a step."""
     config = points[0]
-    laned = config.algorithm in LANE_ALGORITHMS and dataset is not None and not config.full_batch
+    laned = config.algorithm in LANES and dataset is not None and not config.full_batch
     if len(points) < 2 or not laned:
         return [run_single(point, seed, dataset) for point in points]
     bundle = build_problem(config, seed, dataset)
@@ -508,10 +509,13 @@ def _sweep(
 ):
     """One experiment per value of config.<key>, all on one load of the data,
     each seed's points in one process with its epoch orders drawn once (on
-    minibatches, a LANE_ALGORITHMS sweep runs them in lanes). Writes
+    minibatches, a sweep of a method in baselines.LANES runs them in lanes). Writes
     <name>_<hash>.csv with rows (value, mean final_f, 2se, any seed's
     summary[flag]) once summarise(rows) has passed them; returns the rows,
-    what summarise returned, the path and the data."""
+    what summarise returned, the path and the data. A repeated value would
+    run one config twice into one directory, so it is refused."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} values must be distinct, got {values!r}")
     points = [replace(config, **{key: value}) for value in values]  # bad values fail here
     dataset = load_dataset(config)  # the value changes the runs, not the data
     if dataset is not None:

@@ -75,12 +75,10 @@ def test_criterion_01_d_lower_bound_soundness(soundness_runs):
     worst_gap = -math.inf
     for _, result, bound, _ in runs:
         d_cap = max(1e-3, bound) + ATOL
-        for rec in result.traj.records:
-            if rec.dhat > bound + ATOL:
-                violations += 1
-            if rec.d > d_cap:
-                violations += 1
-            worst_gap = max(worst_gap, rec.dhat - bound)
+        records = result.traj.records
+        d, dhat = records[:, 1], records[:, 2]
+        violations += np.count_nonzero(dhat > bound + ATOL) + np.count_nonzero(d > d_cap)
+        worst_gap = max(worst_gap, np.max(dhat - bound, initial=-math.inf).item())
         if result.d_final > d_cap:
             violations += 1
     ok = violations == 0 and elapsed < 30.0

@@ -66,9 +66,7 @@ class TestDLowerBound:
 
     def test_violation_detected(self):
         traj = Trajectory("da", 1)
-        from dadapt.core import StepRecord
-
-        traj.append(StepRecord(0, 1.0, 5.0, 1.0, 0.0, 1.0))
+        traj.append((0, 1.0, 5.0, 1.0, 0.0, 1.0))
         rep = check_d_lower_bound(traj, 1.0)
         assert not rep.satisfied
 

@@ -263,9 +263,7 @@ class TestRunConvex:
         x0 = prob.known_minimizer + Rng(5, 2).normals(6)
         r1 = run_convex(prob, x0, algorithm="da", d0=1e-3, n=200)
         r2 = run_convex(prob, x0, algorithm="da", d0=1e-3, n=200)
-        assert [rec.dhat for rec in r1.traj.records] == [
-            rec.dhat for rec in r2.traj.records
-        ]
+        assert r1.traj.extra("dhat") == r2.traj.extra("dhat")
         assert np.array_equal(r1.x_avg, r2.x_avg)
 
     def test_t_index_and_weighted_prefix_average(self):
@@ -327,7 +325,7 @@ class TestRunConvex:
         sched = Schedule(kind="stagewise", stage_fractions=(0.5,), stage_factor=0.1)
         res = run_convex(prob, np.array([1.0]), algorithm="da", d0=0.1, n=20, schedule=sched)
         lams = res.traj.extra("lam")
-        ds = [rec.d for rec in res.traj.records]
+        ds = res.traj.extra("d")
         for k, (lam, d) in enumerate(zip(lams, ds)):
             mult = 1.0 if k < 10 else 0.1
             assert lam == pytest.approx(mult * d, rel=1e-12)
@@ -405,7 +403,8 @@ def test_fused_oracle_on_f_steps_only(algorithm, every):
     later = ["fused" if k % every == 0 else "subgradient" for k in range(1, n)]
     assert calls == ["subgradient", "value"] + later
     assert calls.count("fused") == (n - 1 if every == 1 else 7)
-    assert [rec.k for rec in res.traj.records if not math.isnan(rec.f)] == list(range(0, n, every))
+    recorded = [k for k, f in zip(res.traj.extra("step"), res.traj.extra("f")) if not math.isnan(f)]
+    assert recorded == list(range(0, n, every))
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,12 @@ from dadapt.core import (
     _BULK_MIN,
     _CHARPOLY,
     DIVERGENCE_NORM,
+    STEP_COLUMNS,
     ConfigError,
     Diverged,
     Problem,
     Rng,
     Schedule,
-    StepRecord,
     Trajectory,
     _dot,
     csv_text,
@@ -309,9 +309,9 @@ class TestWeightedAverage:
 class TestTrajectory:
     def test_d_monotonicity_enforced(self):
         traj = Trajectory("da", 1)
-        traj.append(StepRecord(0, 1.0, 0.0, 1.0, 0.0, 1.0))
+        traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            traj.append(StepRecord(1, 0.5, 0.0, 1.0, 0.0, 1.0))
+            traj.append((1, 0.5, 0.0, 1.0, 0.0, 1.0))
 
     def test_d_series_includes_final_estimate(self):
         traj = Trajectory("da", 1, ("wg_term",))
@@ -331,11 +331,12 @@ class TestTrajectory:
         for k in range(3):
             traj.append((k, 1.0, 0.5, 0.25, math.nan, np.float64(2.0), np.float64(k / 3)))
         records = traj.records
-        assert len(records) == 3
-        for rec in [records[0], records[-1], *records[1:], *records]:
-            assert type(rec) is StepRecord and type(rec.k) is int
-            assert all(type(v) is float for v in rec[1:])
-        assert [rec.k for rec in records] == [0, 1, 2]
+        assert type(records) is np.ndarray and records.dtype == np.float64
+        assert records.shape == (3, 6) and np.shares_memory(records, traj.pack())
+        np.testing.assert_array_equal(records, traj.pack()[:, :6])
+        np.testing.assert_array_equal(records[1], [1.0, 1.0, 0.5, 0.25, math.nan, 2.0])
+        assert all(type(v) is float for row in records.tolist() for v in row)
+        assert traj.extra("step") == [0.0, 1.0, 2.0]
         assert all(type(v) is float for v in traj.extra("wg_term"))
         assert traj.extra("wg_term") == [0.0, 1 / 3, 2 / 3]
         assert traj.extra("gnorm2") == [2.0, 2.0, 2.0]  # every column has a name
@@ -344,9 +345,9 @@ class TestTrajectory:
     def test_append_after_read(self):
         traj = Trajectory("da", 1, ("wg_term",))
         traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5))
-        assert traj.records[0] == StepRecord(0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        assert traj.records[0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
         traj.append((1, 2.0, 0.0, 1.0, 0.0, 1.0, 0.25))
-        assert len(traj.records) == 2  # counted before the new row is packed
+        assert len(traj.records) == 2  # the new row is packed on this read
         with pytest.raises(ValueError):
             traj.append((2, 1.5, 0.0, 1.0, 0.0, 1.0, 0.0))  # d fell after a read
         traj.append((2, 2.0, 4.0, 1.0, 0.0, 1.0, 0.125))
@@ -356,7 +357,7 @@ class TestTrajectory:
 
     def test_empty_trajectory(self):
         traj = Trajectory("da", 1, ("wg_term",))
-        assert len(traj.records) == 0 and not traj.records and list(traj.records) == []
+        assert traj.records.shape == (0, 6) and traj.records.tolist() == []
         assert traj.extra("wg_term") == []
         with pytest.raises(IndexError):
             traj.records[0]
@@ -397,7 +398,7 @@ class _ScaleState:
     def step(self, state, g, f_val=math.nan, sched=1.0):
         assert state is self
         self.seen.append((g.copy(), f_val, sched))
-        self.traj.append(StepRecord(len(self.traj.records), 1.0, 0.0, sched, f_val, 0.0))
+        self.traj.append((len(self.traj.records), 1.0, 0.0, sched, f_val, 0.0))
         self.x = self.x * self.factor
 
 
@@ -449,8 +450,8 @@ class TestDrive:
         traj = info.value.traj
         assert traj._rows == []  # packed when drive raised
         assert traj.pack().shape == (4, 6)
-        assert [rec.k for rec in traj.records] == [0, 1, 2, 3]
-        assert traj.records[-1] == StepRecord(3, 1.0, 0.0, 1.0, 1e12, 0.0)
+        assert traj.extra("step") == [0.0, 1.0, 2.0, 3.0]
+        assert traj.records[-1].tolist() == [3.0, 1.0, 0.0, 1.0, 1e12, 0.0]
 
     def test_stepper_divergence_is_packed_too(self):
         def subgradient(x):
@@ -543,12 +544,12 @@ def test_dot_is_matmul_bit_for_bit(pair):
 
 
 def _csv_via_records(header, table: np.ndarray) -> str:
-    """The steps CSV as written before tables: csv.writer over StepRecord rows."""
+    """The steps CSV as written before tables: csv.writer over [int(step), *floats] rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in table.tolist():
-        record = StepRecord(int(row[0]), *row[1:6])
+        record = [int(row[0]), *row[1:6]]
         writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in record])
     return buf.getvalue()
 
@@ -570,7 +571,7 @@ class TestCsvTable:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(table=_step_tables())
     def test_table_matches_record_rows(self, table):
-        header = list(StepRecord._fields)
+        header = list(STEP_COLUMNS)
         assert csv_text(header, table) == _csv_via_records(header, table)
 
     def test_block_edges_and_views(self):

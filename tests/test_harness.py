@@ -596,6 +596,14 @@ class TestDatasetLoads:
         assert loads == ["synth_dataset"]
         assert len(result.rows) == 3
 
+    def test_repeated_values_rejected_before_the_build(self, tmp_path, loads):
+        # one config twice would run into one directory and list it twice
+        with pytest.raises(ConfigError, match="distinct"):
+            grid_search(self.make_cfg(tmp_path, algorithm="adagrad"), [0.1, 1.0, 0.1])
+        with pytest.raises(ConfigError, match="distinct"):
+            d0_sweep(self.make_cfg(tmp_path), [1e-6, 1e-6])
+        assert loads == [] and list(tmp_path.iterdir()) == []
+
     def test_libsvm_file_read_once(self, tmp_path, loads):
         data = tmp_path / "data.svm"
         data.write_text(serialize_libsvm(synth_dataset(1, 40, 3)))
@@ -1050,6 +1058,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "every grid point diverged" in err
+
+    def test_repeated_lrs_exit_two(self, tmp_path, capsys):
+        argv = ["grid", "--lrs", "0.1,0.1", "--set", "algorithm=fixed", "--set", "n_steps=5"]
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path}"]) == 2
+        assert "lr values must be distinct" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_lrs_exit_two(self, capsys):
         code = cli.main(

@@ -4,6 +4,7 @@ by side, and each lane gives the bits of the same run made alone."""
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadapt.baselines import start, start_lanes
-from dadapt.core import Diverged, Rng, _dot, _rowdot, drive, drive_lanes
+from dadapt.core import (
+    ConfigError, Diverged, Lanes, Rng, Schedule, _dot, _rowdot, drive, drive_lanes,
+)
 from dadapt.harness import (
     ExperimentConfig,
     _run_points,
@@ -71,8 +74,8 @@ def _alone(point, seed, dataset):
     try:
         drive(bundle.problem, state, step, bundle.n_steps, sched, point.record_f_every)
     except Diverged:
-        return state.traj.pack()[:, :6], None, True
-    return state.traj.pack()[:, :6], state.x, False
+        return state.traj.records, None, True
+    return state.traj.records, state.x, False
 
 
 def check_lanes_match_lone_runs(points, seed, dataset):
@@ -155,6 +158,37 @@ def test_zero_gradients_skip(algo, key):
     check_lanes_match_lone_runs(points, 0, data)
     mixed = [replace(p, batch_size=1) for p in points]
     check_lanes_match_lone_runs(mixed, 0, data)
+
+
+class _ScaledLanes(Lanes):
+    """Toy lanes whose estimate d is multiplied by factor every step."""
+
+    _arrays = ("x", "d")
+    _shared = ("factor",)
+
+    def step(self, g, sched, out):
+        out[:, 0] = self.d
+        self.d = self.d * self.factor
+        return None
+
+
+def _scaled_lanes(factor):
+    return _ScaledLanes([SimpleNamespace(x=np.zeros(2), d=1.0, factor=factor)] * 3)
+
+
+def test_drive_lanes_needs_a_positive_cadence():
+    with pytest.raises(ConfigError, match="record_f_every"):
+        drive_lanes(_scaled_lanes(1.0), np.zeros_like, lambda x: 0.0, 4, Schedule(), 0)
+
+
+def test_drive_lanes_refuses_a_falling_d():
+    table, steps, diverged = drive_lanes(
+        _scaled_lanes(2.0), np.zeros_like, lambda x: 0.0, 4, Schedule(), 1
+    )
+    assert table[:, 0, 1].tolist() == [1.0, 2.0, 4.0, 8.0]
+    assert steps.tolist() == [4, 4, 4] and not diverged.any()
+    with pytest.raises(ValueError, match="d decreased"):
+        drive_lanes(_scaled_lanes(0.5), np.zeros_like, lambda x: 0.0, 4, Schedule(), 1)
 
 
 def test_primitives_match_scalar_forms():

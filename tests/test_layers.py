@@ -8,6 +8,7 @@ problems and checkers free of the harness and the command line.
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,15 +19,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(dadapt.__file__).parent
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_and_methods_exist():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     assert tracing.FUNCTIONS and tracing.METHODS
     for module, attr, _, _ in tracing.FUNCTIONS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
@@ -48,6 +50,15 @@ def test_workload_attributes_exist():
     assert ("harness", "grid_search") in read and ("convex", "run_convex") in read
     for module, attr in sorted(read):
         assert hasattr(getattr(dadapt, module), attr), f"{module}.{attr}"
+
+
+def test_convex_pass_reads_what_runs_give(tmp_path):
+    # one problem of convex_sweep: its steps are counted off traj.records and
+    # its checks read x_final and d_final, so a result without them fails here
+    workloads = _load_bench("workloads")
+    res = workloads.convex_pass(workloads.convex_setup(0, tmp_path)[:1], tmp_path)
+    assert res.failures == [] and res.attempted > 0
+    assert res.steps == 4000
 
 
 def _imported(module: str) -> set[str]:
