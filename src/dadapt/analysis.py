@@ -133,7 +133,7 @@ def check_telescoping(traj: Trajectory) -> BoundReport:
     lhs = -_sum(traj.extra("hyper_term"))
     if traj.kind == "da":
         gam = traj.extra("gamma")
-        gam_next = traj.extra("gamma_next")
+        gam_next = traj.extra("gamma_or_lambda")
         rhs = (
             -0.5 * gam_next[-1] * s2[-1]
             + 0.5 * _sum(wg)
@@ -324,7 +324,7 @@ def check_option_dominance(traj: Trajectory) -> BoundReport:
     hyper = traj.extra("hyper_term")
     wg = traj.extra("wg_term")
     s2 = traj.extra("snorm2_after")
-    gam_next = traj.extra("gamma_next")
+    gam_next = traj.extra("gamma_or_lambda")
     num_ii = 0.0
     sum_wg = 0.0
     worst = -math.inf
@@ -368,7 +368,7 @@ def check_snorm_bound(traj: Trajectory) -> BoundReport:
     d_final = traj.d_series()[-1]
     if traj.kind == "da":
         lhs = math.sqrt(traj.extra("snorm2_after")[-1])
-        gamma_final = traj.extra("gamma_next")[-1]
+        gamma_final = traj.extra("gamma_or_lambda")[-1]
         rhs = 2.0 * d_final / gamma_final + _sum(traj.extra("wg_term")) / (2.0 * d_final)
     elif traj.kind == "gd":
         lhs = math.sqrt(traj.extra("snorm2_after")[-1])

@@ -100,9 +100,7 @@ def da_init(
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory(
-        "da",
-        x0.shape[0],
-        ("gamma", "gamma_next", "wg_term", "hyper_term", "snorm2_after", "lam"),
+        "da", x0.shape[0], ("gamma", "wg_term", "hyper_term", "snorm2_after", "lam")
     )
     traj.meta["g_mode"] = "fixed" if g_fixed is not None else "none"
     return DAState(
@@ -143,29 +141,29 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     state.s += lam * g
     state.sum_gsq += gnorm2
     if state.g_fixed is None:
-        gamma_next = 1.0 / math.sqrt(state.sum_gsq)
+        gamma_new = 1.0 / math.sqrt(state.sum_gsq)
     else:
-        gamma_next = 1.0 / math.sqrt(state.g_fixed**2 + state.sum_gsq)
+        gamma_new = 1.0 / math.sqrt(state.g_fixed**2 + state.sum_gsq)
 
     snorm2 = _dot(state.s, state.s)
     snorm = math.sqrt(snorm2)
     if snorm == 0.0:
         d_hat = 0.0
     elif state.option == "I":
-        d_hat = (gamma_next * snorm2 - state.sum_weighted) / (2.0 * snorm)
+        d_hat = (gamma_new * snorm2 - state.sum_weighted) / (2.0 * snorm)
     else:
         d_hat = state.hypergrad_sum / snorm
 
     state.traj.update_average(state.x, lam)
     state.traj.append((
-        state.k, state.d, d_hat, gamma_next, f_val, gnorm2,
-        gamma_old, gamma_next, wg_term, hyper_term, snorm2, lam,
+        state.k, state.d, d_hat, gamma_new, f_val, gnorm2,
+        gamma_old, wg_term, hyper_term, snorm2, lam,
     ))
 
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
-    state.x = state.x0 - gamma_next * state.s
-    state.gamma = gamma_next
+    state.x = state.x0 - gamma_new * state.s
+    state.gamma = gamma_new
     state.k += 1
 
 
@@ -192,7 +190,7 @@ def gd_init(x0: Vector, d0: float, G: float) -> GDState:
     if not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("gd", x0.shape[0], ("lam", "wg_term", "hyper_term", "snorm2_after"))
+    traj = Trajectory("gd", x0.shape[0], ("wg_term", "hyper_term", "snorm2_after"))
     return GDState(
         x=x0.copy(),
         s=np.zeros_like(x0),
@@ -229,7 +227,7 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.traj.update_average(state.x, lam)
     state.traj.append(
-        (state.k, state.d, d_hat, lam, f_val, gnorm2, lam, wg_term, hyper_term, snorm2)
+        (state.k, state.d, d_hat, lam, f_val, gnorm2, wg_term, hyper_term, snorm2)
     )
 
     state.d = max(state.d, d_hat)
@@ -261,7 +259,7 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
     if not g_inf > 0.0:
         raise ConfigError("max-norm gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("adagrad_da", x0.shape[0], ("lam", "wg_term", "s_l1_after", "a_l1_after"))
+    traj = Trajectory("adagrad_da", x0.shape[0], ("s_l1_after", "a_l1_after"))
     return AdaGradDAState(
         x0=x0.copy(),
         x=x0.copy(),
@@ -301,7 +299,7 @@ def adagrad_da_step(
     state.traj.update_average(state.x, lam)
     state.traj.append((
         state.k, state.d, d_hat, 1.0 / float(np.maximum.reduce(state.a)), f_val, gnorm2,
-        lam, wg_term, s_l1, float(np.add.reduce(state.a)),
+        s_l1, float(np.add.reduce(state.a)),
     ))
 
     state.d = max(state.d, d_hat)

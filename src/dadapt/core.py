@@ -239,8 +239,8 @@ class Rng:
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise ValueError("integer() needs n > 0")
+        if not 0 < n <= 1 << 64:  # above 2^64 every draw would be rejected
+            raise ValueError("integer() needs 0 < n <= 2**64")
         threshold = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.u64()
@@ -475,9 +475,9 @@ class Problem:
 # Trajectories
 #
 # A step appends one flat row (step, d, dhat, gamma_or_lambda, f, gnorm2,
-# *extras), the extras being the per-step series its kind names once, at
-# init, for the bound checkers. Reads pack the rows into one (n, 6 + K)
-# float64 table.
+# *extras), the extras being the series its kind names at init that a bound
+# checker reads and no step column holds. Reads pack the rows into one
+# (n, 6 + K) float64 table.
 
 # the six columns every step records, in table order:
 #   step            the step's index k
@@ -499,16 +499,15 @@ def _weighted_average(num: Vector, den: float) -> Vector:
 class Trajectory:
     """Per-step log of a run plus the weighted-average accumulator.
 
-    extras names the per-step series that the bound checkers read (inner
-    products, norm accumulators) after the STEP_COLUMNS; columns names every
-    column of the table. A run is read as that table (pack, or records for
-    its STEP_COLUMNS) or one column at a time by name (extra). d is checked
-    to be non-decreasing on append.
+    extras names the per-step series, none a step column again, that the
+    bound checkers read after the STEP_COLUMNS; columns names every column.
+    A run is read as that table (pack, or records for its STEP_COLUMNS) or
+    one column at a time by name (extra). d is checked to be non-decreasing
+    on append; dim sizes the running average.
     """
 
     def __init__(self, kind: str, dim: int, extras: Sequence[str] = ()):
         self.kind = kind
-        self.dim = dim
         self.columns = STEP_COLUMNS + tuple(extras)
         self._rows: list[tuple] = []
         self._table = np.empty((0, len(self.columns)), dtype=np.float64)

@@ -80,7 +80,7 @@ def sgd_da_init(
     if G is not None and not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
-    traj = Trajectory("sgd_da", x0.shape[0], ("lam",))
+    traj = Trajectory("sgd_da", x0.shape[0])
     traj.meta["heuristic_g"] = G is None
     return SGDDAState(
         x=x0.copy(),
@@ -104,7 +104,7 @@ def sgd_da_step(
     if state.G is None:
         if gnorm2 == 0.0:
             # nothing observable yet; skip, only the counter advances
-            state.traj.append((state.k, state.d, state.d_hat_last, 0.0, f_val, 0.0, 0.0))
+            state.traj.append((state.k, state.d, state.d_hat_last, 0.0, f_val, 0.0))
             state.k += 1
             return
         state.G = math.sqrt(gnorm2)
@@ -119,7 +119,7 @@ def sgd_da_step(
     snorm = math.sqrt(_dot(state.s, state.s))
     d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm
 
-    state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2, lam))
+    state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2))
     state.d = max(state.d, d_hat)
     state.d_hat_last = d_hat
     state.k += 1
@@ -205,8 +205,10 @@ def adam_da_init(
 ) -> AdamDAState:
     if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
-    if not (0.0 <= beta1 < 1.0) or not (0.0 < beta2 < 1.0):
-        raise ConfigError("betas must lie in [0, 1)")
+    if not 0.0 <= beta1 < 1.0:
+        raise ConfigError("beta1 must lie in [0, 1)")
+    if not 0.0 < beta2 < 1.0:
+        raise ConfigError("beta2 must lie in (0, 1)")
     if not eps > 0.0:
         raise ConfigError("eps must be positive")
     if not decay >= 0.0:

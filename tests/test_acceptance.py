@@ -332,7 +332,7 @@ def test_criterion_10_hand_trace_oracles():
     # gradient descent form, step 0 (G known)
     st3 = gd_init(np.array([1.0]), 0.1, G=1.0)
     gd_step(st3, np.array([1.0]), f_val=1.0)
-    expect("gd0.lam", st3.traj.extra("lam")[0], 0.1 / math.sqrt(2.0))
+    expect("gd0.lam", st3.traj.extra("gamma_or_lambda")[0], 0.1 / math.sqrt(2.0))
     expect("gd0.x", st3.x[0], 1.0 - 0.1 / math.sqrt(2.0))
 
     # coordinate-wise form, step 0

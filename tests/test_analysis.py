@@ -266,7 +266,7 @@ class TestOptionDominance:
         # prefix after two steps: II numerator 0.01, I numerator ~0.0041421
         hyper = res.traj.extra("hyper_term")
         assert sum(hyper) == pytest.approx(0.01, abs=1e-12)
-        gam_next = res.traj.extra("gamma_next")
+        gam_next = res.traj.extra("gamma_or_lambda")
         s2 = res.traj.extra("snorm2_after")
         wg = res.traj.extra("wg_term")
         num_I = 0.5 * gam_next[-1] * s2[-1] - 0.5 * sum(wg)

@@ -17,10 +17,11 @@ from dadapt.convex import (
     run_convex,
     select_return_index,
 )
-from dadapt.core import ConfigError, Diverged, Schedule, schedule_eval
+from dadapt.baselines import adagrad_norm_init, adagrad_norm_step
+from dadapt.core import STEP_COLUMNS, ConfigError, Diverged, Schedule, schedule_eval
 from dadapt.problems import abs_value_problem, piecewise_max_problem, random_piecewise_max
 from dadapt.core import Rng
-from dadapt.ml import adam_da_init, sgd_da_init
+from dadapt.ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 
 TRACE_TOL = 1e-9
 
@@ -114,7 +115,7 @@ class TestGradientDescentTrace:
         gd_step(st, np.array([1.0]), f_val=1.0)
         lam0 = 0.1 / math.sqrt(2.0)
         assert lam0 == pytest.approx(0.0707107, abs=1e-7)
-        assert st.traj.extra("lam")[0] == pytest.approx(lam0, abs=TRACE_TOL)
+        assert st.traj.extra("gamma_or_lambda")[0] == pytest.approx(lam0, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(lam0, abs=TRACE_TOL)
         assert st.d_hat_last == pytest.approx(0.0, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(1.0 - lam0, abs=TRACE_TOL)
@@ -355,7 +356,7 @@ class TestRunConvex:
             known_fstar=0.0,
         )
         res = run_convex(prob, np.array([1.0]), algorithm="gd", d0=0.1, n=100, g_value=2.0)
-        lams = res.traj.extra("lam")
+        lams = res.traj.extra("gamma_or_lambda")
         assert res.traj.avg_den == pytest.approx(sum(lams), rel=1e-12)
 
 
@@ -423,6 +424,33 @@ def test_non_finite_gradient_raises_diverged(init, step):
     assert info.value.k == 1
     assert info.value.traj is st.traj
     assert len(st.traj.records) == 1
+
+
+@pytest.mark.parametrize(
+    "init, step, extras",
+    [
+        (lambda: da_init(np.array([1.0]), 0.1), da_step,
+         ("gamma", "wg_term", "hyper_term", "snorm2_after", "lam")),
+        (lambda: da_init(np.array([1.0]), 0.1, option="II"), da_step,
+         ("gamma", "wg_term", "hyper_term", "snorm2_after", "lam")),
+        (lambda: gd_init(np.array([1.0]), 0.1, G=1.0), gd_step,
+         ("wg_term", "hyper_term", "snorm2_after")),
+        (lambda: adagrad_da_init(np.array([1.0]), 0.1, g_inf=1.0), adagrad_da_step,
+         ("s_l1_after", "a_l1_after")),
+        (lambda: sgd_da_init(np.array([1.0]), 0.1), sgd_da_step, ()),
+        (lambda: adam_da_init(np.array([1.0]), 0.1), adam_da_step, ()),
+        (lambda: adagrad_norm_init(np.array([1.0]), 1.0), adagrad_norm_step, ()),
+    ],
+    ids=["da_I", "da_II", "gd", "adagrad_da", "sgd_da", "adam_da", "adagrad_norm"],
+)
+def test_each_quantity_has_one_column(init, step, extras):
+    # a step records the six step columns and then only the extras a checker
+    # reads; sgd_da's first step is the skip row of a zero gradient
+    st = init()
+    assert st.traj.columns == STEP_COLUMNS + extras
+    step(st, np.array([0.0 if step is sgd_da_step else 1.0]))
+    step(st, np.array([1.0]))
+    assert st.traj.pack().shape == (2, len(STEP_COLUMNS + extras))
 
 
 @pytest.mark.parametrize(

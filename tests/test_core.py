@@ -61,6 +61,16 @@ class TestRng:
         rng2 = Rng(3, 5)
         assert draws == [rng2.integer(7) for _ in range(500)]
 
+    def test_integer_bound_above_two_to_64_rejected(self):
+        # there 2^64 mod n is 2^64, so the rejection threshold would be 0
+        with pytest.raises(ValueError):
+            Rng(3, 5).integer(2**64 + 1)
+
+    def test_integer_two_to_64_is_one_draw(self):
+        # nothing is rejected at n = 2^64: integer() returns u64() itself
+        rng, twin = Rng(3, 5), Rng(3, 5)
+        assert [rng.integer(2**64) for _ in range(4)] == [twin.u64() for _ in range(4)]
+
     def test_permutation_is_permutation(self):
         rng = Rng(11, 0)
         perm = rng.permutation(50)

@@ -74,8 +74,8 @@ def _alone(point, seed, dataset):
     try:
         drive(bundle.problem, state, step, bundle.n_steps, sched, point.record_f_every)
     except Diverged:
-        return state.traj.records, None, True
-    return state.traj.records, state.x, False
+        return state.traj.pack(), None, True
+    return state.traj.pack(), state.x, False
 
 
 def check_lanes_match_lone_runs(points, seed, dataset):

@@ -27,7 +27,7 @@ class TestSgdDaTrace:
     def test_step0(self):
         st = self.make()
         sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
-        assert st.traj.extra("lam")[0] == pytest.approx(0.1, abs=TRACE_TOL)
+        assert st.traj.extra("gamma_or_lambda")[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.9, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.99, abs=TRACE_TOL)
@@ -62,7 +62,7 @@ class TestSgdDaTrace:
         sgd_da_step(st, np.array([2.0]), sched=1.0)
         assert st.G == pytest.approx(2.0)
         # lam = d * gamma / G = 0.1/2
-        assert st.traj.extra("lam")[-1] == pytest.approx(0.05, abs=TRACE_TOL)
+        assert st.traj.extra("gamma_or_lambda")[-1] == pytest.approx(0.05, abs=TRACE_TOL)
 
     def test_z_matches_dual_averaging_oracle(self):
         # z_{k+1} = x0 - (1/G) sum_i d_i gamma_i g_i, accumulated by hand
@@ -190,6 +190,11 @@ class TestAdamDaTrace:
             adam_da_init(np.array([1.0]), d0=0.1, beta2=1.0)
         with pytest.raises(ConfigError):
             adam_da_init(np.array([1.0]), d0=0.1, eps=0.0)
+        # each beta is named in its own message: beta1 in [0, 1), beta2 in (0, 1)
+        with pytest.raises(ConfigError, match="beta2"):
+            adam_da_init(np.array([1.0]), d0=0.1, beta2=0.0)
+        with pytest.raises(ConfigError, match="beta1"):
+            adam_da_init(np.array([1.0]), d0=0.1, beta1=1.0)
         with pytest.raises(ConfigError):
             adam_da_init(np.array([1.0]), d0=0.1, decay=-0.1)
         st = adam_da_init(np.array([1.0]), d0=0.1)
