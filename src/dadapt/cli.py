@@ -17,6 +17,7 @@ from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     GridDiverged,
+    _write_atomic,
     apply_overrides,
     d0_sweep,
     grid_search,
@@ -89,7 +90,7 @@ def _cmd_verify(args) -> int:
     reports = verify_suite(args.suite, quick=not args.full)
     text = reports_to_csv(reports)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic(Path(args.out), text)
         print(f"report -> {args.out}")
     else:
         print(text, end="")
@@ -108,7 +109,7 @@ def _cmd_trace_toy(args) -> int:
     out = run_single(ExperimentConfig(d0=0.1, n_steps=args.steps), seed=0)
     text = csv_text(CSV_HEADER, out.rows)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic(Path(args.out), text)
         print(f"trace -> {args.out}")
     else:
         print(text, end="")

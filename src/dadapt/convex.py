@@ -76,7 +76,6 @@ class DAState:
     s: Vector
     k: int
     d: float
-    d_hat_last: float
     option: str  # "I" or "II"
     g_fixed: Optional[float]  # G for the G^2-seeded denominator, None otherwise
     gamma: Optional[float]  # step size entering the next accumulation
@@ -109,7 +108,6 @@ def da_init(
         s=np.zeros_like(x0),
         k=0,
         d=d0,
-        d_hat_last=0.0,
         option=option,
         g_fixed=g_fixed,
         gamma=None if g_fixed is None else 1.0 / g_fixed,
@@ -161,7 +159,6 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     ))
 
     state.d = max(state.d, d_hat)
-    state.d_hat_last = d_hat
     state.x = state.x0 - gamma_new * state.s
     state.gamma = gamma_new
     state.k += 1
@@ -177,7 +174,6 @@ class GDState:
     s: Vector
     k: int
     d: float
-    d_hat_last: float
     G: float
     sum_gsq: float
     sum_lambda_sq: float  # sum of lam_i^2 * ||g_i||^2
@@ -196,7 +192,6 @@ def gd_init(x0: Vector, d0: float, G: float) -> GDState:
         s=np.zeros_like(x0),
         k=0,
         d=d0,
-        d_hat_last=0.0,
         G=G,
         sum_gsq=0.0,
         sum_lambda_sq=0.0,
@@ -231,7 +226,6 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     )
 
     state.d = max(state.d, d_hat)
-    state.d_hat_last = d_hat
     state.x = state.x - lam * g
     state.k += 1
 
@@ -248,7 +242,6 @@ class AdaGradDAState:
     a: Vector  # per-coordinate denominators, start at g_inf
     k: int
     d: float
-    d_hat_last: float
     sum_weighted: float  # sum of lam_i^2 * ||g_i||^2 in the old A_i^-1 norm
     traj: Trajectory
 
@@ -267,7 +260,6 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
         a=np.full_like(x0, g_inf),
         k=0,
         d=d0,
-        d_hat_last=0.0,
         sum_weighted=0.0,
         traj=traj,
     )
@@ -303,7 +295,6 @@ def adagrad_da_step(
     ))
 
     state.d = max(state.d, d_hat)
-    state.d_hat_last = d_hat
     state.x = state.x0 - state.s / state.a
     state.k += 1
 

@@ -454,7 +454,6 @@ class Problem:
     norm when known.
     """
 
-    dim: int
     value: Callable[[Vector], float]
     subgradient: Callable[[Vector], Vector]
     known_minimizer: Optional[Vector] = None
@@ -500,7 +499,8 @@ class Trajectory:
     """Per-step log of a run plus the weighted-average accumulator.
 
     extras names the per-step series, none a step column again, that the
-    bound checkers read after the STEP_COLUMNS; columns names every column.
+    bound checkers read after the STEP_COLUMNS; columns names every column,
+    and a name given twice is refused.
     A run is read as that table (pack, or records for its STEP_COLUMNS) or
     one column at a time by name (extra). d is checked to be non-decreasing
     on append; dim sizes the running average.
@@ -509,6 +509,9 @@ class Trajectory:
     def __init__(self, kind: str, dim: int, extras: Sequence[str] = ()):
         self.kind = kind
         self.columns = STEP_COLUMNS + tuple(extras)
+        twice = [name for i, name in enumerate(self.columns) if name in self.columns[:i]]
+        if twice:
+            raise ValueError(f"trajectory of kind {kind!r} names column {twice[0]!r} twice")
         self._rows: list[tuple] = []
         self._table = np.empty((0, len(self.columns)), dtype=np.float64)
         self._last_d = -math.inf

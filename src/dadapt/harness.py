@@ -30,6 +30,7 @@ from .core import (
 from .problems import (
     Dataset,
     LogisticProblem,
+    ParseError,
     abs_value_problem,
     parse_libsvm,
     piecewise_start,
@@ -105,7 +106,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # the checks that hold for every problem and algorithm, however the
-        # config was built; the problem generators check their own shapes.
+        # config was built.
         # numpy scalars become the Python values they hold, so that the hash,
         # which reads repr, and the CSVs see 0.1 and never np.float64(0.1)
         for name, kind in _FIELD_TYPES.items():
@@ -129,14 +130,20 @@ class ExperimentConfig:
             )
         if not self.seeds or len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds must list one or more distinct seeds, got {self.seeds!r}")
-        # then the ranges; the optimizer and schedule settings are checked as
-        # sgd_da_init, adam_da_init and Schedule check them, whatever the algorithm
+        # then the ranges; the problem shapes and the optimizer and schedule
+        # settings are checked as the generators, sgd_da_init, adam_da_init and
+        # Schedule check them, whatever the problem and algorithm
         for name, ok, rule in (
             ("record_f_every", self.record_f_every >= 1, "be positive"),
             ("d0", self.d0 > 0.0, "be positive"),
             ("x0_distance", self.x0_distance >= 0.0, "be non-negative"),
             ("lr", self.lr >= 0.0, "be non-negative"),
             ("batch_size", self.batch_size >= 1, "be at least 1"),
+            ("piecewise_dim", self.piecewise_dim >= 1, "be at least 1"),
+            ("piecewise_pieces", self.piecewise_pieces >= 2, "be at least 2"),
+            ("synth_n", self.synth_n >= 1, "be at least 1"),
+            ("synth_dim", self.synth_dim >= 1, "be at least 1"),
+            ("synth_flip", 0.0 <= self.synth_flip < 1.0, "lie in [0, 1)"),
             ("beta", 0.0 <= self.beta < 1.0, "lie in [0, 1)"),
             ("beta1", 0.0 <= self.beta1 < 1.0, "lie in [0, 1)"),
             ("beta2", 0.0 < self.beta2 < 1.0, "lie in (0, 1)"),
@@ -199,7 +206,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} not found")
-    return parse_config_text(p.read_text())
+    text = _read_utf8(p, lambda line: ConfigError(f"config line {line}: not UTF-8 text"))
+    return parse_config_text(text)
+
+
+def _read_utf8(path: Path, error: Callable[[int], Exception]) -> str:
+    """The text of the file at path, or error(line) raised for the 1-based
+    line, as str.splitlines counts them, of its first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise error(len((data[: err.start].decode("utf-8") + "x").splitlines())) from None
 
 
 def apply_overrides(config: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
@@ -245,18 +263,15 @@ def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
     serve every seed and every run of a grid or sweep.
     """
     if config.problem == "synth_logistic":
-        try:
-            return synth_dataset(
-                config.problem_seed, config.synth_n, config.synth_dim,
-                margin=config.synth_margin, flip=config.synth_flip,
-            )
-        except ValueError as err:
-            raise ConfigError(f"synth_logistic: {err}") from None
+        return synth_dataset(
+            config.problem_seed, config.synth_n, config.synth_dim,
+            margin=config.synth_margin, flip=config.synth_flip,
+        )
     if config.problem == "libsvm":
         path = Path(config.libsvm_path)
         if not path.is_file():
             raise ConfigError(f"dataset file {path} not found")
-        dataset = parse_libsvm(path.read_text())
+        dataset = parse_libsvm(_read_utf8(path, partial(ParseError, "not UTF-8 text")))
         if len(dataset) == 0:
             raise ConfigError(f"dataset file {path} holds no examples")
         return dataset
@@ -274,13 +289,9 @@ def build_problem(
         x0 = np.array([config.x0], dtype=np.float64)
         return ProblemBundle(abs_value_problem(), x0, config.n_steps, D=abs(config.x0))
     if config.problem == "piecewise":
-        try:
-            prob, x0 = piecewise_start(
-                config.problem_seed, config.piecewise_dim,
-                config.piecewise_pieces, config.x0_distance,
-            )
-        except ValueError as err:
-            raise ConfigError(f"piecewise: {err}") from None
+        prob, x0 = piecewise_start(
+            config.problem_seed, config.piecewise_dim, config.piecewise_pieces, config.x0_distance
+        )
         return ProblemBundle(prob, x0, config.n_steps, D=config.x0_distance)
     if dataset is None:  # synth_logistic or libsvm, the problems left
         dataset = load_dataset(config)

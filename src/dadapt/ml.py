@@ -63,7 +63,6 @@ class SGDDAState:
     s: Vector
     k: int
     d: float
-    d_hat_last: float
     beta: float
     G: Optional[float]  # set from the first nonzero gradient when absent
     hypergrad_sum: float
@@ -88,7 +87,6 @@ def sgd_da_init(
         s=np.zeros_like(x0),
         k=0,
         d=d0,
-        d_hat_last=0.0,
         beta=beta,
         G=G,
         hypergrad_sum=0.0,
@@ -103,8 +101,10 @@ def sgd_da_step(
     _check_step_inputs(state, gnorm2, sched)
     if state.G is None:
         if gnorm2 == 0.0:
-            # nothing observable yet; skip, only the counter advances
-            state.traj.append((state.k, state.d, state.d_hat_last, 0.0, f_val, 0.0))
+            # nothing observable yet; skip, only the counter advances. G is
+            # unset only before the first non-skip step, so no candidate
+            # exists yet and the row's dhat is 0.0
+            state.traj.append((state.k, state.d, 0.0, 0.0, f_val, 0.0))
             state.k += 1
             return
         state.G = math.sqrt(gnorm2)
@@ -121,7 +121,6 @@ def sgd_da_step(
 
     state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2))
     state.d = max(state.d, d_hat)
-    state.d_hat_last = d_hat
     state.k += 1
 
 
@@ -132,7 +131,7 @@ class SGDDALanes(Lanes):
     np.where(d_hat > d, d_hat, d) is max(d, d_hat), which keeps d when d_hat
     is NaN."""
 
-    _arrays = ("x", "z", "s", "d", "d_hat_last", "G", "hypergrad_sum")
+    _arrays = ("x", "z", "s", "d", "G", "hypergrad_sum")
     _shared = ("beta",)
 
     def __init__(self, states):
@@ -162,7 +161,7 @@ class SGDDALanes(Lanes):
             old = skip[:, None]
             s, z, x = np.where(old, self.s, s), np.where(old, self.z, z), np.where(old, self.x, x)
             hyp = np.where(skip, self.hypergrad_sum, hyp)
-            d_hat = np.where(skip, self.d_hat_last, d_hat)
+            d_hat = np.where(skip, 0.0, d_hat)  # G unset: no candidate exists yet
             lam = np.where(skip, 0.0, lam)
         self.s, self.z, self.x, self.hypergrad_sum = s, z, x, hyp
         out[:, 0] = self.d
@@ -170,7 +169,6 @@ class SGDDALanes(Lanes):
         out[:, 2] = lam
         out[:, 4] = gnorm2
         self.d = np.where(d_hat > self.d, d_hat, self.d)
-        self.d_hat_last = d_hat
         return _refused(gnorm2)
 
 
@@ -187,7 +185,6 @@ class AdamDAState:
     r: float  # moving average of the hypergradient inner product
     k: int
     d: float
-    d_hat_last: float
     beta1: float
     beta2: float
     eps: float
@@ -222,7 +219,6 @@ def adam_da_init(
         r=0.0,
         k=0,
         d=d0,
-        d_hat_last=0.0,
         beta1=beta1,
         beta2=beta2,
         eps=eps,
@@ -257,7 +253,6 @@ def adam_da_step(
 
     state.traj.append((state.k, state.d, d_hat, dg, f_val, gnorm2))
     state.d = max(state.d, d_hat)
-    state.d_hat_last = d_hat
     state.k += 1
 
 

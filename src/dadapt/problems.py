@@ -58,7 +58,6 @@ def abs_value_problem() -> Problem:
         return np.array([math.copysign(1.0, v) if v != 0.0 else 0.0])
 
     return Problem(
-        dim=1,
         value=value,
         subgradient=subgradient,
         known_minimizer=np.zeros(1),
@@ -97,7 +96,6 @@ def piecewise_max_problem(
 
     norms = np.sqrt((slopes * slopes).sum(axis=1))
     return Problem(
-        dim=slopes.shape[1],
         value=value,
         subgradient=subgradient,
         known_minimizer=known_minimizer,
@@ -417,8 +415,4 @@ class LogisticProblem:
             def subgradient(x: Vector) -> Vector:
                 return self.full_grad(x)
 
-        return Problem(
-            dim=self.dim,
-            value=self.full_value,
-            subgradient=subgradient,
-            )
+        return Problem(value=self.full_value, subgradient=subgradient)

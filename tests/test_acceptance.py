@@ -316,18 +316,18 @@ def test_criterion_10_hand_trace_oracles():
     da_step(st, np.array([1.0]), f_val=1.0)
     expect("da0.s", st.s[0], 0.1)
     expect("da0.gamma", st.gamma, 1.0)
-    expect("da0.dhat", st.d_hat_last, 0.0)
+    expect("da0.dhat", st.traj.extra("dhat")[-1], 0.0)
     expect("da0.x", st.x[0], 0.9)
     da_step(st, np.array([1.0]), f_val=0.9)
     expect("da1.gamma", st.gamma, 1.0 / math.sqrt(2.0))
-    expect("da1.dhat", st.d_hat_last, (0.04 / math.sqrt(2.0) - 0.02) / 0.4)
+    expect("da1.dhat", st.traj.extra("dhat")[-1], (0.04 / math.sqrt(2.0) - 0.02) / 0.4)
     expect("da1.x", st.x[0], 1.0 - 0.2 / math.sqrt(2.0))
 
     # hypergradient numerator after the same two steps
     st2 = da_init(np.array([1.0]), 0.1, option="II")
     da_step(st2, np.array([1.0]), f_val=1.0)
     da_step(st2, np.array([1.0]), f_val=0.9)
-    expect("daII.dhat", st2.d_hat_last, 0.05)
+    expect("daII.dhat", st2.traj.extra("dhat")[-1], 0.05)
 
     # gradient descent form, step 0 (G known)
     st3 = gd_init(np.array([1.0]), 0.1, G=1.0)
@@ -339,7 +339,7 @@ def test_criterion_10_hand_trace_oracles():
     st4 = adagrad_da_init(np.array([1.0]), 0.1, g_inf=1.0)
     adagrad_da_step(st4, np.array([1.0]), f_val=1.0)
     expect("ada0.a", st4.a[0], math.sqrt(2.0))
-    expect("ada0.dhat", st4.d_hat_last, (0.01 / math.sqrt(2.0) - 0.01) / 0.2)
+    expect("ada0.dhat", st4.traj.extra("dhat")[-1], (0.01 / math.sqrt(2.0) - 0.01) / 0.2)
     expect("ada0.x", st4.x[0], 1.0 - 0.1 / math.sqrt(2.0))
 
     # stochastic form with primal averaging, steps 0 and 1
@@ -347,13 +347,13 @@ def test_criterion_10_hand_trace_oracles():
     sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=1.0)
     expect("sgd0.z", st5.z[0], 0.9)
     expect("sgd0.x", st5.x[0], 0.99)
-    expect("sgd0.dhat", st5.d_hat_last, 0.0)
+    expect("sgd0.dhat", st5.traj.extra("dhat")[-1], 0.0)
     sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=0.99)
     expect("sgd1.hyper", st5.hypergrad_sum, 0.01)
     expect("sgd1.s", st5.s[0], 0.2)
     expect("sgd1.z", st5.z[0], 0.8)
     expect("sgd1.x", st5.x[0], 0.971)
-    expect("sgd1.dhat", st5.d_hat_last, 0.1)
+    expect("sgd1.dhat", st5.traj.extra("dhat")[-1], 0.1)
 
     # moving-average form, step 0
     st6 = adam_da_init(np.array([1.0]), d0=0.1)
@@ -363,7 +363,7 @@ def test_criterion_10_hand_trace_oracles():
     expect("adam0.x", st6.x[0], 1.0 - 0.01 / (math.sqrt(0.001) + 1e-8))
     expect("adam0.s", st6.s[0], (1.0 - math.sqrt(0.999)) * 0.1)
     expect("adam0.r", st6.r, 0.0)
-    expect("adam0.dhat", st6.d_hat_last, 0.0)
+    expect("adam0.dhat", st6.traj.extra("dhat")[-1], 0.0)
 
     ok = not failures
     _report(

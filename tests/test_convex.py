@@ -38,7 +38,7 @@ class TestDualAveragingTrace:
         da_step(st, np.array([1.0]), f_val=1.0)
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.gamma == pytest.approx(1.0, abs=TRACE_TOL)
-        assert st.d_hat_last == pytest.approx(0.0, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.0, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.9, abs=TRACE_TOL)
 
@@ -49,7 +49,7 @@ class TestDualAveragingTrace:
         assert st.s[0] == pytest.approx(0.2, abs=TRACE_TOL)
         assert st.gamma == pytest.approx(1.0 / math.sqrt(2.0), abs=TRACE_TOL)
         expected_dhat = (0.04 / math.sqrt(2.0) - 0.02) / 0.4
-        assert st.d_hat_last == pytest.approx(expected_dhat, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(expected_dhat, abs=TRACE_TOL)
         assert expected_dhat == pytest.approx(0.0207107, abs=1e-7)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)  # candidate below d0
         assert st.x[0] == pytest.approx(1.0 - 0.2 / math.sqrt(2.0), abs=TRACE_TOL)
@@ -60,7 +60,7 @@ class TestDualAveragingTrace:
         da_step(st, np.array([1.0]), f_val=1.0)
         da_step(st, np.array([1.0]), f_val=0.9)
         # (0 + 0.1*1*0.1) / 0.2
-        assert st.d_hat_last == pytest.approx(0.05, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.05, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
 
     def test_option_II_at_least_option_I(self):
@@ -117,7 +117,7 @@ class TestGradientDescentTrace:
         assert lam0 == pytest.approx(0.0707107, abs=1e-7)
         assert st.traj.extra("gamma_or_lambda")[0] == pytest.approx(lam0, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(lam0, abs=TRACE_TOL)
-        assert st.d_hat_last == pytest.approx(0.0, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.0, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(1.0 - lam0, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.9292893, abs=1e-7)
 
@@ -129,7 +129,7 @@ class TestGradientDescentTrace:
         lam1 = 0.1 / math.sqrt(3.0)
         s = lam0 + lam1
         expected = (s * s - (lam0 * lam0 + lam1 * lam1)) / (2.0 * s)
-        assert st.d_hat_last == pytest.approx(expected, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(expected, abs=TRACE_TOL)
 
     def test_zero_gradient_keeps_state(self):
         st = gd_init(np.array([1.0]), 0.1, G=1.0)
@@ -154,8 +154,8 @@ class TestAdaGradDATrace:
         assert st.a[0] == pytest.approx(math.sqrt(2.0), abs=TRACE_TOL)
         expected_dhat = (0.01 / math.sqrt(2.0) - 0.01) / 0.2
         assert expected_dhat == pytest.approx(-0.0146447, abs=1e-7)
-        assert st.d_hat_last == pytest.approx(expected_dhat, abs=TRACE_TOL)
-        assert st.d_hat_last < 0.0  # candidate bounds can be negative
+        assert st.traj.extra("dhat")[-1] == pytest.approx(expected_dhat, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] < 0.0  # candidate bounds can be negative
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(1.0 - 0.1 / math.sqrt(2.0), abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.9292893, abs=1e-7)

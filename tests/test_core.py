@@ -331,6 +331,11 @@ class TestTrajectory:
         assert traj.d_series() == [1.0, 1.0, 3.0]
         assert traj.extra("wg_term") == [0.5, 0.25]
 
+    @pytest.mark.parametrize("extras, name", [(("d",), "d"), (("lam", "lam"), "lam")])
+    def test_column_named_twice_refused(self, extras, name):
+        with pytest.raises(ValueError, match=f"column '{name}' twice"):
+            Trajectory("da", 1, extras)
+
     def test_missing_extra_key_errors(self):
         traj = Trajectory("da", 1)
         with pytest.raises(ValueError):
@@ -421,7 +426,7 @@ def _counting_problem(calls):
         calls["subgradient"] += 1
         return np.ones_like(x)
 
-    return Problem(dim=1, value=value, subgradient=subgradient)
+    return Problem(value=value, subgradient=subgradient)
 
 
 class TestDrive:
@@ -467,7 +472,7 @@ class TestDrive:
         def subgradient(x):
             return np.array([math.inf]) if abs(x[0]) < 0.5 else np.ones(1)
 
-        problem = Problem(dim=1, value=lambda x: float(x[0]), subgradient=subgradient)
+        problem = Problem(value=lambda x: float(x[0]), subgradient=subgradient)
         st = da_init(np.array([1.0]), 0.3)
         with pytest.raises(Diverged, match="non-finite gradient") as info:
             drive(problem, st, da_step, 10, Schedule(), 1)

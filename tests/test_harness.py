@@ -167,7 +167,7 @@ class TestAdaGradStep:
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         state = _AdaGradState(x=x0.copy(), acc=np.zeros(4), lr=lr, traj=Trajectory("adagrad", 4))
         script = iter(grads)
-        problem = Problem(dim=4, value=lambda x: 0.0, subgradient=lambda x: next(script))
+        problem = Problem(value=lambda x: 0.0, subgradient=lambda x: next(script))
         seen = []
 
         def step(st, g, f_val, sched):
@@ -248,6 +248,15 @@ class TestDivergence:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("piecewise_dim", 0), ("piecewise_pieces", 1), ("synth_n", 0), ("synth_dim", 0),
+         ("synth_flip", 1.0), ("synth_flip", -0.1)],
+    )
+    def test_problem_shape_checked_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must "):
+            ExperimentConfig(**{field: value})
+
     def test_parse_round_trip(self):
         text = """
         # experiment
@@ -1013,6 +1022,42 @@ class TestCli:
         assert ds[0] == 0.1
         assert all(b >= a for a, b in zip(ds, ds[1:]))
         assert ds[-1] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "argv", [["trace-toy", "--steps", "5"], ["verify", "--suite", "lemmas"]],
+        ids=["trace-toy", "verify"],
+    )
+    def test_out_creates_missing_parents(self, argv, tmp_path, capsys):
+        assert cli.main(argv) == 0
+        shown = capsys.readouterr().out
+        target = tmp_path / "new" / "x.csv"
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert target.read_bytes() == shown.encode()
+        assert [p.name for p in target.parent.iterdir()] == ["x.csv"]  # no .tmp left
+
+    @pytest.mark.parametrize(
+        "kind, text, prefix",
+        [
+            ("config", b"n_steps = 5\nd0 = \xff\n", "config error: config line 2: "),
+            ("libsvm", b"+1 1:1.0\n-1 1:\xff2\n", "data error: line 2: "),
+        ],
+        ids=["config", "libsvm"],
+    )
+    def test_file_not_utf8_exit_two(self, kind, text, prefix, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_bytes(text)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["run", "--set", f"out_dir={out_dir}"]
+        if kind == "config":
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--set", "problem=libsvm", "--set", f"libsvm_path={path}",
+                     "--set", "epochs=1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "Traceback" not in err
+        assert not list(out_dir.iterdir())
 
     def test_grid_cli(self, tmp_path, capsys):
         code = cli.main(

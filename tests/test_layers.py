@@ -86,6 +86,6 @@ def test_harness_does_not_import_analysis():
     assert "analysis" not in _imported("harness")
 
 
-@pytest.mark.parametrize("module", ["analysis", "core", "convex", "ml", "problems"])
+@pytest.mark.parametrize("module", ["analysis", "baselines", "core", "convex", "ml", "problems"])
 def test_library_does_not_import_harness_or_cli(module):
     assert not _imported(module) & {"harness", "cli"}

@@ -31,7 +31,7 @@ class TestSgdDaTrace:
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.9, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.99, abs=TRACE_TOL)
-        assert st.d_hat_last == pytest.approx(0.0, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.0, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
 
     def test_step1(self):
@@ -42,7 +42,7 @@ class TestSgdDaTrace:
         assert st.s[0] == pytest.approx(0.2, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.8, abs=TRACE_TOL)
         assert st.x[0] == pytest.approx(0.971, abs=TRACE_TOL)
-        assert st.d_hat_last == pytest.approx(0.1, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
 
     def test_beta_zero_tracks_z(self):
@@ -88,7 +88,7 @@ class TestSgdDaTrace:
             s += lam * g
             sgd_da_step(st, np.array([g]), sched=1.0)
             expected = 0.0 if s == 0.0 else 2.0 * hyper / abs(s)
-            assert st.d_hat_last == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert st.traj.extra("dhat")[-1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -120,7 +120,7 @@ class TestAdamDaTrace:
         assert s1 == pytest.approx(5.0013e-5, abs=1e-8)
         assert st.s[0] == pytest.approx(s1, abs=TRACE_TOL)
         assert st.r == pytest.approx(0.0, abs=TRACE_TOL)
-        assert st.d_hat_last == pytest.approx(0.0, abs=TRACE_TOL)
+        assert st.traj.extra("dhat")[-1] == pytest.approx(0.0, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
 
     def test_zero_gradient_fixpoint(self):

@@ -517,28 +517,28 @@ class TestBatching:
 class TestSubgradientValidity:
     """f(y) >= f(x) + <g, y - x> for every returned g."""
 
-    def _check(self, problem, rng, pairs=1000, scale=2.0):
+    def _check(self, problem, dim, rng, pairs=1000, scale=2.0):
         worst = 0.0
         for _ in range(pairs):
-            x = rng.normals(problem.dim) * scale
-            y = rng.normals(problem.dim) * scale
+            x = rng.normals(dim) * scale
+            y = rng.normals(dim) * scale
             g = problem.subgradient(x)
             gap = problem.value(y) - problem.value(x) - float(g @ (y - x))
             worst = min(worst, gap)
         assert worst >= -1e-9, f"subgradient inequality violated by {worst}"
 
     def test_abs(self):
-        self._check(abs_value_problem(), Rng(0, 7))
+        self._check(abs_value_problem(), 1, Rng(0, 7))
 
     def test_random_piecewise(self):
         rng = Rng(1, 7)
         prob = random_piecewise_max(rng, dim=6, pieces=9)
-        self._check(prob, rng)
+        self._check(prob, 6, rng)
 
     def test_full_batch_logistic(self):
         ds = synth_dataset(seed=13, n_examples=40, dim=4)
-        prob = LogisticProblem(ds, batch_size=40).problem(stochastic=False)
-        self._check(prob, Rng(2, 7), pairs=300)
+        model = LogisticProblem(ds, batch_size=40)
+        self._check(model.problem(stochastic=False), model.dim, Rng(2, 7), pairs=300)
 
 
 class TestPiecewiseConstruction:
@@ -652,7 +652,6 @@ class TestFusedOracle:
 class TestAbsProblem:
     def test_contract(self):
         prob = abs_value_problem()
-        assert prob.dim == 1
         assert prob.value(np.array([-2.5])) == 2.5
         assert prob.subgradient(np.array([-2.5]))[0] == -1.0
         assert prob.subgradient(np.array([0.0]))[0] == 0.0
