@@ -34,6 +34,7 @@ from .convex import (
     select_return_index,
 )
 from .core import (
+    AtStart,
     ConfigError,
     Diverged,
     Problem,

@@ -12,8 +12,9 @@ Three variants live here:
                   formulas are supported: option "I" derives dhat from the
                   dual-average norm minus a weighted gradient sum, option
                   "II" from accumulated hypergradient inner products. With
-                  g_fixed set, the step-size denominator starts from G^2
-                  instead of zero, which the asymptotic theory needs.
+                  g_mode "fixed" (implied by a given g_fixed), the step-size
+                  denominator starts from G^2 instead of zero, which the
+                  asymptotic theory needs.
   * GDState       plain subgradient descent scaled by d / sqrt(G^2 + sum
                   of squared gradient norms), candidate from the same
                   algebra with flat weights.
@@ -24,7 +25,10 @@ Three variants live here:
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
 plain listings. Steppers mutate their state and append one row to a
-Trajectory; run_convex sets one up and hands it to core.drive.
+Trajectory; run_convex sets one up and hands it to core.drive. At step 0
+a stepper raises core.AtStart on a zero gradient, since the start is then
+a minimizer; otherwise a gradient bound left unset (None) at init is taken
+from that gradient's norm, and the run's meta["heuristic_g"] says so.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    AtStart,
     ConfigError,
     Diverged,
     Problem,
@@ -65,6 +70,14 @@ __all__ = [
 _NAN = float("nan")
 
 
+def _start(traj: Trajectory, gnorm2: float, unset: bool) -> None:
+    """Step 0's check: raise AtStart on a zero gradient, else record whether
+    the run's gradient bound is unset and so taken from this gradient."""
+    if gnorm2 == 0.0:
+        raise AtStart("zero first gradient: the start is a minimizer")
+    traj.meta["heuristic_g"] = unset
+
+
 # --------------------------------------------------------------------------
 # Dual averaging
 
@@ -77,7 +90,7 @@ class DAState:
     k: int
     d: float
     option: str  # "I" or "II"
-    g_fixed: Optional[float]  # G for the G^2-seeded denominator, None otherwise
+    g_fixed: Optional[float]  # G of the G^2-seeded denominator; None without one, or till step 0
     gamma: Optional[float]  # step size entering the next accumulation
     sum_gsq: float  # sum of ||g_i||^2
     sum_weighted: float  # sum of gamma_i * lam_i^2 * ||g_i||^2
@@ -90,18 +103,21 @@ def da_init(
     d0: float,
     option: str = "I",
     g_fixed: Optional[float] = None,
+    g_mode: str = "none",
 ) -> DAState:
     if not d0 > 0.0:  # also rejects NaN
         raise ConfigError("d0 must be positive")
     if option not in ("I", "II"):
         raise ConfigError(f"unknown option {option!r}")
+    if g_mode not in ("none", "fixed"):
+        raise ConfigError(f"unknown g_mode {g_mode!r}")
     if g_fixed is not None and not g_fixed > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory(
         "da", x0.shape[0], ("gamma", "wg_term", "hyper_term", "snorm2_after", "lam")
     )
-    traj.meta["g_mode"] = "fixed" if g_fixed is not None else "none"
+    traj.meta["g_mode"] = "fixed" if g_fixed is not None else g_mode
     return DAState(
         x0=x0.copy(),
         x=x0.copy(),
@@ -122,10 +138,13 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
-    if state.gamma is None:
-        if gnorm2 == 0.0:
-            raise ValueError("zero first gradient; the driver returns x0 directly")
-        state.gamma = 1.0 / math.sqrt(gnorm2)
+    if state.k == 0:
+        unset = state.g_fixed is None and state.traj.meta["g_mode"] == "fixed"
+        _start(state.traj, gnorm2, unset)
+        if unset:
+            state.g_fixed = math.sqrt(gnorm2)
+        if state.gamma is None:
+            state.gamma = 1.0 / math.sqrt(gnorm2)
     gamma_old = state.gamma
     lam = sched * state.d
 
@@ -174,16 +193,16 @@ class GDState:
     s: Vector
     k: int
     d: float
-    G: float
+    G: Optional[float]  # set from the first gradient when absent
     sum_gsq: float
     sum_lambda_sq: float  # sum of lam_i^2 * ||g_i||^2
     traj: Trajectory
 
 
-def gd_init(x0: Vector, d0: float, G: float) -> GDState:
+def gd_init(x0: Vector, d0: float, G: Optional[float] = None) -> GDState:
     if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
-    if not G > 0.0:
+    if G is not None and not G > 0.0:
         raise ConfigError("gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("gd", x0.shape[0], ("wg_term", "hyper_term", "snorm2_after"))
@@ -203,6 +222,10 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
+    if state.k == 0:
+        _start(state.traj, gnorm2, state.G is None)
+        if state.G is None:
+            state.G = math.sqrt(gnorm2)
     # the step size denominator includes the current gradient
     state.sum_gsq += gnorm2
     lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)
@@ -239,17 +262,17 @@ class AdaGradDAState:
     x0: Vector
     x: Vector
     s: Vector
-    a: Vector  # per-coordinate denominators, start at g_inf
+    a: Optional[Vector]  # per-coordinate denominators from g_inf, None while it is unset
     k: int
     d: float
     sum_weighted: float  # sum of lam_i^2 * ||g_i||^2 in the old A_i^-1 norm
     traj: Trajectory
 
 
-def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
+def adagrad_da_init(x0: Vector, d0: float, g_inf: Optional[float] = None) -> AdaGradDAState:
     if not d0 > 0.0:
         raise ConfigError("d0 must be positive")
-    if not g_inf > 0.0:
+    if g_inf is not None and not g_inf > 0.0:
         raise ConfigError("max-norm gradient bound must be positive")
     x0 = np.asarray(x0, dtype=np.float64)
     traj = Trajectory("adagrad_da", x0.shape[0], ("s_l1_after", "a_l1_after"))
@@ -257,7 +280,7 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: float) -> AdaGradDAState:
         x0=x0.copy(),
         x=x0.copy(),
         s=np.zeros_like(x0),
-        a=np.full_like(x0, g_inf),
+        a=None if g_inf is None else np.full_like(x0, g_inf),
         k=0,
         d=d0,
         sum_weighted=0.0,
@@ -271,6 +294,10 @@ def adagrad_da_step(
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
+    if state.k == 0:
+        _start(state.traj, gnorm2, state.a is None)
+        if state.a is None:
+            state.a = np.full_like(state.x0, np.abs(g).max())
     lam = sched * state.d
 
     # weighted gradient-norm term uses the denominators before this gradient
@@ -366,49 +393,29 @@ def run_convex(
     schedule: Schedule = Schedule(),
     record_f_every: int = 1,
 ) -> ConvexRunResult:
-    """Run one of the convex methods for n steps against a problem oracle.
+    """Run one of the convex methods for n steps, one oracle call a step.
 
     algorithm is "da", "gd", or "adagrad_da". A zero first gradient means x0
-    is already optimal: the run returns there, after the settings are
-    checked as for any other run. Methods that need a
-    gradient-norm bound (gd always, da with g_mode="fixed", adagrad_da in
-    the max norm) fall back to the first gradient's norm when the bound is
-    not supplied; such runs are marked heuristic_g in the trajectory meta.
-    For dual-averaging runs the result carries the selected-prefix average
-    x_avg_t as well, at the index select_return_index would pick from the
-    run's d sequence; the prefix-selection guarantee is proved for the
-    G-seeded denominator (g_mode="fixed"), and the index is reported for
-    the plain mode too.
+    is already optimal: the run returns there, exited_at_start, after the
+    init has checked the settings as for any other run. A gradient bound
+    left None (g_value for gd and for da with g_mode="fixed", g_inf for
+    adagrad_da) is taken by the stepper from the first gradient, and the
+    run is marked heuristic_g in the trajectory meta. For dual-averaging
+    runs the result carries the selected-prefix average x_avg_t as well, at
+    the index select_return_index would pick from the run's d sequence; the
+    prefix-selection guarantee is proved for the G-seeded denominator
+    (g_mode="fixed"), and the index is reported for the plain mode too.
     """
     if n <= 0:
         raise ConfigError("n must be positive")
-    if record_f_every <= 0:
-        raise ConfigError("record_f_every must be positive")
     if g_mode not in ("none", "fixed"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-
-    g0 = np.asarray(problem.subgradient(x0), dtype=np.float64)
-    g0_norm2 = float(g0 @ g0)
-    # a zero first gradient ends the run at x0 once the init has checked the
-    # settings; the first gradient's norms, the fallback bounds, are never
-    # read on that path and stand at 1 there
-    at_optimum = g0_norm2 == 0.0
-    g0_norm = 1.0 if at_optimum else math.sqrt(g0_norm2)
-    g0_max = 1.0 if at_optimum else float(np.abs(g0).max())
-    heuristic_g = False
     # the selected prefix is picked online: after step k, state.d is d_{k+1}
     # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio;
     # a pick keeps the average's numerator and weight, divided at the end
     best, d_sum, t_index, picked_avg = math.inf, 0.0, None, None
     if algorithm == "da":
-        g_fixed = None
-        if g_mode == "fixed":
-            g_fixed = g_value
-            if g_fixed is None:
-                g_fixed = g0_norm
-                heuristic_g = True
-        state = da_init(x0, d0, option=option, g_fixed=g_fixed)
+        state = da_init(x0, d0, option, g_value if g_mode == "fixed" else None, g_mode)
 
         def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
             nonlocal best, d_sum, t_index, picked_avg
@@ -419,32 +426,16 @@ def run_convex(
                 t_index, picked_avg = k, (state.traj.avg_num.copy(), state.traj.avg_den)
 
     elif algorithm == "gd":
-        G = g_value
-        if G is None:
-            G = g0_norm
-            heuristic_g = True
-        state = gd_init(x0, d0, G=G)
-        step = gd_step
+        state, step = gd_init(x0, d0, G=g_value), gd_step
     elif algorithm == "adagrad_da":
-        if g_inf is None:
-            g_inf = g0_max
-            heuristic_g = True
-        state = adagrad_da_init(x0, d0, g_inf=g_inf)
-        step = adagrad_da_step
+        state, step = adagrad_da_init(x0, d0, g_inf=g_inf), adagrad_da_step
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    if at_optimum:
-        return ConvexRunResult(
-            traj=state.traj,
-            x_avg=x0.copy(),
-            x_final=x0.copy(),
-            d_final=d0,
-            exited_at_start=True,
-        )
-    state.traj.meta["heuristic_g"] = heuristic_g
-
-    drive(problem, state, step, n, schedule, record_f_every, g0=g0)
-
+    try:
+        drive(problem, state, step, n, schedule, record_f_every)
+    except AtStart:
+        x = state.x
+        return ConvexRunResult(state.traj, x.copy(), x.copy(), state.d, exited_at_start=True)
     return ConvexRunResult(
         traj=state.traj,
         x_avg=state.traj.average(),

@@ -40,6 +40,7 @@ __all__ = [
     "Vector",
     "ConfigError",
     "Diverged",
+    "AtStart",
     "DIVERGENCE_NORM",
     "Rng",
     "Schedule",
@@ -93,6 +94,11 @@ class Diverged(ValueError):
         super().__init__(f"{what} at step {k}")
         self.k = k
         self.traj = traj
+
+
+class AtStart(Exception):
+    """A convex stepper's first gradient is zero: the start is a minimizer,
+    and the run ends there without a step."""
 
 
 # --------------------------------------------------------------------------
@@ -586,12 +592,9 @@ def drive(
     n: int,
     schedule: Schedule,
     record_f_every: int,
-    g0: Optional[Vector] = None,
 ) -> None:
-    """Take n steps of step from state.x against problem's oracle.
-
-    g0, when given, is the gradient at the starting point and is used for
-    step 0 instead of a fresh oracle call. Every record_f_every steps f is
+    """Take n steps of step from state.x against problem's oracle, one
+    oracle call a step. Every record_f_every steps, from step 0 on, f is
     taken at the visited point, with the gradient, from one fused oracle
     call; it is NaN otherwise. Raises Diverged at the first step whose new
     iterate has a NaN or a coordinate beyond DIVERGENCE_NORM; that step's
@@ -614,8 +617,6 @@ def drive(
             for k in range(n):
                 if k % record_f_every:
                     f_val, g = _NAN, subgradient(state.x)
-                elif k == 0 and g0 is not None:
-                    f_val, g = problem.value(state.x), g0
                 else:
                     f_val, g = value_and_subgradient(state.x)
                 if not flat:

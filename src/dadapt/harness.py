@@ -9,6 +9,7 @@ depend only on the config and the seed.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import hashlib
 import math
@@ -212,8 +213,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _read_utf8(path: Path, error: Callable[[int], Exception]) -> str:
     """The text of the file at path, or error(line) raised for the 1-based
-    line, as str.splitlines counts them, of its first byte that is not UTF-8."""
-    data = path.read_bytes()
+    line, as str.splitlines counts them, of its first byte that is not UTF-8.
+    A leading byte-order mark is dropped first, where utf-8-sig would count
+    the error's offset from after it."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -422,6 +425,8 @@ def _run_points(
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    if path.is_dir():
+        raise ConfigError(f"output path {str(path)!r} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)

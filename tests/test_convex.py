@@ -18,9 +18,18 @@ from dadapt.convex import (
     select_return_index,
 )
 from dadapt.baselines import adagrad_norm_init, adagrad_norm_step
-from dadapt.core import STEP_COLUMNS, ConfigError, Diverged, Schedule, schedule_eval
+from dadapt.core import (
+    STEP_COLUMNS,
+    AtStart,
+    ConfigError,
+    Diverged,
+    Problem,
+    Rng,
+    Schedule,
+    drive,
+    schedule_eval,
+)
 from dadapt.problems import abs_value_problem, piecewise_max_problem, random_piecewise_max
-from dadapt.core import Rng
 from dadapt.ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 
 TRACE_TOL = 1e-9
@@ -90,8 +99,9 @@ class TestDualAveragingTrace:
 
     def test_zero_first_gradient_rejected_at_step(self):
         st = da_init(np.array([0.0]), 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(AtStart):
             da_step(st, np.array([0.0]))
+        assert len(st.traj.records) == 0
 
     def test_g_fixed_mode_first_gamma(self):
         st = da_init(np.array([1.0]), 0.1, g_fixed=2.0)
@@ -389,8 +399,8 @@ def test_outputs_share_no_memory_and_rerun_equal(algorithm, option):
 @pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
 @pytest.mark.parametrize("every", [1, 7])
 def test_fused_oracle_on_f_steps_only(algorithm, every):
-    # g0 comes from subgradient and step 0 reuses it, asking value alone for
-    # f; each later step makes one call: fused on f-steps, subgradient else
+    # each step makes one oracle call, step 0 included: fused on f-steps,
+    # subgradient else; the run makes none of its own
     prob = random_piecewise_max(Rng(4, 1), dim=4, pieces=5)
     calls = []
     for name in ("value", "subgradient", "fused"):
@@ -401,11 +411,79 @@ def test_fused_oracle_on_f_steps_only(algorithm, every):
         prob, prob.known_minimizer + 1.0, algorithm=algorithm, d0=1e-3, n=n,
         record_f_every=every,
     )
-    later = ["fused" if k % every == 0 else "subgradient" for k in range(1, n)]
-    assert calls == ["subgradient", "value"] + later
-    assert calls.count("fused") == (n - 1 if every == 1 else 7)
+    assert calls == ["fused" if k % every == 0 else "subgradient" for k in range(n)]
+    assert calls.count("fused") == (n if every == 1 else 8)
     recorded = [k for k, f in zip(res.traj.extra("step"), res.traj.extra("f")) if not math.isnan(f)]
     assert recorded == list(range(0, n, every))
+
+
+@pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
+def test_unset_bound_comes_from_the_first_gradient(algorithm):
+    # a stepper left without its bound by its init, driven on its own, runs
+    # bit for bit as run_convex with the bound omitted, and as run_convex
+    # with the bound given as the first gradient's norm, bar the flag
+    prob = random_piecewise_max(Rng(6, 1), dim=6, pieces=6)
+    x0 = prob.known_minimizer + Rng(6, 2).normals(6)
+    n, d0 = 100, 1e-3
+    init, step = {
+        "da": (lambda: da_init(x0, d0, g_mode="fixed"), da_step),
+        "gd": (lambda: gd_init(x0, d0), gd_step),
+        "adagrad_da": (lambda: adagrad_da_init(x0, d0), adagrad_da_step),
+    }[algorithm]
+    st = init()
+    drive(prob, st, step, n, Schedule(), 1)
+    assert st.traj.meta["heuristic_g"] is True
+    g0 = prob.subgradient(x0)
+    g_norm, g_max = math.sqrt(float(g0 @ g0)), float(np.abs(g0).max())
+    omitted = run_convex(prob, x0, algorithm=algorithm, d0=d0, n=n, g_mode="fixed")
+    given = run_convex(
+        prob, x0, algorithm=algorithm, d0=d0, n=n, g_mode="fixed", g_value=g_norm, g_inf=g_max
+    )
+    assert omitted.traj.meta["heuristic_g"] is True
+    assert given.traj.meta["heuristic_g"] is False
+    for res in (omitted, given):
+        assert res.traj.pack().tobytes() == st.traj.pack().tobytes()
+        assert res.x_final.tobytes() == st.x.tobytes()
+        assert np.float64(res.d_final).tobytes() == np.float64(st.d).tobytes()
+
+
+@pytest.mark.parametrize(
+    "init, step",
+    [
+        (lambda x0: da_init(x0, 0.1), da_step),
+        (lambda x0: da_init(x0, 0.1, g_mode="fixed"), da_step),
+        (lambda x0: da_init(x0, 0.1, g_fixed=1.0), da_step),
+        (lambda x0: gd_init(x0, 0.1), gd_step),
+        (lambda x0: gd_init(x0, 0.1, G=1.0), gd_step),
+        (lambda x0: adagrad_da_init(x0, 0.1), adagrad_da_step),
+        (lambda x0: adagrad_da_init(x0, 0.1, g_inf=1.0), adagrad_da_step),
+    ],
+    ids=["da", "da_fixed_unset", "da_fixed", "gd_unset", "gd", "adagrad_da_unset", "adagrad_da"],
+)
+@pytest.mark.parametrize("dim", [1, 0])
+def test_zero_first_gradient_raises_at_start(init, step, dim):
+    # whether or not the bound is given; AtStart is no ValueError, so no
+    # failure handler takes it for one
+    prob = Problem(value=lambda x: 0.0, subgradient=np.zeros_like)
+    st = init(np.zeros(dim))
+    with pytest.raises(AtStart):
+        drive(prob, st, step, 5, Schedule(), 1)
+    assert st.traj.records.shape == (0, len(STEP_COLUMNS))
+    assert "heuristic_g" not in st.traj.meta
+    assert st.k == 0
+    assert not issubclass(AtStart, ValueError)
+
+
+@pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
+@pytest.mark.parametrize("bounds", [{}, {"g_mode": "fixed", "g_value": 1.0, "g_inf": 1.0}])
+def test_dim_zero_start_exits_at_start(algorithm, bounds):
+    prob = Problem(value=lambda x: 0.0, subgradient=np.zeros_like)
+    res = run_convex(prob, np.zeros(0), algorithm=algorithm, d0=0.1, n=5, **bounds)
+    assert res.exited_at_start
+    assert len(res.traj.records) == 0
+    assert res.x_final.shape == res.x_avg.shape == (0,)
+    assert res.d_final == 0.1
+    assert res.t_index is None and res.x_avg_t is None
 
 
 @pytest.mark.parametrize(

@@ -430,12 +430,13 @@ def _counting_problem(calls):
 
 
 class TestDrive:
-    def test_g0_reused_and_f_on_cadence(self):
+    def test_one_call_a_step_and_f_on_cadence(self):
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
-        drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3, g0=np.array([5.0]))
-        assert calls == {"subgradient": 9, "value": 4}
-        assert st.seen[0][0][0] == 5.0 and st.seen[1][0][0] == 1.0
+        drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3)
+        # the f-steps 0, 3, 6 and 9 take f and g from value_and_subgradient
+        assert calls == {"subgradient": 10, "value": 4}
+        assert all(g[0] == 1.0 for g, _, _ in st.seen)
         fs = [f for _, f, _ in st.seen]
         assert [k for k, f in enumerate(fs) if not math.isnan(f)] == [0, 3, 6, 9]
 

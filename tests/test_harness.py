@@ -1,5 +1,6 @@
 """Baselines, config plumbing, experiment output layout, CLI exit codes."""
 
+import codecs
 import csv
 import math
 import warnings
@@ -31,6 +32,7 @@ from dadapt.harness import (
     config_hash,
     d0_sweep,
     grid_search,
+    load_config,
     mean_2se,
     parse_config_text,
     run_experiment,
@@ -1036,12 +1038,39 @@ class TestCli:
         assert [p.name for p in target.parent.iterdir()] == ["x.csv"]  # no .tmp left
 
     @pytest.mark.parametrize(
+        "argv", [["trace-toy", "--steps", "3"], ["verify", "--suite", "lemmas"]],
+        ids=["trace-toy", "verify"],
+    )
+    def test_out_naming_a_directory_exit_two(self, argv, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.mkdir()
+        assert cli.main(argv + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]  # no .tmp left
+        assert not list(target.iterdir())
+
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        text = "d0 = 0.25\nn_steps = 5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_config(marked) == load_config(plain)
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(marked), "--set", f"out_dir={out_dir}"]) == 0
+        assert "config error" not in capsys.readouterr().err
+        (summary,) = out_dir.glob("*/summary.csv")
+        assert summary.read_text().splitlines()[1].split(",")[2] == "0.25"
+
+    @pytest.mark.parametrize(
         "kind, text, prefix",
         [
             ("config", b"n_steps = 5\nd0 = \xff\n", "config error: config line 2: "),
             ("libsvm", b"+1 1:1.0\n-1 1:\xff2\n", "data error: line 2: "),
+            ("config", b"\xef\xbb\xbfn_steps = 5\nd0 = \xff\n", "config error: config line 2: "),
+            ("libsvm", b"\xef\xbb\xbf+1 1:1.0\n-1 1:\xff2\n", "data error: line 2: "),
         ],
-        ids=["config", "libsvm"],
+        ids=["config", "libsvm", "config_bom", "libsvm_bom"],
     )
     def test_file_not_utf8_exit_two(self, kind, text, prefix, tmp_path, capsys):
         path = tmp_path / "file"
