@@ -1,5 +1,5 @@
 """Step-size baselines the adaptive methods are measured against, and the
-start of every stepper that the harness runs outside convex.run_convex.
+start of every stepper that the harness runs, the adaptive ones included.
 
 The baselines are steppers like the adaptive methods and run through the
 same core.drive; their records carry NaN for d and dhat and the step size
@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .convex import adagrad_da_init, adagrad_da_step, da_init, da_step, gd_init, gd_step
 from .core import ConfigError, Lanes, Trajectory, Vector, _dot, _rowdot
 from .ml import AdamDALanes, SGDDALanes, adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 
@@ -207,11 +208,18 @@ class AdaGradLanes(Lanes):
 
 
 def start(config, bundle):
-    """Initial state and stepper of config.algorithm, one that run_convex does
-    not set up, for a harness.ExperimentConfig and its harness.ProblemBundle."""
+    """Initial state and stepper of config.algorithm for a harness.ExperimentConfig
+    and its harness.ProblemBundle; the problem's known gradient bounds go where
+    run_convex takes g_value (for da only under g_mode="fixed") and g_inf."""
     algo = config.algorithm
-    x0 = bundle.x0
-    prob = bundle.problem
+    x0, prob = bundle.x0, bundle.problem
+    if algo in ("da_I", "da_II"):
+        g_fixed = prob.lipschitz if config.g_mode == "fixed" else None
+        return da_init(x0, config.d0, algo[3:], g_fixed, config.g_mode), da_step
+    if algo == "gd":
+        return gd_init(x0, config.d0, G=prob.lipschitz), gd_step
+    if algo == "adagrad_da":
+        return adagrad_da_init(x0, config.d0, g_inf=prob.lipschitz_inf), adagrad_da_step
     if algo == "sgd_da":
         return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=prob.lipschitz), sgd_da_step
     if algo == "adam_da":

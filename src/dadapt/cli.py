@@ -17,6 +17,7 @@ from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     GridDiverged,
+    _check_out,
     _write_atomic,
     apply_overrides,
     d0_sweep,
@@ -87,10 +88,11 @@ def _cmd_sweep_d0(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    out = args.out and _check_out(Path(args.out))  # refused before the battery runs
     reports = verify_suite(args.suite, quick=not args.full)
     text = reports_to_csv(reports)
-    if args.out:
-        _write_atomic(Path(args.out), text)
+    if out:
+        _write_atomic(out, text)
         print(f"report -> {args.out}")
     else:
         print(text, end="")
@@ -106,10 +108,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace_toy(args) -> int:
     # the steps CSV of `dadapt run --set d0=0.1 --set n_steps=<steps>`
-    out = run_single(ExperimentConfig(d0=0.1, n_steps=args.steps), seed=0)
-    text = csv_text(CSV_HEADER, out.rows)
-    if args.out:
-        _write_atomic(Path(args.out), text)
+    out = args.out and _check_out(Path(args.out))
+    run = run_single(ExperimentConfig(d0=0.1, n_steps=args.steps), seed=0)
+    text = csv_text(CSV_HEADER, run.rows)
+    if out:
+        _write_atomic(out, text)
         print(f"trace -> {args.out}")
     else:
         print(text, end="")

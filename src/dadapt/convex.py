@@ -14,7 +14,8 @@ Three variants live here:
                   "II" from accumulated hypergradient inner products. With
                   g_mode "fixed" (implied by a given g_fixed), the step-size
                   denominator starts from G^2 instead of zero, which the
-                  asymptotic theory needs.
+                  asymptotic theory needs. The stepper also picks the
+                  return prefix as it goes (t_index, x_avg_t).
   * GDState       plain subgradient descent scaled by d / sqrt(G^2 + sum
                   of squared gradient norms), candidate from the same
                   algebra with flat weights.
@@ -25,10 +26,10 @@ Three variants live here:
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
 plain listings. Steppers mutate their state and append one row to a
-Trajectory; run_convex sets one up and hands it to core.drive. At step 0
-a stepper raises core.AtStart on a zero gradient, since the start is then
-a minimizer; otherwise a gradient bound left unset (None) at init is taken
-from that gradient's norm, and the run's meta["heuristic_g"] says so.
+Trajectory; run_convex and baselines.start hand them to core.drive. At
+step 0 a stepper raises core.AtStart on a zero gradient, since the start
+is then a minimizer; otherwise a gradient bound left unset (None) at init
+is taken from that gradient's norm, and meta["heuristic_g"] says so.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ class DAState:
     sum_weighted: float  # sum of gamma_i * lam_i^2 * ||g_i||^2
     hypergrad_sum: float  # sum of lam_i * gamma_i * <g_i, s_i>
     traj: Trajectory
+    best: float = math.inf  # select_return_index's least d_{k+1} / d_sum so far
+    d_sum: float = 0.0  # d_0 + .. + d_k after step k
+    t_index: Optional[int] = None  # the picked return prefix ends at this step
+    picked_avg: Optional[tuple[Vector, float]] = None  # its (avg_num copy, avg_den)
+
+    @property
+    def x_avg_t(self) -> Optional[Vector]:
+        """The weighted average over the picked prefix; None before a step."""
+        return None if self.picked_avg is None else _weighted_average(*self.picked_avg)
 
 
 def da_init(
@@ -177,7 +187,11 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
         gamma_old, wg_term, hyper_term, snorm2, lam,
     ))
 
-    state.d = max(state.d, d_hat)
+    d_k, state.d = state.d, max(state.d, d_hat)
+    state.best, state.d_sum, picked = _prefix_step(state.best, state.d_sum, d_k, state.d)
+    if picked:  # keep the average's numerator and weight, divided when read
+        state.t_index = state.k
+        state.picked_avg = (state.traj.avg_num.copy(), state.traj.avg_den)
     state.x = state.x0 - gamma_new * state.s
     state.gamma = gamma_new
     state.k += 1
@@ -401,30 +415,18 @@ def run_convex(
     left None (g_value for gd and for da with g_mode="fixed", g_inf for
     adagrad_da) is taken by the stepper from the first gradient, and the
     run is marked heuristic_g in the trajectory meta. For dual-averaging
-    runs the result carries the selected-prefix average x_avg_t as well, at
-    the index select_return_index would pick from the run's d sequence; the
-    prefix-selection guarantee is proved for the G-seeded denominator
-    (g_mode="fixed"), and the index is reported for the plain mode too.
+    runs the result carries the state's picked prefix too: t_index, as
+    select_return_index picks it from the run's d sequence, and x_avg_t; the
+    guarantee is proved for the G-seeded denominator (g_mode="fixed"), and
+    the index is reported for the plain mode too.
     """
     if n <= 0:
         raise ConfigError("n must be positive")
     if g_mode not in ("none", "fixed"):
         raise ConfigError(f"unknown g_mode {g_mode!r}")
-    # the selected prefix is picked online: after step k, state.d is d_{k+1}
-    # and d_sum is sum_{i<=k} d_i, the terms of select_return_index's ratio;
-    # a pick keeps the average's numerator and weight, divided at the end
-    best, d_sum, t_index, picked_avg = math.inf, 0.0, None, None
     if algorithm == "da":
         state = da_init(x0, d0, option, g_value if g_mode == "fixed" else None, g_mode)
-
-        def step(state: DAState, g: Vector, f_val: float, sched: float) -> None:
-            nonlocal best, d_sum, t_index, picked_avg
-            k, d_k = state.k, state.d
-            da_step(state, g, f_val=f_val, sched=sched)
-            best, d_sum, picked = _prefix_step(best, d_sum, d_k, state.d)
-            if picked:
-                t_index, picked_avg = k, (state.traj.avg_num.copy(), state.traj.avg_den)
-
+        step = da_step
     elif algorithm == "gd":
         state, step = gd_init(x0, d0, G=g_value), gd_step
     elif algorithm == "adagrad_da":
@@ -437,10 +439,6 @@ def run_convex(
         x = state.x
         return ConvexRunResult(state.traj, x.copy(), x.copy(), state.d, exited_at_start=True)
     return ConvexRunResult(
-        traj=state.traj,
-        x_avg=state.traj.average(),
-        x_final=state.x.copy(),
-        d_final=state.d,
-        t_index=t_index,
-        x_avg_t=None if picked_avg is None else _weighted_average(*picked_avg),
+        traj=state.traj, x_avg=state.traj.average(), x_final=state.x.copy(), d_final=state.d,
+        t_index=getattr(state, "t_index", None), x_avg_t=getattr(state, "x_avg_t", None),
     )

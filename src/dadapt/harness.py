@@ -23,10 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baselines import LANES, start, start_lanes
-from .convex import run_convex
 from .core import (
-    STEP_COLUMNS, ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text, drive,
-    drive_lanes,
+    STEP_COLUMNS, AtStart, ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text,
+    drive, drive_lanes,
 )
 from .problems import (
     Dataset,
@@ -339,8 +338,10 @@ def run_single(
 ) -> RunOutput:
     """Execute one (config, seed) run and return rows plus a summary.
 
-    A run that diverges stops at the failing step, keeps its rows up to and
-    including that step, and reports final_f as NaN.
+    Every algorithm starts in baselines.start and runs through core.drive;
+    the summary reads the run's state (a dual-averaging one carries its
+    return prefix). A run that diverges stops at the failing step, keeps
+    its rows up to and including that step, and reports final_f as NaN.
     """
     bundle = build_problem(config, seed, dataset)
     prob = bundle.problem
@@ -350,37 +351,23 @@ def run_single(
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
         summary["out_of_theory"] = True
 
+    state, step = start(config, bundle)
     try:
-        if algo in ("da_I", "da_II", "gd", "adagrad_da"):
-            result = run_convex(
-                prob, bundle.x0, algorithm="da" if algo.startswith("da_") else algo,
-                d0=config.d0, n=bundle.n_steps, option="II" if algo == "da_II" else "I",
-                g_mode=config.g_mode, g_value=prob.lipschitz, g_inf=prob.lipschitz_inf,
-                schedule=sched, record_f_every=config.record_f_every,
-            )
-            traj = result.traj
-            summary["exited_at_start"] = result.exited_at_start
-            summary["final_f"] = prob.value(result.x_final)
-            if not result.exited_at_start:
-                summary["avg_f"] = prob.value(result.x_avg)
-                if result.t_index is not None:
-                    summary["t_index"] = result.t_index
-                    summary["f_at_t"] = prob.value(result.x_avg_t)
-        else:
-            state, step = start(config, bundle)
-            traj = state.traj
-            drive(prob, state, step, bundle.n_steps, sched, config.record_f_every)
-            if algo == "fixed":
-                summary["avg_f"] = prob.value(traj.average())
-                summary["final_f"] = summary["avg_f"]
-            else:
-                summary["final_f"] = prob.value(state.x)
-    except Diverged as err:
-        traj = err.traj
+        drive(prob, state, step, bundle.n_steps, sched, config.record_f_every)
+    except AtStart:
+        summary["exited_at_start"] = True
+    except Diverged:
         summary["diverged"] = True
+    if not summary["diverged"]:
+        if state.traj.avg_den > 0.0:  # the run folds points into an average
+            summary["avg_f"] = prob.value(state.traj.average())
+        summary["final_f"] = summary["avg_f"] if algo == "fixed" else prob.value(state.x)
+        if getattr(state, "t_index", None) is not None:
+            summary["t_index"] = state.t_index
+            summary["f_at_t"] = prob.value(state.x_avg_t)
 
-    summary["heuristic_G"] = bool(traj.meta.get("heuristic_g", False))
-    return _output(config, seed, traj.records, summary)
+    summary["heuristic_G"] = bool(state.traj.meta.get("heuristic_g", False))
+    return _output(config, seed, state.traj.records, summary)
 
 
 def _output(config: ExperimentConfig, seed: int, rows: np.ndarray, summary: dict) -> RunOutput:
@@ -424,10 +411,14 @@ def _run_points(
 # Experiments, grids, sweeps
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _check_out(path: Path) -> Path:
     if path.is_dir():
         raise ConfigError(f"output path {str(path)!r} is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    _check_out(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

@@ -321,8 +321,21 @@ class TestRunConvex:
                     den += lams[k]
                 assert res.t_index == t
                 assert np.array_equal(res.x_avg_t, num / den)
+                # the stepper picks the prefix itself, so the hand-stepped
+                # state carries the run's pick, bit for bit
+                assert st.t_index == res.t_index
+                assert st.x_avg_t.tobytes() == res.x_avg_t.tobytes()
                 short_prefixes += t < n - 1
         assert short_prefixes > 0  # the sweep reaches prefixes short of the run
+
+    def test_exit_at_start_picks_no_prefix(self):
+        prob = abs_value_problem()
+        st = da_init(np.array([0.0]), 0.1)
+        with pytest.raises(AtStart):
+            da_step(st, prob.subgradient(st.x))
+        assert st.t_index is None and st.x_avg_t is None
+        res = run_convex(prob, np.array([0.0]), algorithm="da", d0=0.1, n=5)
+        assert res.exited_at_start and res.t_index is None and res.x_avg_t is None
 
     def test_heuristic_g_flagged(self):
         prob = abs_value_problem()

@@ -13,11 +13,25 @@ import pytest
 from dadapt import cli
 from dadapt.analysis import BoundReport
 from dadapt.baselines import (
+    AdaGradNormState,
     _AdaGradState,
     _adagrad_step,
+    _FixedState,
+    _fixed_step,
+    _PolyakState,
+    _polyak_state_step,
     adagrad_norm_init,
     adagrad_norm_step,
     polyak_step,
+    start,
+)
+from dadapt.convex import (
+    AdaGradDAState,
+    DAState,
+    GDState,
+    adagrad_da_step,
+    da_step,
+    gd_step,
 )
 from dadapt.core import ConfigError, Problem, Rng, Schedule, Trajectory, drive
 from dadapt.harness import (
@@ -38,6 +52,7 @@ from dadapt.harness import (
     run_experiment,
     run_single,
 )
+from dadapt.ml import AdamDAState, SGDDAState, adam_da_step, sgd_da_step
 from dadapt.problems import (
     abs_value_problem,
     piecewise_max_problem,
@@ -407,6 +422,33 @@ class TestBuildProblem:
         cfg = ExperimentConfig(problem="libsvm", libsvm_path="/nonexistent", epochs=1)
         with pytest.raises(ConfigError):
             build_problem(cfg, seed=0)
+
+
+_STARTS = {
+    "da_I": (DAState, da_step),
+    "da_II": (DAState, da_step),
+    "gd": (GDState, gd_step),
+    "adagrad_da": (AdaGradDAState, adagrad_da_step),
+    "sgd_da": (SGDDAState, sgd_da_step),
+    "adam_da": (AdamDAState, adam_da_step),
+    "adagrad": (_AdaGradState, _adagrad_step),
+    "adagrad_norm": (AdaGradNormState, adagrad_norm_step),
+    "polyak": (_PolyakState, _polyak_state_step),
+    "fixed": (_FixedState, _fixed_step),
+}
+
+
+@pytest.mark.parametrize("algorithm", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
+def test_start_sets_up_the_configs_algorithm(algorithm):
+    cfg = ExperimentConfig(problem="piecewise", algorithm=algorithm, n_steps=5, g_mode="fixed")
+    bundle = build_problem(cfg, seed=0)
+    state, step = start(cfg, bundle)
+    assert (type(state), step) == _STARTS[algorithm]
+    if algorithm.startswith("da_"):
+        assert state.option == algorithm[3:]
+        assert state.g_fixed == bundle.problem.lipschitz
+    step(state, bundle.problem.subgradient(state.x))
+    assert len(state.traj.records) == 1
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -1041,7 +1083,11 @@ class TestCli:
         "argv", [["trace-toy", "--steps", "3"], ["verify", "--suite", "lemmas"]],
         ids=["trace-toy", "verify"],
     )
-    def test_out_naming_a_directory_exit_two(self, argv, tmp_path, capsys):
+    def test_out_naming_a_directory_exit_two(self, argv, tmp_path, capsys, monkeypatch):
+        # the target is refused before the battery or the run starts
+        calls = []
+        for name in ("verify_suite", "run_single"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
         target = tmp_path / "target"
         target.mkdir()
         assert cli.main(argv + ["--out", str(target)]) == 2
@@ -1049,6 +1095,7 @@ class TestCli:
         assert err.startswith("config error: ") and "is a directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["target"]  # no .tmp left
         assert not list(target.iterdir())
+        assert calls == []
 
     def test_config_with_byte_order_mark(self, tmp_path, capsys):
         text = "d0 = 0.25\nn_steps = 5\n"

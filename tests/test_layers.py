@@ -86,6 +86,11 @@ def test_harness_does_not_import_analysis():
     assert "analysis" not in _imported("harness")
 
 
+def test_harness_reaches_the_steppers_through_baselines():
+    # every run starts in baselines.start, so the harness needs no convex name
+    assert "convex" not in _imported("harness")
+
+
 @pytest.mark.parametrize("module", ["analysis", "baselines", "core", "convex", "ml", "problems"])
 def test_library_does_not_import_harness_or_cli(module):
     assert not _imported(module) & {"harness", "cli"}
