@@ -16,7 +16,7 @@ with _sum below, which does not). The stored digests hold for one such
 setting.
 
 The generator's scalar draw Rng.u64 is the reference. Its bulk draws
-(normal_rows, permutation) run many steps at once in numpy uint64,
+(normal_rows, permutations) run many steps at once in numpy uint64,
 and return the same bits and leave the same state as the scalar calls they
 stand for.
 """
@@ -27,7 +27,7 @@ import csv
 import functools
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional
@@ -254,29 +254,40 @@ class Rng:
                 return v % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates with integer(i + 1) for i = n - 1 .. 1.
+        """Fisher-Yates with integer(i + 1) for i = n - 1 .. 1."""
+        return self.permutations(n, 1)[0]
 
-        The n - 1 draws are taken in bulk and reduced in numpy, and the swaps
-        run on a list. integer(b) redraws only values of at least
-        2^64 - (2^64 mod b) > 2^64 - n; a draw that high (odds below n^2 in
-        2^64) sends the call back to the scalar draws from the saved state.
+    def permutations(self, n: int, count: int) -> list[np.ndarray]:
+        """count calls of permutation(n), their draws taken in one bulk call.
+
+        Each order's n - 1 draws are reduced in numpy, and its swaps run on a
+        list. integer(b) redraws only values of at least
+        2^64 - (2^64 mod b) > 2^64 - n; a draw that high (odds below
+        count n^2 in 2^64) sends the call back to the saved state, to draw
+        the orders one at a time, and a lone order to the scalar draws.
         """
-        if n < 2:
-            return np.arange(n)
+        if n < 2 or count < 1:
+            return [np.arange(n) for _ in range(count)]
         saved = self._s0, self._s1, self._s2, self._s3
-        draws = self._u64s(n - 1)
+        draws = self._u64s(count * (n - 1))
         if int(draws.max()) >= (1 << 64) - n:
             self._s0, self._s1, self._s2, self._s3 = saved
+            if count > 1:
+                return [self.permutation(n) for _ in range(count)]
             order = np.arange(n)
             for i in range(n - 1, 0, -1):
                 j = self.integer(i + 1)
                 order[i], order[j] = order[j], order[i]
-            return order
+            return [order]
+        draws = draws.reshape(count, n - 1)
         draws %= np.arange(n, 1, -1, dtype=_U64)
-        order = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), memoryview(draws)):
-            order[i], order[j] = order[j], order[i]
-        return np.array(order, dtype=int)
+        orders = []
+        for row in draws:
+            order = list(range(n))
+            for i, j in zip(range(n - 1, 0, -1), memoryview(row)):
+                order[i], order[j] = order[j], order[i]
+            orders.append(np.array(order, dtype=int))
+        return orders
 
     def normals(self, n: int) -> Vector:
         """n calls of normal()."""
@@ -740,26 +751,44 @@ def drive_lanes(
 _TABLE_BLOCK = 512
 
 
+def _column_text(values: list[float], bits: np.ndarray) -> Iterator[str]:
+    """repr of each of values, whose float64 bit patterns are bits, with one
+    repr call for each distinct pattern. Keyed on bits, 0.0 and -0.0 (equal
+    as floats) stay apart. A column in which no value repeats the one before
+    it seldom repeats at all, and skips the memo."""
+    if not (bits[1:] == bits[:-1]).any():
+        return map(repr, values)
+    keys = bits.tolist()
+    memo = dict(zip(keys, values))
+    memo = dict(zip(memo, map(repr, memo.values())))
+    return map(memo.__getitem__, keys)
+
+
 def csv_text(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> str:
     """The CSV text of header and rows.
 
     rows is a sequence of rows, or a trajectory table: an (n, 6) float64
     array in STEP_COLUMNS order (Trajectory.records), whose step column is
-    written as an int. A table is written row by row, _TABLE_BLOCK rows at
-    a time, with the bytes csv.writer gives the rows [int(step), *floats].
+    written as an int. A table is written _TABLE_BLOCK rows at a time, with
+    the bytes csv.writer gives the rows [int(step), *floats].
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     if isinstance(rows, np.ndarray):
         width = len(STEP_COLUMNS)
-        if rows.ndim != 2 or rows.shape[1] != width:
-            raise ValueError(f"a trajectory table has shape (n, {width}), got {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != width or rows.dtype != np.float64:
+            raise ValueError(
+                f"a trajectory table is float64 of shape (n, {width}), got {rows.dtype} {rows.shape}"
+            )
         for start in range(0, rows.shape[0], _TABLE_BLOCK):
-            block = rows[start : start + _TABLE_BLOCK].tolist()
+            block = rows[start : start + _TABLE_BLOCK]
+            steps, *floats = block.T.tolist()
+            bits = block.view(np.uint64)
+            columns = [_column_text(v, bits[:, c]) for c, v in enumerate(floats, 1)]
             buf.write("".join(
-                f"{int(k)},{d!r},{dhat!r},{scale!r},{f!r},{gnorm2!r}\n"
-                for k, d, dhat, scale, f, gnorm2 in block
+                f"{k},{d},{dhat},{scale},{f},{gnorm2}\n"
+                for k, d, dhat, scale, f, gnorm2 in zip(map(int, steps), *columns)
             ))
         return buf.getvalue()
     for row in rows:

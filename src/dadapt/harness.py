@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -447,6 +446,9 @@ def _map_seeds(run: Callable, seeds: Sequence[int]) -> list:
     workers = _worker_count()
     if workers == 1 or len(seeds) == 1:
         return [run(seed) for seed in seeds]
+    # imported here: a serial run, the default, loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # a fork pool starts all its workers at the first submit, so no more than the seeds
     with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
         return list(pool.map(run, seeds))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Problem, Rng, Vector
+from .core import _BLOCK, _BULK_MIN, Problem, Rng, Vector
 
 __all__ = [
     "ParseError",
@@ -170,23 +170,33 @@ class Dataset:
 class EpochOrders:
     """A seed's epoch orders of n examples, epoch e's being the (e+1)-th
     Rng(seed, 2).permutation(n), drawn when first asked for. keep=True keeps
-    every order drawn; else only the latest, for one reader going in turn."""
+    every order drawn; else each is let go once a later one is asked for,
+    for one reader going in turn.
+
+    Short orders, whose n - 1 draws would come one at a time (n - 1 below
+    _BULK_MIN), are drawn in bulk: 1, then 2, 4, 8, ... orders at a time,
+    up to one lane block of draws. The orders drawn ahead of a reader going
+    in turn never outnumber those it has asked for."""
 
     def __init__(self, n: int, seed: int, keep: bool = False):
         self.n, self._keep = n, keep
         self._rng = Rng(seed, stream_id=2)  # runs differing in settings alone see the same data
         self._orders: dict[int, np.ndarray] = {}  # epoch -> order
         self._drawn = 0
+        self._most = _BLOCK // (n - 1) if 1 < n <= _BULK_MIN else 1  # orders a draw
 
     def __call__(self, epoch: int) -> np.ndarray:
         while self._drawn <= epoch:
-            # draw, then let the last order go: freed first, its slot takes the draw's
-            # temporaries and the new order lands above them, pinning the heap (+7% RSS)
-            order = self._rng.permutation(self.n)
+            # draw, then let the last orders go: freed first, their slot takes the draw's
+            # temporaries and the new orders land above them, pinning the heap (+7% RSS)
+            count = min(self._drawn + 1, self._most)
+            orders = self._rng.permutations(self.n, count)
             if not self._keep:
                 self._orders.clear()
-            self._orders[self._drawn] = order
-            self._drawn += 1
+            self._orders.update(zip(range(self._drawn, self._drawn + count), orders))
+            self._drawn += count
+        if not self._keep:
+            self._orders.pop(epoch - 1, None)
         return self._orders[epoch]
 
 
@@ -284,8 +294,8 @@ def synth_dataset(
     u = np.empty(n_examples, dtype=np.float64) if flip > 0.0 else None
     # per example: rng.normals(dim), then rng.uniform() when labels flip
     rng.normal_rows(X, u)
-    # a per-row dot product, since the gemv X @ w is not bit-equal to it
-    y = np.array([1.0 if float(w @ x) >= 0.0 else -1.0 for x in X])
+    # each row's own dot product, as w @ x gives it: the gemv X @ w is not bit-equal to it
+    y = np.where(np.vecdot(X, w) >= 0.0, 1.0, -1.0)
     if margin != 0.0:  # a column at a time, with no (n, dim) temporary
         for j in range(dim):
             X[:, j] += (margin * y) * w[j]

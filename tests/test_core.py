@@ -106,6 +106,31 @@ def _scalar_permutation(rng: Rng, n: int) -> np.ndarray:
     return order
 
 
+_MASK = 2**64 - 1
+
+
+def _max_draw_s1() -> int:
+    """The s1 whose draw rotl(s1 * 5, 7) * 9 is 2^64 - 1, inverted."""
+    x = (_MASK * pow(9, -1, 2**64)) & _MASK
+    x = ((x >> 7) | (x << 57)) & _MASK
+    return (x * pow(5, -1, 2**64)) & _MASK
+
+
+def _state_before_max_draw(rng: Rng) -> tuple[int, int, int, int]:
+    return rng._s0, _max_draw_s1(), rng._s2, rng._s3
+
+
+def _step_back(a0: int, a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
+    """The state one u64() step before (a0, a1, a2, a3)."""
+    s3_s1 = ((a3 >> 45) | (a3 << 19)) & _MASK  # rotl(s3 ^ s1, 45) inverted
+    s0 = a0 ^ s3_s1
+    v, s1 = a1 ^ a2, a1 ^ a2  # s1 ^ (s1 << 17), solved for s1
+    for _ in range(4):
+        s1 = v ^ ((s1 << 17) & _MASK)
+    s2 = a1 ^ s1 ^ s0
+    return s0, s1, s2, s3_s1 ^ s1
+
+
 def _same_stream(bulk: Rng, ref: Rng) -> None:
     # the spare normal and the next scalar draw agree
     assert bulk.normal() == ref.normal()
@@ -117,9 +142,9 @@ def _same_stream(bulk: Rng, ref: Rng) -> None:
 _EDGES = [_BULK_MIN - 1, _BULK_MIN, _BULK_MIN + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]
 _CALLS = st.lists(
     st.tuples(
-        st.sampled_from(["normals", "permutation", "normal_rows"]),
+        st.sampled_from(["normals", "permutation", "permutations", "normal_rows"]),
         st.one_of(st.integers(0, 300), st.sampled_from(_EDGES)),
-        st.integers(1, 60),  # dim of normal_rows
+        st.integers(1, 60),  # dim of normal_rows; sets the count of permutations
         st.booleans(),  # normal_rows draws a uniform after each row
     ),
     min_size=1,
@@ -134,6 +159,8 @@ class TestRngBulk:
     @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1), calls=_CALLS)
     @example(seed=17, stream=2, calls=[("permutation", _BLOCK + 2, 1, False)])
     @example(seed=5, stream=0, calls=[("normal_rows", 3 * _BLOCK, 41, True)])
+    @example(seed=3, stream=2, calls=[("permutations", 300, 20, False)])  # lanes, 20 orders
+    @example(seed=4, stream=2, calls=[("permutations", _BULK_MIN - 1, 17, False)])  # 2 blocks
     def test_bulk_matches_scalar(self, seed, stream, calls):
         bulk, ref = Rng(seed, stream), Rng(seed, stream)
         for kind, n, dim, uniforms in calls:
@@ -146,6 +173,14 @@ class TestRngBulk:
                 got = bulk.permutation(n)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+            elif kind == "permutations":
+                count = dim if n <= 300 else 1 + dim % 3
+                got = bulk.permutations(n, count)
+                assert len(got) == count
+                for order in got:
+                    want = _scalar_permutation(ref, n)
+                    assert order.dtype == want.dtype
+                    assert np.array_equal(order, want)
             else:
                 X = np.empty((n // dim, dim))
                 u = np.empty(n // dim) if uniforms else None
@@ -165,19 +200,38 @@ class TestRngBulk:
 
     def test_permutation_redraw_falls_back_to_scalar(self):
         # choose s1 so that the first draw is 2^64 - 1, which integer(3)
-        # rejects (2^64 mod 3 = 1); rotl(s1 * 5, 7) * 9 inverted
-        mask = 2**64 - 1
-        x = (mask * pow(9, -1, 2**64)) & mask
-        x = ((x >> 7) | (x << 57)) & mask
-        s1 = (x * pow(5, -1, 2**64)) & mask
+        # rejects (2^64 mod 3 = 1)
         bulk, ref, skip = Rng(3, 0), Rng(3, 0), Rng(3, 0)
         for rng in (bulk, ref, skip):
-            rng._s1 = s1
-        assert skip.u64() == mask
+            rng._s1 = _max_draw_s1()
+        assert skip.u64() == _MASK
         assert np.array_equal(bulk.permutation(3), _scalar_permutation(ref, 3))
         skip.u64()
         skip.u64()  # the redraw: three draws for two swaps
         assert bulk.u64() == ref.u64() == skip.u64()
+
+    def test_permutations_redraw_in_a_later_order_falls_back(self):
+        # the first draw of the second of five orders is 2^64 - 1, which
+        # integer(1001) rejects: craft that state, then step back 1000 draws
+        n, count = 1001, 5
+        state = list(_state_before_max_draw(Rng(3, 0)))
+        for _ in range(n - 1):
+            state = _step_back(*state)
+        bulk, ref, skip = Rng(3, 0), Rng(3, 0), Rng(3, 0)
+        for rng in (bulk, ref, skip):
+            rng._s0, rng._s1, rng._s2, rng._s3 = state
+        draws = [skip.u64() for _ in range(n)]
+        assert draws[n - 1] == _MASK and max(draws[: n - 1]) < _MASK - n
+        got = bulk.permutations(n, count)
+        for order in got:
+            assert np.array_equal(order, _scalar_permutation(ref, n))
+        assert bulk.u64() == ref.u64()
+
+    def test_permutations_with_nothing_to_draw(self):
+        rng, ref = Rng(8, 1), Rng(8, 1)
+        assert rng.permutations(50, 0) == [] and rng.permutations(-1, 0) == []
+        assert [p.tolist() for p in rng.permutations(1, 3)] == [[0]] * 3
+        assert rng.u64() == ref.u64()  # no draw taken
 
     def test_charpoly_gives_the_published_jump(self):
         # x^(2^128) mod P is the polynomial of xoshiro256's jump(), whose
@@ -599,6 +653,34 @@ class TestCsvTable:
         text = csv_text(["a", "b", "c", "d", "e", "f"], view)
         assert text == _csv_via_records(["a", "b", "c", "d", "e", "f"], view)
         assert text.count("\n") == n + 1
+
+    def test_repeats_and_specials_across_a_block_edge(self):
+        # columns 2 to 4 hold runs of each value and repeat it later in the
+        # block, so they go through the memo of distinct bit patterns: 0.0
+        # and -0.0 (equal as floats), NaNs of several payloads, infinities,
+        # subnormals and 17-digit values; columns 1 and 5 never repeat the
+        # value before, and skip it
+        nans = [struct.unpack("<d", struct.pack("<Q", b))[0]
+                for b in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001)]
+        values = [0.0, -0.0, *nans, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-310, 0.1 + 0.2, 1 / 3, -2 / 3, 123456789.12345679, 1e300, 2.0**53 + 2]
+        n = 512 + 40
+        table = np.empty((n, 6))
+        table[:, 0] = np.arange(n)
+        for c in range(1, 5):
+            table[:, c] = [values[(i // c) % len(values)] for i in range(n)]
+        table[:, 5] = np.random.default_rng(3).standard_normal(n)
+        block = table[:512]
+        assert len({math.copysign(1.0, v) for v in block[block[:, 2] == 0.0, 2]}) == 2
+        text = csv_text(list(STEP_COLUMNS), table)
+        assert text == _csv_via_records(list(STEP_COLUMNS), table)
+        assert "-0.0" in text and ",0.0," in text and "nan" in text and "-inf" in text
+        assert "5e-324" in text and "0.30000000000000004" in text
+
+    def test_table_needs_float64(self):
+        for dtype in (np.float32, np.int64):
+            with pytest.raises(ValueError, match="float64"):
+                csv_text(["k"], np.zeros((3, 6), dtype=dtype))
 
     def test_table_needs_six_columns(self):
         for shape in ((3, 7), (3,), (3, 5)):

@@ -3,6 +3,9 @@
 import codecs
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dadapt
 from dadapt import cli
 from dadapt.analysis import BoundReport
 from dadapt.baselines import (
@@ -550,7 +554,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers, seeds, pool", [("32", (0, 1), 2), ("2", (0, 1, 2), 2)])
     def test_pool_capped_at_seed_count(self, workers, seeds, pool, tmp_path, monkeypatch):
-        import dadapt.harness as hz
+        import concurrent.futures
 
         sizes = []
 
@@ -567,7 +571,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(hz, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setenv("DADAPT_WORKERS", workers)
         cfg = ExperimentConfig(n_steps=5, seeds=seeds, out_dir=str(tmp_path))
         outputs = run_experiment(cfg).outputs
@@ -579,6 +583,15 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n_steps=5, seeds=(0, 1), out_dir=str(tmp_path))
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules load only when a run asks for worker processes
+        code = "import sys, dadapt; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        src = str(Path(dadapt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ConfigError):

@@ -212,15 +212,16 @@ class TestWorkerPool:
 
     @staticmethod
     def permutation_pids(tmp_path, monkeypatch, algo, workers):
+        # one line for each order drawn
         log = tmp_path / f"pids{workers}.txt"
-        real = Rng.permutation
+        real = Rng.permutations
 
-        def logged(self, n):
+        def logged(self, n, count):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return real(self, n)
+                fh.write(f"{os.getpid()}\n" * count)
+            return real(self, n, count)
 
-        monkeypatch.setattr(Rng, "permutation", logged)
+        monkeypatch.setattr(Rng, "permutations", logged)
         monkeypatch.setenv("DADAPT_WORKERS", workers)
         cfg = ExperimentConfig(
             problem="synth_logistic", algorithm=algo, epochs=3, synth_n=64, synth_dim=4,

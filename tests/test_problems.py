@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dadapt.core import Rng
+from dadapt.core import _BULK_MIN, Rng
 from dadapt.problems import (
     Dataset,
+    EpochOrders,
     LogisticProblem,
     ParseError,
     _margins_grad,
@@ -176,6 +177,17 @@ class TestSynthDataset:
                 label = -label
             assert row.tobytes() == x.tobytes()
             assert got == label
+
+    @pytest.mark.parametrize("n, dim", [(300, 1), (200, 2), (100, 20), (60, 51)])
+    def test_labels_match_per_row_dots(self, n, dim):
+        # the row-by-row float(w @ x) labels, against the one np.vecdot pass
+        for seed in range(30):
+            rng = Rng(seed, stream_id=0)
+            w = rng.normals(dim)
+            w /= math.sqrt(float(w @ w))
+            ds = synth_dataset(seed, n, dim)
+            want = [1.0 if float(w @ x) >= 0.0 else -1.0 for x in ds.X]
+            assert ds.y.tolist() == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -494,6 +506,37 @@ class TestBatching:
         for _ in range(9):
             assert np.array_equal(later.next_batch(), lone.next_batch())
         assert list(shared.shared_orders) == [4]
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 37, _BULK_MIN, _BULK_MIN + 1, _BULK_MIN + 2])
+    def test_epoch_orders_are_successive_permutations(self, n, keep, monkeypatch):
+        # short orders come several to a draw, long ones one at a time; either
+        # way epoch e's order is the (e+1)-th permutation of the seed's stream
+        ref = Rng(6, 2)
+        want = [ref.permutation(n) for _ in range(19)]
+        drawn = []
+        real = Rng.permutations
+
+        def counted(self, n, count):
+            drawn.append(count)
+            return real(self, n, count)
+
+        monkeypatch.setattr(Rng, "permutations", counted)
+        orders = EpochOrders(n, seed=6, keep=keep)
+        for epoch, order in enumerate(want):
+            got = orders(epoch)
+            assert got.dtype == order.dtype and np.array_equal(got, order)
+            # drawn ahead: never more than the orders already read
+            assert epoch + 1 <= sum(drawn) <= 2 * epoch + 1
+            if n - 1 >= _BULK_MIN:
+                assert drawn == [1] * (epoch + 1)
+        if keep:  # every order drawn stays readable, in any order
+            for epoch in (3, 0, 18, 7):
+                assert np.array_equal(orders(epoch), want[epoch])
+        else:
+            assert orders(18) is orders(18)
+            with pytest.raises(KeyError):  # let go once a later one was read
+                orders(17)
 
     def test_runs_over_one_dataset_share_one_bias_matrix(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
