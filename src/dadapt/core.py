@@ -466,7 +466,9 @@ class Problem:
     subgradient(x) returns an element of the subdifferential at x, or an
     unbiased estimate of one for minibatch losses; a stochastic oracle draws
     from a stream of its own, as LogisticProblem does. fused, when set,
-    returns value(x) and subgradient(x) from one evaluation.
+    returns value(x) and subgradient(x) from one evaluation. values, when
+    set, returns value at each row of a C-contiguous (K, dim) array, bit for
+    bit, from one call; where it is not, drive calls value on each row.
     lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
     norm when known.
     """
@@ -478,13 +480,7 @@ class Problem:
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
     fused: Optional[Callable[[Vector], tuple[float, Vector]]] = None
-
-    def value_and_subgradient(self, x: Vector) -> tuple[float, Vector]:
-        """(value(x), subgradient(x)): fused, or value and subgradient as bound now."""
-        if self.fused is not None:
-            return self.fused(x)
-        g = self.subgradient(x)
-        return self.value(x), g
+    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 # --------------------------------------------------------------------------
@@ -596,6 +592,15 @@ class Trajectory:
 # state.x, moves it, and appends one row to state.traj.
 
 
+# drive takes the f of a problem without fused this many visited points a call
+_F_ROWS = 16
+
+
+def _each_value(problem: Problem, X: np.ndarray) -> np.ndarray:
+    """problem.value, looked up now, at each row of X."""
+    return np.fromiter(map(problem.value, X), np.float64, X.shape[0])
+
+
 def drive(
     problem: Problem,
     state,
@@ -606,30 +611,47 @@ def drive(
 ) -> None:
     """Take n steps of step from state.x against problem's oracle, one
     oracle call a step. Every record_f_every steps, from step 0 on, f is
-    taken at the visited point, with the gradient, from one fused oracle
-    call; it is NaN otherwise. Raises Diverged at the first step whose new
-    iterate has a NaN or a coordinate beyond DIVERGENCE_NORM; that step's
-    record is kept, and the trajectory is packed however the loop ends.
-    numpy's overflow and invalid-value warnings are silenced in the loop.
-    The exact max-abs test runs only when x.dot(x) exceeds 0.999 times
-    DIVERGENCE_NORM**2, with the same outcome: that sum of n squares is within
-    a relative n * 2^-53 of the true one (n < 10^12), so below the prefilter
-    every x_i^2 is within the bound. NaN, inf and norms near it test exactly.
+    taken at the visited point; it is NaN otherwise. A problem with fused
+    gives f with the gradient. For any other, the stepper is handed NaN
+    (polyak, the one stepper that reads f, then takes value itself) and the
+    point is copied aside: each time _F_ROWS points are held, and once when
+    the loop ends, one call of problem.values (value row by row when it is
+    not set) takes their f into the f column of their rows, so a full-data
+    objective reads its data once for many points. Raises
+    Diverged at the first step whose new iterate has a NaN or a coordinate
+    beyond DIVERGENCE_NORM; that step's record, f included, is kept, and the
+    trajectory is packed however the loop ends. numpy's overflow and
+    invalid-value warnings are silenced in the loop, its last values call
+    included. The exact max-abs test runs only when x.dot(x) exceeds 0.999
+    times DIVERGENCE_NORM**2, with the same outcome: that sum of n squares
+    is within a relative n * 2^-53 of the true one (n < 10^12), so below the
+    prefilter every x_i^2 is within the bound. NaN, inf and norms near it
+    test exactly.
     """
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
-    value_and_subgradient = problem.fused or problem.value_and_subgradient
+    fused = problem.fused
+    if fused is None:
+        values = problem.values or functools.partial(_each_value, problem)
+        points = np.empty((_F_ROWS, state.x.shape[0]))  # visited points whose f is due
+        fs = np.empty(len(range(0, n, record_f_every)))  # f at each cadence step
+    held = taken = 0  # points in the buffer, f values in fs
+    first = state.traj.pack().shape[0]  # the row of step 0
     bound_sq = 0.999 * DIVERGENCE_NORM**2
     flat = schedule.kind == "flat"
     sched = 1.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             for k in range(n):
                 if k % record_f_every:
                     f_val, g = _NAN, subgradient(state.x)
+                elif fused is not None:
+                    f_val, g = fused(state.x)
                 else:
-                    f_val, g = value_and_subgradient(state.x)
+                    points[held] = state.x
+                    held += 1
+                    f_val, g = _NAN, subgradient(state.x)
                 if not flat:
                     sched = schedule_eval(schedule, k, n)
                 step(state, np.asarray(g, dtype=np.float64), f_val=f_val, sched=sched)
@@ -637,8 +659,18 @@ def drive(
                     np.maximum.reduce(np.abs(state.x), initial=0.0) <= DIVERGENCE_NORM
                 ):
                     raise Diverged(k, state.traj, f"iterate NaN or beyond {DIVERGENCE_NORM:g}")
-    finally:
-        state.traj.pack()
+                if held == _F_ROWS:
+                    fs[taken : taken + held] = values(points)
+                    taken += held
+                    held = 0
+        finally:
+            table = state.traj.pack()
+            if fused is None:
+                # a step refused by its stepper left no row, and its point no f
+                kept = len(range(first, table.shape[0], record_f_every))
+                if kept > taken:
+                    fs[taken:kept] = values(points[: kept - taken])
+                table[first::record_f_every, 4] = fs[:kept]
 
 
 class Lanes:
@@ -674,7 +706,7 @@ class Lanes:
 def drive_lanes(
     lanes: Lanes,
     grads: Callable[[np.ndarray], np.ndarray],
-    value: Callable[[Vector], float],
+    values: Callable[[np.ndarray], np.ndarray],
     n: int,
     schedule: Schedule,
     record_f_every: int,
@@ -682,9 +714,9 @@ def drive_lanes(
     """drive for the lanes of runs that differ in their settings alone.
 
     grads(X) gives the gradient at each row of X, with the bits each run's
-    oracle would give, from one draw of the runs' shared stream; value is
-    taken per lane on the cadence, since a stacked full-data product is not
-    bit-equal to one per lane. Returns the (n, B, 6) table of every lane's
+    oracle would give, from one draw of the runs' shared stream; values(X),
+    as Problem.values, gives every live lane's f on the cadence from one
+    call. Returns the (n, B, 6) table of every lane's
     rows in STEP_COLUMNS, NaN past a lane's end, each lane's row
     count and whether it diverged. Lane b gets what drive gives run b alone:
     a lane whose iterate leaves the ball keeps that step's row, one whose
@@ -708,7 +740,7 @@ def drive_lanes(
             g = grads(lanes.x)
             cadence = not k % record_f_every
             if cadence:
-                out[:, 3] = [value(x) for x in lanes.x]
+                out[:, 3] = values(lanes.x)
             if not flat:
                 sched = schedule_eval(schedule, k, n)
             refused = lanes.step(g, sched, out)

@@ -297,12 +297,13 @@ def build_problem(
     if dataset is None:  # synth_logistic or libsvm, the problems left
         dataset = load_dataset(config)
     batch = len(dataset) if config.full_batch else config.batch_size
-    model = LogisticProblem(dataset, batch_size=batch, seed=seed)
     n = config.n_steps
     if n <= 0:
         if config.epochs <= 0:
             raise ConfigError("dataset problems need n_steps or epochs")
-        n = config.epochs * model.batches_per_epoch()
+        # the model's batches_per_epoch: one full batch, or ceil(examples / batch)
+        n = config.epochs * (1 if config.full_batch else -(-len(dataset) // batch))
+    model = LogisticProblem(dataset, batch_size=batch, seed=seed, steps=n)
     problem = model.problem(stochastic=not config.full_batch)
     return ProblemBundle(problem, np.zeros(model.dim, dtype=np.float64), n, model=model)
 
@@ -391,17 +392,18 @@ def _run_points(
     model = bundle.model
     lanes, states = start_lanes(points, bundle)
     table, steps, diverged = drive_lanes(
-        lanes, model.lane_grads, model.full_value, bundle.n_steps,
+        lanes, model.lane_grads, model.full_values, bundle.n_steps,
         _schedule_from_config(config), config.record_f_every,
     )
-    finals = dict(zip(lanes.ids.tolist(), lanes.x))  # the lanes that ran to the end
+    # the final f of the lanes that ran to the end
+    finals = dict(zip(lanes.ids.tolist(), model.full_values(lanes.x).tolist()))
     outputs = []
     for b, point in enumerate(points):
         summary = _new_summary(point, seed)
         summary["diverged"] = bool(diverged[b])
         summary["heuristic_G"] = bool(states[b].traj.meta.get("heuristic_g", False))
         if b in finals:
-            summary["final_f"] = model.full_value(finals[b])
+            summary["final_f"] = finals[b]
         outputs.append(_output(point, seed, table[: steps[b], b], summary))
     return outputs
 

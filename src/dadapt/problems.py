@@ -34,6 +34,9 @@ __all__ = [
 
 _MAX_CELLS = 2**28  # the largest X parse_libsvm makes: 2 GiB of float64
 
+# _block_products takes this many rows of X at a time
+_X_ROWS = 512
+
 
 class ParseError(ValueError):
     """Malformed dataset text; carries the 1-based line number."""
@@ -175,21 +178,25 @@ class EpochOrders:
 
     Short orders, whose n - 1 draws would come one at a time (n - 1 below
     _BULK_MIN), are drawn in bulk: 1, then 2, 4, 8, ... orders at a time,
-    up to one lane block of draws. The orders drawn ahead of a reader going
+    up to one lane block of draws, and, when epochs names how many epochs
+    the readers read, not past it. The orders drawn ahead of a reader going
     in turn never outnumber those it has asked for."""
 
-    def __init__(self, n: int, seed: int, keep: bool = False):
+    def __init__(self, n: int, seed: int, keep: bool = False, epochs: Optional[int] = None):
         self.n, self._keep = n, keep
         self._rng = Rng(seed, stream_id=2)  # runs differing in settings alone see the same data
         self._orders: dict[int, np.ndarray] = {}  # epoch -> order
         self._drawn = 0
         self._most = _BLOCK // (n - 1) if 1 < n <= _BULK_MIN else 1  # orders a draw
+        self._epochs = epochs
 
     def __call__(self, epoch: int) -> np.ndarray:
         while self._drawn <= epoch:
             # draw, then let the last orders go: freed first, their slot takes the draw's
             # temporaries and the new orders land above them, pinning the heap (+7% RSS)
             count = min(self._drawn + 1, self._most)
+            if self._epochs is not None:  # a reader past the epochs named gets one at a time
+                count = max(1, min(count, self._epochs - self._drawn))
             orders = self._rng.permutations(self.n, count)
             if not self._keep:
                 self._orders.clear()
@@ -349,6 +356,31 @@ def _lane_grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(X.T, coeff[:, :, None])[:, :, 0] / X.shape[0]
 
 
+def _block_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The (K, N) products X @ w of each row w of W, bit for bit, taken one
+    _X_ROWS block of X at a time so that a block stays in cache for all of W.
+
+    A gemv takes its rows in groups and the rows left over at its end by
+    another path, so a block's rows get the bits a gemv over all of X gives
+    them when every block but the last has a multiple of the group size:
+    512 rows is one for any group size up to 512. numpy takes a one-row
+    product as a dot, not a gemv, so a last row alone joins the block before.
+    This holds for a gemv on one thread. OpenBLAS splits a large gemv among
+    its threads, and a split off a group moves the bits of X @ w itself
+    with the thread count: at 10001 x 50 on two threads, rows 5000 and
+    10000 differ from the one-thread product.
+    """
+    W = np.ascontiguousarray(W, dtype=np.float64)
+    n = X.shape[0]
+    T = np.empty((W.shape[0], n))
+    starts = list(range(0, n, _X_ROWS))
+    if n > 1 and n % _X_ROWS == 1:
+        starts.pop()
+    for a, b in zip(starts, starts[1:] + [n]):
+        T[:, a:b] = np.matmul(X[a:b], W[:, :, None])[:, :, 0]
+    return T
+
+
 def logistic_value_grad(
     X: np.ndarray, y: np.ndarray, w: Vector
 ) -> tuple[float, Vector]:
@@ -371,10 +403,14 @@ class LogisticProblem:
     multiplies the bias, a column of ones appended to the dataset's X
     (Dataset.with_bias, one array for all the runs over the data).
     Minibatches are consecutive slices of the seed's epoch orders, short
-    final batch kept; the oracle's gradients compute no loss.
+    final batch kept; the oracle's gradients compute no loss. steps, when
+    given, is how many batches a run draws: no order past the epochs those
+    read is drawn ahead.
     """
 
-    def __init__(self, dataset: Dataset, batch_size: int = 16, seed: int = 0):
+    def __init__(
+        self, dataset: Dataset, batch_size: int = 16, seed: int = 0, steps: Optional[int] = None
+    ):
         n = len(dataset)
         if n == 0:
             raise ValueError("empty dataset")
@@ -382,8 +418,9 @@ class LogisticProblem:
             raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
         self.n = n
         self.batch_size = min(batch_size, n)
+        epochs = None if steps is None else -(-steps // self.batches_per_epoch())
         shared = dataset.shared_orders  # None for a lone run, which keeps one order
-        orders = EpochOrders(n, seed, keep=shared is not None)
+        orders = EpochOrders(n, seed, keep=shared is not None, epochs=epochs)
         self.orders = orders if shared is None else shared.setdefault(seed, orders)
         self.X = dataset.with_bias
         self.y = dataset.y
@@ -402,6 +439,12 @@ class LogisticProblem:
     def full_value(self, w: Vector) -> float:
         # the loss half of logistic_value_grad, without the gradient's X.T pass
         return _mean_logistic_loss(self.y * (self.X @ w))
+
+    def full_values(self, W: np.ndarray) -> np.ndarray:
+        """full_value at each row of W, bit for bit, reading X once."""
+        T = _block_products(self.X, W)
+        T *= self.y
+        return np.array([_mean_logistic_loss(t) for t in T], dtype=np.float64)
 
     def full_grad(self, w: Vector) -> Vector:
         return _margins_grad(self.X, self.y, w)[1]
@@ -425,4 +468,4 @@ class LogisticProblem:
             def subgradient(x: Vector) -> Vector:
                 return self.full_grad(x)
 
-        return Problem(value=self.full_value, subgradient=subgradient)
+        return Problem(value=self.full_value, subgradient=subgradient, values=self.full_values)

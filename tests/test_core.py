@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from dadapt.core import (
     _BLOCK,
     _BULK_MIN,
     _CHARPOLY,
+    _F_ROWS,
     DIVERGENCE_NORM,
     STEP_COLUMNS,
+    AtStart,
     ConfigError,
     Diverged,
     Problem,
@@ -29,6 +32,8 @@ from dadapt.core import (
     drive,
     schedule_eval,
 )
+from dadapt.ml import sgd_da_init, sgd_da_step
+from dadapt.problems import LogisticProblem, synth_dataset
 
 
 class TestRng:
@@ -488,10 +493,11 @@ class TestDrive:
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
         drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3)
-        # the f-steps 0, 3, 6 and 9 take f and g from value_and_subgradient
+        # f is taken at the f-steps 0, 3, 6 and 9 alone, after the stepper,
+        # which is handed NaN, has logged them
         assert calls == {"subgradient": 10, "value": 4}
-        assert all(g[0] == 1.0 for g, _, _ in st.seen)
-        fs = [f for _, f, _ in st.seen]
+        assert all(g[0] == 1.0 and math.isnan(f) for g, f, _ in st.seen)
+        fs = st.traj.extra("f")
         assert [k for k, f in enumerate(fs) if not math.isnan(f)] == [0, 3, 6, 9]
 
     def test_schedule_multiplier_passed(self):
@@ -577,6 +583,89 @@ class TestDrive:
         else:
             drive(problem, toy, step, 5, Schedule(), 1)
             assert len(toy.traj.records) == 5
+
+
+class TestDeferredF:
+    """A problem without fused has its f taken after the steps, _F_ROWS
+    visited points to a call of values, and written into the f column."""
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_f_column_is_value_at_each_visited_point(self, every):
+        lp = LogisticProblem(synth_dataset(seed=2, n_examples=600, dim=3, flip=0.1), 8, 1)
+        problem = lp.problem()
+        visited, subgradient = [], problem.subgradient
+        problem.subgradient = lambda x: visited.append(x.copy()) or subgradient(x)
+        state = sgd_da_init(np.zeros(lp.dim), d0=1e-3)
+        drive(problem, state, sgd_da_step, 37, Schedule(), every)  # 37: no multiple of 16
+        want = [lp.full_value(x) if k % every == 0 else math.nan for k, x in enumerate(visited)]
+        assert state.traj.pack()[:, 4].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_divergence_mid_buffer_keeps_f_on_every_kept_row(self, every):
+        calls = {"value": 0, "subgradient": 0}
+        st = _ScaleState([1.0], 4.0)
+        with pytest.raises(Diverged) as info:
+            drive(_counting_problem(calls), st, st.step, 40, Schedule(), every)
+        assert info.value.k == 19  # 4**20 is past DIVERGENCE_NORM; 4**19 is not
+        want = [4.0**k if k % every == 0 else math.nan for k in range(20)]
+        assert repr(st.traj.extra("f")) == repr(want)
+
+    def test_refused_gradient_mid_buffer_keeps_f_up_to_the_row_before(self):
+        calls = {"value": 0, "subgradient": 0}
+        st = _ScaleState([1.0], 2.0)
+
+        def step(state, g, f_val=math.nan, sched=1.0):
+            if len(st.seen) == 18:
+                raise Diverged(18, state.traj, "non-finite gradient")
+            st.step(state, g, f_val, sched)
+
+        with pytest.raises(Diverged):
+            drive(_counting_problem(calls), st, step, 40, Schedule(), 1)
+        assert st.traj.extra("f") == [2.0**k for k in range(18)]
+        assert calls == {"subgradient": 19, "value": 18}  # none for the refused step's point
+
+    def test_at_start_leaves_an_empty_table(self):
+        calls = {"value": 0}
+        problem = Problem(value=lambda x: calls.update(value=1) or 0.0, subgradient=np.zeros_like)
+        state = da_init(np.array([1.0]), 0.1)
+        with pytest.raises(AtStart):
+            drive(problem, state, da_step, 10, Schedule(), 1)
+        assert state.traj.pack().shape == (0, len(state.traj.columns))
+        assert calls == {"value": 0}
+
+    @pytest.mark.parametrize("n, every", [(100, 3), (16, 1), (17, 1), (33, 2), (5, 7), (0, 1)])
+    def test_one_values_call_a_full_buffer(self, n, every):
+        sizes = []
+
+        def values(X):
+            sizes.append(X.shape[0])
+            return X[:, 0] + 1.0
+
+        problem = Problem(value=None, subgradient=np.ones_like, values=values)
+        st = _ScaleState([1.0], 1.0)
+        drive(problem, st, st.step, n, Schedule(), every)
+        cadence = len(range(0, n, every))
+        assert len(sizes) == -(-cadence // _F_ROWS) and sum(sizes) == cadence
+        assert set(sizes[:-1]) <= {_F_ROWS}
+        assert st.traj.extra("f")[::every] == [2.0] * cadence
+
+    def test_values_run_inside_the_loops_errstate(self):
+        # 20 points: one call of values in the loop, one after it
+        problem = Problem(value=None, subgradient=np.ones_like, values=lambda X: X[:, 0] * 1e308)
+        st = _ScaleState([10.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drive(problem, st, st.step, 20, Schedule(), 1)
+        assert st.traj.extra("f") == [math.inf] * 20
+
+    def test_fused_problem_hands_f_to_the_stepper(self):
+        problem = Problem(
+            value=None, subgradient=np.ones_like, fused=lambda x: (float(x[0]), np.ones_like(x))
+        )
+        st = _ScaleState([2.0], 1.0)
+        drive(problem, st, st.step, 5, Schedule(), 2)
+        assert repr([f for _, f, _ in st.seen]) == repr([2.0, math.nan, 2.0, math.nan, 2.0])
+        assert repr(st.traj.extra("f")) == repr([2.0, math.nan, 2.0, math.nan, 2.0])
 
 
 def _bits(v: float) -> bytes:

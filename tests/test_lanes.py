@@ -3,6 +3,7 @@ by side, and each lane gives the bits of the same run made alone."""
 
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -83,7 +84,7 @@ def check_lanes_match_lone_runs(points, seed, dataset):
     lanes, _ = start_lanes(points, bundle)
     with np.errstate(all="ignore"):
         table, steps, diverged = drive_lanes(
-            lanes, bundle.model.lane_grads, bundle.model.full_value, bundle.n_steps,
+            lanes, bundle.model.lane_grads, bundle.model.full_values, bundle.n_steps,
             _schedule_from_config(points[0]), points[0].record_f_every,
         )
         outputs = _run_points(points, seed, dataset)
@@ -176,19 +177,36 @@ def _scaled_lanes(factor):
     return _ScaledLanes([SimpleNamespace(x=np.zeros(2), d=1.0, factor=factor)] * 3)
 
 
+def _zero_values(X):
+    return np.zeros(X.shape[0])
+
+
 def test_drive_lanes_needs_a_positive_cadence():
     with pytest.raises(ConfigError, match="record_f_every"):
-        drive_lanes(_scaled_lanes(1.0), np.zeros_like, lambda x: 0.0, 4, Schedule(), 0)
+        drive_lanes(_scaled_lanes(1.0), np.zeros_like, _zero_values, 4, Schedule(), 0)
 
 
 def test_drive_lanes_refuses_a_falling_d():
     table, steps, diverged = drive_lanes(
-        _scaled_lanes(2.0), np.zeros_like, lambda x: 0.0, 4, Schedule(), 1
+        _scaled_lanes(2.0), np.zeros_like, _zero_values, 4, Schedule(), 1
     )
     assert table[:, 0, 1].tolist() == [1.0, 2.0, 4.0, 8.0]
     assert steps.tolist() == [4, 4, 4] and not diverged.any()
     with pytest.raises(ValueError, match="d decreased"):
-        drive_lanes(_scaled_lanes(0.5), np.zeros_like, lambda x: 0.0, 4, Schedule(), 1)
+        drive_lanes(_scaled_lanes(0.5), np.zeros_like, _zero_values, 4, Schedule(), 1)
+
+
+def test_drive_lanes_takes_every_live_lanes_f_in_one_call():
+    sizes = []
+
+    def values(X):
+        sizes.append(X.shape[0])
+        return X[:, 0] + 1.0
+
+    table, _, _ = drive_lanes(_scaled_lanes(2.0), np.zeros_like, values, 10, Schedule(), 3)
+    assert sizes == [3] * 4  # steps 0, 3, 6 and 9
+    f = table[:, :, 4]
+    assert (f[::3] == 1.0).all() and np.isnan(np.delete(f, np.s_[::3], axis=0)).all()
 
 
 def test_primitives_match_scalar_forms():
@@ -211,7 +229,7 @@ class TestWorkerPool:
     lanes or one by one, and draw the seed's epoch orders once."""
 
     @staticmethod
-    def permutation_pids(tmp_path, monkeypatch, algo, workers):
+    def permutation_pids(tmp_path, monkeypatch, algo, workers, epochs=3, d0s=(1e-6, 1e-4, 1e-2)):
         # one line for each order drawn
         log = tmp_path / f"pids{workers}.txt"
         real = Rng.permutations
@@ -224,10 +242,10 @@ class TestWorkerPool:
         monkeypatch.setattr(Rng, "permutations", logged)
         monkeypatch.setenv("DADAPT_WORKERS", workers)
         cfg = ExperimentConfig(
-            problem="synth_logistic", algorithm=algo, epochs=3, synth_n=64, synth_dim=4,
+            problem="synth_logistic", algorithm=algo, epochs=epochs, synth_n=64, synth_dim=4,
             seeds=(0, 1), out_dir=str(tmp_path / workers),
         )
-        result = d0_sweep(cfg, [1e-6, 1e-4, 1e-2])
+        result = d0_sweep(cfg, list(d0s))
         assert all(math.isfinite(m) for _, m, _, _ in result.rows)
         return log.read_text().split()
 
@@ -243,3 +261,9 @@ class TestWorkerPool:
         assert written[0] == written[1]
         for path in written[0]:
             assert (tmp_path / "1" / path).read_bytes() == (tmp_path / "2" / path).read_bytes()
+
+    def test_orders_drawn_no_further_than_the_epochs_read(self, tmp_path, monkeypatch):
+        # 63 draws an order: bulk draws of 1, 2, 4, ... orders would reach
+        # 127 by epoch 100; the draws stop at the 100 the runs read
+        pids = self.permutation_pids(tmp_path, monkeypatch, "sgd_da", "2", 100, (1e-6, 1e-2))
+        assert sorted(Counter(pids).values()) == [100, 100]

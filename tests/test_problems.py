@@ -2,23 +2,29 @@
 
 import gc
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dadapt.core import _BULK_MIN, Rng
+from dadapt.baselines import adagrad_norm_init, adagrad_norm_step
+from dadapt.core import _BULK_MIN, Rng, Schedule, drive
 from dadapt.problems import (
     Dataset,
     EpochOrders,
     LogisticProblem,
     ParseError,
+    _block_products,
     _margins_grad,
     _mean_logistic_loss,
     abs_value_problem,
@@ -451,6 +457,92 @@ class TestMarginsGradInPlace:
             assert oracle.subgradient(w).tobytes() == want.tobytes()
 
 
+_FULL_VALUES_SWEEP = """
+import sys
+import numpy as np
+from dadapt.problems import Dataset, LogisticProblem, _block_products
+rng = np.random.default_rng(11)
+for n in (1, 511, 512, 513, 1100, 4999):
+    for dim in (1, 2, 3, 5, 8, 17, 50, 60):
+        k = 1 + dim % 17
+        X = rng.standard_normal((n, dim))
+        lp = LogisticProblem(Dataset(X=X, y=np.where(rng.random(n) < 0.5, 1.0, -1.0)))
+        W = rng.standard_normal((k, dim + 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+        products = np.array([lp.X @ w for w in W])
+        want = np.array([lp.full_value(w) for w in W])
+        if _block_products(lp.X, W).tobytes() != products.tobytes():
+            sys.exit(f"X @ w moved bits in blocks at n={n}, dim={dim}, k={k}")
+        if lp.full_values(W).tobytes() != want.tobytes():
+            sys.exit(f"full_values moved bits at n={n}, dim={dim}, k={k}")
+"""
+
+
+@st.composite
+def _full_values_cases(draw):
+    """A dataset with N below, at, above and off multiples of the 512-row
+    block, and K weight rows, some huge, some -0.0 and some NaN."""
+    n = draw(st.sampled_from([1, 2, 7, 511, 512, 513, 1024, 1025, 1100, 1537]))
+    dim = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 17))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, dim))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    W = rng.standard_normal((k, dim + 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        kind = draw(st.sampled_from(["huge", "-0.0", "nan"]))
+        if kind == "huge":  # margins past 1e300, some overflowing to inf
+            with np.errstate(over="ignore"):
+                W[row] *= 1e300
+        elif kind == "-0.0":
+            W[row] = -0.0
+        else:
+            W[row, draw(st.integers(0, dim))] = math.nan
+    return Dataset(X=X, y=y), W
+
+
+class TestFullValues:
+    @settings(max_examples=200, deadline=None)
+    @given(_full_values_cases())
+    def test_bit_equal_to_full_value_row_by_row(self, case):
+        dataset, W = case
+        lp = LogisticProblem(dataset)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows X @ w
+            got = lp.full_values(W)
+            want = np.array([lp.full_value(w) for w in W])
+            # the products themselves, where a moved bit seldom survives the mean
+            products = np.array([lp.X @ w for w in W]).reshape(len(W), len(lp.X))
+            assert _block_products(lp.X, W).tobytes() == products.tobytes()
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_bit_equal_under_a_second_blas_kernel(self):
+        # the 512-row blocks give the gemv's bits under the kernel OpenBLAS
+        # picks for this CPU and under its Haswell kernel, set in the child alone
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FULL_VALUES_SWEEP], env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_no_warning_and_inputs_unwritten(self):
+        lp = LogisticProblem(synth_dataset(seed=3, n_examples=1100, dim=4, flip=0.2))
+        W = np.vstack([Rng(3, 7).normals(lp.dim), np.full(lp.dim, -0.0), np.zeros(lp.dim)])
+        W = np.vstack([W, [[1e300, 0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0, 0.0]]])
+        saved = lp.X.copy(), lp.y.copy(), W.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp.full_values(W)
+        assert got[:3].tolist() == [lp.full_value(w) for w in W[:3]]
+        assert got[2] == math.log(2.0) and math.isnan(got[4])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((lp.X, lp.y, W), saved))
+
+    def test_no_rows(self):
+        lp = LogisticProblem(synth_dataset(seed=3, n_examples=10, dim=2))
+        assert lp.full_values(np.empty((0, 3))).shape == (0,)
+
+
 class TestBatching:
     def test_epoch_covers_every_example(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
@@ -537,6 +629,28 @@ class TestBatching:
             assert orders(18) is orders(18)
             with pytest.raises(KeyError):  # let go once a later one was read
                 orders(17)
+
+    @pytest.mark.parametrize("steps, epochs", [(1, 1), (10, 1), (11, 2), (35, 4), (70, 7)])
+    def test_orders_drawn_no_further_than_the_epochs_a_run_reads(self, steps, epochs, monkeypatch):
+        # 37 examples in batches of 4 make 10 batches an epoch; bulk draws of
+        # 1, 2, 4, ... orders stop at the epochs the run's steps read, and a
+        # reader past them draws one order at a time
+        ref = Rng(4, 2)
+        want = [ref.permutation(37) for _ in range(epochs + 2)]
+        drawn = []
+        real = Rng.permutations
+        monkeypatch.setattr(
+            Rng, "permutations", lambda rng, n, count: drawn.append(count) or real(rng, n, count)
+        )
+        ds = replace(synth_dataset(seed=9, n_examples=37, dim=2), shared_orders={})
+        lp = LogisticProblem(ds, batch_size=4, seed=4, steps=steps)
+        for k in range(10 * (epochs + 2)):
+            if k == steps:
+                assert sum(drawn) == epochs
+                within = len(drawn)
+            epoch, i = divmod(k, 10)
+            assert np.array_equal(lp.next_batch(), want[epoch][4 * i : 4 * i + 4])
+        assert drawn[within:] == [1, 1]
 
     def test_runs_over_one_dataset_share_one_bias_matrix(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
@@ -667,7 +781,7 @@ class TestFusedOracle:
         prob = piecewise_max_problem(*case)
         x = case[2]
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the scores
-            f, g = prob.value_and_subgradient(x)
+            f, g = prob.fused(x)
             f_ref, g_ref = prob.value(x), prob.subgradient(x)
         assert type(f) is float
         assert _bits(f) == _bits(f_ref)
@@ -676,20 +790,22 @@ class TestFusedOracle:
     def test_ties_take_the_lowest_index(self):
         slopes = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         prob = piecewise_max_problem(slopes, np.zeros(3))
-        f, g = prob.value_and_subgradient(np.array([1.0, 1.0]))
+        f, g = prob.fused(np.array([1.0, 1.0]))
         assert f == 1.0 and g.tolist() == [0.0, 1.0]
         g[0] = 5.0  # a copy, not a view of the slopes
-        assert prob.value_and_subgradient(np.array([1.0, 1.0]))[1].tolist() == [0.0, 1.0]
+        assert prob.fused(np.array([1.0, 1.0]))[1].tolist() == [0.0, 1.0]
 
-    def test_other_problems_use_value_and_subgradient_as_bound_at_call(self):
+    def test_other_problems_defer_f_to_value_as_bound_at_call(self):
+        # drive looks up subgradient once a run and value at each deferred call
         prob = abs_value_problem()
         calls = []
         value, subgradient = prob.value, prob.subgradient
         prob.value = lambda x: calls.append("value") or value(x)
         prob.subgradient = lambda x: calls.append("subgradient") or subgradient(x)
-        f, g = prob.value_and_subgradient(np.array([-2.0]))
-        assert (f, g.tolist()) == (2.0, [-1.0])
-        assert calls == ["subgradient", "value"]
+        state = adagrad_norm_init(np.array([-2.0]), radius=1.0)
+        drive(prob, state, adagrad_norm_step, 3, Schedule(), 2)
+        assert calls == ["subgradient"] * 3 + ["value"] * 2
+        assert repr(state.traj.extra("f")) == repr([2.0, math.nan, 1.0])
 
 
 class TestAbsProblem:
