@@ -37,8 +37,8 @@ __all__ = [
 _NAN = float("nan")
 
 
-def _record(state, gamma: float, f_val: float, gnorm2: float) -> None:
-    state.traj.append((state.k, _NAN, _NAN, gamma, f_val, gnorm2))
+def _record(state, gamma: float, gnorm2: float) -> None:
+    state.traj.append((state.k, _NAN, _NAN, gamma, _NAN, gnorm2))
     state.k += 1
 
 
@@ -63,9 +63,7 @@ def adagrad_norm_init(x0: Vector, radius: float) -> AdaGradNormState:
     return AdaGradNormState(x0=x0.copy(), x=x0.copy(), radius=radius, sum_gsq=0.0, traj=traj)
 
 
-def adagrad_norm_step(
-    state: AdaGradNormState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
+def adagrad_norm_step(state: AdaGradNormState, g: Vector, sched: float = 1.0) -> None:
     """x <- project(x - radius/sqrt(sum ||g||^2) * g) onto the x0-ball.
 
     Skipped while every gradient seen so far is zero (the step size is
@@ -74,7 +72,7 @@ def adagrad_norm_step(
     gnorm2 = _dot(g, g)
     state.sum_gsq += gnorm2
     if state.sum_gsq == 0.0:
-        _record(state, _NAN, f_val, gnorm2)
+        _record(state, _NAN, gnorm2)
         return
     gamma = state.radius / math.sqrt(state.sum_gsq)
     x = state.x - gamma * g
@@ -83,7 +81,7 @@ def adagrad_norm_step(
     if dist > state.radius:
         x = state.x0 + delta * (state.radius / dist)
     state.x = x
-    _record(state, gamma, f_val, gnorm2)
+    _record(state, gamma, gnorm2)
 
 
 class AdaGradNormLanes(Lanes):
@@ -134,14 +132,13 @@ class _PolyakState:
     k: int = 0
 
 
-def _polyak_state_step(
-    state: _PolyakState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
-    fx = state.value(state.x) if math.isnan(f_val) else f_val
+def _polyak_state_step(state: _PolyakState, g: Vector, sched: float = 1.0) -> None:
+    # a value below fstar is rounding at an optimal point: there is no move
+    fx = max(state.value(state.x), state.fstar)
     gg = _dot(g, g)
     gamma = (fx - state.fstar) / gg if gg > 0.0 else 0.0
     state.x = polyak_step(state.x, g, fx, state.fstar)
-    _record(state, gamma, f_val, gg)
+    _record(state, gamma, gg)
 
 
 @dataclass
@@ -154,10 +151,10 @@ class _FixedState:
     k: int = 0
 
 
-def _fixed_step(state: _FixedState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
+def _fixed_step(state: _FixedState, g: Vector, sched: float = 1.0) -> None:
     state.x = state.x - state.gamma * g
     state.traj.update_average(state.x, 1.0)
-    _record(state, state.gamma, f_val, _dot(g, g))
+    _record(state, state.gamma, _dot(g, g))
 
 
 @dataclass
@@ -169,9 +166,7 @@ class _AdaGradState:
     k: int = 0
 
 
-def _adagrad_step(
-    state: _AdaGradState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
+def _adagrad_step(state: _AdaGradState, g: Vector, sched: float = 1.0) -> None:
     # plain coordinate-wise accumulation, lr times schedule on top; acc is
     # the state's own, so it is updated in place (out by position)
     acc = state.acc
@@ -184,7 +179,7 @@ def _adagrad_step(
         step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
     mult = state.lr * sched
     state.x = state.x - mult * step
-    _record(state, mult, f_val, _dot(g, g))
+    _record(state, mult, _dot(g, g))
 
 
 class AdaGradLanes(Lanes):

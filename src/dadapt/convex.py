@@ -26,10 +26,11 @@ Three variants live here:
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
 plain listings. Steppers mutate their state and append one row to a
-Trajectory; run_convex and baselines.start hand them to core.drive. At
-step 0 a stepper raises core.AtStart on a zero gradient, since the start
-is then a minimizer; otherwise a gradient bound left unset (None) at init
-is taken from that gradient's norm, and meta["heuristic_g"] says so.
+Trajectory, its f NaN; run_convex and baselines.start hand them to
+core.drive, which writes the f column. At step 0 a stepper raises
+core.AtStart on a zero gradient, since the start is then a minimizer;
+otherwise a gradient bound left unset (None) at init is taken from that
+gradient's norm, and meta["heuristic_g"] says so.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def da_init(
     )
 
 
-def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
+def da_step(state: DAState, g: Vector, sched: float = 1.0) -> None:
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
@@ -183,7 +184,7 @@ def da_step(state: DAState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.traj.update_average(state.x, lam)
     state.traj.append((
-        state.k, state.d, d_hat, gamma_new, f_val, gnorm2,
+        state.k, state.d, d_hat, gamma_new, _NAN, gnorm2,
         gamma_old, wg_term, hyper_term, snorm2, lam,
     ))
 
@@ -232,7 +233,7 @@ def gd_init(x0: Vector, d0: float, G: Optional[float] = None) -> GDState:
     )
 
 
-def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) -> None:
+def gd_step(state: GDState, g: Vector, sched: float = 1.0) -> None:
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
@@ -259,7 +260,7 @@ def gd_step(state: GDState, g: Vector, f_val: float = _NAN, sched: float = 1.0) 
 
     state.traj.update_average(state.x, lam)
     state.traj.append(
-        (state.k, state.d, d_hat, lam, f_val, gnorm2, wg_term, hyper_term, snorm2)
+        (state.k, state.d, d_hat, lam, _NAN, gnorm2, wg_term, hyper_term, snorm2)
     )
 
     state.d = max(state.d, d_hat)
@@ -302,9 +303,7 @@ def adagrad_da_init(x0: Vector, d0: float, g_inf: Optional[float] = None) -> Ada
     )
 
 
-def adagrad_da_step(
-    state: AdaGradDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
+def adagrad_da_step(state: AdaGradDAState, g: Vector, sched: float = 1.0) -> None:
     gnorm2 = _dot(g, g)
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
@@ -331,7 +330,7 @@ def adagrad_da_step(
 
     state.traj.update_average(state.x, lam)
     state.traj.append((
-        state.k, state.d, d_hat, 1.0 / float(np.maximum.reduce(state.a)), f_val, gnorm2,
+        state.k, state.d, d_hat, 1.0 / float(np.maximum.reduce(state.a)), _NAN, gnorm2,
         s_l1, float(np.add.reduce(state.a)),
     ))
 

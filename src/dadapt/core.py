@@ -588,8 +588,9 @@ class Trajectory:
 # The step loop
 #
 # Every optimizer is a pair init(x0, ...) -> state and
-# step(state, g, f_val=nan, sched=1.0) -> None, where the stepper reads
-# state.x, moves it, and appends one row to state.traj.
+# step(state, g, sched=1.0) -> None, where the stepper reads state.x,
+# moves it, and appends one row to state.traj with NaN for f: the driver
+# writes the f column.
 
 
 # drive takes the f of a problem without fused this many visited points a call
@@ -611,13 +612,13 @@ def drive(
 ) -> None:
     """Take n steps of step from state.x against problem's oracle, one
     oracle call a step. Every record_f_every steps, from step 0 on, f is
-    taken at the visited point; it is NaN otherwise. A problem with fused
-    gives f with the gradient. For any other, the stepper is handed NaN
-    (polyak, the one stepper that reads f, then takes value itself) and the
-    point is copied aside: each time _F_ROWS points are held, and once when
-    the loop ends, one call of problem.values (value row by row when it is
-    not set) takes their f into the f column of their rows, so a full-data
-    objective reads its data once for many points. Raises
+    taken at the visited point; it is NaN otherwise. The stepper never sees
+    f: drive alone writes the f column, once the loop ends. A problem with
+    fused gives f with the gradient. For any other the point is copied
+    aside: each time _F_ROWS points are held, and once when the loop ends,
+    one call of problem.values (value row by row when it is not set) takes
+    their f, so a full-data objective reads its data once for many points.
+    A step its stepper refuses keeps no row and so no f. Raises
     Diverged at the first step whose new iterate has a NaN or a coordinate
     beyond DIVERGENCE_NORM; that step's record, f included, is kept, and the
     trajectory is packed however the loop ends. numpy's overflow and
@@ -632,10 +633,9 @@ def drive(
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
     fused = problem.fused
-    if fused is None:
-        values = problem.values or functools.partial(_each_value, problem)
-        points = np.empty((_F_ROWS, state.x.shape[0]))  # visited points whose f is due
-        fs = np.empty(len(range(0, n, record_f_every)))  # f at each cadence step
+    values = problem.values or functools.partial(_each_value, problem)
+    points = np.empty((_F_ROWS, state.x.shape[0]))  # visited points whose f is due
+    fs = np.empty(len(range(0, n, record_f_every)))  # f at each cadence step
     held = taken = 0  # points in the buffer, f values in fs
     first = state.traj.pack().shape[0]  # the row of step 0
     bound_sq = 0.999 * DIVERGENCE_NORM**2
@@ -645,16 +645,17 @@ def drive(
         try:
             for k in range(n):
                 if k % record_f_every:
-                    f_val, g = _NAN, subgradient(state.x)
+                    g = subgradient(state.x)
                 elif fused is not None:
-                    f_val, g = fused(state.x)
+                    fs[taken], g = fused(state.x)
+                    taken += 1
                 else:
                     points[held] = state.x
                     held += 1
-                    f_val, g = _NAN, subgradient(state.x)
+                    g = subgradient(state.x)
                 if not flat:
                     sched = schedule_eval(schedule, k, n)
-                step(state, np.asarray(g, dtype=np.float64), f_val=f_val, sched=sched)
+                step(state, np.asarray(g, dtype=np.float64), sched=sched)
                 if not state.x.dot(state.x) <= bound_sq and not (
                     np.maximum.reduce(np.abs(state.x), initial=0.0) <= DIVERGENCE_NORM
                 ):
@@ -665,12 +666,11 @@ def drive(
                     held = 0
         finally:
             table = state.traj.pack()
-            if fused is None:
-                # a step refused by its stepper left no row, and its point no f
-                kept = len(range(first, table.shape[0], record_f_every))
-                if kept > taken:
-                    fs[taken:kept] = values(points[: kept - taken])
-                table[first::record_f_every, 4] = fs[:kept]
+            # a step refused by its stepper left no row, and its point no f
+            kept = len(range(first, table.shape[0], record_f_every))
+            if kept > taken:
+                fs[taken:kept] = values(points[: kept - taken])
+            table[first::record_f_every, 4] = fs[:kept]
 
 
 class Lanes:

@@ -134,6 +134,8 @@ class ExperimentConfig:
         # Schedule check them, whatever the problem and algorithm
         for name, ok, rule in (
             ("record_f_every", self.record_f_every >= 1, "be positive"),
+            ("n_steps", self.n_steps >= 0, "be non-negative"),
+            ("epochs", self.epochs >= 0, "be non-negative"),
             ("d0", self.d0 > 0.0, "be positive"),
             ("x0_distance", self.x0_distance >= 0.0, "be non-negative"),
             ("lr", self.lr >= 0.0, "be non-negative"),

@@ -94,9 +94,7 @@ def sgd_da_init(
     )
 
 
-def sgd_da_step(
-    state: SGDDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
+def sgd_da_step(state: SGDDAState, g: Vector, sched: float = 1.0) -> None:
     gnorm2 = _dot(g, g)
     _check_step_inputs(state, gnorm2, sched)
     if state.G is None:
@@ -104,7 +102,7 @@ def sgd_da_step(
             # nothing observable yet; skip, only the counter advances. G is
             # unset only before the first non-skip step, so no candidate
             # exists yet and the row's dhat is 0.0
-            state.traj.append((state.k, state.d, 0.0, 0.0, f_val, 0.0))
+            state.traj.append((state.k, state.d, 0.0, 0.0, _NAN, 0.0))
             state.k += 1
             return
         state.G = math.sqrt(gnorm2)
@@ -119,7 +117,7 @@ def sgd_da_step(
     snorm = math.sqrt(_dot(state.s, state.s))
     d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm
 
-    state.traj.append((state.k, state.d, d_hat, lam, f_val, gnorm2))
+    state.traj.append((state.k, state.d, d_hat, lam, _NAN, gnorm2))
     state.d = max(state.d, d_hat)
     state.k += 1
 
@@ -227,9 +225,7 @@ def adam_da_init(
     )
 
 
-def adam_da_step(
-    state: AdamDAState, g: Vector, f_val: float = _NAN, sched: float = 1.0
-) -> None:
+def adam_da_step(state: AdamDAState, g: Vector, sched: float = 1.0) -> None:
     gnorm2 = _dot(g, g)
     _check_step_inputs(state, gnorm2, sched)
     dg = state.d * sched
@@ -251,7 +247,7 @@ def adam_da_step(
     s_l1 = float(np.add.reduce(np.abs(state.s)))
     d_hat = 0.0 if s_l1 == 0.0 else state.r / ((1.0 - sb2) * s_l1)
 
-    state.traj.append((state.k, state.d, d_hat, dg, f_val, gnorm2))
+    state.traj.append((state.k, state.d, d_hat, dg, _NAN, gnorm2))
     state.d = max(state.d, d_hat)
     state.k += 1
 

@@ -313,42 +313,42 @@ def test_criterion_10_hand_trace_oracles():
 
     # dual averaging, default numerator: steps 0 and 1 on |x|, x0=1, d0=0.1
     st = da_init(np.array([1.0]), 0.1, option="I")
-    da_step(st, np.array([1.0]), f_val=1.0)
+    da_step(st, np.array([1.0]))
     expect("da0.s", st.s[0], 0.1)
     expect("da0.gamma", st.gamma, 1.0)
     expect("da0.dhat", st.traj.extra("dhat")[-1], 0.0)
     expect("da0.x", st.x[0], 0.9)
-    da_step(st, np.array([1.0]), f_val=0.9)
+    da_step(st, np.array([1.0]))
     expect("da1.gamma", st.gamma, 1.0 / math.sqrt(2.0))
     expect("da1.dhat", st.traj.extra("dhat")[-1], (0.04 / math.sqrt(2.0) - 0.02) / 0.4)
     expect("da1.x", st.x[0], 1.0 - 0.2 / math.sqrt(2.0))
 
     # hypergradient numerator after the same two steps
     st2 = da_init(np.array([1.0]), 0.1, option="II")
-    da_step(st2, np.array([1.0]), f_val=1.0)
-    da_step(st2, np.array([1.0]), f_val=0.9)
+    da_step(st2, np.array([1.0]))
+    da_step(st2, np.array([1.0]))
     expect("daII.dhat", st2.traj.extra("dhat")[-1], 0.05)
 
     # gradient descent form, step 0 (G known)
     st3 = gd_init(np.array([1.0]), 0.1, G=1.0)
-    gd_step(st3, np.array([1.0]), f_val=1.0)
+    gd_step(st3, np.array([1.0]))
     expect("gd0.lam", st3.traj.extra("gamma_or_lambda")[0], 0.1 / math.sqrt(2.0))
     expect("gd0.x", st3.x[0], 1.0 - 0.1 / math.sqrt(2.0))
 
     # coordinate-wise form, step 0
     st4 = adagrad_da_init(np.array([1.0]), 0.1, g_inf=1.0)
-    adagrad_da_step(st4, np.array([1.0]), f_val=1.0)
+    adagrad_da_step(st4, np.array([1.0]))
     expect("ada0.a", st4.a[0], math.sqrt(2.0))
     expect("ada0.dhat", st4.traj.extra("dhat")[-1], (0.01 / math.sqrt(2.0) - 0.01) / 0.2)
     expect("ada0.x", st4.x[0], 1.0 - 0.1 / math.sqrt(2.0))
 
     # stochastic form with primal averaging, steps 0 and 1
     st5 = sgd_da_init(np.array([1.0]), d0=0.1, beta=0.9, G=1.0)
-    sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=1.0)
+    sgd_da_step(st5, np.array([1.0]), sched=1.0)
     expect("sgd0.z", st5.z[0], 0.9)
     expect("sgd0.x", st5.x[0], 0.99)
     expect("sgd0.dhat", st5.traj.extra("dhat")[-1], 0.0)
-    sgd_da_step(st5, np.array([1.0]), sched=1.0, f_val=0.99)
+    sgd_da_step(st5, np.array([1.0]), sched=1.0)
     expect("sgd1.hyper", st5.hypergrad_sum, 0.01)
     expect("sgd1.s", st5.s[0], 0.2)
     expect("sgd1.z", st5.z[0], 0.8)
@@ -357,7 +357,7 @@ def test_criterion_10_hand_trace_oracles():
 
     # moving-average form, step 0
     st6 = adam_da_init(np.array([1.0]), d0=0.1)
-    adam_da_step(st6, np.array([1.0]), sched=1.0, f_val=1.0)
+    adam_da_step(st6, np.array([1.0]), sched=1.0)
     expect("adam0.m", st6.m[0], 0.01)
     expect("adam0.v", st6.v[0], 0.001)
     expect("adam0.x", st6.x[0], 1.0 - 0.01 / (math.sqrt(0.001) + 1e-8))

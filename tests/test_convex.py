@@ -44,7 +44,7 @@ class TestDualAveragingTrace:
 
     def test_step0(self):
         st = da_init(np.array([1.0]), 0.1, option="I")
-        da_step(st, np.array([1.0]), f_val=1.0)
+        da_step(st, np.array([1.0]))
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.gamma == pytest.approx(1.0, abs=TRACE_TOL)
         assert st.traj.extra("dhat")[-1] == pytest.approx(0.0, abs=TRACE_TOL)
@@ -53,8 +53,8 @@ class TestDualAveragingTrace:
 
     def test_step1_option_I(self):
         st = da_init(np.array([1.0]), 0.1, option="I")
-        da_step(st, np.array([1.0]), f_val=1.0)
-        da_step(st, np.array([1.0]), f_val=0.9)
+        da_step(st, np.array([1.0]))
+        da_step(st, np.array([1.0]))
         assert st.s[0] == pytest.approx(0.2, abs=TRACE_TOL)
         assert st.gamma == pytest.approx(1.0 / math.sqrt(2.0), abs=TRACE_TOL)
         expected_dhat = (0.04 / math.sqrt(2.0) - 0.02) / 0.4
@@ -66,8 +66,8 @@ class TestDualAveragingTrace:
 
     def test_step1_option_II(self):
         st = da_init(np.array([1.0]), 0.1, option="II")
-        da_step(st, np.array([1.0]), f_val=1.0)
-        da_step(st, np.array([1.0]), f_val=0.9)
+        da_step(st, np.array([1.0]))
+        da_step(st, np.array([1.0]))
         # (0 + 0.1*1*0.1) / 0.2
         assert st.traj.extra("dhat")[-1] == pytest.approx(0.05, abs=TRACE_TOL)
         assert st.d == pytest.approx(0.1, abs=TRACE_TOL)
@@ -105,7 +105,7 @@ class TestDualAveragingTrace:
 
     def test_g_fixed_mode_first_gamma(self):
         st = da_init(np.array([1.0]), 0.1, g_fixed=2.0)
-        da_step(st, np.array([1.0]), f_val=1.0)
+        da_step(st, np.array([1.0]))
         # gamma_1 = 1/sqrt(G^2 + |g0|^2) = 1/sqrt(5)
         assert st.gamma == pytest.approx(1.0 / math.sqrt(5.0), abs=TRACE_TOL)
 
@@ -122,7 +122,7 @@ class TestDualAveragingTrace:
 class TestGradientDescentTrace:
     def test_step0(self):
         st = gd_init(np.array([1.0]), 0.1, G=1.0)
-        gd_step(st, np.array([1.0]), f_val=1.0)
+        gd_step(st, np.array([1.0]))
         lam0 = 0.1 / math.sqrt(2.0)
         assert lam0 == pytest.approx(0.0707107, abs=1e-7)
         assert st.traj.extra("gamma_or_lambda")[0] == pytest.approx(lam0, abs=TRACE_TOL)
@@ -159,7 +159,7 @@ class TestGradientDescentTrace:
 class TestAdaGradDATrace:
     def test_step0(self):
         st = adagrad_da_init(np.array([1.0]), 0.1, g_inf=1.0)
-        adagrad_da_step(st, np.array([1.0]), f_val=1.0)
+        adagrad_da_step(st, np.array([1.0]))
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.a[0] == pytest.approx(math.sqrt(2.0), abs=TRACE_TOL)
         expected_dhat = (0.01 / math.sqrt(2.0) - 0.01) / 0.2

@@ -469,10 +469,10 @@ class _ScaleState:
         self.traj = Trajectory("toy", self.x.shape[0])
         self.seen = []
 
-    def step(self, state, g, f_val=math.nan, sched=1.0):
+    def step(self, state, g, sched=1.0):
         assert state is self
-        self.seen.append((g.copy(), f_val, sched))
-        self.traj.append((len(self.traj.records), 1.0, 0.0, sched, f_val, 0.0))
+        self.seen.append((g.copy(), sched))
+        self.traj.append((len(self.traj.records), 1.0, 0.0, sched, math.nan, 0.0))
         self.x = self.x * self.factor
 
 
@@ -493,10 +493,10 @@ class TestDrive:
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
         drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3)
-        # f is taken at the f-steps 0, 3, 6 and 9 alone, after the stepper,
-        # which is handed NaN, has logged them
+        # f is taken at the f-steps 0, 3, 6 and 9 alone, by drive, after the
+        # stepper has logged them
         assert calls == {"subgradient": 10, "value": 4}
-        assert all(g[0] == 1.0 and math.isnan(f) for g, f, _ in st.seen)
+        assert all(g[0] == 1.0 for g, _ in st.seen)
         fs = st.traj.extra("f")
         assert [k for k, f in enumerate(fs) if not math.isnan(f)] == [0, 3, 6, 9]
 
@@ -505,7 +505,7 @@ class TestDrive:
         st = _ScaleState([1.0], 1.0)
         sched = Schedule(kind="stagewise", stage_fractions=(0.5,), stage_factor=0.1)
         drive(_counting_problem(calls), st, st.step, 4, sched, 1)
-        assert [s for _, _, s in st.seen] == [schedule_eval(sched, k, 4) for k in range(4)]
+        assert [s for _, s in st.seen] == [schedule_eval(sched, k, 4) for k in range(4)]
 
     def test_stops_at_first_iterate_past_norm(self):
         st = _ScaleState([1.0], 1e4)
@@ -569,8 +569,8 @@ class TestDrive:
         exact = not np.maximum.reduce(np.abs(x), initial=0.0) <= DIVERGENCE_NORM
         toy = _ScaleState(np.ones_like(x), 1.0)
 
-        def step(state, g, f_val=math.nan, sched=1.0):
-            toy.step(state, g, f_val, sched)
+        def step(state, g, sched=1.0):
+            toy.step(state, g, sched)
             if len(toy.seen) == 3:
                 state.x = x.copy()
 
@@ -586,8 +586,9 @@ class TestDrive:
 
 
 class TestDeferredF:
-    """A problem without fused has its f taken after the steps, _F_ROWS
-    visited points to a call of values, and written into the f column."""
+    """drive alone writes the f column: a problem without fused has its f
+    taken after the steps, _F_ROWS visited points to a call of values, and a
+    fused one's comes with its gradient."""
 
     @pytest.mark.parametrize("every", [1, 3, 7])
     def test_f_column_is_value_at_each_visited_point(self, every):
@@ -610,19 +611,36 @@ class TestDeferredF:
         want = [4.0**k if k % every == 0 else math.nan for k in range(20)]
         assert repr(st.traj.extra("f")) == repr(want)
 
-    def test_refused_gradient_mid_buffer_keeps_f_up_to_the_row_before(self):
-        calls = {"value": 0, "subgradient": 0}
+    @staticmethod
+    def refuse_step_18(problem):
+        """Drive a doubling toy on problem until its stepper refuses step 18."""
         st = _ScaleState([1.0], 2.0)
 
-        def step(state, g, f_val=math.nan, sched=1.0):
+        def step(state, g, sched=1.0):
             if len(st.seen) == 18:
                 raise Diverged(18, state.traj, "non-finite gradient")
-            st.step(state, g, f_val, sched)
+            st.step(state, g, sched)
 
         with pytest.raises(Diverged):
-            drive(_counting_problem(calls), st, step, 40, Schedule(), 1)
-        assert st.traj.extra("f") == [2.0**k for k in range(18)]
+            drive(problem, st, step, 40, Schedule(), 1)
+        return st.traj.extra("f")
+
+    def test_refused_gradient_mid_buffer_keeps_f_up_to_the_row_before(self):
+        calls = {"value": 0, "subgradient": 0}
+        assert self.refuse_step_18(_counting_problem(calls)) == [2.0**k for k in range(18)]
         assert calls == {"subgradient": 19, "value": 18}  # none for the refused step's point
+
+    def test_refused_gradient_on_a_fused_problem_keeps_f_up_to_the_row_before(self):
+        # fused takes the refused step's f with its gradient; that f has no row
+        points = []
+
+        def fused(x):
+            points.append(x.copy())
+            return float(x[0]), np.ones_like(x)
+
+        problem = Problem(value=None, subgradient=None, fused=fused)
+        assert self.refuse_step_18(problem) == [2.0**k for k in range(18)]
+        assert len(points) == 19
 
     def test_at_start_leaves_an_empty_table(self):
         calls = {"value": 0}
@@ -658,14 +676,20 @@ class TestDeferredF:
             drive(problem, st, st.step, 20, Schedule(), 1)
         assert st.traj.extra("f") == [math.inf] * 20
 
-    def test_fused_problem_hands_f_to_the_stepper(self):
+    def test_fused_problem_f_is_written_by_drive(self):
         problem = Problem(
             value=None, subgradient=np.ones_like, fused=lambda x: (float(x[0]), np.ones_like(x))
         )
-        st = _ScaleState([2.0], 1.0)
-        drive(problem, st, st.step, 5, Schedule(), 2)
-        assert repr([f for _, f, _ in st.seen]) == repr([2.0, math.nan, 2.0, math.nan, 2.0])
-        assert repr(st.traj.extra("f")) == repr([2.0, math.nan, 2.0, math.nan, 2.0])
+        st = _ScaleState([2.0], 3.0)
+        calls = []
+
+        def step(*args, **kwargs):  # the stepper gets the state, g and sched alone
+            calls.append((len(args), sorted(kwargs)))
+            st.step(*args, **kwargs)
+
+        drive(problem, st, step, 5, Schedule(), 2)
+        assert calls == [(2, ["sched"])] * 5
+        assert repr(st.traj.extra("f")) == repr([2.0, math.nan, 18.0, math.nan, 162.0])
 
 
 def _bits(v: float) -> bytes:

@@ -149,6 +149,28 @@ class TestPolyak:
         with pytest.raises(ValueError):
             polyak_step(np.array([1.0]), np.array([1.0]), -0.5, 0.0)
 
+    def test_value_rounded_below_fstar_is_optimal(self, tmp_path, capsys):
+        # step 201 of this run reads f = -5.55e-17 below fstar = 0: the point
+        # is optimal to working precision, so the step takes no move
+        settings = [
+            "problem=piecewise", "algorithm=polyak", "n_steps=500", "problem_seed=13",
+            "piecewise_dim=4", "piecewise_pieces=3", f"out_dir={tmp_path}",
+        ]
+        code = cli.main(["run"] + [arg for s in settings for arg in ("--set", s)])
+        assert code == 0, capsys.readouterr().err
+        (run_dir,) = tmp_path.iterdir()
+        assert len(read_csv(run_dir / "steps_seed0.csv")) == 500
+        (summary,) = read_csv(run_dir / "summary.csv")
+        assert math.isfinite(float(summary["final_f"]))
+
+    def test_value_below_fstar_takes_no_step(self):
+        state = _PolyakState(
+            x=np.array([1.0]), value=lambda x: -1e-17, fstar=0.0, traj=Trajectory("polyak", 1)
+        )
+        _polyak_state_step(state, np.array([2.0]))
+        assert state.x.tolist() == [1.0]
+        assert state.traj.records[0, 3] == 0.0  # gamma
+
     def test_zero_gradient_suboptimal_errors(self):
         with pytest.raises(ValueError):
             polyak_step(np.array([1.0]), np.array([0.0]), 1.0, 0.0)
@@ -191,8 +213,8 @@ class TestAdaGradStep:
         problem = Problem(value=lambda x: 0.0, subgradient=lambda x: next(script))
         seen = []
 
-        def step(st, g, f_val, sched):
-            _adagrad_step(st, g, f_val, sched)
+        def step(st, g, sched):
+            _adagrad_step(st, g, sched)
             seen.append(st.x)
 
         with warnings.catch_warnings():
@@ -277,6 +299,20 @@ class TestConfig:
     def test_problem_shape_checked_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must "):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [({"n_steps": -5, "epochs": 1}, "n_steps"), ({"n_steps": 3, "epochs": -2}, "epochs")],
+    )
+    def test_negative_step_counts_rejected(self, settings, key, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative"):
+            ExperimentConfig(problem="synth_logistic", **settings)
+        argv = ["run", "--set", "problem=synth_logistic", "--set", f"out_dir={tmp_path}"]
+        for name, value in settings.items():
+            argv += ["--set", f"{name}={value}"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be non-negative")
+        assert not list(tmp_path.iterdir())
 
     def test_parse_round_trip(self):
         text = """
@@ -453,6 +489,30 @@ def test_start_sets_up_the_configs_algorithm(algorithm):
         assert state.g_fixed == bundle.problem.lipschitz
     step(state, bundle.problem.subgradient(state.x))
     assert len(state.traj.records) == 1
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("problem", ["piecewise", "abs"])
+@pytest.mark.parametrize("algorithm", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
+def test_drive_alone_writes_f(algorithm, problem, every):
+    # piecewise takes f with the gradient (fused), abs after the steps
+    cfg = ExperimentConfig(problem=problem, algorithm=algorithm, n_steps=10)
+    bundle = build_problem(cfg, seed=0)
+    prob = bundle.problem
+    assert (prob.fused is not None) == (problem == "piecewise")
+    state, stepper = start(cfg, bundle)
+    stepper(state, prob.subgradient(state.x))
+    assert math.isnan(state.traj.records[0, 4])  # a stepper records no f
+    state, stepper = start(cfg, bundle)
+    visited = []
+
+    def step(st, g, sched=1.0):
+        visited.append(st.x.copy())
+        stepper(st, g, sched)
+
+    drive(prob, state, step, 10, Schedule(), every)
+    want = [prob.value(x) if k % every == 0 else math.nan for k, x in enumerate(visited)]
+    assert state.traj.records[:, 4].tobytes() == np.array(want).tobytes()
 
 
 def read_csv(path: Path) -> list[dict]:

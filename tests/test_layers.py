@@ -8,12 +8,15 @@ problems and checkers free of the harness and the command line.
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import dadapt
+from dadapt.baselines import start
+from dadapt.harness import BASELINE_ALGORITHMS, DADAPT_ALGORITHMS, ExperimentConfig, build_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(dadapt.__file__).parent
@@ -94,3 +97,11 @@ def test_harness_reaches_the_steppers_through_baselines():
 @pytest.mark.parametrize("module", ["analysis", "baselines", "core", "convex", "ml", "problems"])
 def test_library_does_not_import_harness_or_cli(module):
     assert not _imported(module) & {"harness", "cli"}
+
+
+@pytest.mark.parametrize("algorithm", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
+def test_steppers_take_state_g_and_sched(algorithm):
+    # core.drive writes the f column; a stepper never takes f
+    cfg = ExperimentConfig(problem="piecewise", algorithm=algorithm, n_steps=5)
+    _, step = start(cfg, build_problem(cfg, seed=0))
+    assert list(inspect.signature(step).parameters) == ["state", "g", "sched"]

@@ -26,7 +26,7 @@ class TestSgdDaTrace:
 
     def test_step0(self):
         st = self.make()
-        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
+        sgd_da_step(st, np.array([1.0]), sched=1.0)
         assert st.traj.extra("gamma_or_lambda")[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(0.1, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.9, abs=TRACE_TOL)
@@ -36,8 +36,8 @@ class TestSgdDaTrace:
 
     def test_step1(self):
         st = self.make()
-        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
-        sgd_da_step(st, np.array([1.0]), sched=1.0, f_val=0.99)
+        sgd_da_step(st, np.array([1.0]), sched=1.0)
+        sgd_da_step(st, np.array([1.0]), sched=1.0)
         assert st.hypergrad_sum == pytest.approx(0.01, abs=TRACE_TOL)
         assert st.s[0] == pytest.approx(0.2, abs=TRACE_TOL)
         assert st.z[0] == pytest.approx(0.8, abs=TRACE_TOL)
@@ -109,7 +109,7 @@ class TestAdamDaTrace:
 
     def test_step0(self):
         st = adam_da_init(np.array([1.0]), d0=0.1)
-        adam_da_step(st, np.array([1.0]), sched=1.0, f_val=1.0)
+        adam_da_step(st, np.array([1.0]), sched=1.0)
         assert st.m[0] == pytest.approx(0.01, abs=TRACE_TOL)
         assert st.v[0] == pytest.approx(0.001, abs=TRACE_TOL)
         denom = math.sqrt(0.001) + 1e-8
