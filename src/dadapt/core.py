@@ -465,10 +465,9 @@ class Problem:
 
     subgradient(x) returns an element of the subdifferential at x, or an
     unbiased estimate of one for minibatch losses; a stochastic oracle draws
-    from a stream of its own, as LogisticProblem does. fused, when set,
-    returns value(x) and subgradient(x) from one evaluation. values, when
-    set, returns value at each row of a C-contiguous (K, dim) array, bit for
-    bit, from one call; where it is not, drive calls value on each row.
+    from a stream of its own, as LogisticProblem does. values, when set,
+    returns value at each row of a C-contiguous (K, dim) array, bit for bit,
+    from one call; where it is not, drive calls value on each row.
     lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
     norm when known.
     """
@@ -479,7 +478,6 @@ class Problem:
     known_fstar: Optional[float] = None
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
-    fused: Optional[Callable[[Vector], tuple[float, Vector]]] = None
     values: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -593,7 +591,7 @@ class Trajectory:
 # writes the f column.
 
 
-# drive takes the f of a problem without fused this many visited points a call
+# drive takes the recorded f this many visited points a call
 _F_ROWS = 16
 
 
@@ -611,13 +609,13 @@ def drive(
     record_f_every: int,
 ) -> None:
     """Take n steps of step from state.x against problem's oracle, one
-    oracle call a step. Every record_f_every steps, from step 0 on, f is
+    subgradient call a step. Every record_f_every steps, from step 0 on, f is
     taken at the visited point; it is NaN otherwise. The stepper never sees
-    f: drive alone writes the f column, once the loop ends. A problem with
-    fused gives f with the gradient. For any other the point is copied
-    aside: each time _F_ROWS points are held, and once when the loop ends,
-    one call of problem.values (value row by row when it is not set) takes
-    their f, so a full-data objective reads its data once for many points.
+    f: drive alone writes the f column, once the loop ends. The point is
+    copied aside: each time _F_ROWS points are held, and once when the loop
+    ends, one call of problem.values (value row by row when it is not set)
+    takes their f, so a full-data objective reads its data once for many
+    points.
     A step its stepper refuses keeps no row and so no f. Raises
     Diverged at the first step whose new iterate has a NaN or a coordinate
     beyond DIVERGENCE_NORM; that step's record, f included, is kept, and the
@@ -632,7 +630,6 @@ def drive(
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
-    fused = problem.fused
     values = problem.values or functools.partial(_each_value, problem)
     points = np.empty((_F_ROWS, state.x.shape[0]))  # visited points whose f is due
     fs = np.empty(len(range(0, n, record_f_every)))  # f at each cadence step
@@ -644,15 +641,10 @@ def drive(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(n):
-                if k % record_f_every:
-                    g = subgradient(state.x)
-                elif fused is not None:
-                    fs[taken], g = fused(state.x)
-                    taken += 1
-                else:
+                if not k % record_f_every:
                     points[held] = state.x
                     held += 1
-                    g = subgradient(state.x)
+                g = subgradient(state.x)
                 if not flat:
                     sched = schedule_eval(schedule, k, n)
                 step(state, np.asarray(g, dtype=np.float64), sched=sched)

@@ -86,16 +86,12 @@ def piecewise_max_problem(
         return float((slopes @ x + offsets).max())
 
     def subgradient(x: Vector) -> Vector:
-        scores = slopes @ x + offsets
-        return slopes[int(np.argmax(scores))].copy()
+        return slopes[(slopes @ x + offsets).argmax()].copy()
 
-    def value_and_subgradient(x: Vector) -> tuple[float, Vector]:
-        scores = slopes @ x + offsets
-        i = scores.argmax()
-        f = float(scores[i])
-        if f == 0.0 or f != f:  # max may pick another zero sign or NaN
-            f = float(scores.max())
-        return f, slopes[i].copy()
+    def values(X: np.ndarray) -> np.ndarray:
+        # the stacked product runs the gemv of slopes @ x once per row; the gemm X @ slopes.T
+        # is not bit-equal to it
+        return (np.matmul(slopes, X[:, :, None])[:, :, 0] + offsets).max(axis=1)
 
     norms = np.sqrt((slopes * slopes).sum(axis=1))
     return Problem(
@@ -105,7 +101,7 @@ def piecewise_max_problem(
         known_fstar=known_fstar,
         lipschitz=float(norms.max()),
         lipschitz_inf=float(np.abs(slopes).max()),
-        fused=value_and_subgradient,
+        values=values,
     )
 
 

@@ -34,7 +34,7 @@ from dadapt.convex import (
 from dadapt.core import Rng
 from dadapt.harness import ExperimentConfig, d0_sweep, grid_search
 from dadapt.ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
-from dadapt.problems import abs_value_problem, random_piecewise_max
+from dadapt.problems import abs_value_problem, piecewise_start
 
 ATOL = 1e-9
 
@@ -52,11 +52,7 @@ def soundness_runs():
     t0 = time.perf_counter()
     runs = []
     for i in range(100):
-        rng = Rng(i, stream_id=1)
-        prob = random_piecewise_max(rng, dim=6, pieces=6)
-        direction = rng.normals(6)
-        direction /= math.sqrt(float(direction @ direction))
-        x0 = prob.known_minimizer + direction
+        prob, x0 = piecewise_start(i, dim=6, pieces=6, distance=1.0)
         D = 1.0
         D_inf = float(np.abs(x0 - prob.known_minimizer).max())
         for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):

@@ -19,6 +19,7 @@ from dadapt.convex import (
 )
 from dadapt.baselines import adagrad_norm_init, adagrad_norm_step
 from dadapt.core import (
+    _F_ROWS,
     STEP_COLUMNS,
     AtStart,
     ConfigError,
@@ -411,12 +412,12 @@ def test_outputs_share_no_memory_and_rerun_equal(algorithm, option):
 
 @pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
 @pytest.mark.parametrize("every", [1, 7])
-def test_fused_oracle_on_f_steps_only(algorithm, every):
-    # each step makes one oracle call, step 0 included: fused on f-steps,
-    # subgradient else; the run makes none of its own
+def test_piecewise_f_comes_from_values(algorithm, every):
+    # one subgradient call a step, step 0 included, and the cadence steps'
+    # f from values, _F_ROWS points a call; the run makes no call of its own
     prob = random_piecewise_max(Rng(4, 1), dim=4, pieces=5)
     calls = []
-    for name in ("value", "subgradient", "fused"):
+    for name in ("value", "subgradient", "values"):
         fn = getattr(prob, name)
         setattr(prob, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     n = 50
@@ -424,8 +425,9 @@ def test_fused_oracle_on_f_steps_only(algorithm, every):
         prob, prob.known_minimizer + 1.0, algorithm=algorithm, d0=1e-3, n=n,
         record_f_every=every,
     )
-    assert calls == ["fused" if k % every == 0 else "subgradient" for k in range(n)]
-    assert calls.count("fused") == (n if every == 1 else 8)
+    cadence = len(range(0, n, every))
+    assert calls.count("subgradient") == n and "value" not in calls
+    assert calls.count("values") == -(-cadence // _F_ROWS)
     recorded = [k for k, f in zip(res.traj.extra("step"), res.traj.extra("f")) if not math.isnan(f)]
     assert recorded == list(range(0, n, every))
 

@@ -492,7 +492,14 @@ class TestDrive:
     def test_one_call_a_step_and_f_on_cadence(self):
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)
-        drive(_counting_problem(calls), st, st.step, 10, Schedule(), 3)
+        shapes = []
+
+        def step(*args, **kwargs):  # the stepper gets the state, g and sched alone
+            shapes.append((len(args), sorted(kwargs)))
+            st.step(*args, **kwargs)
+
+        drive(_counting_problem(calls), st, step, 10, Schedule(), 3)
+        assert shapes == [(2, ["sched"])] * 10
         # f is taken at the f-steps 0, 3, 6 and 9 alone, by drive, after the
         # stepper has logged them
         assert calls == {"subgradient": 10, "value": 4}
@@ -586,9 +593,8 @@ class TestDrive:
 
 
 class TestDeferredF:
-    """drive alone writes the f column: a problem without fused has its f
-    taken after the steps, _F_ROWS visited points to a call of values, and a
-    fused one's comes with its gradient."""
+    """drive alone writes the f column: it takes f after the steps,
+    _F_ROWS visited points to a call of values."""
 
     @pytest.mark.parametrize("every", [1, 3, 7])
     def test_f_column_is_value_at_each_visited_point(self, every):
@@ -630,18 +636,6 @@ class TestDeferredF:
         assert self.refuse_step_18(_counting_problem(calls)) == [2.0**k for k in range(18)]
         assert calls == {"subgradient": 19, "value": 18}  # none for the refused step's point
 
-    def test_refused_gradient_on_a_fused_problem_keeps_f_up_to_the_row_before(self):
-        # fused takes the refused step's f with its gradient; that f has no row
-        points = []
-
-        def fused(x):
-            points.append(x.copy())
-            return float(x[0]), np.ones_like(x)
-
-        problem = Problem(value=None, subgradient=None, fused=fused)
-        assert self.refuse_step_18(problem) == [2.0**k for k in range(18)]
-        assert len(points) == 19
-
     def test_at_start_leaves_an_empty_table(self):
         calls = {"value": 0}
         problem = Problem(value=lambda x: calls.update(value=1) or 0.0, subgradient=np.zeros_like)
@@ -675,21 +669,6 @@ class TestDeferredF:
             warnings.simplefilter("error")
             drive(problem, st, st.step, 20, Schedule(), 1)
         assert st.traj.extra("f") == [math.inf] * 20
-
-    def test_fused_problem_f_is_written_by_drive(self):
-        problem = Problem(
-            value=None, subgradient=np.ones_like, fused=lambda x: (float(x[0]), np.ones_like(x))
-        )
-        st = _ScaleState([2.0], 3.0)
-        calls = []
-
-        def step(*args, **kwargs):  # the stepper gets the state, g and sched alone
-            calls.append((len(args), sorted(kwargs)))
-            st.step(*args, **kwargs)
-
-        drive(problem, st, step, 5, Schedule(), 2)
-        assert calls == [(2, ["sched"])] * 5
-        assert repr(st.traj.extra("f")) == repr([2.0, math.nan, 18.0, math.nan, 162.0])
 
 
 def _bits(v: float) -> bytes:

@@ -495,11 +495,11 @@ def test_start_sets_up_the_configs_algorithm(algorithm):
 @pytest.mark.parametrize("problem", ["piecewise", "abs"])
 @pytest.mark.parametrize("algorithm", DADAPT_ALGORITHMS + BASELINE_ALGORITHMS)
 def test_drive_alone_writes_f(algorithm, problem, every):
-    # piecewise takes f with the gradient (fused), abs after the steps
+    # piecewise takes f through values, abs through value row by row
     cfg = ExperimentConfig(problem=problem, algorithm=algorithm, n_steps=10)
     bundle = build_problem(cfg, seed=0)
     prob = bundle.problem
-    assert (prob.fused is not None) == (problem == "piecewise")
+    assert (prob.values is not None) == (problem == "piecewise")
     state, stepper = start(cfg, bundle)
     stepper(state, prob.subgradient(state.x))
     assert math.isnan(state.traj.records[0, 4])  # a stepper records no f

@@ -3,7 +3,6 @@
 import gc
 import math
 import os
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -756,56 +755,40 @@ _POINT = st.one_of(_SLOPE, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 @st.composite
 def _piecewise_cases(draw):
-    """Slopes whose rows repeat (tied pieces), offsets and a point x that
-    may hold NaN, infinities and signed zeros."""
+    """Slopes whose rows repeat (tied pieces), offsets and a stack of 1 to
+    17 points that may hold NaN, infinities and signed zeros."""
     dim = draw(st.integers(1, 4))
     pool = draw(st.lists(st.lists(_SLOPE, min_size=dim, max_size=dim), min_size=1, max_size=3))
     rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     offsets = draw(st.lists(_SLOPE, min_size=len(rows), max_size=len(rows)))
-    x = draw(st.lists(_POINT, min_size=dim, max_size=dim))
-    return np.array(rows), np.array(offsets), np.array(x)
+    point = st.lists(_POINT, min_size=dim, max_size=dim)
+    X = draw(st.lists(point, min_size=1, max_size=17))
+    return np.array(rows), np.array(offsets), np.array(X)
 
 
-def _bits(v: float) -> bytes:
-    return struct.pack("<d", v)
-
-
-class TestFusedOracle:
+class TestPiecewiseValues:
     @settings(max_examples=400, deadline=None)
     @given(_piecewise_cases())
-    @example((np.array([[1.0], [1.0]]), np.array([-0.0, 0.0]), np.array([0.0])))
-    @example((np.array([[-1.0], [1.0]]), np.array([-0.0, -0.0]), np.array([0.0])))
-    @example((np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), np.array([math.nan])))
-    @example((np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), np.array([math.inf])))
-    def test_bit_equal_to_value_and_subgradient(self, case):
-        prob = piecewise_max_problem(*case)
-        x = case[2]
+    @example((np.array([[1.0], [1.0]]), np.array([-0.0, 0.0]), np.array([[0.0]])))
+    @example((np.array([[-1.0], [1.0]]), np.array([-0.0, -0.0]), np.array([[0.0]])))
+    @example((np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), np.array([[math.nan]])))
+    @example((np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), np.array([[math.inf]])))
+    def test_bit_equal_to_value_row_by_row(self, case):
+        slopes, offsets, X = case
+        prob = piecewise_max_problem(slopes, offsets)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the scores
-            f, g = prob.fused(x)
-            f_ref, g_ref = prob.value(x), prob.subgradient(x)
-        assert type(f) is float
-        assert _bits(f) == _bits(f_ref)
-        assert g.dtype == g_ref.dtype and g.tobytes() == g_ref.tobytes()
+            F = prob.values(X)
+            want = np.array([prob.value(x) for x in X])
+        assert F.shape == (X.shape[0],) and F.dtype == np.float64
+        assert F.tobytes() == want.tobytes()
 
-    def test_ties_take_the_lowest_index(self):
+    def test_subgradient_ties_take_the_lowest_index(self):
         slopes = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         prob = piecewise_max_problem(slopes, np.zeros(3))
-        f, g = prob.fused(np.array([1.0, 1.0]))
-        assert f == 1.0 and g.tolist() == [0.0, 1.0]
+        g = prob.subgradient(np.array([1.0, 1.0]))
+        assert g.tolist() == [0.0, 1.0]
         g[0] = 5.0  # a copy, not a view of the slopes
-        assert prob.fused(np.array([1.0, 1.0]))[1].tolist() == [0.0, 1.0]
-
-    def test_other_problems_defer_f_to_value_as_bound_at_call(self):
-        # drive looks up subgradient once a run and value at each deferred call
-        prob = abs_value_problem()
-        calls = []
-        value, subgradient = prob.value, prob.subgradient
-        prob.value = lambda x: calls.append("value") or value(x)
-        prob.subgradient = lambda x: calls.append("subgradient") or subgradient(x)
-        state = adagrad_norm_init(np.array([-2.0]), radius=1.0)
-        drive(prob, state, adagrad_norm_step, 3, Schedule(), 2)
-        assert calls == ["subgradient"] * 3 + ["value"] * 2
-        assert repr(state.traj.extra("f")) == repr([2.0, math.nan, 1.0])
+        assert prob.subgradient(np.array([1.0, 1.0])).tolist() == [0.0, 1.0]
 
 
 class TestAbsProblem:
@@ -816,3 +799,17 @@ class TestAbsProblem:
         assert prob.subgradient(np.array([0.0]))[0] == 0.0
         assert prob.known_fstar == 0.0
         assert prob.lipschitz == 1.0
+
+    def test_drive_takes_f_through_value_as_bound_at_call(self):
+        # abs sets no values: drive looks up subgradient once a run and value
+        # at each deferred call
+        prob = abs_value_problem()
+        assert prob.values is None
+        calls = []
+        value, subgradient = prob.value, prob.subgradient
+        prob.value = lambda x: calls.append("value") or value(x)
+        prob.subgradient = lambda x: calls.append("subgradient") or subgradient(x)
+        state = adagrad_norm_init(np.array([-2.0]), radius=1.0)
+        drive(prob, state, adagrad_norm_step, 3, Schedule(), 2)
+        assert calls == ["subgradient"] * 3 + ["value"] * 2
+        assert repr(state.traj.extra("f")) == repr([2.0, math.nan, 1.0])
