@@ -20,6 +20,7 @@ from .analysis import (
     check_telescoping,
     log2p,
     reports_to_csv,
+    run_convex_sweep,
     verify_suite,
 )
 from .convex import (

@@ -42,6 +42,7 @@ __all__ = [
     "check_snorm_bound",
     "check_ema_equivalence",
     "reports_to_csv",
+    "run_convex_sweep",
     "verify_suite",
 ]
 
@@ -407,22 +408,18 @@ def _tagged(report: BoundReport, tag: str) -> BoundReport:
     return replace(report, context=f"{report.context} [{tag}]")
 
 
-def _variant_runs(n_problems: int, n_steps: int, seed0: int):
-    """(trajectory, tag) of every convex variant on small random problems."""
+def run_convex_sweep(n_problems: int, n_steps: int, seed0: int = 0):
+    """Yield (i, problem, x0, algorithm, option, result) for the convex battery:
+    the variants (da, I), (da, II), (gd, I) and (adagrad_da, I), in that order,
+    from d0 = 1e-3 on each problem i = piecewise_start(seed0 + i, dim=6, pieces=6,
+    distance=1.0), bounded by g_value=problem.lipschitz, g_inf=problem.lipschitz_inf."""
     for i in range(n_problems):
-        prob, x0 = piecewise_start(seed0 + i, dim=6, pieces=6, distance=1.0)
-        for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
-            result = run_convex(
-                prob,
-                x0,
-                algorithm=algo,
-                d0=1e-3,
-                n=n_steps,
-                option=option,
-                g_value=prob.lipschitz,
-                g_inf=prob.lipschitz_inf,
+        problem, x0 = piecewise_start(seed0 + i, dim=6, pieces=6, distance=1.0)
+        for algorithm, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
+            yield i, problem, x0, algorithm, option, run_convex(
+                problem, x0, algorithm=algorithm, d0=1e-3, n=n_steps, option=option,
+                g_value=problem.lipschitz, g_inf=problem.lipschitz_inf,
             )
-            yield result.traj, f"{algo}_{option}_problem{i}"
 
 
 def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
@@ -434,7 +431,8 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
     n_steps = 200 if quick else 1000
 
     if suite in ("lemmas", "all"):
-        for traj, tag in _variant_runs(n_problems, n_steps, seed0=0):
+        for i, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=0):
+            traj, tag = result.traj, f"{algo}_{option}_problem{i}"
             if traj.kind in ("da", "gd"):
                 reports.append(_tagged(check_telescoping(traj), tag))
             if traj.kind == "da":
@@ -454,7 +452,8 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
             reports.append(check_ema_equivalence(c, gs))
 
     if suite in ("bounds", "all"):
-        for traj, tag in _variant_runs(n_problems, n_steps, seed0=100):
+        for i, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=100):
+            traj, tag = result.traj, f"{algo}_{option}_problem{i}"
             reports.append(_tagged(check_d_lower_bound(traj, 1.0), tag))
             reports.append(_tagged(check_snorm_bound(traj), tag))
         abs_prob = abs_value_problem()

@@ -21,6 +21,7 @@ from dadapt.analysis import (
     check_snorm_bound,
     check_streeter_mcmahan,
     check_telescoping,
+    run_convex_sweep,
 )
 from dadapt.convex import (
     adagrad_da_init,
@@ -34,7 +35,7 @@ from dadapt.convex import (
 from dadapt.core import Rng
 from dadapt.harness import ExperimentConfig, d0_sweep, grid_search
 from dadapt.ml import adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
-from dadapt.problems import abs_value_problem, piecewise_start
+from dadapt.problems import abs_value_problem
 
 ATOL = 1e-9
 
@@ -51,17 +52,10 @@ def soundness_runs():
     """100 random piecewise problems x 1000 steps x 4 algorithm variants."""
     t0 = time.perf_counter()
     runs = []
-    for i in range(100):
-        prob, x0 = piecewise_start(i, dim=6, pieces=6, distance=1.0)
-        D = 1.0
-        D_inf = float(np.abs(x0 - prob.known_minimizer).max())
-        for algo, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
-            result = run_convex(
-                prob, x0, algorithm=algo, d0=1e-3, n=1000, option=option,
-                g_value=prob.lipschitz, g_inf=prob.lipschitz_inf,
-            )
-            bound = D_inf if algo == "adagrad_da" else D
-            runs.append((prob, result, bound, f"{algo}_{option}_p{i}"))
+    for _, prob, x0, algo, _, result in run_convex_sweep(100, 1000):
+        # D = 1; adagrad_da's bound is the start's max-norm distance
+        bound = float(np.abs(x0 - prob.known_minimizer).max()) if algo == "adagrad_da" else 1.0
+        runs.append((result, bound))
     return runs, time.perf_counter() - t0
 
 
@@ -69,7 +63,7 @@ def test_criterion_01_d_lower_bound_soundness(soundness_runs):
     runs, elapsed = soundness_runs
     violations = 0
     worst_gap = -math.inf
-    for _, result, bound, _ in runs:
+    for result, bound in runs:
         d_cap = max(1e-3, bound) + ATOL
         records = result.traj.records
         d, dhat = records[:, 1], records[:, 2]
@@ -90,7 +84,7 @@ def test_criterion_01_d_lower_bound_soundness(soundness_runs):
 def test_criterion_02_identity_suite(soundness_runs):
     runs, _ = soundness_runs
     n_tel, n_snorm, failed = 0, 0, 0
-    for _, result, _, _ in runs:
+    for result, _ in runs:
         traj = result.traj
         if traj.kind in ("da", "gd"):
             rep = check_telescoping(traj)
@@ -170,7 +164,7 @@ def test_criterion_04_asymptotic_d_level():
 def test_criterion_05_option_dominance(soundness_runs):
     runs, _ = soundness_runs
     n_checked, failed = 0, 0
-    for _, result, _, _ in runs:
+    for result, _ in runs:
         if result.traj.kind != "da":
             continue
         rep = check_option_dominance(result.traj)

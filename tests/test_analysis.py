@@ -1,10 +1,12 @@
 """Bound checkers: hand cases, randomized sweeps, precondition gating."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dadapt import analysis
 from dadapt.analysis import (
     BoundReport,
     check_d_lower_bound,
@@ -19,10 +21,13 @@ from dadapt.analysis import (
     check_telescoping,
     log2p,
     reports_to_csv,
+    run_convex_sweep,
+    verify_suite,
 )
 from dadapt.convex import run_convex
-from dadapt.core import Rng, Trajectory
-from dadapt.problems import abs_value_problem, random_piecewise_max
+from dadapt.core import ConfigError, Rng, Trajectory
+from dadapt.ml import sgd_da_init, sgd_da_step
+from dadapt.problems import abs_value_problem, piecewise_start, random_piecewise_max
 
 
 def make_run(seed=0, algo="da", option="I", n=200, dim=6, pieces=6, d0=1e-3, **kw):
@@ -315,8 +320,158 @@ class TestSnormBound:
                 assert check_snorm_bound(res.traj).satisfied
 
     def test_unknown_kind_errors(self):
-        with pytest.raises(ValueError):
-            check_snorm_bound(Trajectory("sgd_da", 1))
+        # one recorded step, so the kind is what the checker refuses
+        state = sgd_da_init(np.array([1.0]))
+        sgd_da_step(state, np.array([1.0]))
+        with pytest.raises(ValueError, match="no dual-average norm bound for kind 'sgd_da'"):
+            check_snorm_bound(state.traj)
+
+
+def _abs_da(n=50, **kw):
+    return run_convex(abs_value_problem(), np.array([1.0]), algorithm="da", d0=0.1, n=n, **kw)
+
+
+def _column(traj, name):
+    """The named column of traj's table, writable in place."""
+    return traj.pack()[:, traj.columns.index(name)]
+
+
+class TestCheckersCanFail:
+    """Each checker reports a violation on a run doctored to break what it checks."""
+
+    @pytest.mark.parametrize("algo", ["da", "gd"])
+    def test_telescoping(self, algo):
+        res = run_convex(abs_value_problem(), np.array([1.0]), algorithm=algo, d0=0.1, n=20)
+        _column(res.traj, "hyper_term")[3] += 1.0
+        assert not check_telescoping(res.traj).satisfied
+
+    @pytest.mark.parametrize(
+        "algo, name", [("da", "snorm2_after"), ("gd", "snorm2_after"), ("adagrad_da", "s_l1_after")]
+    )
+    def test_snorm_bound(self, algo, name):
+        _, _, res = make_run(seed=0, algo=algo, n=50)
+        _column(res.traj, name)[-1] *= 1e6
+        assert not check_snorm_bound(res.traj).satisfied
+
+    def test_option_dominance(self):
+        res = _abs_da(n=20)
+        _column(res.traj, "hyper_term")[1] = -1.0
+        rep = check_option_dominance(res.traj)
+        assert not rep.satisfied
+        assert "k=1 " in rep.context
+
+    def test_rate_theorem2(self):
+        res = _abs_da(n=2000, g_mode="fixed", g_value=1.0)
+        rep = check_rate_theorem2(replace(res, x_avg_t=np.array([5.0])), abs_value_problem(), 1.0, 1.0)
+        assert not rep.skipped and not rep.satisfied
+
+    def test_rate_asymptotic(self):
+        res = _abs_da(n=2000)
+        rep = check_rate_asymptotic(replace(res, x_avg=np.array([5.0])), abs_value_problem(), 1.0, 1.0)
+        assert not rep.satisfied
+
+    def test_dasym(self):
+        res = replace(_abs_da(), x_final=np.array([0.0]), d_final=0.1)
+        rep = check_dasym(res, np.array([0.0]), D=1.0)
+        assert not rep.skipped and not rep.satisfied
+
+
+_NO_FSTAR = replace(abs_value_problem(), known_fstar=None)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: verify_suite("x"), ConfigError, "unknown suite 'x'"),
+        (lambda: check_streeter_mcmahan([1.0], 1.0, variant="x"), ValueError, "unknown variant 'x'"),
+        (
+            lambda: check_rate_theorem2(_abs_da(g_mode="fixed", g_value=1.0), _NO_FSTAR, 1.0, 1.0),
+            ValueError,
+            "rate check needs the optimal value",
+        ),
+        (
+            lambda: check_rate_theorem2(
+                replace(_abs_da(g_mode="fixed", g_value=1.0), t_index=None),
+                abs_value_problem(), 1.0, 1.0,
+            ),
+            ValueError,
+            "run result carries no selected prefix",
+        ),
+        (
+            lambda: check_rate_asymptotic(
+                run_convex(abs_value_problem(), np.array([1.0]), algorithm="gd", d0=0.1, n=5),
+                abs_value_problem(), 1.0, 1.0,
+            ),
+            ValueError,
+            "rate check needs a dual-averaging run$",
+        ),
+        (
+            lambda: check_rate_asymptotic(_abs_da(), _NO_FSTAR, 1.0, 1.0),
+            ValueError,
+            "rate check needs the optimal value",
+        ),
+        (
+            lambda: check_rate_asymptotic(
+                replace(_abs_da(), traj=Trajectory("da", 1)), abs_value_problem(), 1.0, 1.0
+            ),
+            ValueError,
+            "trajectory has no recorded steps",
+        ),
+        (
+            lambda: check_dasym(_abs_da(), np.array([0.0]), D=0.0),
+            ValueError,
+            "D must be positive",
+        ),
+    ],
+    ids=[
+        "verify_suite", "streeter_variant", "theorem2_fstar", "theorem2_prefix",
+        "asymptotic_kind", "asymptotic_fstar", "asymptotic_empty", "dasym_D",
+    ],
+)
+def test_bad_input_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+class TestRunConvexSweep:
+    """The battery's decisions, each checked against run_convex called directly."""
+
+    def test_runs_equal_direct_calls_in_variant_order(self):
+        items = list(run_convex_sweep(2, 30, seed0=5))
+        order = [("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")]
+        assert [item[0] for item in items] == [0] * 4 + [1] * 4
+        assert [item[3:5] for item in items] == order * 2
+        for i, problem, x0, algo, option, result in items:
+            want_problem, want_x0 = piecewise_start(5 + i, dim=6, pieces=6, distance=1.0)
+            assert x0.tobytes() == want_x0.tobytes()
+            assert problem.known_minimizer.tobytes() == want_problem.known_minimizer.tobytes()
+            want = run_convex(
+                want_problem, want_x0, algo, 1e-3, 30, option,
+                g_value=want_problem.lipschitz, g_inf=want_problem.lipschitz_inf,
+            )
+            assert result.traj.pack().tobytes() == want.traj.pack().tobytes()
+            assert result.traj.meta == want.traj.meta
+            assert result.x_final.tobytes() == want.x_final.tobytes()
+            assert result.x_avg.tobytes() == want.x_avg.tobytes()
+            assert result.d_final.hex() == want.d_final.hex()
+            assert result.t_index == want.t_index
+            if algo == "da":
+                assert result.x_avg_t.tobytes() == want.x_avg_t.tobytes()
+            else:
+                assert result.x_avg_t is None and want.x_avg_t is None
+
+    def test_lazy(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["algorithm"])
+            return run_convex(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "run_convex", counted)
+        sweep = run_convex_sweep(3, 5)
+        assert calls == []
+        next(sweep)
+        assert calls == ["da"]
 
 
 class TestEmaEquivalence:

@@ -362,6 +362,14 @@ class TestRunConvex:
         with pytest.raises(ConfigError):
             run_convex(prob, np.array([1.0]), algorithm="da", d0=0.1, n=5, g_mode="auto")
 
+    def test_no_steps_rejected(self):
+        with pytest.raises(ConfigError, match="n must be positive"):
+            run_convex(abs_value_problem(), np.array([1.0]), algorithm="da", d0=0.1, n=0)
+
+    def test_init_refuses_unknown_g_mode(self):
+        with pytest.raises(ConfigError, match="unknown g_mode 'x'"):
+            da_init(np.array([1.0]), 0.1, g_mode="x")
+
     def test_d_monotone_and_bounded_on_piecewise(self):
         rng = Rng(3, 1)
         prob = random_piecewise_max(rng, dim=5, pieces=6)

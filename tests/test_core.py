@@ -507,6 +507,13 @@ class TestDrive:
         fs = st.traj.extra("f")
         assert [k for k, f in enumerate(fs) if not math.isnan(f)] == [0, 3, 6, 9]
 
+    def test_record_cadence_must_be_positive(self):
+        calls = {"value": 0, "subgradient": 0}
+        st = _ScaleState([1.0], 1.0)
+        with pytest.raises(ConfigError, match="record_f_every must be positive"):
+            drive(_counting_problem(calls), st, st.step, 5, Schedule(), 0)
+        assert calls == {"value": 0, "subgradient": 0}
+
     def test_schedule_multiplier_passed(self):
         calls = {"value": 0, "subgradient": 0}
         st = _ScaleState([1.0], 1.0)

@@ -347,6 +347,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("problem abs\n")
 
+    @pytest.mark.parametrize("text, value", [("false", False), ("true", True)])
+    def test_bool_override(self, text, value):
+        cfg = apply_overrides(ExperimentConfig(full_batch=not value), {"full_batch": text})
+        assert cfg.full_batch is value
+
     def test_overrides(self):
         cfg = apply_overrides(ExperimentConfig(), {"d0": "0.5", "seeds": "3,4"})
         assert cfg.d0 == 0.5
@@ -1039,6 +1044,40 @@ class TestCli:
         assert err.startswith("config error: ")
         assert not list(tmp_path.iterdir())  # nothing written
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "missing.cfg"], "config file missing.cfg not found"),
+            (["run", "--set", "foo"], "--set expects key=value, got 'foo'"),
+            (["sweep-d0", "--d0s", ","], "empty d0 list"),
+        ],
+        ids=["missing_config", "set_without_equals", "no_d0s"],
+    )
+    def test_refused_argument_exit_two(self, argv, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path / 'out'}"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_counts_diverged_runs(self, tmp_path, capsys):
+        argv = ["run", "--set", "algorithm=fixed", "--set", "lr=1e15", "--set", "n_steps=10"]
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path}"]) == 0
+        assert "\n  diverged runs: 1\n" in capsys.readouterr().out
+
+    def test_grid_prints_the_comparison(self, tmp_path, capsys, monkeypatch):
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(grid_search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "grid_search", recorded)
+        argv = ["grid", "--set", "problem=piecewise", "--set", "algorithm=fixed",
+                "--set", "n_steps=30", "--lrs", "0.5,1", "--compare", "da_I"]
+        assert cli.main(argv + ["--set", f"out_dir={tmp_path}"]) == 0
+        (result,) = results
+        assert f"\nda_I (no tuning): {result.compare_f!r}\n" in capsys.readouterr().out
+
     def test_bad_compare_writes_nothing(self, tmp_path, capsys):
         argv = ["grid", "--set", "algorithm=adagrad", "--set", "n_steps=50",
                 "--lrs", "0.1,1,10", "--compare", "polyak", "--set", f"out_dir={tmp_path}"]
@@ -1221,10 +1260,11 @@ class TestCli:
         assert code == 0
         assert "best lr" in capsys.readouterr().out
 
-    def test_malformed_dataset_exit_two(self, tmp_path, capsys):
+    @staticmethod
+    def _run_on_libsvm(text, tmp_path):
         data = tmp_path / "bad.svm"
-        data.write_text("+1 2:1.0\n+1 1:0.5 1:2\n")
-        code = cli.main(
+        data.write_text(text)
+        return cli.main(
             [
                 "run",
                 "--set", "problem=libsvm",
@@ -1233,10 +1273,22 @@ class TestCli:
                 "--set", f"out_dir={tmp_path}",
             ]
         )
+
+    def test_malformed_dataset_exit_two(self, tmp_path, capsys):
+        code = self._run_on_libsvm("+1 2:1.0\n+1 1:0.5 1:2\n", tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: line 2: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("abc 1:1.0\n", "label 'abc' is not numeric"), ("+1 1:x\n", "malformed feature '1:x'")],
+        ids=["label", "feature"],
+    )
+    def test_malformed_first_line_exit_two(self, text, message, tmp_path, capsys):
+        assert self._run_on_libsvm(text, tmp_path) == 2
+        assert capsys.readouterr().err == f"data error: line 1: {message}\n"
 
     def test_grid_all_diverged_exit_one(self, tmp_path, capsys):
         code = cli.main(

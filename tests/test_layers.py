@@ -12,11 +12,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dadapt
 from dadapt.baselines import start
 from dadapt.harness import BASELINE_ALGORITHMS, DADAPT_ALGORITHMS, ExperimentConfig, build_problem
+from dadapt.problems import piecewise_start
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(dadapt.__file__).parent
@@ -62,6 +64,20 @@ def test_convex_pass_reads_what_runs_give(tmp_path):
     res = workloads.convex_pass(workloads.convex_setup(0, tmp_path)[:1], tmp_path)
     assert res.failures == [] and res.attempted > 0
     assert res.steps == 4000
+
+
+def test_convex_setup_draws_the_battery_problems(tmp_path):
+    # convex_sweep runs the problems and starts of analysis.run_convex_sweep
+    # at seed0 = 100 * seed, so it can call that generator in their place
+    workloads = _load_bench("workloads")
+    points = np.linspace(-1.0, 1.0, 30).reshape(5, 6)
+    for i, (prob, x0) in enumerate(workloads.convex_setup(0, tmp_path)):
+        want, want_x0 = piecewise_start(i, 6, 6, 1.0)
+        assert x0.tobytes() == want_x0.tobytes()
+        assert prob.known_minimizer.tobytes() == want.known_minimizer.tobytes()
+        assert (prob.lipschitz, prob.lipschitz_inf) == (want.lipschitz, want.lipschitz_inf)
+        assert prob.values(points).tobytes() == want.values(points).tobytes()
+    assert i == 99
 
 
 def _imported(module: str) -> set[str]:
