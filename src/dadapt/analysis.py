@@ -432,7 +432,7 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
 
     if suite in ("lemmas", "all"):
         for i, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=0):
-            traj, tag = result.traj, f"{algo}_{option}_problem{i}"
+            traj, tag = result.traj, f"{algo}_{option}_seed{i}"
             if traj.kind in ("da", "gd"):
                 reports.append(_tagged(check_telescoping(traj), tag))
             if traj.kind == "da":
@@ -452,9 +452,11 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
             reports.append(check_ema_equivalence(c, gs))
 
     if suite in ("bounds", "all"):
-        for i, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=100):
-            traj, tag = result.traj, f"{algo}_{option}_problem{i}"
-            reports.append(_tagged(check_d_lower_bound(traj, 1.0), tag))
+        for i, prob, x0, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=100):
+            traj, tag = result.traj, f"{algo}_{option}_seed{100 + i}"
+            # D = 1; adagrad_da's bound is the start's max-norm distance, as in the gate
+            D = float(np.abs(x0 - prob.known_minimizer).max()) if algo == "adagrad_da" else 1.0
+            reports.append(_tagged(check_d_lower_bound(traj, D), tag))
             reports.append(_tagged(check_snorm_bound(traj), tag))
         abs_prob = abs_value_problem()
         da_on_abs = partial(run_convex, abs_prob, np.array([1.0]), algorithm="da", d0=0.1)

@@ -394,7 +394,7 @@ def _run_points(
     model = bundle.model
     lanes, states = start_lanes(points, bundle)
     table, steps, diverged = drive_lanes(
-        lanes, model.lane_grads, model.full_values, bundle.n_steps,
+        lanes, model.batch_grads, model.full_values, bundle.n_steps,
         _schedule_from_config(config), config.record_f_every,
     )
     # the final f of the lanes that ran to the end

@@ -329,27 +329,21 @@ def _mean_logistic_loss(t: np.ndarray) -> float:
     return float(loss.mean())
 
 
-def _margins_grad(X: np.ndarray, y: np.ndarray, w: Vector) -> tuple[np.ndarray, Vector]:
-    """The margins t = y * Xw and the mean logistic gradient over the rows of X."""
-    t = X @ w
+def _grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The mean logistic gradient over the rows of X at the point W, or at
+    each row of the stack W. A stack's products run the gemv of X @ w and of
+    X.T @ coeff once per row, so row b has the bits of the gradient at W[b];
+    the gemm X @ W.T would not. A point takes the gemvs alone: a stack of
+    one costs 7.6 against 5.3 us a call at batch 16, dim 51 (2-vCPU Xeon,
+    one BLAS thread)."""
+    t = X @ W if W.ndim == 1 else np.matmul(X, W[:, :, None])[:, :, 0]
     t *= y
     coeff = np.logaddexp(0.0, t)
     np.negative(coeff, coeff)  # in place; out by position costs less than out=
     np.exp(coeff, coeff)
     coeff *= -y  # -y * sigma(-t)
-    return t, X.T @ coeff / X.shape[0]
-
-
-def _lane_grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """_margins_grad's gradient at each row of W, bit for bit: the stacked
-    products run the gemv of X @ w and of X.T @ coeff once per row."""
-    t = np.matmul(X, W[:, :, None])[:, :, 0]
-    t *= y
-    coeff = np.logaddexp(0.0, t)
-    np.negative(coeff, coeff)
-    np.exp(coeff, coeff)
-    coeff *= -y
-    return np.matmul(X.T, coeff[:, :, None])[:, :, 0] / X.shape[0]
+    G = X.T @ coeff if W.ndim == 1 else np.matmul(X.T, coeff[:, :, None])[:, :, 0]
+    return G / X.shape[0]
 
 
 def _block_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -388,8 +382,7 @@ def logistic_value_grad(
     this form in place of logaddexp(0, -t); the recorded values moved by a
     few ulp, while gradients, and so iterates, kept their bits.
     """
-    t, grad = _margins_grad(X, y, w)
-    return _mean_logistic_loss(t), grad
+    return _mean_logistic_loss(y * (X @ w)), _grads(X, y, w)
 
 
 class LogisticProblem:
@@ -433,35 +426,24 @@ class LogisticProblem:
         return (self.n + self.batch_size - 1) // self.batch_size
 
     def full_value(self, w: Vector) -> float:
-        # the loss half of logistic_value_grad, without the gradient's X.T pass
-        return _mean_logistic_loss(self.y * (self.X @ w))
+        return float(self.full_values(w[None])[0])
 
     def full_values(self, W: np.ndarray) -> np.ndarray:
-        """full_value at each row of W, bit for bit, reading X once."""
+        """The mean loss over all the data at each row of W, reading X once."""
         T = _block_products(self.X, W)
         T *= self.y
         return np.array([_mean_logistic_loss(t) for t in T], dtype=np.float64)
 
     def full_grad(self, w: Vector) -> Vector:
-        return _margins_grad(self.X, self.y, w)[1]
+        return _grads(self.X, self.y, w)
 
-    def lane_grads(self, W: np.ndarray) -> np.ndarray:
-        """The minibatch gradient at each row of W, all on the next batch:
-        row b is what the stochastic oracle gives at W[b] in its place."""
+    def batch_grads(self, W: np.ndarray) -> np.ndarray:
+        """The minibatch gradient at the point W, or at each row of the stack W,
+        on the next batch: row b is what the oracle gives a lone run at W[b]."""
         batch = self.next_batch()
-        return _lane_grads(self.X.take(batch, axis=0), self.y[batch], W)
+        return _grads(self.X.take(batch, axis=0), self.y[batch], W)
 
     def problem(self, stochastic: bool = True) -> Problem:
         """Oracle view: full-loss values, batch (or full) gradients."""
-        if stochastic:
-
-            def subgradient(x: Vector) -> Vector:
-                batch = self.next_batch()
-                return _margins_grad(self.X.take(batch, axis=0), self.y[batch], x)[1]
-
-        else:
-
-            def subgradient(x: Vector) -> Vector:
-                return self.full_grad(x)
-
-        return Problem(value=self.full_value, subgradient=subgradient, values=self.full_values)
+        grads = self.batch_grads if stochastic else self.full_grad
+        return Problem(value=self.full_value, subgradient=grads, values=self.full_values)

@@ -474,6 +474,42 @@ class TestRunConvexSweep:
         assert calls == ["da"]
 
 
+class TestVerifySuite:
+    def test_adagrad_da_dhat_is_bounded_by_its_own_distance(self, monkeypatch):
+        # a run whose largest dhat lies between |x0 - x*|_inf and D = 1
+        run = list(run_convex_sweep(1, 20, seed0=100))[-1]
+        _, prob, x0, algo, _, result = run
+        distance = float(np.abs(x0 - prob.known_minimizer).max())
+        assert algo == "adagrad_da" and max(result.traj.extra("dhat")) < distance < 1.0
+        _column(result.traj, "dhat")[-1] = (distance + 1.0) / 2.0
+        monkeypatch.setattr(analysis, "run_convex_sweep", lambda *args, **kwargs: iter([run]))
+        rows = [r for r in verify_suite("bounds") if r.name == "d_lower_bound"]
+        assert len(rows) == 1 and rows[0].rhs == distance and not rows[0].satisfied
+
+    def test_a_tag_names_the_seed_of_its_problem(self, monkeypatch):
+        # each tagged row is made right after its run is drawn from the sweep
+        sweep, tagged = analysis.run_convex_sweep, analysis._tagged
+        drawn, named = [], {}
+
+        def watched(*args, **kwargs):
+            for item in sweep(*args, **kwargs):
+                drawn.append(item[1].known_minimizer.tobytes())
+                yield item
+
+        def recorded(report, tag):
+            named.setdefault(tag, set()).add(drawn[-1])
+            return tagged(report, tag)
+
+        monkeypatch.setattr(analysis, "run_convex_sweep", watched)
+        monkeypatch.setattr(analysis, "_tagged", recorded)
+        verify_suite("all")
+        assert len(named) == 35  # adagrad_da has no lemma rows
+        for tag, minimizers in named.items():
+            seed = int(tag.rpartition("_seed")[2])
+            want = piecewise_start(seed, dim=6, pieces=6, distance=1.0)[0].known_minimizer
+            assert minimizers == {want.tobytes()}, tag
+
+
 class TestEmaEquivalence:
     def test_three_decay_rates(self):
         rng = Rng(3, 3)

@@ -24,7 +24,7 @@ from dadapt.harness import (
     d0_sweep,
     run_single,
 )
-from dadapt.problems import Dataset, _lane_grads, _margins_grad, synth_dataset
+from dadapt.problems import Dataset, _grads, synth_dataset
 
 DATA = synth_dataset(3, 40, 3, flip=0.1)
 
@@ -84,7 +84,7 @@ def check_lanes_match_lone_runs(points, seed, dataset):
     lanes, _ = start_lanes(points, bundle)
     with np.errstate(all="ignore"):
         table, steps, diverged = drive_lanes(
-            lanes, bundle.model.lane_grads, bundle.model.full_values, bundle.n_steps,
+            lanes, bundle.model.batch_grads, bundle.model.full_values, bundle.n_steps,
             _schedule_from_config(points[0]), points[0].record_f_every,
         )
         outputs = _run_points(points, seed, dataset)
@@ -216,10 +216,10 @@ def test_primitives_match_scalar_forms():
         lanes, m = rng.integers(1, 14), rng.integers(1, 40)
         batch = rng.permutation(len(DATA))[:m]
         W = rng.normal(size=(lanes, X.shape[1])) * 10.0 ** rng.uniform(-3, 2)
-        G = _lane_grads(X[batch], DATA.y[batch], W)
+        G = _grads(X[batch], DATA.y[batch], W)
         dots = _rowdot(G, W)
         for b in range(lanes):
-            g = _margins_grad(X[batch], DATA.y[batch], W[b])[1]
+            g = _grads(X[batch], DATA.y[batch], W[b])
             assert g.tobytes() == G[b].tobytes()
             assert repr(_dot(g, W[b])) == repr(float(dots[b]))
 

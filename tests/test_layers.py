@@ -9,6 +9,8 @@ problems and checkers free of the harness and the command line.
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -78,6 +80,37 @@ def test_convex_setup_draws_the_battery_problems(tmp_path):
         assert (prob.lipschitz, prob.lipschitz_inf) == (want.lipschitz, want.lipschitz_inf)
         assert prob.values(points).tobytes() == want.values(points).tobytes()
     assert i == 99
+
+
+_TRACED_RUN = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from dadapt.harness import ExperimentConfig, run_single
+tracer = tracing.Tracer()
+tracing.install(tracer)
+config = ExperimentConfig(
+    problem="synth_logistic", algorithm="sgd_da", synth_n=64, synth_dim=4, n_steps=20
+)
+run_single(config, 0)
+metrics = tracer.metrics()
+print(metrics["problems.subgradient.calls"], metrics["problems.value.calls"])
+"""
+
+
+def test_tracer_counts_the_logistic_oracle_calls():
+    # the tracer wraps each Problem's value and subgradient as it is built; a
+    # lone 20-step run asks for 20 gradients and one value, its final_f.
+    # install() rebinds for the rest of its process, so it runs in a child
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(ROOT / "bench" / "tracing.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["20", "1"]
 
 
 def _imported(module: str) -> set[str]:

@@ -24,7 +24,7 @@ from dadapt.problems import (
     LogisticProblem,
     ParseError,
     _block_products,
-    _margins_grad,
+    _grads,
     _mean_logistic_loss,
     abs_value_problem,
     logistic_value_grad,
@@ -375,7 +375,8 @@ class TestLogisticOracle:
 
 
 def _margins_grad_out_of_place(X, y, w):
-    """_margins_grad as written before it worked in place on its own arrays."""
+    """The margins and the gradient as written before _grads worked in place
+    on its own arrays, one gemv at a time."""
     t = y * (X @ w)
     coeff = -y * np.exp(-np.logaddexp(0.0, t))
     return t, X.T @ coeff / X.shape[0]
@@ -387,23 +388,33 @@ def _read_only(*arrays):
     return arrays
 
 
+def _assert_grads_are_the_reference(X, y, W):
+    """_grads at each row of W alone, and at the stack W, against the
+    reference at each row: every bit."""
+    stacked = _grads(X, y, W)
+    assert stacked.shape == W.shape
+    for w, row in zip(W, stacked):
+        want = _margins_grad_out_of_place(X, y, w)[1].tobytes()
+        assert _grads(X, y, w).tobytes() == want
+        assert row.tobytes() == want
+
+
 class TestMarginsGradInPlace:
-    """The in-place _margins_grad and the take() gather keep every bit."""
+    """The in-place _grads, at a point and on a stack, and the take() gather keep every bit."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0, 1e150])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_margins(self, seed, scale):
         gen = np.random.default_rng(seed)
-        n, dim = gen.integers(1, 40), gen.integers(1, 12)
-        X, y, w = _read_only(
+        n, dim, k = gen.integers(1, 40), gen.integers(1, 12), gen.integers(1, 9)
+        X, y, W = _read_only(
             gen.standard_normal((n, dim)),
             gen.choice([-1.0, 1.0], n),
-            scale * gen.standard_normal(dim),
+            scale * gen.standard_normal((k, dim)),
         )
         with np.errstate(over="ignore"):
-            got, want = _margins_grad(X, y, w), _margins_grad_out_of_place(X, y, w)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+            _assert_grads_are_the_reference(X, y, W)
+            _assert_grads_are_the_reference(X[:1], y[:1], W)  # a one-row batch
 
     def test_extreme_margins(self):
         # margins of 0, +-0, +-huge, +-inf and NaN, one row each
@@ -411,30 +422,23 @@ class TestMarginsGradInPlace:
                         np.inf, -np.inf, np.nan])
         X = np.column_stack([col, np.ones_like(col)])
         y = np.where(np.arange(col.size) % 2, 1.0, -1.0)
-        _read_only(X, y)
-        for w0 in (1.0, -1.0, 0.0, 1e10):
-            w = np.array([w0, 0.0])
-            with np.errstate(over="ignore", invalid="ignore"):
-                got, want = _margins_grad(X, y, w), _margins_grad_out_of_place(X, y, w)
-                rows = [(_margins_grad(X[i : i + 1], y[i : i + 1], w),
-                         _margins_grad_out_of_place(X[i : i + 1], y[i : i + 1], w))
-                        for i in range(col.size)]
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes()
-            for one, ref in rows:  # a NaN row alone, not summed away
-                for a, b in zip(one, ref):
-                    assert a.tobytes() == b.tobytes()
+        W = np.array([[w0, 0.0] for w0 in (1.0, -1.0, 0.0, 1e10)])
+        _read_only(X, y, W)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_grads_are_the_reference(X, y, W)
+            for i in range(col.size):  # a NaN row alone, not summed away
+                _assert_grads_are_the_reference(X[i : i + 1], y[i : i + 1], W)
 
     def test_inputs_unwritten(self):
         ds = synth_dataset(seed=3, n_examples=40, dim=5)
         lp = LogisticProblem(ds, batch_size=7)
-        w = Rng(0, 5).normals(lp.dim)
-        copies = [a.copy() for a in (lp.X, lp.y, w)]
-        t, grad = _margins_grad(lp.X, lp.y, w)
-        for a, before in zip((lp.X, lp.y, w), copies):
+        W = Rng(0, 5).normals(3 * lp.dim).reshape(3, lp.dim)
+        copies = [a.copy() for a in (lp.X, lp.y, W)]
+        grads = [_grads(lp.X, lp.y, W[0]), _grads(lp.X, lp.y, W)]
+        for a, before in zip((lp.X, lp.y, W), copies):
             assert a.tobytes() == before.tobytes()
-        for out in (t, grad):  # fresh arrays, not views of the inputs
-            assert not any(np.shares_memory(out, a) for a in (lp.X, lp.y, w))
+        for out in grads:  # fresh arrays, not views of the inputs
+            assert not any(np.shares_memory(out, a) for a in (lp.X, lp.y, W))
 
     def test_take_gathers_the_same_rows(self):
         ds = synth_dataset(seed=3, n_examples=37, dim=4)
@@ -459,7 +463,7 @@ class TestMarginsGradInPlace:
 _FULL_VALUES_SWEEP = """
 import sys
 import numpy as np
-from dadapt.problems import Dataset, LogisticProblem, _block_products
+from dadapt.problems import Dataset, LogisticProblem, _block_products, _mean_logistic_loss
 rng = np.random.default_rng(11)
 for n in (1, 511, 512, 513, 1100, 4999):
     for dim in (1, 2, 3, 5, 8, 17, 50, 60):
@@ -468,7 +472,7 @@ for n in (1, 511, 512, 513, 1100, 4999):
         lp = LogisticProblem(Dataset(X=X, y=np.where(rng.random(n) < 0.5, 1.0, -1.0)))
         W = rng.standard_normal((k, dim + 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
         products = np.array([lp.X @ w for w in W])
-        want = np.array([lp.full_value(w) for w in W])
+        want = np.array([_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W])
         if _block_products(lp.X, W).tobytes() != products.tobytes():
             sys.exit(f"X @ w moved bits in blocks at n={n}, dim={dim}, k={k}")
         if lp.full_values(W).tobytes() != want.tobytes():
@@ -504,11 +508,12 @@ class TestFullValues:
     @settings(max_examples=200, deadline=None)
     @given(_full_values_cases())
     def test_bit_equal_to_full_value_row_by_row(self, case):
+        # full_values against the loss of one gemv X @ w, the product full_value took alone
         dataset, W = case
         lp = LogisticProblem(dataset)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows X @ w
             got = lp.full_values(W)
-            want = np.array([lp.full_value(w) for w in W])
+            want = np.array([_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W])
             # the products themselves, where a moved bit seldom survives the mean
             products = np.array([lp.X @ w for w in W]).reshape(len(W), len(lp.X))
             assert _block_products(lp.X, W).tobytes() == products.tobytes()
@@ -533,7 +538,7 @@ class TestFullValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lp.full_values(W)
-        assert got[:3].tolist() == [lp.full_value(w) for w in W[:3]]
+        assert got[:3].tolist() == [_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W[:3]]
         assert got[2] == math.log(2.0) and math.isnan(got[4])
         assert all(a.tobytes() == b.tobytes() for a, b in zip((lp.X, lp.y, W), saved))
 
