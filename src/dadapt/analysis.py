@@ -409,14 +409,15 @@ def _tagged(report: BoundReport, tag: str) -> BoundReport:
 
 
 def run_convex_sweep(n_problems: int, n_steps: int, seed0: int = 0):
-    """Yield (i, problem, x0, algorithm, option, result) for the convex battery:
+    """Yield (seed, problem, x0, algorithm, option, result) for the convex battery:
     the variants (da, I), (da, II), (gd, I) and (adagrad_da, I), in that order,
-    from d0 = 1e-3 on each problem i = piecewise_start(seed0 + i, dim=6, pieces=6,
-    distance=1.0), bounded by g_value=problem.lipschitz, g_inf=problem.lipschitz_inf."""
-    for i in range(n_problems):
-        problem, x0 = piecewise_start(seed0 + i, dim=6, pieces=6, distance=1.0)
+    from d0 = 1e-3 on each problem piecewise_start(seed, dim=6, pieces=6,
+    distance=1.0), seed = seed0, ..., seed0 + n_problems - 1, bounded by
+    g_value=problem.lipschitz, g_inf=problem.lipschitz_inf."""
+    for seed in range(seed0, seed0 + n_problems):
+        problem, x0 = piecewise_start(seed, dim=6, pieces=6, distance=1.0)
         for algorithm, option in (("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")):
-            yield i, problem, x0, algorithm, option, run_convex(
+            yield seed, problem, x0, algorithm, option, run_convex(
                 problem, x0, algorithm=algorithm, d0=1e-3, n=n_steps, option=option,
                 g_value=problem.lipschitz, g_inf=problem.lipschitz_inf,
             )
@@ -431,8 +432,8 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
     n_steps = 200 if quick else 1000
 
     if suite in ("lemmas", "all"):
-        for i, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=0):
-            traj, tag = result.traj, f"{algo}_{option}_seed{i}"
+        for seed, _, _, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=0):
+            traj, tag = result.traj, f"{algo}_{option}_seed{seed}"
             if traj.kind in ("da", "gd"):
                 reports.append(_tagged(check_telescoping(traj), tag))
             if traj.kind == "da":
@@ -452,8 +453,8 @@ def verify_suite(suite: str = "all", quick: bool = True) -> list[BoundReport]:
             reports.append(check_ema_equivalence(c, gs))
 
     if suite in ("bounds", "all"):
-        for i, prob, x0, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=100):
-            traj, tag = result.traj, f"{algo}_{option}_seed{100 + i}"
+        for seed, prob, x0, algo, option, result in run_convex_sweep(n_problems, n_steps, seed0=100):
+            traj, tag = result.traj, f"{algo}_{option}_seed{seed}"
             # D = 1; adagrad_da's bound is the start's max-norm distance, as in the gate
             D = float(np.abs(x0 - prob.known_minimizer).max()) if algo == "adagrad_da" else 1.0
             reports.append(_tagged(check_d_lower_bound(traj, D), tag))

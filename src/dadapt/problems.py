@@ -331,19 +331,18 @@ def _mean_logistic_loss(t: np.ndarray) -> float:
 
 def _grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The mean logistic gradient over the rows of X at the point W, or at
-    each row of the stack W. A stack's products run the gemv of X @ w and of
-    X.T @ coeff once per row, so row b has the bits of the gradient at W[b];
-    the gemm X @ W.T would not. A point takes the gemvs alone: a stack of
-    one costs 7.6 against 5.3 us a call at batch 16, dim 51 (2-vCPU Xeon,
-    one BLAS thread)."""
-    t = X @ W if W.ndim == 1 else np.matmul(X, W[:, :, None])[:, :, 0]
+    each row of the stack W. The stacked products run the gemv of X @ w and
+    of X.T @ coeff once per row, so row b has the bits of the gradient at
+    W[b], and a point has those of its stack of one; the gemm X @ W.T would
+    not."""
+    t = np.matmul(X, np.atleast_2d(W)[:, :, None])[:, :, 0]
     t *= y
     coeff = np.logaddexp(0.0, t)
     np.negative(coeff, coeff)  # in place; out by position costs less than out=
     np.exp(coeff, coeff)
     coeff *= -y  # -y * sigma(-t)
-    G = X.T @ coeff if W.ndim == 1 else np.matmul(X.T, coeff[:, :, None])[:, :, 0]
-    return G / X.shape[0]
+    G = np.matmul(X.T, coeff[:, :, None])[:, :, 0] / X.shape[0]
+    return G if W.ndim == 2 else G[0]
 
 
 def _block_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -439,10 +439,10 @@ class TestRunConvexSweep:
     def test_runs_equal_direct_calls_in_variant_order(self):
         items = list(run_convex_sweep(2, 30, seed0=5))
         order = [("da", "I"), ("da", "II"), ("gd", "I"), ("adagrad_da", "I")]
-        assert [item[0] for item in items] == [0] * 4 + [1] * 4
+        assert [item[0] for item in items] == [5] * 4 + [6] * 4
         assert [item[3:5] for item in items] == order * 2
-        for i, problem, x0, algo, option, result in items:
-            want_problem, want_x0 = piecewise_start(5 + i, dim=6, pieces=6, distance=1.0)
+        for seed, problem, x0, algo, option, result in items:
+            want_problem, want_x0 = piecewise_start(seed, dim=6, pieces=6, distance=1.0)
             assert x0.tobytes() == want_x0.tobytes()
             assert problem.known_minimizer.tobytes() == want_problem.known_minimizer.tobytes()
             want = run_convex(

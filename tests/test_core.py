@@ -33,7 +33,7 @@ from dadapt.core import (
     schedule_eval,
 )
 from dadapt.ml import sgd_da_init, sgd_da_step
-from dadapt.problems import LogisticProblem, synth_dataset
+from dadapt.problems import LogisticProblem, _mean_logistic_loss, synth_dataset
 
 
 class TestRng:
@@ -611,7 +611,9 @@ class TestDeferredF:
         problem.subgradient = lambda x: visited.append(x.copy()) or subgradient(x)
         state = sgd_da_init(np.zeros(lp.dim), d0=1e-3)
         drive(problem, state, sgd_da_step, 37, Schedule(), every)  # 37: no multiple of 16
-        want = [lp.full_value(x) if k % every == 0 else math.nan for k, x in enumerate(visited)]
+        # the one-gemv loss, not full_value, which takes the blocked path under test
+        loss = [_mean_logistic_loss(lp.y * (lp.X @ x)) for x in visited]
+        want = [f if k % every == 0 else math.nan for k, f in enumerate(loss)]
         assert state.traj.pack()[:, 4].tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("every", [1, 3])
