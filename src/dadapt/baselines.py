@@ -7,7 +7,7 @@ as the scale. AdaGrad and AdaGrad-norm also come as lanes (core.Lanes), as
 sgd_da and adam_da do in dadapt.ml, for core.drive_lanes to run the points
 of a grid or d0 sweep in lockstep with the bits of the scalar steppers;
 start_lanes builds them from the states start sets up, so that start alone
-maps a config to a stepper's settings.
+maps a config to a stepper's settings (convex.start, for the convex ones).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convex import adagrad_da_init, adagrad_da_step, da_init, da_step, gd_init, gd_step
+from . import convex
 from .core import ConfigError, Lanes, Trajectory, Vector, _dot, _rowdot
 from .ml import AdamDALanes, SGDDALanes, adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 
@@ -204,17 +204,14 @@ class AdaGradLanes(Lanes):
 
 def start(config, bundle):
     """Initial state and stepper of config.algorithm for a harness.ExperimentConfig
-    and its harness.ProblemBundle; the problem's known gradient bounds go where
-    run_convex takes g_value (for da only under g_mode="fixed") and g_inf."""
+    and its harness.ProblemBundle. The four convex methods take theirs from
+    convex.start, by its bound rule, with the problem's known gradient bounds."""
     algo = config.algorithm
     x0, prob = bundle.x0, bundle.problem
-    if algo in ("da_I", "da_II"):
-        g_fixed = prob.lipschitz if config.g_mode == "fixed" else None
-        return da_init(x0, config.d0, algo[3:], g_fixed, config.g_mode), da_step
-    if algo == "gd":
-        return gd_init(x0, config.d0, G=prob.lipschitz), gd_step
-    if algo == "adagrad_da":
-        return adagrad_da_init(x0, config.d0, g_inf=prob.lipschitz_inf), adagrad_da_step
+    if algo in ("da_I", "da_II", "gd", "adagrad_da"):
+        name, option = ("da", algo[3:]) if algo.startswith("da_") else (algo, "I")
+        bounds = prob.lipschitz, prob.lipschitz_inf
+        return convex.start(name, x0, config.d0, option, config.g_mode, *bounds)
     if algo == "sgd_da":
         return sgd_da_init(x0, d0=config.d0, beta=config.beta, G=prob.lipschitz), sgd_da_step
     if algo == "adam_da":

@@ -11,33 +11,31 @@ Three variants live here:
   * DAState       weighted dual averaging, Euclidean norm. Two candidate
                   formulas are supported: option "I" derives dhat from the
                   dual-average norm minus a weighted gradient sum, option
-                  "II" from accumulated hypergradient inner products. With
-                  g_mode "fixed" (implied by a given g_fixed), the step-size
-                  denominator starts from G^2 instead of zero, which the
-                  asymptotic theory needs. The stepper also picks the
-                  return prefix as it goes (t_index, x_avg_t).
+                  "II" from accumulated hypergradient inner products. A
+                  given g_fixed implies g_mode "fixed", the G^2-seeded
+                  denominator. The stepper also picks the return prefix as
+                  it goes (t_index, x_avg_t).
   * GDState       plain subgradient descent scaled by d / sqrt(G^2 + sum
                   of squared gradient norms), candidate from the same
                   algebra with flat weights.
   * AdaGradDAState coordinate-wise dual averaging against the max-norm
-                  geometry; the per-coordinate denominators start at the
-                  max-norm gradient bound.
+                  geometry, its per-coordinate denominators seeded with G_inf.
 
 A per-step schedule multiplier folds into the accumulation weight
 (lam_k = sched_k * d_k); with a flat schedule the updates reduce to the
 plain listings. Steppers mutate their state and append one row to a
-Trajectory, its f NaN; run_convex and baselines.start hand them to
-core.drive, which writes the f column. At step 0 a stepper raises
-core.AtStart on a zero gradient, since the start is then a minimizer;
-otherwise a gradient bound left unset (None) at init is taken from that
-gradient's norm, and meta["heuristic_g"] says so.
+Trajectory, its f NaN; run_convex and baselines.start take a run's state
+and stepper from start and hand them to core.drive, which writes the f
+column. At step 0 a stepper raises core.AtStart on a zero gradient, as
+the start is then a minimizer; otherwise a gradient bound left unset
+(None) at init is taken from its norm, and meta["heuristic_g"] says so.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,13 +64,14 @@ __all__ = [
     "adagrad_da_step",
     "select_return_index",
     "ConvexRunResult",
+    "start",
     "run_convex",
 ]
 
 _NAN = float("nan")
 
 
-def _start(traj: Trajectory, gnorm2: float, unset: bool) -> None:
+def _first_gradient(traj: Trajectory, gnorm2: float, unset: bool) -> None:
     """Step 0's check: raise AtStart on a zero gradient, else record whether
     the run's gradient bound is unset and so taken from this gradient."""
     if gnorm2 == 0.0:
@@ -151,7 +150,7 @@ def da_step(state: DAState, g: Vector, sched: float = 1.0) -> None:
         raise Diverged(state.k, state.traj, "non-finite gradient")
     if state.k == 0:
         unset = state.g_fixed is None and state.traj.meta["g_mode"] == "fixed"
-        _start(state.traj, gnorm2, unset)
+        _first_gradient(state.traj, gnorm2, unset)
         if unset:
             state.g_fixed = math.sqrt(gnorm2)
         if state.gamma is None:
@@ -238,7 +237,7 @@ def gd_step(state: GDState, g: Vector, sched: float = 1.0) -> None:
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
     if state.k == 0:
-        _start(state.traj, gnorm2, state.G is None)
+        _first_gradient(state.traj, gnorm2, state.G is None)
         if state.G is None:
             state.G = math.sqrt(gnorm2)
     # the step size denominator includes the current gradient
@@ -308,7 +307,7 @@ def adagrad_da_step(state: AdaGradDAState, g: Vector, sched: float = 1.0) -> Non
     if not math.isfinite(gnorm2):
         raise Diverged(state.k, state.traj, "non-finite gradient")
     if state.k == 0:
-        _start(state.traj, gnorm2, state.a is None)
+        _first_gradient(state.traj, gnorm2, state.a is None)
         if state.a is None:
             state.a = np.full_like(state.x0, np.abs(g).max())
     lam = sched * state.d
@@ -393,6 +392,28 @@ class ConvexRunResult:
     exited_at_start: bool = False  # zero first gradient
 
 
+def start(
+    algorithm: str, x0: Vector, d0: float, option: str = "I", g_mode: str = "none",
+    g_value: Optional[float] = None, g_inf: Optional[float] = None,
+) -> tuple[object, Callable[..., None]]:
+    """State and stepper of a run of "da" (option "I" or "II"), "gd" or
+    "adagrad_da", by the bound rule: gd starts from G = g_value; da from
+    G = g_value under g_mode="fixed" alone, the G^2-seeded denominator its
+    asymptotic guarantee needs; adagrad_da from G_inf = g_inf. Steppers are
+    looked up at each call, so that bench/tracing.py's rebinding reaches them."""
+    if option not in ("I", "II"):
+        raise ConfigError(f"unknown option {option!r}")
+    if g_mode not in ("none", "fixed"):
+        raise ConfigError(f"unknown g_mode {g_mode!r}")
+    if algorithm == "da":
+        return da_init(x0, d0, option, g_value if g_mode == "fixed" else None, g_mode), da_step
+    if algorithm == "gd":
+        return gd_init(x0, d0, G=g_value), gd_step
+    if algorithm == "adagrad_da":
+        return adagrad_da_init(x0, d0, g_inf=g_inf), adagrad_da_step
+    raise ConfigError(f"unknown algorithm {algorithm!r}")
+
+
 def run_convex(
     problem: Problem,
     x0: Vector,
@@ -406,32 +427,14 @@ def run_convex(
     schedule: Schedule = Schedule(),
     record_f_every: int = 1,
 ) -> ConvexRunResult:
-    """Run one of the convex methods for n steps, one oracle call a step.
-
-    algorithm is "da", "gd", or "adagrad_da". A zero first gradient means x0
-    is already optimal: the run returns there, exited_at_start, after the
-    init has checked the settings as for any other run. A gradient bound
-    left None (g_value for gd and for da with g_mode="fixed", g_inf for
-    adagrad_da) is taken by the stepper from the first gradient, and the
-    run is marked heuristic_g in the trajectory meta. For dual-averaging
-    runs the result carries the state's picked prefix too: t_index, as
-    select_return_index picks it from the run's d sequence, and x_avg_t; the
-    guarantee is proved for the G-seeded denominator (g_mode="fixed"), and
-    the index is reported for the plain mode too.
-    """
+    """Run the state and stepper that start sets up for n steps, one oracle
+    call a step. A zero first gradient means x0 is already optimal: the run
+    returns there, exited_at_start, after the init has checked the settings.
+    A dual-averaging run's result carries its picked prefix too, under either
+    g_mode: t_index, by select_return_index's rule, and x_avg_t."""
     if n <= 0:
         raise ConfigError("n must be positive")
-    if g_mode not in ("none", "fixed"):
-        raise ConfigError(f"unknown g_mode {g_mode!r}")
-    if algorithm == "da":
-        state = da_init(x0, d0, option, g_value if g_mode == "fixed" else None, g_mode)
-        step = da_step
-    elif algorithm == "gd":
-        state, step = gd_init(x0, d0, G=g_value), gd_step
-    elif algorithm == "adagrad_da":
-        state, step = adagrad_da_init(x0, d0, g_inf=g_inf), adagrad_da_step
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    state, step = start(algorithm, x0, d0, option, g_mode, g_value, g_inf)
     try:
         drive(problem, state, step, n, schedule, record_f_every)
     except AtStart:

@@ -362,6 +362,12 @@ class TestRunConvex:
         with pytest.raises(ConfigError):
             run_convex(prob, np.array([1.0]), algorithm="da", d0=0.1, n=5, g_mode="auto")
 
+    @pytest.mark.parametrize("algorithm", ["gd", "adagrad_da"])
+    def test_unknown_option_rejected(self, algorithm):
+        # option picks da's candidate formula; every convex method refuses one it lacks
+        with pytest.raises(ConfigError, match="unknown option 'III'"):
+            run_convex(abs_value_problem(), np.array([1.0]), algorithm, 0.1, 5, option="III")
+
     def test_no_steps_rejected(self):
         with pytest.raises(ConfigError, match="n must be positive"):
             run_convex(abs_value_problem(), np.array([1.0]), algorithm="da", d0=0.1, n=0)

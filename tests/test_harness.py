@@ -36,6 +36,7 @@ from dadapt.convex import (
     adagrad_da_step,
     da_step,
     gd_step,
+    run_convex,
 )
 from dadapt.core import ConfigError, Problem, Rng, Schedule, Trajectory, drive
 from dadapt.harness import (
@@ -494,6 +495,25 @@ def test_start_sets_up_the_configs_algorithm(algorithm):
         assert state.g_fixed == bundle.problem.lipschitz
     step(state, bundle.problem.subgradient(state.x))
     assert len(state.traj.records) == 1
+
+
+@pytest.mark.parametrize("g_mode", ["none", "fixed"])
+@pytest.mark.parametrize("algorithm", ["da_I", "da_II", "gd", "adagrad_da"])
+def test_run_single_and_run_convex_make_the_same_run(algorithm, g_mode):
+    # both entry points take the run from convex.start, run_single with the
+    # problem's known bounds
+    cfg = ExperimentConfig(problem="piecewise", algorithm=algorithm, n_steps=300, g_mode=g_mode)
+    bundle = build_problem(cfg, seed=0)
+    prob = bundle.problem
+    name, option = ("da", algorithm[3:]) if algorithm.startswith("da_") else (algorithm, "I")
+    res = run_convex(
+        prob, bundle.x0, name, cfg.d0, bundle.n_steps, option=option, g_mode=g_mode,
+        g_value=prob.lipschitz, g_inf=prob.lipschitz_inf,
+    )
+    out = run_single(cfg, 0)
+    assert out.rows.tobytes() == res.traj.records.tobytes()
+    assert out.summary["final_d"] == res.d_final
+    assert out.summary["t_index"] == (-1 if res.t_index is None else res.t_index)
 
 
 @pytest.mark.parametrize("every", [1, 3])

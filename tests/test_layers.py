@@ -82,35 +82,57 @@ def test_convex_setup_draws_the_battery_problems(tmp_path):
     assert i == 99
 
 
-_TRACED_RUN = """
+_TRACED = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
-from dadapt.harness import ExperimentConfig, run_single
+from dadapt import convex
+from dadapt.harness import ExperimentConfig, build_problem, run_single
 tracer = tracing.Tracer()
 tracing.install(tracer)
+"""
+
+
+def _traced_counts(script: str) -> list[str]:
+    """What script prints after it runs with bench/tracing.py's tracer
+    installed. install() rebinds for the rest of its process, so it runs in
+    a child."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED + script, str(ROOT / "bench" / "tracing.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_tracer_counts_the_logistic_oracle_calls():
+    # the tracer wraps each Problem's value and subgradient as it is built; a
+    # lone 20-step run asks for 20 gradients and one value, its final_f
+    assert _traced_counts("""
 config = ExperimentConfig(
     problem="synth_logistic", algorithm="sgd_da", synth_n=64, synth_dim=4, n_steps=20
 )
 run_single(config, 0)
 metrics = tracer.metrics()
 print(metrics["problems.subgradient.calls"], metrics["problems.value.calls"])
-"""
+""") == ["20", "1"]
 
 
-def test_tracer_counts_the_logistic_oracle_calls():
-    # the tracer wraps each Problem's value and subgradient as it is built; a
-    # lone 20-step run asks for 20 gradients and one value, its final_f.
-    # install() rebinds for the rest of its process, so it runs in a child
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(ROOT / "bench" / "tracing.py")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["20", "1"]
+def test_tracer_counts_the_convex_steps():
+    # convex.start looks the steppers up when it is called, so the rebound
+    # ones step both the harness's runs and run_convex's
+    assert _traced_counts("""
+for algorithm, n in (("adagrad_da", 7), ("da_II", 5)):
+    run_single(ExperimentConfig(problem="piecewise", algorithm=algorithm, n_steps=n), 0)
+bundle = build_problem(ExperimentConfig(problem="piecewise", n_steps=3), 0)
+convex.run_convex(bundle.problem, bundle.x0, "gd", 1e-6, n=3)
+metrics = tracer.metrics()
+names = ("adagrad_da_step", "da_step", "gd_step", "run_convex")
+print(*(metrics[f"convex.{name}.calls"] for name in names))
+""") == ["7", "5", "3", "1"]
 
 
 def _imported(module: str) -> set[str]:
@@ -141,6 +163,41 @@ def test_harness_does_not_import_analysis():
 def test_harness_reaches_the_steppers_through_baselines():
     # every run starts in baselines.start, so the harness needs no convex name
     assert "convex" not in _imported("harness")
+
+
+_CONVEX_INITS = {"da_init", "gd_init", "adagrad_da_init"}
+_CONVEX_STEPS = {"da_step", "gd_step", "adagrad_da_step"}
+
+
+def _init_callers(node, caller="<module>"):
+    """(module-level caller, callee) of each convex init called under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _CONVEX_INITS:
+                yield caller, name
+        inner = caller
+        if caller == "<module>" and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = child.name
+        yield from _init_callers(child, inner)
+
+
+def test_the_convex_map_is_written_once():
+    # convex.start alone maps (algorithm, option, g_mode, bounds) to an init
+    # and a stepper; baselines reaches the steppers only through it, so a
+    # rebound stepper is the one its runs get
+    calls = {
+        (path.stem, caller, callee)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for caller, callee in _init_callers(ast.parse(path.read_text()))
+    }
+    assert calls == {("convex", "start", name) for name in _CONVEX_INITS}
+    tree = ast.parse((PACKAGE / "baselines.py").read_text())
+    nodes = list(ast.walk(tree))
+    bound = {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    bound |= {n.id for n in nodes if isinstance(n, ast.Name)}
+    assert not bound & _CONVEX_STEPS
 
 
 @pytest.mark.parametrize("module", ["analysis", "baselines", "core", "convex", "ml", "problems"])
