@@ -117,7 +117,7 @@ def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
     excess = fx - fstar
     if excess == 0.0:
         return np.asarray(x, dtype=np.float64).copy()
-    gg = float(g @ g)
+    gg = _dot(g, g)
     if gg == 0.0:
         raise ValueError("zero subgradient at a suboptimal point")
     return x - (excess / gg) * g

@@ -232,5 +232,16 @@ if __name__ == "__main__":
         golden = {name: _run(name, Path(tmp) / name) for name in sorted(CASES)}
         golden.update({name: _sweep(name, Path(tmp) / name) for name in sorted(SWEEP_CASES)})
         golden[VERIFY_CASE] = _verify(Path(tmp))
+    old = _golden() if GOLDEN_PATH.exists() else {}
+    stayed = 0
+    for name in sorted(golden.keys() | old.keys()):
+        new_files, old_files = golden.get(name, {}), old.get(name, {})
+        for fname in sorted(new_files.keys() | old_files.keys()):
+            before, after = old_files.get(fname, "-"), new_files.get(fname, "-")
+            if before == after:
+                stayed += 1
+            else:
+                print(f"moved {name} {fname}: {before[:12]} -> {after[:12]}")
+    print(f"{stayed} digests stayed")
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"{len(golden)} cases -> {GOLDEN_PATH}", file=sys.stderr)

@@ -2,65 +2,136 @@
 
 A declared re-record rewrites the golden digests, and then only the other
 tests stand between a stepper bug and the new digests. Each entry below
-changes one line of a stepper. It is built from the stepper's source by one
-str.replace that must match exactly once, so a refactor that moves the text
-fails here until the list is updated. The mutant is bound in place of the
-stepper in every loaded module that holds it, test modules included, and a
-fixed battery must then report a failure: criterion 10's hand traces and the
-quick verify lemmas. The identity control must pass that battery.
+changes one line of a stepper: a scalar stepper function or a lane class's
+step method. It is built from the stepper's source by one str.replace that
+must match exactly once, so a refactor that moves the text fails here until
+the list is updated. A mutant function is bound in place of the stepper in
+every loaded module that holds it, test modules included; a mutant method is
+set on its class. A fixed battery must then report a failure: criterion 10's
+hand traces, the sgd_da and adam_da hand traces, the quick verify lemmas and
+one seeded lanes-match-lone-runs case for each laned method. The identity
+control must pass that battery.
 """
 
 import inspect
 import sys
+import textwrap
+from dataclasses import replace
 
 import pytest
 
 import test_acceptance as acceptance
-from dadapt import convex
+import test_lanes as lanes
+import test_ml
+from dadapt import baselines, convex, ml
 from dadapt.analysis import verify_suite
+from dadapt.harness import ExperimentConfig
 
-# (stepper, old text, new text)
+# (owner, stepper, old text, new text): the owner is the module of a
+# function or the class of a step method
 MUTANTS = [
     # the step-size denominator leaves out the current gradient
     (
+        convex,
         "gd_step",
         "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)",
         "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq - gnorm2)",
     ),
     # the iterate moves with the step size before this gradient
     (
+        convex,
         "da_step",
         "state.x = state.x0 - gamma_new * state.s",
         "state.x = state.x0 - gamma_old * state.s",
     ),
     # the weighted term reads the denominators after their update
-    ("adagrad_da_step", "g2 / state.a", "g2 / np.sqrt(state.a * state.a + g2)"),
+    (convex, "adagrad_da_step", "g2 / state.a", "g2 / np.sqrt(state.a * state.a + g2)"),
     # a perturbed hypergradient inner product
-    ("da_step", "ip_gs = _dot(g, state.s)", "ip_gs = _dot(g, state.s) * (1.0 + 1e-6)"),
+    (convex, "da_step", "ip_gs = _dot(g, state.s)", "ip_gs = _dot(g, state.s) * (1.0 + 1e-6)"),
+    # the estimate without its factor of two
+    (
+        ml,
+        "sgd_da_step",
+        "d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm",
+        "d_hat = 0.0 if snorm == 0.0 else state.hypergrad_sum / snorm",
+    ),
+    # eps under the square root
+    (ml, "adam_da_step", "denom = np.sqrt(state.v) + state.eps", "denom = np.sqrt(state.v + state.eps)"),
+    # the projection onto a ball about the current iterate, not about x0
+    (
+        baselines,
+        "adagrad_norm_step",
+        "x = state.x0 + delta * (state.radius / dist)",
+        "x = state.x + delta * (state.radius / dist)",
+    ),
+    # the schedule left out of the step
+    (baselines, "_adagrad_step", "state.x = state.x - mult * step", "state.x = state.x - state.lr * step"),
+    # the average takes the old gradient-step point
+    (
+        ml.SGDDALanes,
+        "step",
+        "x = self.beta * self.x + (1.0 - self.beta) * z",
+        "x = self.beta * self.x + (1.0 - self.beta) * self.z",
+    ),
+    # the estimate without the (1 - sqrt(beta2)) normalisation
+    (ml.AdamDALanes, "step", "d_hat = self.r / ((1.0 - sb2) * s_l1)", "d_hat = self.r / s_l1"),
+    # the schedule left out of the lanes' step
+    (baselines.AdaGradLanes, "step", "mult = self.lr * sched", "mult = self.lr"),
+    # a lane leaving its ball is not pulled back
+    (baselines.AdaGradNormLanes, "step", "far = dist > self.radius", "far = dist > 2.0 * self.radius"),
 ]
-CONTROL = ("da_step", "state.k += 1", "state.k += 1")
+CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
+
+# (laned method, swept key, values): each run in lanes and alone
+LANE_CASES = [
+    ("adagrad", "lr", (0.01, 0.1, 1.0)),
+    ("adagrad_norm", "lr", (0.1, 1.0, 10.0)),
+    ("sgd_da", "d0", (1e-6, 1e-3, 1.0)),
+    ("adam_da", "d0", (1e-6, 1e-3, 1.0)),
+]
 
 
-def _bind_mutant(monkeypatch, name: str, old: str, new: str):
-    original = getattr(convex, name)
-    source = inspect.getsource(original)
+def _bind_mutant(monkeypatch, owner, name: str, old: str, new: str):
+    original = vars(owner)[name]
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, f"{name}: {old!r} matches {source.count(old)} times"
-    namespace = dict(vars(convex))  # the mutant sees convex's globals
-    exec(compile(source.replace(old, new), convex.__file__, "exec"), namespace)
-    for module in list(sys.modules.values()):
-        for key, value in list(vars(module).items()):
+    module = sys.modules[original.__module__]
+    namespace = dict(vars(module))  # the mutant sees its module's globals
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    mutant = namespace[name]
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, mutant)
+        return mutant
+    for holder in list(sys.modules.values()):
+        for key, value in list(vars(holder).items()):
             if value is original:
-                monkeypatch.setattr(module, key, namespace[name])
-    return namespace[name]
+                monkeypatch.setattr(holder, key, mutant)
+    return mutant
+
+
+def _lanes_case(algorithm: str, key: str, values) -> None:
+    config = ExperimentConfig(
+        problem="synth_logistic", algorithm=algorithm, n_steps=30, batch_size=6,
+        schedule="cosine", decay=0.01,
+    )
+    lanes.check_lanes_match_lone_runs([replace(config, **{key: v}) for v in values], 1, lanes.DATA)
 
 
 def _battery() -> list[str]:
     """The parts of the battery that fail."""
+    checks = [
+        ("criterion 10", acceptance.test_criterion_10_hand_trace_oracles),
+        ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
+        ("sgd_da step 1", test_ml.TestSgdDaTrace().test_step1),
+        ("adam_da step 0", test_ml.TestAdamDaTrace().test_step0),
+    ]
+    checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []
-    try:
-        acceptance.test_criterion_10_hand_trace_oracles()
-    except Exception as exc:
-        failed.append(str(exc))
+    for label, check in checks:
+        try:
+            check()
+        except Exception as exc:
+            failed.append(f"{label}: {exc!r}")
     try:
         rows = [r for r in verify_suite("lemmas", quick=True) if not r.satisfied]
     except Exception as exc:
@@ -70,7 +141,12 @@ def _battery() -> list[str]:
     return failed
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=[f"{m[0]}-{i}" for i, m in enumerate(MUTANTS)])
+def _id(mutant, i):
+    owner, name = mutant[:2]
+    return f"{owner.__name__}.{name}-{i}" if isinstance(owner, type) else f"{name}-{i}"
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[_id(m, i) for i, m in enumerate(MUTANTS)])
 def test_mutant_is_caught(monkeypatch, mutant):
     _bind_mutant(monkeypatch, *mutant)
     assert _battery()
