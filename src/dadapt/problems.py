@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _BLOCK, _BULK_MIN, Problem, Rng, Vector
+from .core import _BLOCK, _BULK_MIN, _F_ROWS, Problem, Rng, Vector
 
 __all__ = [
     "ParseError",
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 _MAX_CELLS = 2**28  # the largest X parse_libsvm makes: 2 GiB of float64
-
-# _block_products takes this many rows of X at a time
-_X_ROWS = 512
 
 
 class ParseError(ValueError):
@@ -345,31 +342,6 @@ def _grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
     return G if W.ndim == 2 else G[0]
 
 
-def _block_products(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The (K, N) products X @ w of each row w of W, bit for bit, taken one
-    _X_ROWS block of X at a time so that a block stays in cache for all of W.
-
-    A gemv takes its rows in groups and the rows left over at its end by
-    another path, so a block's rows get the bits a gemv over all of X gives
-    them when every block but the last has a multiple of the group size:
-    512 rows is one for any group size up to 512. numpy takes a one-row
-    product as a dot, not a gemv, so a last row alone joins the block before.
-    This holds for a gemv on one thread. OpenBLAS splits a large gemv among
-    its threads, and a split off a group moves the bits of X @ w itself
-    with the thread count: at 10001 x 50 on two threads, rows 5000 and
-    10000 differ from the one-thread product.
-    """
-    W = np.ascontiguousarray(W, dtype=np.float64)
-    n = X.shape[0]
-    T = np.empty((W.shape[0], n))
-    starts = list(range(0, n, _X_ROWS))
-    if n > 1 and n % _X_ROWS == 1:
-        starts.pop()
-    for a, b in zip(starts, starts[1:] + [n]):
-        T[:, a:b] = np.matmul(X[a:b], W[:, :, None])[:, :, 0]
-    return T
-
-
 def logistic_value_grad(
     X: np.ndarray, y: np.ndarray, w: Vector
 ) -> tuple[float, Vector]:
@@ -428,10 +400,23 @@ class LogisticProblem:
         return float(self.full_values(w[None])[0])
 
     def full_values(self, W: np.ndarray) -> np.ndarray:
-        """The mean loss over all the data at each row of W, reading X once."""
-        T = _block_products(self.X, W)
-        T *= self.y
-        return np.array([_mean_logistic_loss(t) for t in T], dtype=np.float64)
+        """The mean loss over all the data at each row of W, with the margins
+        of _F_ROWS rows at a time from one gemm X @ P.T, the rows in P and
+        zeros below them. OpenBLAS gives a column of a gemm bits that depend
+        on the product's shape but not on the column's place or the other
+        columns, and numpy runs a product with one row or one column as a
+        gemv: so P has one shape, X has at least two rows, and a row of W
+        gets the same f however W is split."""
+        X = self.X if self.n > 1 else np.vstack([self.X, self.X])
+        f = np.empty(len(W))
+        for a in range(0, len(W), _F_ROWS):
+            rows = W[a : a + _F_ROWS]
+            P = np.zeros((_F_ROWS, self.dim))
+            P[: len(rows)] = rows
+            T = (X @ P.T)[: self.n]
+            T *= self.y[:, None]
+            f[a : a + len(rows)] = [_mean_logistic_loss(T[:, j]) for j in range(len(rows))]
+        return f
 
     def full_grad(self, w: Vector) -> Vector:
         return _grads(self.X, self.y, w)

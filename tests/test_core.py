@@ -33,7 +33,8 @@ from dadapt.core import (
     schedule_eval,
 )
 from dadapt.ml import sgd_da_init, sgd_da_step
-from dadapt.problems import LogisticProblem, _mean_logistic_loss, synth_dataset
+from dadapt.problems import LogisticProblem, synth_dataset
+from test_problems import own_gemm_losses
 
 
 class TestRng:
@@ -603,18 +604,30 @@ class TestDeferredF:
     """drive alone writes the f column: it takes f after the steps,
     _F_ROWS visited points to a call of values."""
 
-    @pytest.mark.parametrize("every", [1, 3, 7])
-    def test_f_column_is_value_at_each_visited_point(self, every):
-        lp = LogisticProblem(synth_dataset(seed=2, n_examples=600, dim=3, flip=0.1), 8, 1)
+    @staticmethod
+    def check_f_column(dataset, d0, n, every):
+        lp = LogisticProblem(dataset, 8, 1)
         problem = lp.problem()
         visited, subgradient = [], problem.subgradient
         problem.subgradient = lambda x: visited.append(x.copy()) or subgradient(x)
-        state = sgd_da_init(np.zeros(lp.dim), d0=1e-3)
-        drive(problem, state, sgd_da_step, 37, Schedule(), every)  # 37: no multiple of 16
-        # the one-gemv loss, not full_value, which takes the blocked path under test
-        loss = [_mean_logistic_loss(lp.y * (lp.X @ x)) for x in visited]
+        state = sgd_da_init(np.zeros(lp.dim), d0=d0)
+        drive(problem, state, sgd_da_step, n, Schedule(), every)
+        # the stacked visited points' losses, each from its own gemm, not
+        # from full_values, which takes the product under test
+        loss = own_gemm_losses(lp, np.array(visited))[1]
         want = [f if k % every == 0 else math.nan for k, f in enumerate(loss)]
         assert state.traj.pack()[:, 4].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_f_column_is_value_at_each_visited_point(self, every):
+        data = synth_dataset(seed=2, n_examples=600, dim=3, flip=0.1)
+        self.check_f_column(data, 1e-3, 37, every)  # 37: no multiple of 16
+
+    @pytest.mark.parametrize("seed", [1, 9, 11, 13])
+    def test_f_of_a_lone_last_point(self, seed):
+        # 17 points: the last values call takes one, whose margins still come
+        # from a gemm, where a one-column product would be a gemv
+        self.check_f_column(synth_dataset(seed, 10000, 50, flip=0.1), 1.0, 17, 1)
 
     @pytest.mark.parametrize("every", [1, 3])
     def test_divergence_mid_buffer_keeps_f_on_every_kept_row(self, every):

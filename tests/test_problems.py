@@ -17,13 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dadapt.baselines import adagrad_norm_init, adagrad_norm_step
-from dadapt.core import _BULK_MIN, Rng, Schedule, drive
+from dadapt.core import _BULK_MIN, _F_ROWS, Rng, Schedule, drive
 from dadapt.problems import (
     Dataset,
     EpochOrders,
     LogisticProblem,
     ParseError,
-    _block_products,
     _grads,
     _mean_logistic_loss,
     abs_value_problem,
@@ -460,30 +459,54 @@ class TestMarginsGradInPlace:
             assert oracle.subgradient(w).tobytes() == want.tobytes()
 
 
+def own_gemm_losses(lp: LogisticProblem, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, K) margins X @ w of the rows w of W, each from a gemm that
+    holds the row alone in an _F_ROWS-row block of zeros, X doubled when it
+    has one row; and the mean loss at each row."""
+    X = np.vstack([lp.X, lp.X]) if lp.n == 1 else lp.X
+    T = np.empty((lp.n, len(W)))
+    for j, w in enumerate(W):
+        P = np.zeros((_F_ROWS, lp.dim))
+        P[0] = w
+        T[:, j] = (X @ P.T)[: lp.n, 0]
+    return T, np.array([_mean_logistic_loss(lp.y * T[:, j]) for j in range(len(W))])
+
+
+def check_full_values(lp: LogisticProblem, W: np.ndarray) -> None:
+    """full_values bit for bit against own_gemm_losses, for every chunking
+    of W into runs of c rows; and each of those margins against the gemv
+    X @ w within the dot product's error bound, 2 * dim * 2**-53 * (|X| @ |w|),
+    and NaN or inf where the gemv is."""
+    T, want = own_gemm_losses(lp, W)
+    for c in range(1, len(W) + 1):
+        got = [lp.full_values(W[i : i + c]) for i in range(0, len(W), c)]
+        assert all(v.dtype == np.float64 for v in got)
+        assert np.concatenate(got).tobytes() == want.tobytes(), f"in chunks of {c} of {len(W)}"
+    gemv = np.array([lp.X @ w for w in W]).reshape(len(W), lp.n).T
+    bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.X) @ np.abs(W).T)
+    finite = np.isfinite(gemv)
+    assert (np.abs(T - gemv)[finite] <= bound[finite]).all()
+    assert np.array_equal(T[~finite], gemv[~finite], equal_nan=True)
+
+
+# check_full_values in a child process, on small data and at 10001 x 50
 _FULL_VALUES_SWEEP = """
-import sys
 import numpy as np
-from dadapt.problems import Dataset, LogisticProblem, _block_products, _mean_logistic_loss
+from dadapt.problems import Dataset, LogisticProblem
+from test_problems import check_full_values
 rng = np.random.default_rng(11)
-for n in (1, 511, 512, 513, 1100, 4999):
-    for dim in (1, 2, 3, 5, 8, 17, 50, 60):
-        k = 1 + dim % 17
-        X = rng.standard_normal((n, dim))
-        lp = LogisticProblem(Dataset(X=X, y=np.where(rng.random(n) < 0.5, 1.0, -1.0)))
-        W = rng.standard_normal((k, dim + 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
-        products = np.array([lp.X @ w for w in W])
-        want = np.array([_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W])
-        if _block_products(lp.X, W).tobytes() != products.tobytes():
-            sys.exit(f"X @ w moved bits in blocks at n={n}, dim={dim}, k={k}")
-        if lp.full_values(W).tobytes() != want.tobytes():
-            sys.exit(f"full_values moved bits at n={n}, dim={dim}, k={k}")
+for n, dim in [(1, 3), (511, 8), (1100, 17), (4999, 60), (10001, 50)]:
+    X = rng.standard_normal((n, dim))
+    lp = LogisticProblem(Dataset(X=X, y=np.where(rng.random(n) < 0.5, 1.0, -1.0)))
+    for k in (1 + dim % 17, 17):
+        check_full_values(lp, rng.standard_normal((k, dim + 1)) * 10.0 ** rng.uniform(-3, 3, (k, 1)))
 """
 
 
 @st.composite
 def _full_values_cases(draw):
-    """A dataset with N below, at, above and off multiples of the 512-row
-    block, and K weight rows, some huge, some -0.0 and some NaN."""
+    """A dataset of N rows, from 1 to past the gemm's blocks, and K weight
+    rows, some huge, some -0.0 and some NaN."""
     n = draw(st.sampled_from([1, 2, 7, 511, 512, 513, 1024, 1025, 1100, 1537]))
     dim = draw(st.integers(1, 60))
     k = draw(st.integers(1, 17))
@@ -507,28 +530,23 @@ def _full_values_cases(draw):
 class TestFullValues:
     @settings(max_examples=200, deadline=None)
     @given(_full_values_cases())
-    def test_bit_equal_to_full_value_row_by_row(self, case):
-        # full_values against the loss of one gemv X @ w, the product full_value took alone
+    def test_bit_equal_to_each_rows_own_gemm_in_any_chunks(self, case):
         dataset, W = case
-        lp = LogisticProblem(dataset)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge row overflows X @ w
-            got = lp.full_values(W)
-            want = np.array([_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W])
-            # the products themselves, where a moved bit seldom survives the mean
-            products = np.array([lp.X @ w for w in W]).reshape(len(W), len(lp.X))
-            assert _block_products(lp.X, W).tobytes() == products.tobytes()
-        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            check_full_values(LogisticProblem(dataset), W)
 
     def test_bit_equal_under_a_second_blas_kernel(self):
-        # the 512-row blocks give the gemv's bits under the kernel OpenBLAS
-        # picks for this CPU and under its Haswell kernel, set in the child alone
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", _FULL_VALUES_SWEEP], env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
+        # check_full_values under OpenBLAS's Haswell kernel and on two of its
+        # threads, each set in a child's environment alone
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), str(Path(__file__).parent)]
+        for setting in ({"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_NUM_THREADS": "2"}):
+            env = {**os.environ, **setting}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", _FULL_VALUES_SWEEP], env=env, capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, f"{setting}: {done.stderr}"
 
     def test_no_warning_and_inputs_unwritten(self):
         lp = LogisticProblem(synth_dataset(seed=3, n_examples=1100, dim=4, flip=0.2))
@@ -538,7 +556,7 @@ class TestFullValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lp.full_values(W)
-        assert got[:3].tolist() == [_mean_logistic_loss(lp.y * (lp.X @ w)) for w in W[:3]]
+        assert got[:3].tolist() == lp.full_values(W[:3]).tolist()
         assert got[2] == math.log(2.0) and math.isnan(got[4])
         assert all(a.tobytes() == b.tobytes() for a, b in zip((lp.X, lp.y, W), saved))
 
