@@ -12,6 +12,7 @@ to alter output bytes re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each case and file whose digest moved and how many stayed,
 and says why in CHANGES.md.
 """
 
