@@ -5,9 +5,11 @@ The baselines are steppers like the adaptive methods and run through the
 same core.drive; their records carry NaN for d and dhat and the step size
 as the scale. AdaGrad and AdaGrad-norm also come as lanes (core.Lanes), as
 sgd_da and adam_da do in dadapt.ml, for core.drive_lanes to run the points
-of a grid or d0 sweep in lockstep with the bits of the scalar steppers;
-start_lanes builds them from the states start sets up, so that start alone
-maps a config to a stepper's settings (convex.start, for the convex ones).
+of a grid or d0 sweep in lockstep with the bits of the scalar steppers: it
+calls the problem's subgradient once a step on the stack of the lanes'
+iterates. LANES names each lane form; the lanes are built from the states
+start sets up, so that start alone maps a config to a stepper's settings
+(convex.start, for the convex ones).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "polyak_step",
     "LANES",
     "start",
-    "start_lanes",
 ]
 
 _NAN = float("nan")
@@ -114,10 +115,13 @@ def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
     """x - (fx - fstar)/||g||^2 * g; a no-op exactly at the optimal value."""
     if fx < fstar:
         raise ValueError("fx below the optimal value")
-    excess = fx - fstar
+    return _polyak_move(x, g, fx - fstar, _dot(g, g))
+
+
+def _polyak_move(x: Vector, g: Vector, excess: float, gg: float) -> Vector:
+    """polyak_step from x, given excess = fx - fstar >= 0 and gg = ||g||^2."""
     if excess == 0.0:
         return np.asarray(x, dtype=np.float64).copy()
-    gg = _dot(g, g)
     if gg == 0.0:
         raise ValueError("zero subgradient at a suboptimal point")
     return x - (excess / gg) * g
@@ -134,11 +138,10 @@ class _PolyakState:
 
 def _polyak_state_step(state: _PolyakState, g: Vector, sched: float = 1.0) -> None:
     # a value below fstar is rounding at an optimal point: there is no move
-    fx = max(state.value(state.x), state.fstar)
+    excess = max(state.value(state.x), state.fstar) - state.fstar
     gg = _dot(g, g)
-    gamma = (fx - state.fstar) / gg if gg > 0.0 else 0.0
-    state.x = polyak_step(state.x, g, fx, state.fstar)
-    _record(state, gamma, gg)
+    state.x = _polyak_move(state.x, g, excess, gg)
+    _record(state, excess / gg if gg > 0.0 else 0.0, gg)
 
 
 @dataclass
@@ -242,10 +245,3 @@ LANES = {
     "sgd_da": SGDDALanes,
     "adam_da": AdamDALanes,
 }
-
-
-def start_lanes(points, bundle):
-    """The lanes of the configs of points, which differ in lr or d0 alone,
-    on bundle, with the states that start sets up for them, one a lane."""
-    states = [start(point, bundle)[0] for point in points]
-    return LANES[points[0].algorithm](states), states

@@ -465,7 +465,9 @@ class Problem:
 
     subgradient(x) returns an element of the subdifferential at x, or an
     unbiased estimate of one for minibatch losses; a stochastic oracle draws
-    from a stream of its own, as LogisticProblem does. values, when set,
+    from a stream of its own, as LogisticProblem does. drive_lanes calls it
+    on a (B, dim) stack of points and needs a row for each from one draw, as
+    LogisticProblem's minibatch gradients give. values, when set,
     returns value at each row of a C-contiguous (K, dim) array, bit for bit,
     from one call; where it is not, drive calls value on each row.
     lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
@@ -549,6 +551,18 @@ class Trajectory:
             new = new.reshape(len(rows), width)
             self._table = np.concatenate([self._table, new]) if self._table.shape[0] else new
         return self._table
+
+    def extend(self, table: np.ndarray) -> None:
+        """Log the rows of an (m, width) table, as append would one by one. An
+        empty trajectory keeps table itself, so a view stays a view."""
+        if table.shape[1:] != (len(self.columns),):
+            raise ValueError(f"rows of kind {self.kind!r} need {len(self.columns)} fields")
+        d = np.append(self._last_d, table[:, 1])
+        if (d[1:] < d[:-1]).any():
+            raise ValueError("d decreased between steps; trajectory corrupt")
+        self._last_d = d[-1].item()
+        old = self.pack()
+        self._table = np.concatenate([old, table]) if old.shape[0] else table
 
     @property
     def records(self) -> np.ndarray:
@@ -673,14 +687,15 @@ class Lanes:
     of the (B, 5) out (column 3, f, is the driver's; a column it leaves
     holds NaN), and returns a mask of the lanes that refused their gradient,
     or None. The lanes are built from the runs' scalar states, as
-    baselines.start sets them up: each field named in _arrays stacked as
-    float64, None as NaN, and each named in _shared, common to the runs,
-    taken from the first."""
+    baselines.start sets them up, and keep them in states, lane b's at b:
+    each field named in _arrays stacked as float64, None as NaN, and each
+    named in _shared, common to the runs, taken from the first."""
 
     _arrays: tuple[str, ...] = ("x",)
     _shared: tuple[str, ...] = ()
 
     def __init__(self, states: Sequence):
+        self.states = list(states)
         self.ids = np.arange(len(states))
         for name in self._arrays:
             values = [getattr(state, name) for state in states]
@@ -696,27 +711,22 @@ class Lanes:
 
 
 def drive_lanes(
-    lanes: Lanes,
-    grads: Callable[[np.ndarray], np.ndarray],
-    values: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    schedule: Schedule,
-    record_f_every: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """drive for the lanes of runs that differ in their settings alone.
-
-    grads(X) gives the gradient at each row of X, with the bits each run's
-    oracle would give, from one draw of the runs' shared stream; values(X),
-    as Problem.values, gives every live lane's f on the cadence from one
-    call. Returns the (n, B, 6) table of every lane's
-    rows in STEP_COLUMNS, NaN past a lane's end, each lane's row
-    count and whether it diverged. Lane b gets what drive gives run b alone:
-    a lane whose iterate leaves the ball keeps that step's row, one whose
-    stepper refuses its gradient stops before it, and either leaves the
-    batch. d is checked to be non-decreasing down each lane's column.
+    problem: Problem, lanes: Lanes, n: int, schedule: Schedule, record_f_every: int
+) -> np.ndarray:
+    """drive for the lanes of runs that differ in their settings alone, on
+    their one problem: subgradient takes the (B, dim) stack of the live
+    lanes' iterates, one draw for all, and values (value row by row when it
+    is not set) every live lane's f on the cadence, in one call. Lane b gets
+    what drive gives run b alone: a lane whose iterate leaves the ball keeps
+    that step's row, one whose stepper refuses its gradient stops before it,
+    and either leaves the batch. Each lane's rows then go to its state's
+    trajectory, as views of one (n, B, 6) table, and a lane that ran to the
+    end leaves its iterate in its state's x. Returns which lanes diverged.
     """
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
+    subgradient = problem.subgradient
+    values = problem.values or functools.partial(_each_value, problem)
     B = lanes.ids.shape[0]
     table = np.full((n, B, 6), _NAN)
     table[:, :, 0] = np.arange(n)[:, None]
@@ -729,7 +739,7 @@ def drive_lanes(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
             ids = lanes.ids
-            g = grads(lanes.x)
+            g = subgradient(lanes.x)
             cadence = not k % record_f_every
             if cadence:
                 out[:, 3] = values(lanes.x)
@@ -758,10 +768,11 @@ def drive_lanes(
                 out = out[ok]
                 if not lanes.ids.shape[0]:
                     break
-    d = table[:, :, 1]
-    if (d[1:] < d[:-1]).any():
-        raise ValueError("d decreased between steps; trajectory corrupt")
-    return table, steps, diverged
+    for b, state in enumerate(lanes.states):
+        state.traj.extend(table[: steps[b], b])
+    for b, x in zip(lanes.ids.tolist(), lanes.x):
+        lanes.states[b].x = x
+    return diverged
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .baselines import LANES, start, start_lanes
+from .baselines import LANES, start
 from .core import (
     STEP_COLUMNS, AtStart, ConfigError, Diverged, Problem, Schedule, Vector, _sum, csv_text,
     drive, drive_lanes,
@@ -256,7 +256,6 @@ class ProblemBundle:
     x0: Vector
     n_steps: int
     D: Optional[float] = None
-    model: Optional[LogisticProblem] = None  # a dataset problem's, behind problem
 
 
 def load_dataset(config: ExperimentConfig) -> Optional[Dataset]:
@@ -303,11 +302,11 @@ def build_problem(
     if n <= 0:
         if config.epochs <= 0:
             raise ConfigError("dataset problems need n_steps or epochs")
-        # the model's batches_per_epoch: one full batch, or ceil(examples / batch)
-        n = config.epochs * (1 if config.full_batch else -(-len(dataset) // batch))
+        # the model's batches_per_epoch, ceil(examples / batch): 1 on the full batch
+        n = config.epochs * -(-len(dataset) // batch)
     model = LogisticProblem(dataset, batch_size=batch, seed=seed, steps=n)
     problem = model.problem(stochastic=not config.full_batch)
-    return ProblemBundle(problem, np.zeros(model.dim, dtype=np.float64), n, model=model)
+    return ProblemBundle(problem, np.zeros(model.dim, dtype=np.float64), n)
 
 
 # --------------------------------------------------------------------------
@@ -346,35 +345,39 @@ def run_single(
     its rows up to and including that step, and reports final_f as NaN.
     """
     bundle = build_problem(config, seed, dataset)
-    prob = bundle.problem
+    state, step = start(config, bundle)
     sched = _schedule_from_config(config)
+    stop = None
+    try:
+        drive(bundle.problem, state, step, bundle.n_steps, sched, config.record_f_every)
+    except (AtStart, Diverged) as exc:
+        stop = type(exc)
+    return _output(config, seed, bundle, state, stop)
+
+
+def _output(
+    config: ExperimentConfig, seed: int, bundle: ProblemBundle, state, stop: Optional[type]
+) -> RunOutput:
+    """The output of config's run on bundle, which ended in state, cut short
+    by stop (AtStart or Diverged) or None when it ran to the end."""
+    prob = bundle.problem
     algo = config.algorithm
     summary = _new_summary(config, seed)
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
         summary["out_of_theory"] = True
-
-    state, step = start(config, bundle)
-    try:
-        drive(prob, state, step, bundle.n_steps, sched, config.record_f_every)
-    except AtStart:
-        summary["exited_at_start"] = True
-    except Diverged:
-        summary["diverged"] = True
-    if not summary["diverged"]:
+    summary["exited_at_start"] = stop is AtStart
+    summary["diverged"] = stop is Diverged
+    if stop is not Diverged:
         if state.traj.avg_den > 0.0:  # the run folds points into an average
             summary["avg_f"] = prob.value(state.traj.average())
         summary["final_f"] = summary["avg_f"] if algo == "fixed" else prob.value(state.x)
         if getattr(state, "t_index", None) is not None:
             summary["t_index"] = state.t_index
             summary["f_at_t"] = prob.value(state.x_avg_t)
-
     summary["heuristic_G"] = bool(state.traj.meta.get("heuristic_g", False))
-    return _output(config, seed, state.traj.records, summary)
-
-
-def _output(config: ExperimentConfig, seed: int, rows: np.ndarray, summary: dict) -> RunOutput:
+    rows = state.traj.records
     summary["steps"] = len(rows)
-    if config.algorithm in DADAPT_ALGORITHMS:
+    if algo in DADAPT_ALGORITHMS:
         # the estimate in force after the last recorded step, as Trajectory.d_series ends
         summary["final_d"] = max(*rows[-1, 1:3].tolist()) if len(rows) else config.d0
     return RunOutput(config_hash=config_hash(config), seed=seed, rows=rows, summary=summary)
@@ -391,23 +394,13 @@ def _run_points(
     if len(points) < 2 or not laned:
         return [run_single(point, seed, dataset) for point in points]
     bundle = build_problem(config, seed, dataset)
-    model = bundle.model
-    lanes, states = start_lanes(points, bundle)
-    table, steps, diverged = drive_lanes(
-        lanes, model.batch_grads, model.full_values, bundle.n_steps,
-        _schedule_from_config(config), config.record_f_every,
-    )
-    # the final f of the lanes that ran to the end
-    finals = dict(zip(lanes.ids.tolist(), model.full_values(lanes.x).tolist()))
-    outputs = []
-    for b, point in enumerate(points):
-        summary = _new_summary(point, seed)
-        summary["diverged"] = bool(diverged[b])
-        summary["heuristic_G"] = bool(states[b].traj.meta.get("heuristic_g", False))
-        if b in finals:
-            summary["final_f"] = finals[b]
-        outputs.append(_output(point, seed, table[: steps[b], b], summary))
-    return outputs
+    lanes = LANES[config.algorithm]([start(point, bundle)[0] for point in points])
+    sched = _schedule_from_config(config)
+    diverged = drive_lanes(bundle.problem, lanes, bundle.n_steps, sched, config.record_f_every)
+    return [
+        _output(point, seed, bundle, state, Diverged if stopped else None)
+        for point, state, stopped in zip(points, lanes.states, diverged.tolist())
+    ]
 
 
 # --------------------------------------------------------------------------

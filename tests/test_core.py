@@ -430,6 +430,21 @@ class TestTrajectory:
         assert traj.extra("wg_term") == [0.5, 0.25, 0.125]
         assert traj.pack().shape == (3, 7)
 
+    def test_extend_logs_a_table_as_appends_would(self):
+        table = np.array([[0, 1.0, 0.0, 1.0, 0.0, 1.0], [1, 2.0, 3.0, 1.0, 0.0, 1.0]])
+        traj = Trajectory("toy", 1)
+        traj.extend(table[:, :])
+        assert traj.pack().base is table  # the first table is kept as a view
+        traj.append((2, 3.0, 0.0, 1.0, 0.0, 1.0))
+        traj.extend(table[:0])
+        assert traj.d_series() == [1.0, 2.0, 3.0, 3.0]
+        for bad in (table[:1], table[::-1] + [0, 2, 0, 0, 0, 0]):  # d 1 after 3; d 4, then 3
+            with pytest.raises(ValueError, match="d decreased"):
+                traj.extend(bad)
+        with pytest.raises(ValueError, match="6 fields"):
+            traj.extend(table[:, :5])
+        assert traj.pack().shape == (3, 6)
+
     def test_empty_trajectory(self):
         traj = Trajectory("da", 1, ("wg_term",))
         assert traj.records.shape == (0, 6) and traj.records.tolist() == []

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadapt.baselines import start, start_lanes
+from dadapt.baselines import LANES, start
 from dadapt.core import (
-    ConfigError, Diverged, Lanes, Rng, Schedule, _dot, _rowdot, drive, drive_lanes,
+    ConfigError, Diverged, Lanes, Problem, Rng, Schedule, Trajectory, _dot, _rowdot, drive,
+    drive_lanes,
 )
 from dadapt.harness import (
     ExperimentConfig,
@@ -80,22 +81,22 @@ def _alone(point, seed, dataset):
 
 
 def check_lanes_match_lone_runs(points, seed, dataset):
+    # each lane's state, its rows and a survivor's iterate, and each point's
+    # output against the point's run made alone
     bundle = build_problem(points[0], seed, dataset)
-    lanes, _ = start_lanes(points, bundle)
+    lanes = LANES[points[0].algorithm]([start(point, bundle)[0] for point in points])
     with np.errstate(all="ignore"):
-        table, steps, diverged = drive_lanes(
-            lanes, bundle.model.batch_grads, bundle.model.full_values, bundle.n_steps,
-            _schedule_from_config(points[0]), points[0].record_f_every,
+        diverged = drive_lanes(
+            bundle.problem, lanes, bundle.n_steps, _schedule_from_config(points[0]),
+            points[0].record_f_every,
         )
         outputs = _run_points(points, seed, dataset)
-        finals = dict(zip(lanes.ids.tolist(), lanes.x))
-        for b, point in enumerate(points):
+        for b, (point, state) in enumerate(zip(points, lanes.states)):
             rows, x, stopped = _alone(point, seed, dataset)
-            assert _bytes(table[: steps[b], b]) == _bytes(rows)
+            assert _bytes(state.traj.pack()) == _bytes(rows)
             assert diverged[b] == stopped
-            assert (b in finals) == (not stopped)
             if not stopped:
-                assert _bytes(finals[b]) == _bytes(x)
+                assert _bytes(state.x) == _bytes(x)
             single = run_single(point, seed, dataset)
             assert _bytes(outputs[b].rows) == _bytes(single.rows)
             assert {k: repr(v) for k, v in outputs[b].summary.items()} == {
@@ -174,26 +175,30 @@ class _ScaledLanes(Lanes):
 
 
 def _scaled_lanes(factor):
-    return _ScaledLanes([SimpleNamespace(x=np.zeros(2), d=1.0, factor=factor)] * 3)
+    return _ScaledLanes(
+        [SimpleNamespace(x=np.zeros(2), d=1.0, factor=factor, traj=Trajectory("toy", 2))
+         for _ in range(3)]
+    )
 
 
-def _zero_values(X):
-    return np.zeros(X.shape[0])
+def _toy_problem(values=None):
+    """A problem whose gradients are 0 and whose f is 0, or values."""
+    return Problem(value=lambda x: 0.0, subgradient=np.zeros_like, values=values)
 
 
 def test_drive_lanes_needs_a_positive_cadence():
     with pytest.raises(ConfigError, match="record_f_every"):
-        drive_lanes(_scaled_lanes(1.0), np.zeros_like, _zero_values, 4, Schedule(), 0)
+        drive_lanes(_toy_problem(), _scaled_lanes(1.0), 4, Schedule(), 0)
 
 
 def test_drive_lanes_refuses_a_falling_d():
-    table, steps, diverged = drive_lanes(
-        _scaled_lanes(2.0), np.zeros_like, _zero_values, 4, Schedule(), 1
-    )
-    assert table[:, 0, 1].tolist() == [1.0, 2.0, 4.0, 8.0]
-    assert steps.tolist() == [4, 4, 4] and not diverged.any()
+    lanes = _scaled_lanes(2.0)
+    assert not drive_lanes(_toy_problem(), lanes, 4, Schedule(), 1).any()
+    for state in lanes.states:
+        assert state.traj.pack()[:, 1].tolist() == [1.0, 2.0, 4.0, 8.0]
+        assert np.shares_memory(state.x, lanes.x)  # a lane that ran to the end writes x back
     with pytest.raises(ValueError, match="d decreased"):
-        drive_lanes(_scaled_lanes(0.5), np.zeros_like, _zero_values, 4, Schedule(), 1)
+        drive_lanes(_toy_problem(), _scaled_lanes(0.5), 4, Schedule(), 1)
 
 
 def test_drive_lanes_takes_every_live_lanes_f_in_one_call():
@@ -203,10 +208,12 @@ def test_drive_lanes_takes_every_live_lanes_f_in_one_call():
         sizes.append(X.shape[0])
         return X[:, 0] + 1.0
 
-    table, _, _ = drive_lanes(_scaled_lanes(2.0), np.zeros_like, values, 10, Schedule(), 3)
+    lanes = _scaled_lanes(2.0)
+    drive_lanes(_toy_problem(values), lanes, 10, Schedule(), 3)
     assert sizes == [3] * 4  # steps 0, 3, 6 and 9
-    f = table[:, :, 4]
-    assert (f[::3] == 1.0).all() and np.isnan(np.delete(f, np.s_[::3], axis=0)).all()
+    for state in lanes.states:
+        f = state.traj.pack()[:, 4]
+        assert (f[::3] == 1.0).all() and np.isnan(np.delete(f, np.s_[::3])).all()
 
 
 def test_primitives_match_scalar_forms():

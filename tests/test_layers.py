@@ -160,6 +160,15 @@ def test_harness_does_not_import_analysis():
     assert "analysis" not in _imported("harness")
 
 
+def test_harness_reaches_the_model_through_problem():
+    # lone and laned runs alike take gradients and losses through the run's
+    # Problem; only build_problem, which makes it, names LogisticProblem
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    model = {"batch_grads", "full_values", "full_value", "full_grad", "next_batch", "model"}
+    assert not read & model
+
+
 def test_harness_reaches_the_steppers_through_baselines():
     # every run starts in baselines.start, so the harness needs no convex name
     assert "convex" not in _imported("harness")

@@ -2,10 +2,11 @@
 
 A declared re-record rewrites the golden digests, and then only the other
 tests stand between a stepper bug and the new digests. Each entry below
-changes one line of a stepper: a scalar stepper function or a lane class's
-step method. It is built from the stepper's source by one str.replace that
+changes one line of a stepper (a scalar stepper function or a lane class's
+step method) or of core.drive_lanes, which hands each lane's rows and
+iterate to its state. It is built from that source by one str.replace that
 must match exactly once, so a refactor that moves the text fails here until
-the list is updated. A mutant function is bound in place of the stepper in
+the list is updated. A mutant function is bound in place of the original in
 every loaded module that holds it, test modules included; a mutant method is
 set on its class. A fixed battery must then report a failure: criterion 10's
 hand traces, the sgd_da and adam_da hand traces, the quick verify lemmas and
@@ -23,7 +24,7 @@ import pytest
 import test_acceptance as acceptance
 import test_lanes as lanes
 import test_ml
-from dadapt import baselines, convex, ml
+from dadapt import baselines, convex, core, ml
 from dadapt.analysis import verify_suite
 from dadapt.harness import ExperimentConfig
 
@@ -79,6 +80,15 @@ MUTANTS = [
     (baselines.AdaGradLanes, "step", "mult = self.lr * sched", "mult = self.lr"),
     # a lane leaving its ball is not pulled back
     (baselines.AdaGradNormLanes, "step", "far = dist > self.radius", "far = dist > 2.0 * self.radius"),
+    # the lanes' rows go to the states in reverse
+    (core, "drive_lanes", "enumerate(lanes.states)", "enumerate(lanes.states[::-1])"),
+    # the first lane that ran to the end keeps its start as its iterate
+    (
+        core,
+        "drive_lanes",
+        "zip(lanes.ids.tolist(), lanes.x)",
+        "zip(lanes.ids.tolist()[1:], lanes.x[1:])",
+    ),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 

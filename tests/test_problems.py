@@ -271,18 +271,27 @@ class TestLogisticOracle:
         np.testing.assert_allclose(lp.full_grad(w), acc / 100.0, rtol=1e-12)
 
     def test_full_value_is_the_loss_of_value_grad(self):
-        # bit for bit, over random weights, w = 0 (every margin t = 0) and
-        # weights large enough to saturate both tails of the loss
+        # over random weights, w = 0 (every margin t = 0) and weights large
+        # enough to saturate both tails of the loss: full_value is full_values
+        # at one point and the loss of the point's own gemm, bit for bit.
+        # logistic_value_grad takes its margins from the gemv X @ w, so its
+        # loss agrees within the margins' dot product bound (check_full_values),
+        # each term being 1-Lipschitz in its margin, plus the rounding of the
+        # terms and their mean on each side, under 32 units of 2^-53 each
         ds = synth_dataset(seed=5, n_examples=200, dim=6, flip=0.2)
         lp = LogisticProblem(ds, batch_size=16)
         rng = Rng(5, 7)
         large = 1e3 * rng.normals(lp.dim)
         t = lp.y * (lp.X @ large)
         assert t.min() < -800.0 and t.max() > 800.0  # exp(-t) over- and underflows
-        for w in (rng.normals(lp.dim), np.zeros(lp.dim), large, -large):
+        W = np.vstack([rng.normals(lp.dim), np.zeros(lp.dim), large, -large])
+        _, want = own_gemm_losses(lp, W)
+        bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.X) @ np.abs(W).T)
+        for w, f, margin_bound in zip(W, want.tolist(), bound.T):
+            assert lp.full_value(w) == lp.full_values(w[None])[0] == f
             loss, _ = logistic_value_grad(lp.X, lp.y, w)
-            assert lp.full_value(w) == loss
             assert math.isfinite(loss)
+            assert abs(loss - f) <= margin_bound.mean() + 64 * 2.0**-53 * loss
 
     def test_oracle_gradients_are_those_of_value_grad(self):
         # bit for bit: 16-row and 1-row minibatches and the full batch, with
