@@ -467,20 +467,23 @@ class Problem:
     unbiased estimate of one for minibatch losses; a stochastic oracle draws
     from a stream of its own, as LogisticProblem does. drive_lanes calls it
     on a (B, dim) stack of points and needs a row for each from one draw, as
-    LogisticProblem's minibatch gradients give. values, when set,
-    returns value at each row of a C-contiguous (K, dim) array, bit for bit,
-    from one call; where it is not, drive calls value on each row.
-    lipschitz / lipschitz_inf bound the subgradient in the Euclidean / max
-    norm when known.
+    LogisticProblem's minibatch gradients give. values(X) is the one
+    function-value oracle: f at each row of a C-contiguous (K, dim) array,
+    from one call, a row's f not depending on the rows beside it; value(x)
+    is its row. lipschitz / lipschitz_inf bound the subgradient in the
+    Euclidean / max norm when known.
     """
 
-    value: Callable[[Vector], float]
     subgradient: Callable[[Vector], Vector]
+    values: Callable[[np.ndarray], np.ndarray]
     known_minimizer: Optional[Vector] = None
     known_fstar: Optional[float] = None
     lipschitz: Optional[float] = None
     lipschitz_inf: Optional[float] = None
-    values: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def value(self, x: Vector) -> float:
+        """f at the one point x: the row values gives it."""
+        return float(self.values(x[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -609,11 +612,6 @@ class Trajectory:
 _F_ROWS = 16
 
 
-def _each_value(problem: Problem, X: np.ndarray) -> np.ndarray:
-    """problem.value, looked up now, at each row of X."""
-    return np.fromiter(map(problem.value, X), np.float64, X.shape[0])
-
-
 def drive(
     problem: Problem,
     state,
@@ -627,9 +625,8 @@ def drive(
     taken at the visited point; it is NaN otherwise. The stepper never sees
     f: drive alone writes the f column, once the loop ends. The point is
     copied aside: each time _F_ROWS points are held, and once when the loop
-    ends, one call of problem.values (value row by row when it is not set)
-    takes their f, so a full-data objective reads its data once for many
-    points.
+    ends, one call of problem.values takes their f, so a full-data
+    objective reads its data once for many points.
     A step its stepper refuses keeps no row and so no f. Raises
     Diverged at the first step whose new iterate has a NaN or a coordinate
     beyond DIVERGENCE_NORM; that step's record, f included, is kept, and the
@@ -644,7 +641,7 @@ def drive(
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
-    values = problem.values or functools.partial(_each_value, problem)
+    values = problem.values
     points = np.empty((_F_ROWS, state.x.shape[0]))  # visited points whose f is due
     fs = np.empty(len(range(0, n, record_f_every)))  # f at each cadence step
     held = taken = 0  # points in the buffer, f values in fs
@@ -715,18 +712,18 @@ def drive_lanes(
 ) -> np.ndarray:
     """drive for the lanes of runs that differ in their settings alone, on
     their one problem: subgradient takes the (B, dim) stack of the live
-    lanes' iterates, one draw for all, and values (value row by row when it
-    is not set) every live lane's f on the cadence, in one call. Lane b gets
-    what drive gives run b alone: a lane whose iterate leaves the ball keeps
-    that step's row, one whose stepper refuses its gradient stops before it,
-    and either leaves the batch. Each lane's rows then go to its state's
-    trajectory, as views of one (n, B, 6) table, and a lane that ran to the
-    end leaves its iterate in its state's x. Returns which lanes diverged.
+    lanes' iterates, one draw for all, and values every live lane's f on
+    the cadence, in one call. Lane b gets what drive gives run b alone: a
+    lane whose iterate leaves the ball keeps that step's row, one whose
+    stepper refuses its gradient stops before it, and either leaves the
+    batch. Each lane's rows then go to its state's trajectory, as views of
+    one (n, B, 6) table, and a lane that ran to the end leaves its iterate
+    in its state's x. Returns which lanes diverged.
     """
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
-    values = problem.values or functools.partial(_each_value, problem)
+    values = problem.values
     B = lanes.ids.shape[0]
     table = np.full((n, B, 6), _NAN)
     table[:, :, 0] = np.arange(n)[:, None]

@@ -50,16 +50,16 @@ class ParseError(ValueError):
 def abs_value_problem() -> Problem:
     """f(x) = |x| in one dimension; the subgradient at 0 is taken as 0."""
 
-    def value(x: Vector) -> float:
-        return abs(float(x[0]))
-
     def subgradient(x: Vector) -> Vector:
         v = float(x[0])
         return np.array([math.copysign(1.0, v) if v != 0.0 else 0.0])
 
+    def values(X: np.ndarray) -> np.ndarray:
+        return np.abs(X[:, 0])
+
     return Problem(
-        value=value,
         subgradient=subgradient,
+        values=values,
         known_minimizer=np.zeros(1),
         known_fstar=0.0,
         lipschitz=1.0,
@@ -79,26 +79,22 @@ def piecewise_max_problem(
     if slopes.ndim != 2 or offsets.shape != (slopes.shape[0],):
         raise ValueError("need an m x dim slope matrix and m offsets")
 
-    def value(x: Vector) -> float:
-        return float((slopes @ x + offsets).max())
-
     def subgradient(x: Vector) -> Vector:
         return slopes[(slopes @ x + offsets).argmax()].copy()
 
     def values(X: np.ndarray) -> np.ndarray:
-        # the stacked product runs the gemv of slopes @ x once per row; the gemm X @ slopes.T
-        # is not bit-equal to it
+        # the stacked product runs the gemv of slopes @ x once per row, so a row's f does not
+        # depend on the rows beside it; the gemm X @ slopes.T is not bit-equal to it
         return (np.matmul(slopes, X[:, :, None])[:, :, 0] + offsets).max(axis=1)
 
     norms = np.sqrt((slopes * slopes).sum(axis=1))
     return Problem(
-        value=value,
         subgradient=subgradient,
+        values=values,
         known_minimizer=known_minimizer,
         known_fstar=known_fstar,
         lipschitz=float(norms.max()),
         lipschitz_inf=float(np.abs(slopes).max()),
-        values=values,
     )
 
 
@@ -396,9 +392,6 @@ class LogisticProblem:
     def batches_per_epoch(self) -> int:
         return (self.n + self.batch_size - 1) // self.batch_size
 
-    def full_value(self, w: Vector) -> float:
-        return float(self.full_values(w[None])[0])
-
     def full_values(self, W: np.ndarray) -> np.ndarray:
         """The mean loss over all the data at each row of W, with the margins
         of _F_ROWS rows at a time from one gemm X @ P.T, the rows in P and
@@ -430,4 +423,4 @@ class LogisticProblem:
     def problem(self, stochastic: bool = True) -> Problem:
         """Oracle view: full-loss values, batch (or full) gradients."""
         grads = self.batch_grads if stochastic else self.full_grad
-        return Problem(value=self.full_value, subgradient=grads, values=self.full_values)
+        return Problem(subgradient=grads, values=self.full_values)

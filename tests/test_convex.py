@@ -493,7 +493,7 @@ def test_unset_bound_comes_from_the_first_gradient(algorithm):
 def test_zero_first_gradient_raises_at_start(init, step, dim):
     # whether or not the bound is given; AtStart is no ValueError, so no
     # failure handler takes it for one
-    prob = Problem(value=lambda x: 0.0, subgradient=np.zeros_like)
+    prob = Problem(subgradient=np.zeros_like, values=lambda X: np.zeros(len(X)))
     st = init(np.zeros(dim))
     with pytest.raises(AtStart):
         drive(prob, st, step, 5, Schedule(), 1)
@@ -506,7 +506,7 @@ def test_zero_first_gradient_raises_at_start(init, step, dim):
 @pytest.mark.parametrize("algorithm", ["da", "gd", "adagrad_da"])
 @pytest.mark.parametrize("bounds", [{}, {"g_mode": "fixed", "g_value": 1.0, "g_inf": 1.0}])
 def test_dim_zero_start_exits_at_start(algorithm, bounds):
-    prob = Problem(value=lambda x: 0.0, subgradient=np.zeros_like)
+    prob = Problem(subgradient=np.zeros_like, values=lambda X: np.zeros(len(X)))
     res = run_convex(prob, np.zeros(0), algorithm=algorithm, d0=0.1, n=5, **bounds)
     assert res.exited_at_start
     assert len(res.traj.records) == 0

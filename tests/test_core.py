@@ -493,15 +493,18 @@ class _ScaleState:
 
 
 def _counting_problem(calls):
-    def value(x):
-        calls["value"] += 1
-        return float(x[0])
+    """f(x) = x[0]; calls counts the subgradient calls and, under "value",
+    the rows passed to values."""
+
+    def values(X):
+        calls["value"] += X.shape[0]
+        return X[:, 0].copy()
 
     def subgradient(x):
         calls["subgradient"] += 1
         return np.ones_like(x)
 
-    return Problem(value=value, subgradient=subgradient)
+    return Problem(subgradient=subgradient, values=values)
 
 
 class TestDrive:
@@ -563,7 +566,7 @@ class TestDrive:
         def subgradient(x):
             return np.array([math.inf]) if abs(x[0]) < 0.5 else np.ones(1)
 
-        problem = Problem(value=lambda x: float(x[0]), subgradient=subgradient)
+        problem = Problem(subgradient=subgradient, values=lambda X: X[:, 0].copy())
         st = da_init(np.array([1.0]), 0.3)
         with pytest.raises(Diverged, match="non-finite gradient") as info:
             drive(problem, st, da_step, 10, Schedule(), 1)
@@ -675,7 +678,9 @@ class TestDeferredF:
 
     def test_at_start_leaves_an_empty_table(self):
         calls = {"value": 0}
-        problem = Problem(value=lambda x: calls.update(value=1) or 0.0, subgradient=np.zeros_like)
+        problem = Problem(
+            subgradient=np.zeros_like, values=lambda X: calls.update(value=1) or np.zeros(len(X))
+        )
         state = da_init(np.array([1.0]), 0.1)
         with pytest.raises(AtStart):
             drive(problem, state, da_step, 10, Schedule(), 1)
@@ -690,7 +695,7 @@ class TestDeferredF:
             sizes.append(X.shape[0])
             return X[:, 0] + 1.0
 
-        problem = Problem(value=None, subgradient=np.ones_like, values=values)
+        problem = Problem(subgradient=np.ones_like, values=values)
         st = _ScaleState([1.0], 1.0)
         drive(problem, st, st.step, n, Schedule(), every)
         cadence = len(range(0, n, every))
@@ -700,7 +705,7 @@ class TestDeferredF:
 
     def test_values_run_inside_the_loops_errstate(self):
         # 20 points: one call of values in the loop, one after it
-        problem = Problem(value=None, subgradient=np.ones_like, values=lambda X: X[:, 0] * 1e308)
+        problem = Problem(subgradient=np.ones_like, values=lambda X: X[:, 0] * 1e308)
         st = _ScaleState([10.0], 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -121,6 +121,15 @@ print(metrics["problems.subgradient.calls"], metrics["problems.value.calls"])
 """) == ["20", "1"]
 
 
+def test_tracer_reaches_value_as_a_method():
+    # value is a method of Problem, wrapped on each instance as it is built: a
+    # piecewise polyak run of 6 steps takes f at each step and once for final_f
+    assert _traced_counts("""
+run_single(ExperimentConfig(problem="piecewise", algorithm="polyak", n_steps=6), 0)
+print(tracer.metrics()["problems.value.calls"])
+""") == ["7"]
+
+
 def test_tracer_counts_the_convex_steps():
     # convex.start looks the steppers up when it is called, so the rebound
     # ones step both the harness's runs and run_convex's
@@ -165,7 +174,7 @@ def test_harness_reaches_the_model_through_problem():
     # Problem; only build_problem, which makes it, names LogisticProblem
     tree = ast.parse((PACKAGE / "harness.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    model = {"batch_grads", "full_values", "full_value", "full_grad", "next_batch", "model"}
+    model = {"batch_grads", "full_values", "full_grad", "next_batch", "model"}
     assert not read & model
 
 

@@ -210,7 +210,7 @@ class TestSynthDataset:
         for _ in range(200):
             g = lp.full_grad(w)
             w -= 5.0 * g
-        assert lp.full_value(w) < 0.05
+        assert lp.problem().value(w) < 0.05
 
 
 class TestLogisticOracle:
@@ -218,7 +218,7 @@ class TestLogisticOracle:
         ds = synth_dataset(seed=7, n_examples=50, dim=6)
         lp = LogisticProblem(ds, batch_size=50)
         w = np.zeros(lp.dim)
-        assert lp.full_value(w) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert lp.problem().value(w) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_zero_weights_gradient(self):
         # at w=0 the per-example gradient is -y*x/2; the batch gradient is
@@ -272,8 +272,8 @@ class TestLogisticOracle:
 
     def test_full_value_is_the_loss_of_value_grad(self):
         # over random weights, w = 0 (every margin t = 0) and weights large
-        # enough to saturate both tails of the loss: full_value is full_values
-        # at one point and the loss of the point's own gemm, bit for bit.
+        # enough to saturate both tails of the loss: the oracle's value is
+        # full_values at one point and the loss of the point's own gemm, bit for bit.
         # logistic_value_grad takes its margins from the gemv X @ w, so its
         # loss agrees within the margins' dot product bound (check_full_values),
         # each term being 1-Lipschitz in its margin, plus the rounding of the
@@ -288,7 +288,7 @@ class TestLogisticOracle:
         _, want = own_gemm_losses(lp, W)
         bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.X) @ np.abs(W).T)
         for w, f, margin_bound in zip(W, want.tolist(), bound.T):
-            assert lp.full_value(w) == lp.full_values(w[None])[0] == f
+            assert lp.problem().value(w) == lp.full_values(w[None])[0] == f
             loss, _ = logistic_value_grad(lp.X, lp.y, w)
             assert math.isfinite(loss)
             assert abs(loss - f) <= margin_bound.mean() + 64 * 2.0**-53 * loss
@@ -345,9 +345,9 @@ class TestLogisticOracle:
         lp = LogisticProblem(Dataset(X=np.array([[1.0], [-1.0], [0.5]]), y=np.ones(3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isfinite(lp.full_value(np.array([1e308, 0.0])))
-            assert lp.full_value(np.array([math.inf, 0.0])) == math.inf
-            assert math.isnan(lp.full_value(np.array([math.nan, 0.0])))
+            assert math.isfinite(lp.problem().value(np.array([1e308, 0.0])))
+            assert lp.problem().value(np.array([math.inf, 0.0])) == math.inf
+            assert math.isnan(lp.problem().value(np.array([math.nan, 0.0])))
             margins = np.array([1e308, -1e308, math.inf, -math.inf, math.nan])
             assert math.isnan(_mean_logistic_loss(margins))
             assert _mean_logistic_loss(margins[:4]) == math.inf
@@ -357,9 +357,9 @@ class TestLogisticOracle:
         lp = LogisticProblem(ds, batch_size=8)
         w = Rng(3, 7).normals(lp.dim)
         saved = lp.X.copy(), lp.y.copy(), w.copy()
-        first = lp.full_value(w)
+        first = lp.problem().value(w)
         assert all(np.array_equal(a, b) for a, b in zip((lp.X, lp.y, w), saved))
-        assert lp.full_value(w) == first
+        assert lp.problem().value(w) == first
 
     def test_bias_column(self):
         ds = parse_libsvm("+1 1:3\n")
@@ -806,13 +806,16 @@ class TestPiecewiseValues:
     @example((np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), np.array([[math.nan]])))
     @example((np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]), np.array([[math.inf]])))
     def test_bit_equal_to_value_row_by_row(self, case):
+        # the reference is each row's own gemv slopes @ x; a row's f is the same
+        # in the stack as alone
         slopes, offsets, X = case
         prob = piecewise_max_problem(slopes, offsets)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the scores
             F = prob.values(X)
-            want = np.array([prob.value(x) for x in X])
+            want = np.array([float((slopes @ x + offsets).max()) for x in X])
+            alone = np.array([prob.value(x) for x in X])
         assert F.shape == (X.shape[0],) and F.dtype == np.float64
-        assert F.tobytes() == want.tobytes()
+        assert F.tobytes() == want.tobytes() == alone.tobytes()
 
     def test_subgradient_ties_take_the_lowest_index(self):
         slopes = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
@@ -832,16 +835,23 @@ class TestAbsProblem:
         assert prob.known_fstar == 0.0
         assert prob.lipschitz == 1.0
 
-    def test_drive_takes_f_through_value_as_bound_at_call(self):
-        # abs sets no values: drive looks up subgradient once a run and value
-        # at each deferred call
+    def test_values_is_abs_bit_for_bit(self):
+        v = [0.0, -0.0, math.inf, -math.inf, math.nan, -5e-324, 2.5e-310, 1e308, -1e308]
         prob = abs_value_problem()
-        assert prob.values is None
+        F = prob.values(np.array(v)[:, None])
+        want = np.array([abs(float(x)) for x in v])
+        assert F.dtype == np.float64 and F.tobytes() == want.tobytes()
+        assert np.array([prob.value(np.array([x])) for x in v]).tobytes() == want.tobytes()
+
+    def test_drive_takes_f_through_values_as_bound_at_call(self):
+        # drive looks up subgradient and values once a run and calls values
+        # once a buffer: here one call for the two cadence points
+        prob = abs_value_problem()
         calls = []
-        value, subgradient = prob.value, prob.subgradient
-        prob.value = lambda x: calls.append("value") or value(x)
+        values, subgradient = prob.values, prob.subgradient
+        prob.values = lambda X: calls.append(("values", len(X))) or values(X)
         prob.subgradient = lambda x: calls.append("subgradient") or subgradient(x)
         state = adagrad_norm_init(np.array([-2.0]), radius=1.0)
         drive(prob, state, adagrad_norm_step, 3, Schedule(), 2)
-        assert calls == ["subgradient"] * 3 + ["value"] * 2
+        assert calls == ["subgradient"] * 3 + [("values", 2)]
         assert repr(state.traj.extra("f")) == repr([2.0, math.nan, 1.0])
