@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -387,20 +388,27 @@ def _run_points(
     points: Sequence[ExperimentConfig], seed: int, dataset: Optional[Dataset]
 ) -> list[RunOutput]:
     """run_single(point, seed, dataset) of each point, the points differing
-    in lr or d0 alone. Two or more points of a method in baselines.LANES on
-    minibatch data run in lanes, with one batch gather a step."""
-    config = points[0]
-    laned = config.algorithm in LANES and dataset is not None and not config.full_batch
-    if len(points) < 2 or not laned:
-        return [run_single(point, seed, dataset) for point in points]
-    bundle = build_problem(config, seed, dataset)
-    lanes = LANES[config.algorithm]([start(point, bundle)[0] for point in points])
-    sched = _schedule_from_config(config)
-    diverged = drive_lanes(bundle.problem, lanes, bundle.n_steps, sched, config.record_f_every)
-    return [
-        _output(point, seed, bundle, state, Diverged if stopped else None)
-        for point, state, stopped in zip(points, lanes.states, diverged.tolist())
-    ]
+    in algorithm, lr or d0, each method's points next to each other. Two or
+    more points of a method in baselines.LANES on minibatch data run in
+    lanes, with one batch gather a step; every other point runs alone. The
+    seed's shared epoch orders are let go once its runs are done."""
+    outputs = []
+    for algo, group in groupby(points, lambda point: point.algorithm):
+        config, *rest = group = list(group)
+        if not rest or algo not in LANES or dataset is None or config.full_batch:
+            outputs += [run_single(point, seed, dataset) for point in group]
+            continue
+        bundle = build_problem(config, seed, dataset)
+        lanes = LANES[algo]([start(point, bundle)[0] for point in group])
+        sched = _schedule_from_config(config)
+        diverged = drive_lanes(bundle.problem, lanes, bundle.n_steps, sched, config.record_f_every)
+        outputs += [
+            _output(point, seed, bundle, state, Diverged if stopped else None)
+            for point, state, stopped in zip(group, lanes.states, diverged.tolist())
+        ]
+    if dataset is not None and dataset.shared_orders is not None:
+        dataset.shared_orders.pop(seed, None)
+    return outputs
 
 
 # --------------------------------------------------------------------------
@@ -459,24 +467,22 @@ class ExperimentResult:
     aggregate: dict[str, tuple[float, float]]
 
 
-def run_experiment(
-    config: ExperimentConfig, dataset: Optional[Dataset] = None
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed, write per-seed CSVs, a summary, and an aggregate.
 
-    The dataset, when not passed in, is loaded once for all the seeds.
+    The dataset is loaded once for all the seeds.
     """
-    return _run_experiments([config], dataset)[0]
+    return _run_experiments([config])[0]
 
 
-def _run_experiments(
-    points: Sequence[ExperimentConfig], dataset: Optional[Dataset]
-) -> list[ExperimentResult]:
-    """run_experiment of each point, the points differing in lr or d0 alone,
-    on one load of the data; each seed's points run whole in one process."""
+def _run_experiments(points: Sequence[ExperimentConfig]) -> list[ExperimentResult]:
+    """run_experiment of each point, the points differing in algorithm, lr or
+    d0, in one pass on one load of the data; each seed's points run whole in
+    one process, sharing the seed's epoch orders when there are several."""
     _worker_count()  # a bad setting fails before the data is built
-    if dataset is None:
-        dataset = load_dataset(points[0])
+    dataset = load_dataset(points[0])
+    if dataset is not None and len(points) > 1:
+        dataset = replace(dataset, shared_orders={})
     # the seeds share the data; each builds its own batch order from its seed
     by_seed = _map_seeds(partial(_run_points, points, dataset=dataset), points[0].seeds)
     return list(map(_write_experiment, points, map(list, zip(*by_seed))))
@@ -511,22 +517,19 @@ class GridDiverged(ValueError):
 
 
 def _sweep(
-    config: ExperimentConfig, key: str, values: list, flag: str, name: str, summarise: Callable
+    config: ExperimentConfig, key: str, values: list, flag: str, name: str, summarise: Callable,
+    extra: Sequence[ExperimentConfig] = (),
 ):
-    """One experiment per value of config.<key>, all on one load of the data,
-    each seed's points in one process with its epoch orders drawn once (on
-    minibatches, a sweep of a method in baselines.LANES runs them in lanes). Writes
-    <name>_<hash>.csv with rows (value, mean final_f, 2se, any seed's
-    summary[flag]) once summarise(rows) has passed them; returns the rows,
-    what summarise returned, the path and the data. A repeated value would
-    run one config twice into one directory, so it is refused."""
+    """One experiment per value of config.<key>, and one per config in extra,
+    all in one _run_experiments pass. Writes <name>_<hash>.csv with rows
+    (value, mean final_f, 2se, any seed's summary[flag]) once summarise(rows)
+    has passed them; returns the rows, what summarise returned, the path and
+    extra's results. A repeated value would run one config twice into one
+    directory, so it is refused."""
     if len(set(values)) < len(values):
         raise ConfigError(f"{key} values must be distinct, got {values!r}")
     points = [replace(config, **{key: value}) for value in values]  # bad values fail here
-    dataset = load_dataset(config)  # the value changes the runs, not the data
-    if dataset is not None:
-        dataset = replace(dataset, shared_orders={})
-    results = _run_experiments(points, dataset)
+    results = _run_experiments(points + list(extra))
     rows = []
     for value, result in zip(values, results):
         m, se2 = result.aggregate.get("final_f", (_NAN, _NAN))
@@ -534,7 +537,7 @@ def _sweep(
     summary = summarise(rows)
     out_path = Path(config.out_dir) / f"{name}_{config_hash(config)}.csv"
     _write_atomic(out_path, csv_text([key, "mean_final_f", "two_se", flag], rows))
-    return rows, summary, out_path, dataset
+    return rows, summary, out_path, results[len(points):]
 
 
 @dataclass
@@ -569,13 +572,13 @@ def grid_search(
         raise ConfigError("empty lr grid")
     if compare_algorithm is not None and compare_algorithm not in DADAPT_ALGORITHMS:
         raise ConfigError(f"comparison run must be one of {DADAPT_ALGORITHMS}")
-    rows, (best_f, best_lr), out_path, dataset = _sweep(
-        config, "lr", sorted(float(lr) for lr in lrs), "diverged", "grid", _best_point
+    compare = [] if compare_algorithm is None else [replace(config, algorithm=compare_algorithm)]
+    rows, (best_f, best_lr), out_path, compared = _sweep(
+        config, "lr", sorted(float(lr) for lr in lrs), "diverged", "grid", _best_point, compare
     )
     compare_f = _NAN
     if compare_algorithm is not None:
-        compare = run_experiment(replace(config, algorithm=compare_algorithm), dataset)
-        compare_f = compare.aggregate.get("final_f", (_NAN, _NAN))[0]
+        compare_f = compared[0].aggregate.get("final_f", (_NAN, _NAN))[0]
         table = csv_text(
             ["algorithm", "mean_final_f"], [["best_grid", best_f], [compare_algorithm, compare_f]]
         )

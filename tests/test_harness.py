@@ -790,14 +790,17 @@ class TestSharedEpochOrders:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_grid_points_match_lone_runs(self, tmp_path, monkeypatch, workers):
-        # with two workers the shared orders travel to the pool by pickle
+        # with two workers the shared orders travel to the pool by pickle; an
+        # sgd_da comparison is a lone point of a laned method, outside the grid's lanes
         cfg = self.make_cfg(tmp_path / "grid", algorithm="adagrad")
-        monkeypatch.setenv("DADAPT_WORKERS", workers)
-        grid_search(cfg, [0.1, 10.0], compare_algorithm="adagrad_da")
-        monkeypatch.setenv("DADAPT_WORKERS", "1")
-        for run in (replace(cfg, lr=0.1), replace(cfg, lr=10.0), replace(cfg, algorithm="adagrad_da")):
-            run_experiment(replace(run, out_dir=str(tmp_path / "lone")))
-        assert len(self.written(tmp_path / "grid")) == 12
+        for compare in ("adagrad_da", "sgd_da"):
+            monkeypatch.setenv("DADAPT_WORKERS", workers)
+            grid_search(cfg, [0.1, 10.0], compare_algorithm=compare)
+            monkeypatch.setenv("DADAPT_WORKERS", "1")
+            run_experiment(replace(cfg, algorithm=compare, out_dir=str(tmp_path / "lone")))
+        for lr in (0.1, 10.0):
+            run_experiment(replace(cfg, lr=lr, out_dir=str(tmp_path / "lone")))
+        assert len(self.written(tmp_path / "grid")) == 16
         assert self.written(tmp_path / "grid") == self.written(tmp_path / "lone")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -927,13 +930,20 @@ class TestGridSearch:
         with pytest.raises(ConfigError):
             grid_search(self.make_cfg(tmp_path), [1.0], compare_algorithm="polyak")
 
-    def test_all_diverged_writes_no_table(self, tmp_path):
-        cfg = self.make_cfg(tmp_path)
+    def test_all_diverged_writes_no_table(self, tmp_path, capsys):
+        cfg = self.make_cfg(tmp_path / "api")
         with pytest.raises(GridDiverged):
             grid_search(cfg, [1e15, 1e16], compare_algorithm="da_I")
-        assert not list(tmp_path.glob("grid_*.csv"))
-        # the points' own runs are written, the comparison never runs
-        assert len(list(tmp_path.iterdir())) == 2
+        assert not list((tmp_path / "api").glob("grid_*.csv"))
+        assert not list((tmp_path / "api").glob("grid_*_compare.csv"))
+        # the comparison runs in the points' pass, so the points' runs and
+        # its own are written before the grid finds no best point
+        assert len(list((tmp_path / "api").iterdir())) == 3
+        argv = ["grid", "--lrs", "1e15,1e16", "--compare", "da_I", "--set", "algorithm=fixed",
+                "--set", "n_steps=30", "--set", f"out_dir={tmp_path / 'cli'}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("grid failed: every grid point diverged")
+        assert not list((tmp_path / "cli").glob("grid_*.csv"))
 
     def test_cli_prints_the_table_it_wrote(self, tmp_path, capsys):
         argv = ["grid", "--lrs", "1,0.1", "--set", "algorithm=fixed", "--set", "n_steps=30"]

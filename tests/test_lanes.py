@@ -3,8 +3,10 @@ by side, and each lane gives the bits of the same run made alone."""
 
 import math
 import os
+import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dadapt import problems
 from dadapt.baselines import LANES, start
 from dadapt.core import (
     ConfigError, Diverged, Lanes, Problem, Rng, Schedule, Trajectory, _dot, _rowdot, drive,
@@ -23,6 +26,7 @@ from dadapt.harness import (
     _schedule_from_config,
     build_problem,
     d0_sweep,
+    grid_search,
     run_single,
 )
 from dadapt.problems import Dataset, _grads, synth_dataset
@@ -162,6 +166,41 @@ def test_zero_gradients_skip(algo, key):
     check_lanes_match_lone_runs(mixed, 0, data)
 
 
+def test_points_of_mixed_methods_match_lone_runs():
+    # each method's points form a group: the sgd_da pair runs in lanes and
+    # adagrad_da alone, all on the seed's one set of shared orders
+    sgd = ExperimentConfig(problem="synth_logistic", algorithm="sgd_da", n_steps=30, batch_size=4)
+    points = [replace(sgd, d0=1e-3), replace(sgd, d0=1.0), replace(sgd, algorithm="adagrad_da")]
+    outputs = _run_points(points, 2, replace(DATA, shared_orders={}))
+    for point, out in zip(points, outputs, strict=True):
+        single = run_single(point, 2, DATA)
+        assert _bytes(out.rows) == _bytes(single.rows)
+        assert {k: repr(v) for k, v in out.summary.items()} == {
+            k: repr(v) for k, v in single.summary.items()
+        }
+
+
+def test_a_seeds_shared_orders_go_when_its_runs_end(tmp_path, monkeypatch):
+    # one worker runs the seeds in turn: seed 0's orders, laned and lone
+    # runs' alike, are gone before seed 1 builds its first problem
+    built = {}  # seed -> a weak reference to each EpochOrders built for it
+    alive = []  # at each of seed 1's builds, whether any of seed 0's is alive
+
+    class Watched(problems.EpochOrders):
+        def __init__(self, n, seed, **kw):
+            if seed == 1:
+                alive.append(any(ref() is not None for ref in built[0]))
+            super().__init__(n, seed, **kw)
+            built.setdefault(seed, []).append(weakref.ref(self))
+
+    monkeypatch.setattr(problems, "EpochOrders", Watched)
+    monkeypatch.setenv("DADAPT_WORKERS", "1")
+    cfg = ExperimentConfig(problem="synth_logistic", algorithm="adagrad", epochs=2, synth_n=64,
+                           synth_dim=4, seeds=(0, 1), out_dir=str(tmp_path))
+    grid_search(cfg, [0.1, 1.0], compare_algorithm="adagrad_da")
+    assert alive and not any(alive)
+
+
 class _ScaledLanes(Lanes):
     """Toy lanes whose estimate d is multiplied by factor every step."""
 
@@ -236,7 +275,7 @@ class TestWorkerPool:
     lanes or one by one, and draw the seed's epoch orders once."""
 
     @staticmethod
-    def permutation_pids(tmp_path, monkeypatch, algo, workers, epochs=3, d0s=(1e-6, 1e-4, 1e-2)):
+    def permutation_pids(tmp_path, monkeypatch, algo, workers, sweep, epochs=3):
         # one line for each order drawn
         log = tmp_path / f"pids{workers}.txt"
         real = Rng.permutations
@@ -252,14 +291,13 @@ class TestWorkerPool:
             problem="synth_logistic", algorithm=algo, epochs=epochs, synth_n=64, synth_dim=4,
             seeds=(0, 1), out_dir=str(tmp_path / workers),
         )
-        result = d0_sweep(cfg, list(d0s))
+        result = sweep(cfg)
         assert all(math.isfinite(m) for _, m, _, _ in result.rows)
         return log.read_text().split()
 
-    @pytest.mark.parametrize("algo", ["sgd_da", "adagrad_da"])  # in lanes, point by point
-    def test_orders_drawn_once_per_seed_with_any_worker_count(self, tmp_path, monkeypatch, algo):
-        alone = self.permutation_pids(tmp_path, monkeypatch, algo, "1")
-        pooled = self.permutation_pids(tmp_path, monkeypatch, algo, "2")
+    def check_drawn_once_per_seed(self, tmp_path, monkeypatch, algo, sweep):
+        alone = self.permutation_pids(tmp_path, monkeypatch, algo, "1", sweep)
+        pooled = self.permutation_pids(tmp_path, monkeypatch, algo, "2", sweep)
         assert len(alone) == 2 * 3  # two seeds, three epochs, whatever the points
         assert len(pooled) == len(alone)
         assert len(set(pooled)) == 2 and os.getpid() not in map(int, pooled)
@@ -269,8 +307,23 @@ class TestWorkerPool:
         for path in written[0]:
             assert (tmp_path / "1" / path).read_bytes() == (tmp_path / "2" / path).read_bytes()
 
+    @pytest.mark.parametrize("algo", ["sgd_da", "adagrad_da"])  # in lanes, point by point
+    def test_orders_drawn_once_per_seed_with_any_worker_count(self, tmp_path, monkeypatch, algo):
+        sweep = partial(d0_sweep, d0s=[1e-6, 1e-4, 1e-2])
+        self.check_drawn_once_per_seed(tmp_path, monkeypatch, algo, sweep)
+
+    def test_a_grid_and_its_comparison_draw_orders_once_per_seed(self, tmp_path, monkeypatch):
+        # the comparison is one more point of the grid's pass, not a second pool
+        def grid(cfg):
+            result = grid_search(cfg, [0.01, 0.1, 1.0], compare_algorithm="adagrad_da")
+            assert math.isfinite(result.compare_f)
+            return result
+
+        self.check_drawn_once_per_seed(tmp_path, monkeypatch, "adagrad", grid)
+
     def test_orders_drawn_no_further_than_the_epochs_read(self, tmp_path, monkeypatch):
         # 63 draws an order: bulk draws of 1, 2, 4, ... orders would reach
         # 127 by epoch 100; the draws stop at the 100 the runs read
-        pids = self.permutation_pids(tmp_path, monkeypatch, "sgd_da", "2", 100, (1e-6, 1e-2))
+        sweep = partial(d0_sweep, d0s=[1e-6, 1e-2])
+        pids = self.permutation_pids(tmp_path, monkeypatch, "sgd_da", "2", sweep, 100)
         assert sorted(Counter(pids).values()) == [100, 100]
