@@ -45,7 +45,7 @@ from .core import (
     drive,
     schedule_eval,
 )
-from .baselines import adagrad_norm_init, adagrad_norm_step, polyak_step
+from .baselines import adagrad_norm_init, adagrad_norm_step
 from .harness import (
     ExperimentConfig,
     apply_overrides,

@@ -30,7 +30,6 @@ __all__ = [
     "adagrad_norm_step",
     "AdaGradNormLanes",
     "AdaGradLanes",
-    "polyak_step",
     "LANES",
     "start",
 ]
@@ -111,15 +110,8 @@ class AdaGradNormLanes(Lanes):
         out[:, 4] = gnorm2
 
 
-def polyak_step(x: Vector, g: Vector, fx: float, fstar: float) -> Vector:
-    """x - (fx - fstar)/||g||^2 * g; a no-op exactly at the optimal value."""
-    if fx < fstar:
-        raise ValueError("fx below the optimal value")
-    return _polyak_move(x, g, fx - fstar, _dot(g, g))
-
-
 def _polyak_move(x: Vector, g: Vector, excess: float, gg: float) -> Vector:
-    """polyak_step from x, given excess = fx - fstar >= 0 and gg = ||g||^2."""
+    """The Polyak step x - excess/gg * g, for excess = fx - fstar >= 0 and gg = ||g||^2."""
     if excess == 0.0:
         return np.asarray(x, dtype=np.float64).copy()
     if gg == 0.0:

@@ -686,7 +686,8 @@ class Lanes:
     or None. The lanes are built from the runs' scalar states, as
     baselines.start sets them up, and keep them in states, lane b's at b:
     each field named in _arrays stacked as float64, None as NaN, and each
-    named in _shared, common to the runs, taken from the first."""
+    named in _shared, common to the runs, taken from the first. A lane that
+    stopped early keeps only its rows, all that a stopped run's summary reads."""
 
     _arrays: tuple[str, ...] = ("x",)
     _shared: tuple[str, ...] = ()
@@ -706,10 +707,21 @@ class Lanes:
         for name in self._arrays:
             setattr(self, name, getattr(self, name)[mask])
 
+    def write_back(self, n: int) -> None:
+        """Leave each lane that ran to the end in its lone run's state after n
+        steps: vectors as rows, scalars as floats, NaN as a None it was, k as n."""
+        for i, b in enumerate(self.ids.tolist()):
+            state = self.states[b]
+            for name in self._arrays:
+                value = getattr(self, name)[i]
+                if value.ndim or not np.isnan(value) or getattr(state, name) is not None:
+                    setattr(state, name, value if value.ndim else value.item())
+            state.k = n
+
 
 def drive_lanes(
     problem: Problem, lanes: Lanes, n: int, schedule: Schedule, record_f_every: int
-) -> np.ndarray:
+) -> list[Optional[type]]:
     """drive for the lanes of runs that differ in their settings alone, on
     their one problem: subgradient takes the (B, dim) stack of the live
     lanes' iterates, one draw for all, and values every live lane's f on
@@ -717,9 +729,8 @@ def drive_lanes(
     lane whose iterate leaves the ball keeps that step's row, one whose
     stepper refuses its gradient stops before it, and either leaves the
     batch. Each lane's rows then go to its state's trajectory, as views of
-    one (n, B, 6) table, and a lane that ran to the end leaves its iterate
-    in its state's x. Returns which lanes diverged.
-    """
+    one (n, B, 6) table, and the lanes that ran to the end write_back their
+    states. Returns each lane's stop as run_single takes it: Diverged or None."""
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
@@ -728,7 +739,6 @@ def drive_lanes(
     table = np.full((n, B, 6), _NAN)
     table[:, :, 0] = np.arange(n)[:, None]
     steps = np.full(B, n)
-    diverged = np.zeros(B, dtype=bool)
     bound_sq = 0.999 * DIVERGENCE_NORM**2
     flat = schedule.kind == "flat"
     sched = 1.0
@@ -760,16 +770,14 @@ def drive_lanes(
                 steps[ids[~ok]] = k + 1  # the failing step's row is kept
                 if refused is not None:
                     steps[ids[refused]] = k
-                diverged[ids[~ok]] = True
                 lanes.keep(ok)
                 out = out[ok]
                 if not lanes.ids.shape[0]:
                     break
     for b, state in enumerate(lanes.states):
         state.traj.extend(table[: steps[b], b])
-    for b, x in zip(lanes.ids.tolist(), lanes.x):
-        lanes.states[b].x = x
-    return diverged
+    lanes.write_back(n)
+    return [None if b in lanes.ids else Diverged for b in range(B)]
 
 
 # --------------------------------------------------------------------------

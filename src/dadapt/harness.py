@@ -361,20 +361,22 @@ def _output(
 ) -> RunOutput:
     """The output of config's run on bundle, which ended in state, cut short
     by stop (AtStart or Diverged) or None when it ran to the end."""
-    prob = bundle.problem
     algo = config.algorithm
     summary = _new_summary(config, seed)
     if bundle.D is not None and config.d0 > bundle.D and algo in DADAPT_ALGORITHMS:
         summary["out_of_theory"] = True
     summary["exited_at_start"] = stop is AtStart
     summary["diverged"] = stop is Diverged
-    if stop is not Diverged:
+    if stop is not Diverged:  # the f of each summary point, from one values call
+        points = {"final_f": state.x}
         if state.traj.avg_den > 0.0:  # the run folds points into an average
-            summary["avg_f"] = prob.value(state.traj.average())
-        summary["final_f"] = summary["avg_f"] if algo == "fixed" else prob.value(state.x)
+            points["avg_f"] = state.traj.average()
         if getattr(state, "t_index", None) is not None:
-            summary["t_index"] = state.t_index
-            summary["f_at_t"] = prob.value(state.x_avg_t)
+            summary["t_index"], points["f_at_t"] = state.t_index, state.x_avg_t
+        fs = bundle.problem.values(np.stack(list(points.values())))
+        summary.update(zip(points, fs.tolist()))
+        if algo == "fixed":  # whose final_f is the f of its average
+            summary["final_f"] = summary["avg_f"]
     summary["heuristic_G"] = bool(state.traj.meta.get("heuristic_g", False))
     rows = state.traj.records
     summary["steps"] = len(rows)
@@ -401,11 +403,9 @@ def _run_points(
         bundle = build_problem(config, seed, dataset)
         lanes = LANES[algo]([start(point, bundle)[0] for point in group])
         sched = _schedule_from_config(config)
-        diverged = drive_lanes(bundle.problem, lanes, bundle.n_steps, sched, config.record_f_every)
-        outputs += [
-            _output(point, seed, bundle, state, Diverged if stopped else None)
-            for point, state, stopped in zip(group, lanes.states, diverged.tolist())
-        ]
+        stops = drive_lanes(bundle.problem, lanes, bundle.n_steps, sched, config.record_f_every)
+        for point, state, stop in zip(group, lanes.states, stops):
+            outputs.append(_output(point, seed, bundle, state, stop))
     if dataset is not None and dataset.shared_orders is not None:
         dataset.shared_orders.pop(seed, None)
     return outputs

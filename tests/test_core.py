@@ -445,6 +445,13 @@ class TestTrajectory:
             traj.extend(table[:, :5])
         assert traj.pack().shape == (3, 6)
 
+    def test_append_after_extend_checks_d(self):
+        # the last d of an extended table is the floor of the next row's d
+        traj = Trajectory("toy", 1)
+        traj.extend(np.array([[0, 1.0, 0.0, 1.0, 0.0, 1.0], [1, 2.0, 3.0, 1.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="d decreased"):
+            traj.append((2, 1.5, 0.0, 1.0, 0.0, 1.0))
+
     def test_empty_trajectory(self):
         traj = Trajectory("da", 1, ("wg_term",))
         assert traj.records.shape == (0, 6) and traj.records.tolist() == []

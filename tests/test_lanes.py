@@ -5,7 +5,7 @@ import math
 import os
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -73,34 +73,45 @@ def _bytes(a):
 
 
 def _alone(point, seed, dataset):
-    """The rows, final iterate and divergence of point's run made alone."""
+    """The state in which point's run made alone ends, and its stop."""
     bundle = build_problem(point, seed, dataset)
     state, step = start(point, bundle)
     sched = _schedule_from_config(point)
     try:
         drive(bundle.problem, state, step, bundle.n_steps, sched, point.record_f_every)
     except Diverged:
-        return state.traj.pack(), None, True
-    return state.traj.pack(), state.x, False
+        return state, Diverged
+    return state, None
+
+
+def _same_bits(a, b):
+    """a and b, numbers or arrays, bit for bit, any NaN as any NaN."""
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    same = (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and bool(np.all(same))
 
 
 def check_lanes_match_lone_runs(points, seed, dataset):
-    # each lane's state, its rows and a survivor's iterate, and each point's
-    # output against the point's run made alone
+    # each lane's stop and rows, every state field of a lane that ran to the
+    # end, and each point's output against the point's run made alone
     bundle = build_problem(points[0], seed, dataset)
     lanes = LANES[points[0].algorithm]([start(point, bundle)[0] for point in points])
     with np.errstate(all="ignore"):
-        diverged = drive_lanes(
+        stops = drive_lanes(
             bundle.problem, lanes, bundle.n_steps, _schedule_from_config(points[0]),
             points[0].record_f_every,
         )
         outputs = _run_points(points, seed, dataset)
         for b, (point, state) in enumerate(zip(points, lanes.states)):
-            rows, x, stopped = _alone(point, seed, dataset)
-            assert _bytes(state.traj.pack()) == _bytes(rows)
-            assert diverged[b] == stopped
-            if not stopped:
-                assert _bytes(state.x) == _bytes(x)
+            alone, stop = _alone(point, seed, dataset)
+            assert stops[b] is stop
+            assert _bytes(state.traj.pack()) == _bytes(alone.traj.pack())
+            if stop is None:  # a lane that ran to the end holds its lone run's state
+                for field in fields(state):
+                    mine, its = getattr(state, field.name), getattr(alone, field.name)
+                    assert (mine is None) == (its is None), field.name
+                    if field.name != "traj" and its is not None:
+                        assert _same_bits(mine, its), field.name
             single = run_single(point, seed, dataset)
             assert _bytes(outputs[b].rows) == _bytes(single.rows)
             assert {k: repr(v) for k, v in outputs[b].summary.items()} == {
@@ -232,10 +243,13 @@ def test_drive_lanes_needs_a_positive_cadence():
 
 def test_drive_lanes_refuses_a_falling_d():
     lanes = _scaled_lanes(2.0)
-    assert not drive_lanes(_toy_problem(), lanes, 4, Schedule(), 1).any()
+    assert drive_lanes(_toy_problem(), lanes, 4, Schedule(), 1) == [None] * 3
     for state in lanes.states:
         assert state.traj.pack()[:, 1].tolist() == [1.0, 2.0, 4.0, 8.0]
-        assert np.shares_memory(state.x, lanes.x)  # a lane that ran to the end writes x back
+        # a lane that ran to the end writes its fields back: x as its row, d
+        # as a float, and k as the step count
+        assert np.shares_memory(state.x, lanes.x)
+        assert type(state.d) is float and state.d == 16.0 and state.k == 4
     with pytest.raises(ValueError, match="d decreased"):
         drive_lanes(_toy_problem(), _scaled_lanes(0.5), 4, Schedule(), 1)
 

@@ -110,7 +110,8 @@ def _traced_counts(script: str) -> list[str]:
 
 def test_tracer_counts_the_logistic_oracle_calls():
     # the tracer wraps each Problem's value and subgradient as it is built; a
-    # lone 20-step run asks for 20 gradients and one value, its final_f
+    # lone 20-step run asks for 20 gradients and no value: its final_f comes
+    # from the summary's one values call
     assert _traced_counts("""
 config = ExperimentConfig(
     problem="synth_logistic", algorithm="sgd_da", synth_n=64, synth_dim=4, n_steps=20
@@ -118,16 +119,16 @@ config = ExperimentConfig(
 run_single(config, 0)
 metrics = tracer.metrics()
 print(metrics["problems.subgradient.calls"], metrics["problems.value.calls"])
-""") == ["20", "1"]
+""") == ["20", "0"]
 
 
 def test_tracer_reaches_value_as_a_method():
     # value is a method of Problem, wrapped on each instance as it is built: a
-    # piecewise polyak run of 6 steps takes f at each step and once for final_f
+    # piecewise polyak run of 6 steps takes f at each step through it
     assert _traced_counts("""
 run_single(ExperimentConfig(problem="piecewise", algorithm="polyak", n_steps=6), 0)
 print(tracer.metrics()["problems.value.calls"])
-""") == ["7"]
+""") == ["6"]
 
 
 def test_tracer_counts_the_convex_steps():

@@ -3,15 +3,16 @@
 A declared re-record rewrites the golden digests, and then only the other
 tests stand between a stepper bug and the new digests. Each entry below
 changes one line of a stepper (a scalar stepper function or a lane class's
-step method) or of core.drive_lanes, which hands each lane's rows and
-iterate to its state. It is built from that source by one str.replace that
+step method), of core.drive_lanes or Lanes.write_back, which hand each
+lane's rows and every state field to its state, or of Trajectory.extend,
+which logs those rows. It is built from that source by one str.replace that
 must match exactly once, so a refactor that moves the text fails here until
 the list is updated. A mutant function is bound in place of the original in
 every loaded module that holds it, test modules included; a mutant method is
 set on its class. A fixed battery must then report a failure: criterion 10's
-hand traces, the sgd_da and adam_da hand traces, the quick verify lemmas and
-one seeded lanes-match-lone-runs case for each laned method. The identity
-control must pass that battery.
+hand traces, the sgd_da and adam_da hand traces, an append after an extend,
+the quick verify lemmas and one seeded lanes-match-lone-runs case for each
+laned method. The identity control must pass that battery.
 """
 
 import inspect
@@ -22,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 import test_acceptance as acceptance
+import test_core
 import test_lanes as lanes
 import test_ml
 from dadapt import baselines, convex, core, ml
@@ -82,13 +84,19 @@ MUTANTS = [
     (baselines.AdaGradNormLanes, "step", "far = dist > self.radius", "far = dist > 2.0 * self.radius"),
     # the lanes' rows go to the states in reverse
     (core, "drive_lanes", "enumerate(lanes.states)", "enumerate(lanes.states[::-1])"),
-    # the first lane that ran to the end keeps its start as its iterate
+    # the first lane that ran to the end keeps its start state
     (
-        core,
-        "drive_lanes",
-        "zip(lanes.ids.tolist(), lanes.x)",
-        "zip(lanes.ids.tolist()[1:], lanes.x[1:])",
+        core.Lanes,
+        "write_back",
+        "enumerate(self.ids.tolist())",
+        "enumerate(self.ids.tolist()[1:], 1)",
     ),
+    # the last field of each lane form is not written back
+    (core.Lanes, "write_back", "for name in self._arrays:", "for name in self._arrays[:-1]:"),
+    # a lane's state keeps its start's step count
+    (core.Lanes, "write_back", "state.k = n", "pass"),
+    # an appended row's d is checked against the d before an extended table
+    (core.Trajectory, "extend", "self._last_d = d[-1].item()", "pass"),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 
@@ -134,13 +142,14 @@ def _battery() -> list[str]:
         ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
         ("sgd_da step 1", test_ml.TestSgdDaTrace().test_step1),
         ("adam_da step 0", test_ml.TestAdamDaTrace().test_step0),
+        ("append after extend", test_core.TestTrajectory().test_append_after_extend_checks_d),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []
     for label, check in checks:
         try:
             check()
-        except Exception as exc:
+        except (Exception, pytest.fail.Exception) as exc:  # pytest.raises fails with the latter
             failed.append(f"{label}: {exc!r}")
     try:
         rows = [r for r in verify_suite("lemmas", quick=True) if not r.satisfied]
