@@ -3,13 +3,15 @@ start of every stepper that the harness runs, the adaptive ones included.
 
 The baselines are steppers like the adaptive methods and run through the
 same core.drive; their records carry NaN for d and dhat and the step size
-as the scale. AdaGrad and AdaGrad-norm also come as lanes (core.Lanes), as
-sgd_da and adam_da do in dadapt.ml, for core.drive_lanes to run the points
-of a grid or d0 sweep in lockstep with the bits of the scalar steppers: it
-calls the problem's subgradient once a step on the stack of the lanes'
-iterates. LANES names each lane form; the lanes are built from the states
-start sets up, so that start alone maps a config to a stepper's settings
-(convex.start, for the convex ones).
+as the scale. AdaGrad also comes as lanes (core.Lanes), as sgd_da does in
+dadapt.ml, for core.drive_lanes to run the points of a grid or d0 sweep in
+lockstep with the bits of the scalar steppers: it calls the problem's
+subgradient once a step on the stack of the lanes' iterates. LANES names
+each lane form. A method has one only where a benchmark workload runs its
+points in lanes (grid_sweep's adagrad grid and sgd_da sweep), so the points
+of adagrad_norm and adam_da run one at a time. The lanes are built from the
+states start sets up, so that start alone maps a config to a stepper's
+settings (convex.start, for the convex ones).
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ import numpy as np
 
 from . import convex
 from .core import ConfigError, Lanes, Trajectory, Vector, _dot, _rowdot
-from .ml import AdamDALanes, SGDDALanes, adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
+from .ml import SGDDALanes, adam_da_init, adam_da_step, sgd_da_init, sgd_da_step
 
 __all__ = [
     "AdaGradNormState",
     "adagrad_norm_init",
     "adagrad_norm_step",
-    "AdaGradNormLanes",
     "AdaGradLanes",
     "LANES",
     "start",
@@ -82,32 +83,6 @@ def adagrad_norm_step(state: AdaGradNormState, g: Vector, sched: float = 1.0) ->
         x = state.x0 + delta * (state.radius / dist)
     state.x = x
     _record(state, gamma, gnorm2)
-
-
-class AdaGradNormLanes(Lanes):
-    """adagrad_norm_step on lanes that share x0, one ball radius each, from
-    their adagrad_norm_init states."""
-
-    _arrays = ("x", "radius", "sum_gsq")
-    _shared = ("x0",)
-
-    def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> None:
-        gnorm2 = _rowdot(g, g)
-        self.sum_gsq = self.sum_gsq + gnorm2
-        gamma = self.radius / np.sqrt(self.sum_gsq)
-        x = self.x - gamma[:, None] * g
-        delta = x - self.x0
-        dist = np.sqrt(_rowdot(delta, delta))
-        far = dist > self.radius
-        if np.count_nonzero(far):
-            x = np.where(far[:, None], self.x0 + delta * (self.radius / dist)[:, None], x)
-        idle = self.sum_gsq == 0.0  # the lanes that skip
-        if np.count_nonzero(idle):
-            x = np.where(idle[:, None], self.x, x)
-            gamma = np.where(idle, _NAN, gamma)
-        self.x = x
-        out[:, 2] = gamma
-        out[:, 4] = gnorm2
 
 
 def _polyak_move(x: Vector, g: Vector, excess: float, gg: float) -> Vector:
@@ -168,10 +143,8 @@ def _adagrad_step(state: _AdaGradState, g: Vector, sched: float = 1.0) -> None:
     np.multiply(acc, acc, acc)
     acc += g * g
     np.sqrt(acc, acc)
-    if np.minimum.reduce(acc, initial=math.inf) > 0.0:
-        step = g / acc
-    else:  # a coordinate with no gradient yet (acc 0) or a NaN one takes no step
-        step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
+    # a coordinate with no gradient yet (acc 0) or a NaN one takes no step
+    step = np.divide(g, acc, out=np.zeros_like(g), where=acc > 0.0)
     mult = state.lr * sched
     state.x = state.x - mult * step
     _record(state, mult, _dot(g, g))
@@ -187,6 +160,8 @@ class AdaGradLanes(Lanes):
         np.multiply(acc, acc, acc)
         acc += g * g
         np.sqrt(acc, acc)
+        # the plain quotient once every acc is positive: a speed-only fork,
+        # kept because grid_sweep runs these lanes
         if np.minimum.reduce(acc, axis=None, initial=math.inf) > 0.0:
             step = g / acc
         else:  # as in _adagrad_step, per coordinate of every lane
@@ -233,7 +208,5 @@ def start(config, bundle):
 # the lane form of each algorithm that has one
 LANES = {
     "adagrad": AdaGradLanes,
-    "adagrad_norm": AdaGradNormLanes,
     "sgd_da": SGDDALanes,
-    "adam_da": AdamDALanes,
 }

@@ -6,6 +6,8 @@ step size from the current estimate d times a schedule multiplier in
 keeps exponential moving averages throughout; EmaPair is the two-track
 recursion that ties an exponential moving average to an equivalent
 weighted dual-average sum, which is what justifies the Adam bookkeeping.
+SGDDALanes steps the points of an sgd_da d0 sweep in lockstep; adam_da has
+no lane form, so its points run one at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "SGDDALanes",
     "adam_da_init",
     "adam_da_step",
-    "AdamDALanes",
     "ema_pair",
     "ema_pair_step",
 ]
@@ -250,44 +251,6 @@ def adam_da_step(state: AdamDAState, g: Vector, sched: float = 1.0) -> None:
     state.traj.append((state.k, state.d, d_hat, dg, _NAN, gnorm2))
     state.d = max(state.d, d_hat)
     state.k += 1
-
-
-class AdamDALanes(Lanes):
-    """adam_da_step on lanes that share the moment settings and decay, from
-    their adam_da_init states; refusals and the d update as in SGDDALanes.
-    Row sums are np.add.reduce along axis 1, which adds each row as the 1-D
-    reduce does."""
-
-    _arrays = ("x", "s", "m", "v", "r", "d")
-    _shared = ("beta1", "beta2", "eps", "decay")
-
-    def step(self, g: np.ndarray, sched: float, out: np.ndarray) -> Optional[np.ndarray]:
-        gnorm2 = _rowdot(g, g)
-        _check_sched(sched)
-        dg = self.d * sched
-        sb2 = math.sqrt(self.beta2)
-
-        self.m = self.beta1 * self.m + ((1.0 - self.beta1) * dg)[:, None] * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        denom = np.sqrt(self.v) + self.eps
-        self.x = self.x - self.m / denom
-        if self.decay > 0.0:
-            self.x = self.x * (1.0 - self.decay * dg)[:, None]
-
-        ip_w = np.add.reduce(g * self.s / denom, axis=1)
-        self.r = sb2 * self.r + (1.0 - sb2) * dg * ip_w
-        self.s = sb2 * self.s + ((1.0 - sb2) * dg)[:, None] * g
-
-        s_l1 = np.add.reduce(np.abs(self.s), axis=1)
-        d_hat = self.r / ((1.0 - sb2) * s_l1)
-        if np.count_nonzero(s_l1) < s_l1.shape[0]:
-            d_hat[s_l1 == 0.0] = 0.0
-        out[:, 0] = self.d
-        out[:, 1] = d_hat
-        out[:, 2] = dg
-        out[:, 4] = gnorm2
-        self.d = np.where(d_hat > self.d, d_hat, self.d)
-        return _refused(gnorm2)
 
 
 # --------------------------------------------------------------------------

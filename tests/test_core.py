@@ -27,6 +27,7 @@ from dadapt.core import (
     Rng,
     Schedule,
     Trajectory,
+    _box_muller,
     _dot,
     csv_text,
     drive,
@@ -115,15 +116,15 @@ def _scalar_permutation(rng: Rng, n: int) -> np.ndarray:
 _MASK = 2**64 - 1
 
 
-def _max_draw_s1() -> int:
-    """The s1 whose draw rotl(s1 * 5, 7) * 9 is 2^64 - 1, inverted."""
-    x = (_MASK * pow(9, -1, 2**64)) & _MASK
+def _s1_for(draw: int) -> int:
+    """The s1 whose draw rotl(s1 * 5, 7) * 9 is draw, inverted."""
+    x = (draw * pow(9, -1, 2**64)) & _MASK
     x = ((x >> 7) | (x << 57)) & _MASK
     return (x * pow(5, -1, 2**64)) & _MASK
 
 
 def _state_before_max_draw(rng: Rng) -> tuple[int, int, int, int]:
-    return rng._s0, _max_draw_s1(), rng._s2, rng._s3
+    return rng._s0, _s1_for(_MASK), rng._s2, rng._s3
 
 
 def _step_back(a0: int, a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
@@ -209,7 +210,7 @@ class TestRngBulk:
         # rejects (2^64 mod 3 = 1)
         bulk, ref, skip = Rng(3, 0), Rng(3, 0), Rng(3, 0)
         for rng in (bulk, ref, skip):
-            rng._s1 = _max_draw_s1()
+            rng._s1 = _s1_for(_MASK)
         assert skip.u64() == _MASK
         assert np.array_equal(bulk.permutation(3), _scalar_permutation(ref, 3))
         skip.u64()
@@ -232,6 +233,27 @@ class TestRngBulk:
         for order in got:
             assert np.array_equal(order, _scalar_permutation(ref, n))
         assert bulk.u64() == ref.u64()
+
+    def test_permutation_falls_back_on_a_draw_below_the_largest(self):
+        # the first draw, 2^64 - 3, is below 2^64 - 1, yet integer(6) rejects
+        # it (2^64 mod 6 = 4): every draw within n of 2^64 sends the bulk
+        # call back to the scalar draws, which redraw it
+        bulk, ref, skip = Rng(3, 0), Rng(3, 0), Rng(3, 0)
+        for rng in (bulk, ref, skip):
+            rng._s1 = _s1_for(_MASK - 2)
+        assert skip.u64() == _MASK - 2
+        assert np.array_equal(bulk.permutations(6, 1)[0], _scalar_permutation(ref, 6))
+        assert bulk.u64() == ref.u64()
+
+    def test_box_muller_takes_a_zero_uniform_as_normal_does(self):
+        # s1 = 0 makes the next draw 0, so the first uniform is 0: normal()
+        # takes it as 2^-53, whose log is finite
+        ref, scalar = Rng(6, 0), Rng(6, 0)
+        ref._s1 = scalar._s1 = 0
+        u = np.array([ref.uniform(), ref.uniform()])
+        assert u[0] == 0.0
+        want = np.array([scalar.normal(), scalar.normal()])
+        assert _box_muller(u).tobytes() == want.tobytes()
 
     def test_permutations_with_nothing_to_draw(self):
         rng, ref = Rng(8, 1), Rng(8, 1)

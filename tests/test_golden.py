@@ -91,22 +91,26 @@ CASES = _cases()
 
 # name -> (swept key, config, values, grid compare run)
 SWEEP_CASES = {
-    # the points run in lanes
+    # the points run in lanes; the 1e15 point leaves the ball at once
     "grid-logistic-adagrad-compare": (
         "lr", dict(PROBLEMS["logistic"], algorithm="adagrad"), (0.01, 0.1, 1.0), "adagrad_da"
-    ),
-    "grid-logistic-adagrad_norm": (
-        "lr", dict(PROBLEMS["logistic"], algorithm="adagrad_norm"), (0.1, 1.0, 10.0), None
     ),
     "sweep-logistic-sgd_da-stagewise": (
         "d0", dict(PROBLEMS["logistic"], algorithm="sgd_da", schedule="stagewise"),
         (1e-6, 1e-3, 1.0), None,
     ),
+    "sweep-logistic-sgd_da-record7-diverge": (
+        "d0", dict(PROBLEMS["logistic"], algorithm="sgd_da", record_f_every=7),
+        (1e-6, 1e-2, 1e15), None,
+    ),
+    # the points run one by one
+    "grid-logistic-adagrad_norm": (
+        "lr", dict(PROBLEMS["logistic"], algorithm="adagrad_norm"), (0.1, 1.0, 10.0), None
+    ),
     "sweep-logistic-adam_da-record7-diverge": (
         "d0", dict(PROBLEMS["logistic"], algorithm="adam_da", record_f_every=7),
         (1e-6, 1e-2, 1e15), None,
     ),
-    # the points run one by one
     "sweep-logistic-adagrad_da": (
         "d0", dict(PROBLEMS["logistic"], algorithm="adagrad_da"), (1e-6, 1e-3, 1.0), None
     ),

@@ -801,7 +801,7 @@ class TestSharedEpochOrders:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
-        "algo, key, values", [("adagrad_norm", "lr", [0.1, 1e15]), ("adam_da", "d0", [1e15, 1e-6])]
+        "algo, key, values", [("adagrad", "lr", [0.1, 1e15]), ("sgd_da", "d0", [1e15, 1e-6])]
     )
     def test_lane_points_match_lone_runs(self, tmp_path, monkeypatch, workers, algo, key, values):
         # the points run in lanes, each seed's in one process; one leaves the ball at once

@@ -1,9 +1,12 @@
-"""The names the benchmark reaches into, and which modules import which.
+"""The names the benchmark reaches into, the lane forms it runs, and which
+modules import which.
 
 bench/tracing.py rebinds package functions by name and bench/workloads.py
 calls them through their modules, so a rename in the package breaks the
-benchmark without failing any other test. The layering keeps the optimizers,
-problems and checkers free of the harness and the command line.
+benchmark without failing any other test. A lane form is a second code path
+for its method's points, kept only where a workload runs it. The layering
+keeps the optimizers, problems and checkers free of the harness and the
+command line.
 """
 
 import ast
@@ -12,13 +15,15 @@ import inspect
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dadapt
-from dadapt.baselines import start
+from dadapt import core
+from dadapt.baselines import LANES, start
 from dadapt.harness import BASELINE_ALGORITHMS, DADAPT_ALGORITHMS, ExperimentConfig, build_problem
 from dadapt.problems import piecewise_start
 
@@ -80,6 +85,27 @@ def test_convex_setup_draws_the_battery_problems(tmp_path):
         assert (prob.lipschitz, prob.lipschitz_inf) == (want.lipschitz, want.lipschitz_inf)
         assert prob.values(points).tobytes() == want.values(points).tobytes()
     assert i == 99
+
+
+def test_every_lane_form_runs_in_a_workload(tmp_path, monkeypatch):
+    # each workload's pass on shrunken inputs, in this process: one convex
+    # problem, a small logistic run and a one-epoch grid and d0 sweep
+    workloads = _load_bench("workloads")
+    built = set()
+    init = core.Lanes.__init__
+
+    def recorded(self, states):
+        built.add(type(self))
+        init(self, states)
+
+    monkeypatch.setattr(core.Lanes, "__init__", recorded)
+    monkeypatch.setenv("DADAPT_WORKERS", "1")
+    workloads.convex_pass(workloads.convex_setup(0, tmp_path)[:1], tmp_path)
+    logistic = workloads.logistic_setup(0, tmp_path / "logistic")
+    workloads.logistic_pass(replace(logistic, synth_n=200, synth_dim=5), tmp_path / "logistic")
+    grid = workloads.grid_setup(0, tmp_path / "grid")
+    workloads.grid_pass(replace(grid, epochs=1), tmp_path / "grid")
+    assert set(LANES.values()) - built == set()
 
 
 _TRACED = """

@@ -1,18 +1,21 @@
-"""One-line stepper mutants that the fast non-golden tests must catch.
+"""One-line mutants of the steppers and of the bit-keeping paths around
+them that the fast non-golden tests must catch.
 
 A declared re-record rewrites the golden digests, and then only the other
 tests stand between a stepper bug and the new digests. Each entry below
 changes one line of a stepper (a scalar stepper function or a lane class's
 step method), of core.drive_lanes or Lanes.write_back, which hand each
-lane's rows and every state field to its state, or of Trajectory.extend,
-which logs those rows. It is built from that source by one str.replace that
-must match exactly once, so a refactor that moves the text fails here until
-the list is updated. A mutant function is bound in place of the original in
-every loaded module that holds it, test modules included; a mutant method is
-set on its class. A fixed battery must then report a failure: criterion 10's
-hand traces, the sgd_da and adam_da hand traces, an append after an extend,
-the quick verify lemmas and one seeded lanes-match-lone-runs case for each
-laned method. The identity control must pass that battery.
+lane's rows and every state field to its state, of Trajectory.extend,
+which logs those rows, or of Rng's bulk draws. It is built from that source
+by one str.replace that must match exactly once, so a refactor that moves
+the text fails here until the list is updated. A mutant function is bound in
+place of the original in every loaded module that holds it, test modules
+included; a mutant method is set on its class. A fixed battery must then
+report a failure: criterion 10's hand traces, the sgd_da and adam_da hand
+traces, adagrad_norm's projection, an append after an extend, the two
+crafted Rng states, the quick verify lemmas and one seeded
+lanes-match-lone-runs case for each lane form. The identity control must
+pass that battery.
 """
 
 import inspect
@@ -24,14 +27,17 @@ import pytest
 
 import test_acceptance as acceptance
 import test_core
+import test_harness
 import test_lanes as lanes
 import test_ml
 from dadapt import baselines, convex, core, ml
 from dadapt.analysis import verify_suite
 from dadapt.harness import ExperimentConfig
 
-# (owner, stepper, old text, new text): the owner is the module of a
-# function or the class of a step method
+# (owner, function, old text, new text): the owner is the module of a
+# function or the class of a method. A mutant's test id holds its index
+# here, so a new mutant takes the place of a dropped one before it is
+# appended, and the other ids stay.
 MUTANTS = [
     # the step-size denominator leaves out the current gradient
     (
@@ -76,12 +82,13 @@ MUTANTS = [
         "x = self.beta * self.x + (1.0 - self.beta) * z",
         "x = self.beta * self.x + (1.0 - self.beta) * self.z",
     ),
-    # the estimate without the (1 - sqrt(beta2)) normalisation
-    (ml.AdamDALanes, "step", "d_hat = self.r / ((1.0 - sb2) * s_l1)", "d_hat = self.r / s_l1"),
+    # a bulk draw within n of 2^64 but below 2^64 - 1 is kept, where
+    # integer(n) would redraw it
+    (core.Rng, "permutations", "(1 << 64) - n", "(1 << 64) - 1"),
     # the schedule left out of the lanes' step
     (baselines.AdaGradLanes, "step", "mult = self.lr * sched", "mult = self.lr"),
-    # a lane leaving its ball is not pulled back
-    (baselines.AdaGradNormLanes, "step", "far = dist > self.radius", "far = dist > 2.0 * self.radius"),
+    # a zero uniform goes to log unguarded, where normal() takes 2^-53
+    (core, "_box_muller", "u1[u1 == 0.0] = 2.0**-53", "pass"),
     # the lanes' rows go to the states in reverse
     (core, "drive_lanes", "enumerate(lanes.states)", "enumerate(lanes.states[::-1])"),
     # the first lane that ran to the end keeps its start state
@@ -103,9 +110,7 @@ CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 # (laned method, swept key, values): each run in lanes and alone
 LANE_CASES = [
     ("adagrad", "lr", (0.01, 0.1, 1.0)),
-    ("adagrad_norm", "lr", (0.1, 1.0, 10.0)),
     ("sgd_da", "d0", (1e-6, 1e-3, 1.0)),
-    ("adam_da", "d0", (1e-6, 1e-3, 1.0)),
 ]
 
 
@@ -130,19 +135,23 @@ def _bind_mutant(monkeypatch, owner, name: str, old: str, new: str):
 def _lanes_case(algorithm: str, key: str, values) -> None:
     config = ExperimentConfig(
         problem="synth_logistic", algorithm=algorithm, n_steps=30, batch_size=6,
-        schedule="cosine", decay=0.01,
+        schedule="cosine",
     )
     lanes.check_lanes_match_lone_runs([replace(config, **{key: v}) for v in values], 1, lanes.DATA)
 
 
 def _battery() -> list[str]:
     """The parts of the battery that fail."""
+    rng = test_core.TestRngBulk()
     checks = [
         ("criterion 10", acceptance.test_criterion_10_hand_trace_oracles),
         ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
         ("sgd_da step 1", test_ml.TestSgdDaTrace().test_step1),
         ("adam_da step 0", test_ml.TestAdamDaTrace().test_step0),
+        ("adagrad_norm projection", test_harness.TestAdaGradNorm().test_projection_clips_to_radius),
         ("append after extend", test_core.TestTrajectory().test_append_after_extend_checks_d),
+        ("permutation fallback", rng.test_permutation_falls_back_on_a_draw_below_the_largest),
+        ("zero uniform", rng.test_box_muller_takes_a_zero_uniform_as_normal_does),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []
