@@ -76,7 +76,6 @@ from .problems import (
     piecewise_max_problem,
     piecewise_start,
     random_piecewise_max,
-    serialize_libsvm,
     synth_dataset,
 )
 

@@ -677,43 +677,35 @@ def drive(
 
 
 class Lanes:
-    """B runs of one method side by side, each a lane: row i of every array
-    named in _arrays, x (the (B, dim) iterates) among them, belongs to lane
-    ids[i]. step(g, sched, out) takes one step on every lane from the (B, dim)
-    gradients g, writes d, dhat, scale and gnorm2 into columns 0, 1, 2 and 4
-    of the (B, 5) out (column 3, f, is the driver's; a column it leaves
-    holds NaN), and returns a mask of the lanes that refused their gradient,
-    or None. The lanes are built from the runs' scalar states, as
-    baselines.start sets them up, and keep them in states, lane b's at b:
-    each field named in _arrays stacked as float64, None as NaN, and each
-    named in _shared, common to the runs, taken from the first. A lane that
-    stopped early keeps only its rows, all that a stopped run's summary reads."""
+    """B runs of one method side by side, each a lane: row b of every array
+    named in _arrays, x (the (B, dim) iterates) among them, belongs to lane b
+    from the first step to the last. step(g, sched, out) takes one step on
+    every lane from the (B, dim) gradients g, writes d, dhat, scale and
+    gnorm2 into columns 0, 1, 2 and 4 of the (B, 5) out (column 3, f, is the
+    driver's; a column it leaves holds NaN), and returns a mask of the lanes
+    that refused their gradient, or None. The lanes are built from the runs'
+    scalar states, as baselines.start sets them up, and keep them in states,
+    lane b's at b: each field named in _arrays stacked as float64, None as
+    NaN. A lane that stopped early still steps with the others, but its
+    state keeps only its rows up to the stop, all that a stopped run's
+    summary reads."""
 
     _arrays: tuple[str, ...] = ("x",)
-    _shared: tuple[str, ...] = ()
 
     def __init__(self, states: Sequence):
         self.states = list(states)
-        self.ids = np.arange(len(states))
         for name in self._arrays:
             values = [getattr(state, name) for state in states]
             setattr(self, name, np.array([_NAN if v is None else v for v in values], np.float64))
-        for name in self._shared:
-            setattr(self, name, getattr(states[0], name))
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the lanes where mask is False."""
-        self.ids = self.ids[mask]
-        for name in self._arrays:
-            setattr(self, name, getattr(self, name)[mask])
-
-    def write_back(self, n: int) -> None:
-        """Leave each lane that ran to the end in its lone run's state after n
-        steps: vectors as rows, scalars as floats, NaN as a None it was, k as n."""
-        for i, b in enumerate(self.ids.tolist()):
+    def write_back(self, live: np.ndarray, n: int) -> None:
+        """Leave each lane b with live[b], one that ran to the end, in its lone
+        run's state after n steps: vectors as rows, scalars as floats, NaN as a
+        None it was, k as n."""
+        for b in np.flatnonzero(live).tolist():
             state = self.states[b]
             for name in self._arrays:
-                value = getattr(self, name)[i]
+                value = getattr(self, name)[b]
                 if value.ndim or not np.isnan(value) or getattr(state, name) is not None:
                     setattr(state, name, value if value.ndim else value.item())
             state.k = n
@@ -723,61 +715,54 @@ def drive_lanes(
     problem: Problem, lanes: Lanes, n: int, schedule: Schedule, record_f_every: int
 ) -> list[Optional[type]]:
     """drive for the lanes of runs that differ in their settings alone, on
-    their one problem: subgradient takes the (B, dim) stack of the live
-    lanes' iterates, one draw for all, and values every live lane's f on
-    the cadence, in one call. Lane b gets what drive gives run b alone: a
-    lane whose iterate leaves the ball keeps that step's row, one whose
-    stepper refuses its gradient stops before it, and either leaves the
-    batch. Each lane's rows then go to its state's trajectory, as views of
-    one (n, B, 6) table, and the lanes that ran to the end write_back their
-    states. Returns each lane's stop as run_single takes it: Diverged or None."""
+    their one problem: subgradient takes the (B, dim) stack of every lane's
+    iterate, one draw for all, and values every lane's f on the cadence, in
+    one call. Lane b gets what drive gives run b alone: a lane whose iterate
+    leaves the ball keeps that step's row, one whose stepper refuses its
+    gradient stops before it, and either stays in the batch, its rows after
+    the stop never handed to its state. Each step writes its rows straight
+    into one (n, B, 6) table, lane b's in column b; each lane's rows then
+    go to its state's trajectory, as views of the table, and the lanes that
+    ran to the end write_back their states. Returns each lane's stop as
+    run_single takes it: Diverged or None."""
     if record_f_every <= 0:
         raise ConfigError("record_f_every must be positive")
     subgradient = problem.subgradient
     values = problem.values
-    B = lanes.ids.shape[0]
+    B = lanes.x.shape[0]
     table = np.full((n, B, 6), _NAN)
     table[:, :, 0] = np.arange(n)[:, None]
-    steps = np.full(B, n)
+    steps = np.full(B, n)  # the rows each lane keeps
+    live = np.ones(B, dtype=bool)  # the lanes that have not stopped
     bound_sq = 0.999 * DIVERGENCE_NORM**2
     flat = schedule.kind == "flat"
     sched = 1.0
-    out = np.full((B, 5), _NAN)  # a step's d, dhat, scale, f and gnorm2 columns
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
-            ids = lanes.ids
+            out = table[k, :, 1:]  # the step's d, dhat, scale, f and gnorm2 columns
             g = subgradient(lanes.x)
-            cadence = not k % record_f_every
-            if cadence:
+            if not k % record_f_every:
                 out[:, 3] = values(lanes.x)
             if not flat:
                 sched = schedule_eval(schedule, k, n)
             refused = lanes.step(g, sched, out)
             ok = None if refused is None else ~refused
-            if ok is not None:
-                table[k, ids[ok], 1:] = out[ok]
-            elif ids.shape[0] < B:
-                table[k, ids, 1:] = out
-            else:
-                table[k, :, 1:] = out
-            if cadence:
-                out[:, 3] = _NAN
             x = lanes.x
             if not np.maximum.reduce(np.vecdot(x, x)) <= bound_sq:  # drive's prefilter
                 inside = np.maximum.reduce(np.abs(x), axis=1, initial=0.0) <= DIVERGENCE_NORM
                 ok = inside if ok is None else ok & inside
-            if ok is not None and np.count_nonzero(ok) < ok.shape[0]:
-                steps[ids[~ok]] = k + 1  # the failing step's row is kept
+            if ok is not None:
+                stop = ~ok & live  # the lanes whose first stop this is
+                steps[stop] = k + 1  # the failing step's row is kept
                 if refused is not None:
-                    steps[ids[refused]] = k
-                lanes.keep(ok)
-                out = out[ok]
-                if not lanes.ids.shape[0]:
+                    steps[stop & refused] = k
+                live &= ok
+                if not np.count_nonzero(live):
                     break
     for b, state in enumerate(lanes.states):
         state.traj.extend(table[: steps[b], b])
-    lanes.write_back(n)
-    return [None if b in lanes.ids else Diverged for b in range(B)]
+    lanes.write_back(live, n)
+    return [None if alive else Diverged for alive in live.tolist()]
 
 
 # --------------------------------------------------------------------------

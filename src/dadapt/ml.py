@@ -124,14 +124,13 @@ def sgd_da_step(state: SGDDAState, g: Vector, sched: float = 1.0) -> None:
 
 
 class SGDDALanes(Lanes):
-    """sgd_da_step on lanes that share beta, from their sgd_da_init states: a
+    """sgd_da_step on lanes from their sgd_da_init states, one beta each: a
     lane with no known gradient bound takes its G from its first nonzero
     gradient (NaN until then). A lane with a non-finite gradient is refused;
     np.where(d_hat > d, d_hat, d) is max(d, d_hat), which keeps d when d_hat
     is NaN."""
 
-    _arrays = ("x", "z", "s", "d", "G", "hypergrad_sum")
-    _shared = ("beta",)
+    _arrays = ("beta", "x", "z", "s", "d", "G", "hypergrad_sum")
 
     def __init__(self, states):
         super().__init__(states)
@@ -151,7 +150,7 @@ class SGDDALanes(Lanes):
         lam_g = lam[:, None] * g
         s = self.s + lam_g
         z = self.z - lam_g
-        x = self.beta * self.x + (1.0 - self.beta) * z
+        x = self.beta[:, None] * self.x + (1.0 - self.beta[:, None]) * z
         snorm = np.sqrt(_rowdot(s, s))
         d_hat = 2.0 * hyp / snorm
         if np.count_nonzero(snorm) < snorm.shape[0]:

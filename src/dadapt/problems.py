@@ -3,7 +3,7 @@
 Deterministic convex test problems (absolute value, piecewise-linear max
 with a constructed minimizer) plus binary logistic regression over dense
 datasets (a feature matrix and a label vector), with a text
-parser/serializer for the standard `label idx:val ...` format, a
+parser for the standard `label idx:val ...` format, a
 synthetic linearly-structured generator, and epoch-shuffled minibatching.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "ParseError",
     "Dataset",
     "parse_libsvm",
-    "serialize_libsvm",
     "synth_dataset",
     "abs_value_problem",
     "piecewise_max_problem",
@@ -256,18 +255,6 @@ def parse_libsvm(text: str) -> Dataset:
     X = np.zeros((len(labels), dim), dtype=np.float64)
     X[rows, cols] = values
     return Dataset(X=X, y=np.array(labels, dtype=np.float64))
-
-
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of parse_libsvm: each row's nonzero entries, with values in
-    full round-trip precision. A trailing all-zero column is not written,
-    so it does not come back."""
-    lines = []
-    for x, label in zip(dataset.X.tolist(), dataset.y.tolist()):
-        parts = ["+1" if label > 0 else "-1"]
-        parts.extend(f"{i}:{v!r}" for i, v in enumerate(x, start=1) if v != 0.0)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def synth_dataset(

@@ -58,12 +58,8 @@ from dadapt.harness import (
     run_single,
 )
 from dadapt.ml import AdamDAState, SGDDAState, adam_da_step, sgd_da_step
-from dadapt.problems import (
-    abs_value_problem,
-    piecewise_max_problem,
-    serialize_libsvm,
-    synth_dataset,
-)
+from dadapt.problems import abs_value_problem, piecewise_max_problem, synth_dataset
+from test_problems import serialize_libsvm
 
 
 class TestAdaGradNorm:

@@ -151,6 +151,13 @@ def test_lanes_cover_each_stop():
     assert [o.summary["steps"] for o in refused] == [5, 18, 1]
 
 
+def test_sgd_da_lanes_step_with_each_lanes_beta():
+    # beta is a lane field like d0: each lane's momentum is its own point's
+    config = ExperimentConfig(problem="synth_logistic", algorithm="sgd_da", n_steps=30,
+                              batch_size=4, d0=1e-3)
+    check_lanes_match_lone_runs([replace(config, beta=beta) for beta in (0.5, 0.9)], 0, DATA)
+
+
 @pytest.mark.parametrize("algo, key", [("sgd_da", "d0")])
 def test_zero_gradients_skip(algo, key):
     # one example of each label at the same point: every batch of both is a
@@ -202,8 +209,7 @@ def test_a_seeds_shared_orders_go_when_its_runs_end(tmp_path, monkeypatch):
 class _ScaledLanes(Lanes):
     """Toy lanes whose estimate d is multiplied by factor every step."""
 
-    _arrays = ("x", "d")
-    _shared = ("factor",)
+    _arrays = ("x", "d", "factor")
 
     def step(self, g, sched, out):
         out[:, 0] = self.d
@@ -241,7 +247,7 @@ def test_drive_lanes_refuses_a_falling_d():
         drive_lanes(_toy_problem(), _scaled_lanes(0.5), 4, Schedule(), 1)
 
 
-def test_drive_lanes_takes_every_live_lanes_f_in_one_call():
+def test_drive_lanes_takes_every_lanes_f_in_one_call():
     sizes = []
 
     def values(X):
@@ -254,6 +260,61 @@ def test_drive_lanes_takes_every_live_lanes_f_in_one_call():
     for state in lanes.states:
         f = state.traj.pack()[:, 4]
         assert (f[::3] == 1.0).all() and np.isnan(np.delete(f, np.s_[::3])).all()
+
+
+class _AddingLanes(Lanes):
+    """Toy lanes that add their gradient to x, refusing a non-finite one."""
+
+    _arrays = ("x", "d")
+
+    def step(self, g, sched, out):
+        gnorm2 = _rowdot(g, g)
+        out[:, 0] = self.d
+        out[:, 4] = gnorm2
+        self.x = self.x + g
+        refused = ~np.isfinite(gnorm2)
+        return refused if np.count_nonzero(refused) else None
+
+
+def _adding_run(kicks, n=6):
+    """The states, stops and oracle calls of three _AddingLanes driven n
+    steps, lane 1's gradient at step k being kicks.get(k, 0.0) and every
+    other gradient 0; f is x's first coordinate."""
+    calls = {"subgradient": [], "values": []}  # the rows each call saw
+
+    def subgradient(X):
+        G = np.zeros_like(X)
+        G[1] = kicks.get(len(calls["subgradient"]), 0.0)
+        calls["subgradient"].append(X.shape[0])
+        return G
+
+    def values(X):
+        calls["values"].append(X.shape[0])
+        return X[:, 0].copy()
+
+    states = [SimpleNamespace(x=np.zeros(2), d=1.0, k=0, traj=Trajectory("toy", 2))
+              for _ in range(3)]
+    stops = drive_lanes(Problem(subgradient=subgradient, values=values), _AddingLanes(states), n,
+                        Schedule(), 1)
+    return states, stops, calls
+
+
+def test_a_stopped_lane_rides_along():
+    # lane 1 leaves the ball at step 2 and refuses its gradient at step 4:
+    # it stops at step 2, that step's row kept, and rides along in the
+    # batch to the end, its later rows and refusal kept from its state
+    states, stops, calls = _adding_run({2: 1e13, 4: math.inf})
+    assert stops == [None, Diverged, None]
+    stopped = states[1]
+    table = stopped.traj.pack()
+    assert table.shape[0] == 3 and table[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert table[2, 5] == 2e26  # the failing step's gnorm2
+    assert stopped.k == 0 and not stopped.x.any()  # not written back
+    quiet, _, _ = _adding_run({})
+    for b in (0, 2):
+        assert _bytes(states[b].traj.pack()) == _bytes(quiet[b].traj.pack())
+        assert states[b].k == 6 and _bytes(states[b].x) == _bytes(quiet[b].x)
+    assert calls == {"subgradient": [3] * 6, "values": [3] * 6}
 
 
 def test_primitives_match_scalar_forms():

@@ -13,8 +13,8 @@ place of the original in every loaded module that holds it, test modules
 included; a mutant method is set on its class. A fixed battery must then
 report a failure: criterion 10's hand traces, the sgd_da and adam_da hand
 traces, adagrad_norm's projection, an append after an extend, the two
-crafted Rng states, the quick verify lemmas and one seeded
-lanes-match-lone-runs case for each lane form. The identity control must
+crafted Rng states, a stopped lane riding along, the quick verify lemmas
+and one seeded lanes-match-lone-runs case for each lane form. The identity control must
 pass that battery.
 """
 
@@ -34,76 +34,100 @@ from dadapt import baselines, convex, core, ml
 from dadapt.analysis import verify_suite
 from dadapt.harness import ExperimentConfig
 
-# (owner, function, old text, new text): the owner is the module of a
-# function or the class of a method. A mutant's test id holds its index
-# here, so a new mutant takes the place of a dropped one before it is
-# appended, and the other ids stay.
+# (name, owner, function, old text, new text): the owner is the module of a
+# function or the class of a method. A mutant's test id is its name, so
+# entries can be added, dropped or moved without renaming the others; the
+# number in a name is only the next free one when the entry was added.
 MUTANTS = [
     # the step-size denominator leaves out the current gradient
     (
-        convex,
-        "gd_step",
+        "gd_step-0", convex, "gd_step",
         "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)",
         "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq - gnorm2)",
     ),
     # the iterate moves with the step size before this gradient
     (
-        convex,
-        "da_step",
+        "da_step-1", convex, "da_step",
         "state.x = state.x0 - gamma_new * state.s",
         "state.x = state.x0 - gamma_old * state.s",
     ),
     # the weighted term reads the denominators after their update
-    (convex, "adagrad_da_step", "g2 / state.a", "g2 / np.sqrt(state.a * state.a + g2)"),
+    (
+        "adagrad_da_step-2", convex, "adagrad_da_step",
+        "g2 / state.a",
+        "g2 / np.sqrt(state.a * state.a + g2)",
+    ),
     # a perturbed hypergradient inner product
-    (convex, "da_step", "ip_gs = _dot(g, state.s)", "ip_gs = _dot(g, state.s) * (1.0 + 1e-6)"),
+    (
+        "da_step-3", convex, "da_step",
+        "ip_gs = _dot(g, state.s)",
+        "ip_gs = _dot(g, state.s) * (1.0 + 1e-6)",
+    ),
     # the estimate without its factor of two
     (
-        ml,
-        "sgd_da_step",
+        "sgd_da_step-4", ml, "sgd_da_step",
         "d_hat = 0.0 if snorm == 0.0 else 2.0 * state.hypergrad_sum / snorm",
         "d_hat = 0.0 if snorm == 0.0 else state.hypergrad_sum / snorm",
     ),
     # eps under the square root
-    (ml, "adam_da_step", "denom = np.sqrt(state.v) + state.eps", "denom = np.sqrt(state.v + state.eps)"),
+    (
+        "adam_da_step-5", ml, "adam_da_step",
+        "denom = np.sqrt(state.v) + state.eps",
+        "denom = np.sqrt(state.v + state.eps)",
+    ),
     # the projection onto a ball about the current iterate, not about x0
     (
-        baselines,
-        "adagrad_norm_step",
+        "adagrad_norm_step-6", baselines, "adagrad_norm_step",
         "x = state.x0 + delta * (state.radius / dist)",
         "x = state.x + delta * (state.radius / dist)",
     ),
     # the schedule left out of the step
-    (baselines, "_adagrad_step", "state.x = state.x - mult * step", "state.x = state.x - state.lr * step"),
+    (
+        "_adagrad_step-7", baselines, "_adagrad_step",
+        "state.x = state.x - mult * step",
+        "state.x = state.x - state.lr * step",
+    ),
     # the average takes the old gradient-step point
     (
-        ml.SGDDALanes,
-        "step",
-        "x = self.beta * self.x + (1.0 - self.beta) * z",
-        "x = self.beta * self.x + (1.0 - self.beta) * self.z",
+        "SGDDALanes.step-8", ml.SGDDALanes, "step",
+        "x = self.beta[:, None] * self.x + (1.0 - self.beta[:, None]) * z",
+        "x = self.beta[:, None] * self.x + (1.0 - self.beta[:, None]) * self.z",
     ),
-    # a bulk draw within n of 2^64 but below 2^64 - 1 is kept, where
-    # integer(n) would redraw it
-    (core.Rng, "permutations", "(1 << 64) - n", "(1 << 64) - 1"),
     # the schedule left out of the lanes' step
-    (baselines.AdaGradLanes, "step", "mult = self.lr * sched", "mult = self.lr"),
-    # a zero uniform goes to log unguarded, where normal() takes 2^-53
-    (core, "_box_muller", "u1[u1 == 0.0] = 2.0**-53", "pass"),
+    (
+        "AdaGradLanes.step-10", baselines.AdaGradLanes, "step",
+        "mult = self.lr * sched",
+        "mult = self.lr",
+    ),
     # the lanes' rows go to the states in reverse
-    (core, "drive_lanes", "enumerate(lanes.states)", "enumerate(lanes.states[::-1])"),
+    (
+        "drive_lanes-12", core, "drive_lanes",
+        "enumerate(lanes.states)",
+        "enumerate(lanes.states[::-1])",
+    ),
+    # a stopped lane's later exits and refusals move its stop
+    ("drive_lanes-17", core, "drive_lanes", "stop = ~ok & live", "stop = ~ok"),
     # the first lane that ran to the end keeps its start state
     (
-        core.Lanes,
-        "write_back",
-        "enumerate(self.ids.tolist())",
-        "enumerate(self.ids.tolist()[1:], 1)",
+        "Lanes.write_back-13", core.Lanes, "write_back",
+        "for b in np.flatnonzero(live).tolist():",
+        "for b in np.flatnonzero(live).tolist()[1:]:",
     ),
     # the last field of each lane form is not written back
-    (core.Lanes, "write_back", "for name in self._arrays:", "for name in self._arrays[:-1]:"),
+    (
+        "Lanes.write_back-14", core.Lanes, "write_back",
+        "for name in self._arrays:",
+        "for name in self._arrays[:-1]:",
+    ),
     # a lane's state keeps its start's step count
-    (core.Lanes, "write_back", "state.k = n", "pass"),
+    ("Lanes.write_back-15", core.Lanes, "write_back", "state.k = n", "pass"),
     # an appended row's d is checked against the d before an extended table
-    (core.Trajectory, "extend", "self._last_d = d[-1].item()", "pass"),
+    ("Trajectory.extend-16", core.Trajectory, "extend", "self._last_d = d[-1].item()", "pass"),
+    # a bulk draw within n of 2^64 but below 2^64 - 1 is kept, where
+    # integer(n) would redraw it
+    ("Rng.permutations-9", core.Rng, "permutations", "(1 << 64) - n", "(1 << 64) - 1"),
+    # a zero uniform goes to log unguarded, where normal() takes 2^-53
+    ("_box_muller-11", core, "_box_muller", "u1[u1 == 0.0] = 2.0**-53", "pass"),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 
@@ -152,6 +176,7 @@ def _battery() -> list[str]:
         ("append after extend", test_core.TestTrajectory().test_append_after_extend_checks_d),
         ("permutation fallback", rng.test_permutation_falls_back_on_a_draw_below_the_largest),
         ("zero uniform", rng.test_box_muller_takes_a_zero_uniform_as_normal_does),
+        ("stopped lane", lanes.test_a_stopped_lane_rides_along),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []
@@ -169,14 +194,9 @@ def _battery() -> list[str]:
     return failed
 
 
-def _id(mutant, i):
-    owner, name = mutant[:2]
-    return f"{owner.__name__}.{name}-{i}" if isinstance(owner, type) else f"{name}-{i}"
-
-
-@pytest.mark.parametrize("mutant", MUTANTS, ids=[_id(m, i) for i, m in enumerate(MUTANTS)])
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[mutant[0] for mutant in MUTANTS])
 def test_mutant_is_caught(monkeypatch, mutant):
-    _bind_mutant(monkeypatch, *mutant)
+    _bind_mutant(monkeypatch, *mutant[1:])
     assert _battery()
 
 

@@ -31,9 +31,20 @@ from dadapt.problems import (
     piecewise_max_problem,
     piecewise_start,
     random_piecewise_max,
-    serialize_libsvm,
     synth_dataset,
 )
+
+
+def serialize_libsvm(dataset: Dataset) -> str:
+    """Inverse of parse_libsvm: each row's nonzero entries, with values in
+    full round-trip precision. A trailing all-zero column is not written,
+    so it does not come back."""
+    lines = []
+    for x, label in zip(dataset.X.tolist(), dataset.y.tolist()):
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(f"{i}:{v!r}" for i, v in enumerate(x, start=1) if v != 0.0)
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
