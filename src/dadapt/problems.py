@@ -141,18 +141,23 @@ class Dataset:
     # seed -> the EpochOrders every run over this data reads, as grid points do
     shared_orders: Optional[dict] = field(default=None, repr=False)
 
+    def __post_init__(self):  # a 0 label would zero its signed row, and its gradient
+        if not np.all(np.abs(self.y) == 1.0):
+            raise ValueError("every label must be +1.0 or -1.0")
+
     @property
     def dim(self) -> int:
         return self.X.shape[1]
 
     @cached_property
-    def with_bias(self) -> np.ndarray:
-        """X with a column of ones appended, built once and shared read-only
+    def signed_rows(self) -> np.ndarray:
+        """Z, row i being y_i * [x_i, 1], built once and shared read-only
         by every run over this data: a copy per run left the heap's layout,
         and so peak memory, to chance (+3.3 MB on 10000 x 50)."""
-        X = np.hstack([self.X, np.ones((len(self), 1))])
-        X.flags.writeable = False
-        return X
+        Z = np.hstack([self.X, np.ones((len(self), 1))])
+        Z *= self.y[:, None]
+        Z.flags.writeable = False
+        return Z
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -292,7 +297,7 @@ def synth_dataset(
 
 
 def _mean_logistic_loss(t: np.ndarray) -> float:
-    """Mean of log(1 + exp(-t)) over the margins t = y * Xw.
+    """Mean of log(1 + exp(-t)) over the margins t = Zw, y * Xw.
 
     Each term is the stable softplus of z = -t, max(z, 0) + log1p(exp(-|z|)),
     computed as log1p(exp(-|t|)) - min(t, 0) in place on two arrays made
@@ -306,22 +311,23 @@ def _mean_logistic_loss(t: np.ndarray) -> float:
     np.exp(loss, out=loss)
     np.log1p(loss, out=loss)
     np.subtract(loss, np.minimum(t, 0.0), out=loss)
-    return float(loss.mean())
+    return float(np.add.reduce(loss)) / len(t)  # the bits of loss.mean()
 
 
-def _grads(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The mean logistic gradient over the rows of X at the point W, or at
-    each row of the stack W. The stacked products run the gemv of X @ w and
-    of X.T @ coeff once per row, so row b has the bits of the gradient at
-    W[b], and a point has those of its stack of one; the gemm X @ W.T would
-    not."""
-    t = np.matmul(X, np.atleast_2d(W)[:, :, None])[:, :, 0]
-    t *= y
+def _grads(Z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The mean logistic gradient over the signed rows Z at the point W, or
+    at each row of the stack W. The stacked products run the gemv of Z @ w
+    and of Z.T @ coeff once per row, so row b has the bits of the gradient
+    at W[b], and a point has those of its stack of one; the gemm Z @ W.T
+    would not. As |y| = 1, each product and sum is the two-array form's
+    negated exactly: the gradient keeps its bits, a zero margin only its value."""
+    t = np.matmul(Z, W.reshape(-1, Z.shape[1], 1))[:, :, 0]
     coeff = np.logaddexp(0.0, t)
     np.negative(coeff, coeff)  # in place; out by position costs less than out=
     np.exp(coeff, coeff)
-    coeff *= -y  # -y * sigma(-t)
-    G = np.matmul(X.T, coeff[:, :, None])[:, :, 0] / X.shape[0]
+    # -sigma(-t); *= -1.0 keeps a NaN's sign bit, as -y did, where negative() flips it
+    coeff *= -1.0
+    G = np.matmul(Z.T, coeff[:, :, None])[:, :, 0] / Z.shape[0]
     return G if W.ndim == 2 else G[0]
 
 
@@ -336,15 +342,15 @@ def logistic_value_grad(
     this form in place of logaddexp(0, -t); the recorded values moved by a
     few ulp, while gradients, and so iterates, kept their bits.
     """
-    return _mean_logistic_loss(y * (X @ w)), _grads(X, y, w)
+    return _mean_logistic_loss(y * (X @ w)), _grads(X * y[:, None], w)
 
 
 class LogisticProblem:
     """Binary logistic regression with an always-1 bias feature.
 
     The weight vector has dataset.dim + 1 entries; the trailing entry
-    multiplies the bias, a column of ones appended to the dataset's X
-    (Dataset.with_bias, one array for all the runs over the data).
+    multiplies the bias, a column of ones appended to the dataset's X; the
+    oracle reads only Z = Dataset.signed_rows, one array for all the runs.
     Minibatches are consecutive slices of the seed's epoch orders, short
     final batch kept; the oracle's gradients compute no loss. steps, when
     given, is how many batches a run draws: no order past the epochs those
@@ -361,51 +367,47 @@ class LogisticProblem:
             raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
         self.n = n
         self.batch_size = min(batch_size, n)
-        epochs = None if steps is None else -(-steps // self.batches_per_epoch())
+        self.batches_per_epoch = -(-n // self.batch_size)
+        epochs = None if steps is None else -(-steps // self.batches_per_epoch)
         shared = dataset.shared_orders  # None for a lone run, which keeps one order
         orders = EpochOrders(n, seed, keep=shared is not None, epochs=epochs)
         self.orders = orders if shared is None else shared.setdefault(seed, orders)
-        self.X = dataset.with_bias
-        self.y = dataset.y
-        self.dim = self.X.shape[1]  # bias included
+        self.Z = dataset.signed_rows
+        self.dim = self.Z.shape[1]  # bias included
         self._batches = 0  # drawn so far
 
     def next_batch(self) -> np.ndarray:
-        epoch, i = divmod(self._batches, self.batches_per_epoch())
+        epoch, i = divmod(self._batches, self.batches_per_epoch)
         self._batches += 1
         start = i * self.batch_size
         return self.orders(epoch)[start : start + self.batch_size]
 
-    def batches_per_epoch(self) -> int:
-        return (self.n + self.batch_size - 1) // self.batch_size
-
     def full_values(self, W: np.ndarray) -> np.ndarray:
         """The mean loss over all the data at each row of W, with the margins
-        of _F_ROWS rows at a time from one gemm X @ P.T, the rows in P and
+        of _F_ROWS rows at a time from one gemm Z @ P.T, the rows in P and
         zeros below them. OpenBLAS gives a column of a gemm bits that depend
         on the product's shape but not on the column's place or the other
         columns, and numpy runs a product with one row or one column as a
-        gemv: so P has one shape, X has at least two rows, and a row of W
+        gemv: so P has one shape, Z has at least two rows, and a row of W
         gets the same f however W is split."""
-        X = self.X if self.n > 1 else np.vstack([self.X, self.X])
+        Z = self.Z if self.n > 1 else np.vstack([self.Z, self.Z])
         f = np.empty(len(W))
         for a in range(0, len(W), _F_ROWS):
             rows = W[a : a + _F_ROWS]
             P = np.zeros((_F_ROWS, self.dim))
             P[: len(rows)] = rows
-            T = (X @ P.T)[: self.n]
-            T *= self.y[:, None]
+            T = (Z @ P.T)[: self.n]
             f[a : a + len(rows)] = [_mean_logistic_loss(T[:, j]) for j in range(len(rows))]
         return f
 
     def full_grad(self, w: Vector) -> Vector:
-        return _grads(self.X, self.y, w)
+        return _grads(self.Z, w)
 
     def batch_grads(self, W: np.ndarray) -> np.ndarray:
         """The minibatch gradient at the point W, or at each row of the stack W,
         on the next batch: row b is what the oracle gives a lone run at W[b]."""
         batch = self.next_batch()
-        return _grads(self.X.take(batch, axis=0), self.y[batch], W)
+        return _grads(self.Z.take(batch, axis=0), W)
 
     def problem(self, stochastic: bool = True) -> Problem:
         """Oracle view: full-loss values, batch (or full) gradients."""

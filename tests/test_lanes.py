@@ -319,15 +319,15 @@ def test_a_stopped_lane_rides_along():
 
 def test_primitives_match_scalar_forms():
     rng = np.random.default_rng(5)
-    X = np.hstack([DATA.X, np.ones((len(DATA), 1))])
+    Z = DATA.signed_rows
     for _ in range(200):
         lanes, m = rng.integers(1, 14), rng.integers(1, 40)
         batch = rng.permutation(len(DATA))[:m]
-        W = rng.normal(size=(lanes, X.shape[1])) * 10.0 ** rng.uniform(-3, 2)
-        G = _grads(X[batch], DATA.y[batch], W)
+        W = rng.normal(size=(lanes, Z.shape[1])) * 10.0 ** rng.uniform(-3, 2)
+        G = _grads(Z[batch], W)
         dots = _rowdot(G, W)
         for b in range(lanes):
-            g = _grads(X[batch], DATA.y[batch], W[b])
+            g = _grads(Z[batch], W[b])
             assert g.tobytes() == G[b].tobytes()
             assert repr(_dot(g, W[b])) == repr(float(dots[b]))
 

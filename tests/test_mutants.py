@@ -6,16 +6,18 @@ tests stand between a stepper bug and the new digests. Each entry below
 changes one line of a stepper (a scalar stepper function or a lane class's
 step method), of core.drive_lanes or Lanes.write_back, which hand each
 lane's rows and every state field to its state, of Trajectory.extend,
-which logs those rows, or of Rng's bulk draws. It is built from that source
+which logs those rows, of Rng's bulk draws, or of the logistic oracle's
+gradient on signed rows and its fixed-shape value gemm. It is built from that source
 by one str.replace that must match exactly once, so a refactor that moves
 the text fails here until the list is updated. A mutant function is bound in
 place of the original in every loaded module that holds it, test modules
 included; a mutant method is set on its class. A fixed battery must then
 report a failure: criterion 10's hand traces, the sgd_da and adam_da hand
 traces, adagrad_norm's projection, an append after an extend, the two
-crafted Rng states, a stopped lane riding along, the quick verify lemmas
-and one seeded lanes-match-lone-runs case for each lane form. The identity control must
-pass that battery.
+crafted Rng states, a stopped lane riding along, the signed-row gradient
+against its two-array form, full_values in every chunking, the quick verify
+lemmas and one seeded lanes-match-lone-runs case for each lane form. The
+identity control must pass that battery.
 """
 
 import inspect
@@ -23,6 +25,7 @@ import sys
 import textwrap
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import test_acceptance as acceptance
@@ -30,9 +33,11 @@ import test_core
 import test_harness
 import test_lanes as lanes
 import test_ml
-from dadapt import baselines, convex, core, ml
+import test_problems
+from dadapt import baselines, convex, core, ml, problems
 from dadapt.analysis import verify_suite
 from dadapt.harness import ExperimentConfig
+from dadapt.problems import LogisticProblem, synth_dataset
 
 # (name, owner, function, old text, new text): the owner is the module of a
 # function or the class of a method. A mutant's test id is its name, so
@@ -128,6 +133,23 @@ MUTANTS = [
     ("Rng.permutations-9", core.Rng, "permutations", "(1 << 64) - n", "(1 << 64) - 1"),
     # a zero uniform goes to log unguarded, where normal() takes 2^-53
     ("_box_muller-11", core, "_box_muller", "u1[u1 == 0.0] = 2.0**-53", "pass"),
+    # the label's sign folded into the divisor: a sum of signed zeros, as an
+    # all-zero feature column gives, comes out with the other sign
+    (
+        "_grads-18", problems, "_grads",
+        "coeff *= -1.0\n"
+        "    G = np.matmul(Z.T, coeff[:, :, None])[:, :, 0] / Z.shape[0]",
+        "G = np.matmul(Z.T, coeff[:, :, None])[:, :, 0] / -Z.shape[0]",
+    ),
+    # negative() flips a NaN coefficient's sign bit, where -y * coeff kept it
+    ("_grads-19", problems, "_grads", "coeff *= -1.0", "np.negative(coeff, coeff)"),
+    # the value gemm sized to its points: a column's bits follow the shape,
+    # so a point's f would depend on how the points are split
+    (
+        "LogisticProblem.full_values-20", LogisticProblem, "full_values",
+        "P = np.zeros((_F_ROWS, self.dim))",
+        "P = np.zeros((len(rows), self.dim))",
+    ),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 
@@ -164,9 +186,16 @@ def _lanes_case(algorithm: str, key: str, values) -> None:
     lanes.check_lanes_match_lone_runs([replace(config, **{key: v}) for v in values], 1, lanes.DATA)
 
 
+def _full_values_chunks() -> None:
+    gen = np.random.default_rng(3)
+    W = gen.standard_normal((17, 32)) * 10.0 ** gen.uniform(-3, 3, (17, 1))
+    test_problems.check_full_values(LogisticProblem(synth_dataset(4, 100, 31, flip=0.1)), W)
+
+
 def _battery() -> list[str]:
     """The parts of the battery that fail."""
     rng = test_core.TestRngBulk()
+    grads = test_problems.TestMarginsGradInPlace()
     checks = [
         ("criterion 10", acceptance.test_criterion_10_hand_trace_oracles),
         ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
@@ -177,6 +206,8 @@ def _battery() -> list[str]:
         ("permutation fallback", rng.test_permutation_falls_back_on_a_draw_below_the_largest),
         ("zero uniform", rng.test_box_muller_takes_a_zero_uniform_as_normal_does),
         ("stopped lane", lanes.test_a_stopped_lane_rides_along),
+        ("signed-row gradient", grads.test_zero_column_and_zero_or_nan_weights),
+        ("full_values chunks", _full_values_chunks),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []

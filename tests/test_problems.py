@@ -35,6 +35,12 @@ from dadapt.problems import (
 )
 
 
+def with_bias(dataset: Dataset) -> np.ndarray:
+    """X with a column of ones appended: the matrix of the two-array form,
+    whose margins are y * (X @ w)."""
+    return np.hstack([dataset.X, np.ones((len(dataset), 1))])
+
+
 def serialize_libsvm(dataset: Dataset) -> str:
     """Inverse of parse_libsvm: each row's nonzero entries, with values in
     full round-trip precision. A trailing all-zero column is not written,
@@ -260,8 +266,9 @@ class TestLogisticOracle:
         lp = LogisticProblem(ds, batch_size=16)
         w = Rng(0, 5).normals(lp.dim)
         batch = np.arange(16)
-        loss, grad = logistic_value_grad(lp.X[batch], lp.y[batch], w)
-        singles = [logistic_value_grad(lp.X[[i]], lp.y[[i]], w) for i in range(16)]
+        X, y = with_bias(ds), ds.y
+        loss, grad = logistic_value_grad(X[batch], y[batch], w)
+        singles = [logistic_value_grad(X[[i]], y[[i]], w) for i in range(16)]
         assert loss == pytest.approx(
             sum(s[0] for s in singles) / 16.0, rel=1e-15
         )
@@ -273,12 +280,12 @@ class TestLogisticOracle:
         ds = synth_dataset(seed=7, n_examples=100, dim=10)
         lp = LogisticProblem(ds, batch_size=16)
         w = Rng(7, 6).normals(lp.dim)
-        # per-example summation straight from the loss definition
+        # per-example summation straight from the loss definition, over the
+        # signed rows z_i = y_i * [x_i, 1]: t = z_i . w, gradient -sigma(-t) z_i
         acc = np.zeros(lp.dim)
-        for i in range(100):
-            t = lp.y[i] * float(lp.X[i] @ w)
-            sigma_neg = 1.0 / (1.0 + math.exp(t))
-            acc += -lp.y[i] * sigma_neg * lp.X[i]
+        for z in lp.Z:
+            sigma_neg = 1.0 / (1.0 + math.exp(float(z @ w)))
+            acc += -sigma_neg * z
         np.testing.assert_allclose(lp.full_grad(w), acc / 100.0, rtol=1e-12)
 
     def test_full_value_is_the_loss_of_value_grad(self):
@@ -293,14 +300,14 @@ class TestLogisticOracle:
         lp = LogisticProblem(ds, batch_size=16)
         rng = Rng(5, 7)
         large = 1e3 * rng.normals(lp.dim)
-        t = lp.y * (lp.X @ large)
+        t = lp.Z @ large
         assert t.min() < -800.0 and t.max() > 800.0  # exp(-t) over- and underflows
         W = np.vstack([rng.normals(lp.dim), np.zeros(lp.dim), large, -large])
         _, want = own_gemm_losses(lp, W)
-        bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.X) @ np.abs(W).T)
+        bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.Z) @ np.abs(W).T)
         for w, f, margin_bound in zip(W, want.tolist(), bound.T):
             assert lp.problem().value(w) == lp.full_values(w[None])[0] == f
-            loss, _ = logistic_value_grad(lp.X, lp.y, w)
+            loss, _ = logistic_value_grad(with_bias(ds), ds.y, w)
             assert math.isfinite(loss)
             assert abs(loss - f) <= margin_bound.mean() + 64 * 2.0**-53 * loss
 
@@ -311,20 +318,21 @@ class TestLogisticOracle:
         rng = Rng(5, 7)
         large = 1e3 * rng.normals(ds.dim + 1)
         weights = [rng.normals(ds.dim + 1), np.zeros(ds.dim + 1), large, -large]
+        X = with_bias(ds)
         for batch_size in (16, 1):
             oracle = LogisticProblem(ds, batch_size=batch_size, seed=3)
             twin = LogisticProblem(ds, batch_size=batch_size, seed=3)  # same batches
             subgradient = oracle.problem().subgradient
             for w in weights:
                 batch = twin.next_batch()
-                _, grad = logistic_value_grad(oracle.X[batch], oracle.y[batch], w)
+                _, grad = logistic_value_grad(X[batch], ds.y[batch], w)
                 assert np.array_equal(subgradient(w), grad)
         lp = LogisticProblem(ds, batch_size=16)
-        t = lp.y * (lp.X @ large)
+        t = lp.Z @ large
         assert t.min() < -800.0 and t.max() > 800.0
         full = lp.problem(stochastic=False).subgradient
         for w in weights:
-            _, grad = logistic_value_grad(lp.X, lp.y, w)
+            _, grad = logistic_value_grad(X, ds.y, w)
             assert np.array_equal(full(w), grad)
             assert np.array_equal(lp.full_grad(w), grad)
 
@@ -352,7 +360,7 @@ class TestLogisticOracle:
         assert math.isnan(_mean_logistic_loss(np.array([math.nan])))
 
     def test_huge_infinite_and_nan_margins_raise_no_warning(self):
-        # the margins y * (X @ w) are w[0] times (1, -1, 0.5): huge, infinite or NaN
+        # the margins Z @ w are w[0] times (1, -1, 0.5): huge, infinite or NaN
         lp = LogisticProblem(Dataset(X=np.array([[1.0], [-1.0], [0.5]]), y=np.ones(3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -367,16 +375,25 @@ class TestLogisticOracle:
         ds = synth_dataset(seed=3, n_examples=64, dim=4, flip=0.2)
         lp = LogisticProblem(ds, batch_size=8)
         w = Rng(3, 7).normals(lp.dim)
-        saved = lp.X.copy(), lp.y.copy(), w.copy()
+        saved = lp.Z.copy(), w.copy()
         first = lp.problem().value(w)
-        assert all(np.array_equal(a, b) for a, b in zip((lp.X, lp.y, w), saved))
+        assert all(np.array_equal(a, b) for a, b in zip((lp.Z, w), saved))
         assert lp.problem().value(w) == first
 
     def test_bias_column(self):
-        ds = parse_libsvm("+1 1:3\n")
+        # each signed row is its label times the features and the bias
+        ds = parse_libsvm("+1 1:3\n-1 1:2\n")
         lp = LogisticProblem(ds, batch_size=1)
         assert lp.dim == 2
-        assert lp.X[0, -1] == 1.0
+        assert lp.Z.tolist() == [[3.0, 1.0], [-2.0, -1.0]]
+
+    @pytest.mark.parametrize("label", [0.0, 0.5, 2.0, -3.0, math.nan, math.inf])
+    def test_labels_other_than_plus_minus_one_refused(self, label):
+        # signed rows hold the objective only for |y| = 1; a 0/1 label set
+        # would give every 0 row a zero gradient and train on another objective
+        with pytest.raises(ValueError, match="label"):
+            Dataset(X=np.ones((3, 2)), y=np.array([1.0, label, -1.0]))
+        Dataset(X=np.ones((3, 2)), y=np.array([1.0, -1.0, -1.0]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -394,8 +411,8 @@ class TestLogisticOracle:
 
 
 def _margins_grad_out_of_place(X, y, w):
-    """The margins and the gradient as written before _grads worked in place
-    on its own arrays, one gemv at a time."""
+    """The margins and the gradient in the two-array form, as written before
+    _grads worked in place on the signed rows, one gemv at a time."""
     t = y * (X @ w)
     coeff = -y * np.exp(-np.logaddexp(0.0, t))
     return t, X.T @ coeff / X.shape[0]
@@ -408,18 +425,20 @@ def _read_only(*arrays):
 
 
 def _assert_grads_are_the_reference(X, y, W):
-    """_grads at each row of W alone, and at the stack W, against the
-    reference at each row: every bit."""
-    stacked = _grads(X, y, W)
+    """_grads on the signed rows y * X, at each row of W alone and at the
+    stack W, against the two-array reference at each row: every bit."""
+    (Z,) = _read_only(X * y[:, None])
+    stacked = _grads(Z, W)
     assert stacked.shape == W.shape
     for w, row in zip(W, stacked):
         want = _margins_grad_out_of_place(X, y, w)[1].tobytes()
-        assert _grads(X, y, w).tobytes() == want
+        assert _grads(Z, w).tobytes() == want
         assert row.tobytes() == want
 
 
 class TestMarginsGradInPlace:
-    """The in-place _grads, at a point and on a stack, and the take() gather keep every bit."""
+    """_grads on signed rows, at a point and on a stack, and the take() gather
+    keep every bit of the two-array form."""
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0, 1e150])
     @pytest.mark.parametrize("seed", range(4))
@@ -434,6 +453,26 @@ class TestMarginsGradInPlace:
         with np.errstate(over="ignore"):
             _assert_grads_are_the_reference(X, y, W)
             _assert_grads_are_the_reference(X[:1], y[:1], W)  # a one-row batch
+
+    def test_zero_column_and_zero_or_nan_weights(self):
+        # an all-zero feature column gives a gradient entry that is a sum of
+        # signed zeros, whose sign folding the label's sign into the divisor
+        # would flip; zero and -0.0 weight rows give zero margins, a NaN weight
+        # NaN ones, whose sign bit negating coeff would flip; and margins past
+        # +-800 and near 1e150
+        gen = np.random.default_rng(7)
+        X = gen.standard_normal((9, 4))
+        X[:, 1] = 0.0
+        X[:, 3] = -0.0
+        y = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+        W = np.vstack([gen.standard_normal((2, 4)), np.zeros(4), np.full(4, -0.0),
+                       [np.nan, 1.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0],
+                       1e3 * np.eye(4)[0], -1e3 * np.eye(4)[0], 1e150 * gen.standard_normal(4)])
+        _read_only(X, y, W)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_grads_are_the_reference(X, y, W)
+            for i in range(len(y)):  # one-row batches
+                _assert_grads_are_the_reference(X[i : i + 1], y[i : i + 1], W)
 
     def test_extreme_margins(self):
         # margins of 0, +-0, +-huge, +-inf and NaN, one row each
@@ -452,58 +491,67 @@ class TestMarginsGradInPlace:
         ds = synth_dataset(seed=3, n_examples=40, dim=5)
         lp = LogisticProblem(ds, batch_size=7)
         W = Rng(0, 5).normals(3 * lp.dim).reshape(3, lp.dim)
-        copies = [a.copy() for a in (lp.X, lp.y, W)]
-        grads = [_grads(lp.X, lp.y, W[0]), _grads(lp.X, lp.y, W)]
-        for a, before in zip((lp.X, lp.y, W), copies):
+        Z = lp.Z.copy()  # writable, so a write would go through
+        copies = [a.copy() for a in (Z, W)]
+        grads = [_grads(Z, W[0]), _grads(Z, W)]
+        for a, before in zip((Z, W), copies):
             assert a.tobytes() == before.tobytes()
         for out in grads:  # fresh arrays, not views of the inputs
-            assert not any(np.shares_memory(out, a) for a in (lp.X, lp.y, W))
+            assert not any(np.shares_memory(out, a) for a in (Z, W))
 
     def test_take_gathers_the_same_rows(self):
         ds = synth_dataset(seed=3, n_examples=37, dim=4)
         lp = LogisticProblem(ds, batch_size=16)
         batches = [lp.next_batch() for _ in range(7)] + [np.array([5, 5, 0, 36]), np.array([], int)]
         for batch in batches:
-            taken = lp.X.take(batch, axis=0)
-            assert taken.flags.c_contiguous and taken.tobytes() == lp.X[batch].tobytes()
+            taken = lp.Z.take(batch, axis=0)
+            assert taken.flags.c_contiguous and taken.tobytes() == lp.Z[batch].tobytes()
 
     def test_oracle_gradients_unchanged(self):
-        # the minibatch oracle against the fancy-indexed, out-of-place reference
+        # the minibatch oracle against the fancy-indexed, two-array reference
         ds = synth_dataset(seed=5, n_examples=50, dim=6, flip=0.1)
         oracle = LogisticProblem(ds, batch_size=8, seed=2).problem()
         ref = LogisticProblem(ds, batch_size=8, seed=2)
         w = Rng(1, 5).normals(ref.dim)
+        X = with_bias(ds)
         for _ in range(15):
             batch = ref.next_batch()
-            want = _margins_grad_out_of_place(ref.X[batch], ref.y[batch], w)[1]
+            want = _margins_grad_out_of_place(X[batch], ds.y[batch], w)[1]
             assert oracle.subgradient(w).tobytes() == want.tobytes()
 
 
 def own_gemm_losses(lp: LogisticProblem, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, K) margins X @ w of the rows w of W, each from a gemm that
-    holds the row alone in an _F_ROWS-row block of zeros, X doubled when it
-    has one row; and the mean loss at each row."""
-    X = np.vstack([lp.X, lp.X]) if lp.n == 1 else lp.X
-    T = np.empty((lp.n, len(W)))
+    """The (N, K) margins Z @ w of the rows w of W, each from a gemm that
+    holds the row alone in an _F_ROWS-row block of zeros, Z doubled when it
+    has one row; and the mean loss at each row. The two-array form's losses,
+    from the margins y * (X @ w) of the same gemm on [X, 1], have the same bits."""
+    y = lp.Z[:, -1]  # the bias column's signs
+    X = lp.Z * y[:, None]  # [X, 1]: |y| = 1 undoes the sign exactly
+    T, two_array = np.empty((lp.n, len(W))), np.empty((lp.n, len(W)))
     for j, w in enumerate(W):
         P = np.zeros((_F_ROWS, lp.dim))
         P[0] = w
-        T[:, j] = (X @ P.T)[: lp.n, 0]
-    return T, np.array([_mean_logistic_loss(lp.y * T[:, j]) for j in range(len(W))])
+        for out, A in ((T, lp.Z), (two_array, X)):
+            A = np.vstack([A, A]) if lp.n == 1 else A
+            out[:, j] = (A @ P.T)[: lp.n, 0]
+    losses = np.array([_mean_logistic_loss(T[:, j]) for j in range(len(W))])
+    want = [_mean_logistic_loss(y * two_array[:, j]) for j in range(len(W))]
+    assert losses.tobytes() == np.array(want).tobytes()
+    return T, losses
 
 
 def check_full_values(lp: LogisticProblem, W: np.ndarray) -> None:
     """full_values bit for bit against own_gemm_losses, for every chunking
     of W into runs of c rows; and each of those margins against the gemv
-    X @ w within the dot product's error bound, 2 * dim * 2**-53 * (|X| @ |w|),
+    Z @ w within the dot product's error bound, 2 * dim * 2**-53 * (|Z| @ |w|),
     and NaN or inf where the gemv is."""
     T, want = own_gemm_losses(lp, W)
     for c in range(1, len(W) + 1):
         got = [lp.full_values(W[i : i + c]) for i in range(0, len(W), c)]
         assert all(v.dtype == np.float64 for v in got)
         assert np.concatenate(got).tobytes() == want.tobytes(), f"in chunks of {c} of {len(W)}"
-    gemv = np.array([lp.X @ w for w in W]).reshape(len(W), lp.n).T
-    bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.X) @ np.abs(W).T)
+    gemv = np.array([lp.Z @ w for w in W]).reshape(len(W), lp.n).T
+    bound = 2 * lp.dim * 2.0**-53 * (np.abs(lp.Z) @ np.abs(W).T)
     finite = np.isfinite(gemv)
     assert (np.abs(T - gemv)[finite] <= bound[finite]).all()
     assert np.array_equal(T[~finite], gemv[~finite], equal_nan=True)
@@ -572,13 +620,13 @@ class TestFullValues:
         lp = LogisticProblem(synth_dataset(seed=3, n_examples=1100, dim=4, flip=0.2))
         W = np.vstack([Rng(3, 7).normals(lp.dim), np.full(lp.dim, -0.0), np.zeros(lp.dim)])
         W = np.vstack([W, [[1e300, 0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0, 0.0]]])
-        saved = lp.X.copy(), lp.y.copy(), W.copy()
+        saved = lp.Z.copy(), W.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lp.full_values(W)
         assert got[:3].tolist() == lp.full_values(W[:3]).tolist()
         assert got[2] == math.log(2.0) and math.isnan(got[4])
-        assert all(a.tobytes() == b.tobytes() for a, b in zip((lp.X, lp.y, W), saved))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((lp.Z, W), saved))
 
     def test_no_rows(self):
         lp = LogisticProblem(synth_dataset(seed=3, n_examples=10, dim=2))
@@ -589,9 +637,9 @@ class TestBatching:
     def test_epoch_covers_every_example(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
         lp = LogisticProblem(ds, batch_size=16, seed=1)
-        seen = np.concatenate([lp.next_batch() for _ in range(lp.batches_per_epoch())])
+        seen = np.concatenate([lp.next_batch() for _ in range(lp.batches_per_epoch)])
         assert sorted(seen.tolist()) == list(range(37))
-        assert lp.batches_per_epoch() == 3  # 16 + 16 + 5
+        assert lp.batches_per_epoch == 3  # 16 + 16 + 5
 
     def test_short_final_batch_kept(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
@@ -698,12 +746,13 @@ class TestBatching:
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
         a = LogisticProblem(ds, batch_size=16, seed=4)
         b = LogisticProblem(ds, batch_size=8, seed=5)
-        assert a.X is b.X is ds.with_bias
-        want = np.hstack([ds.X, np.ones((37, 1))])
-        assert a.X.tobytes() == want.tobytes() and a.X.shape == (37, 3)
+        # the signed rows y * [X, 1] are built once: the one data matrix
+        assert a.Z is b.Z is ds.signed_rows
+        want = ds.y[:, None] * np.hstack([ds.X, np.ones((37, 1))])
+        assert a.Z.tobytes() == want.tobytes() and a.Z.shape == (37, 3)
         with pytest.raises(ValueError):
-            a.X[0, 0] = 1.0  # shared, so read-only
-        assert LogisticProblem(replace(ds, shared_orders={})).X is not a.X
+            a.Z[0, 0] = 1.0  # shared, so read-only
+        assert LogisticProblem(replace(ds, shared_orders={})).Z is not a.Z
 
     def test_batch_order_reproducible(self):
         ds = synth_dataset(seed=9, n_examples=37, dim=2)
