@@ -108,7 +108,9 @@ def check_d_lower_bound(traj: Trajectory, D: float) -> BoundReport:
     """Every candidate dhat stays below the true initial distance D."""
     if not len(traj.records):
         raise ValueError("trajectory has no recorded steps")
-    lhs = max(traj.extra("dhat"))
+    dhat = traj.extra("dhat")
+    # max skips a NaN that is not first; any NaN dhat is the lhs, and fails
+    lhs = math.nan if any(map(math.isnan, dhat)) else max(dhat)
     return _report("d_lower_bound", lhs, D, f"kind={traj.kind} steps={len(traj.records)}")
 
 
@@ -213,7 +215,7 @@ def check_mindk(d_seq: Sequence[float]) -> BoundReport:
     ds = [float(d) for d in d_seq]
     if len(ds) < 2:
         return _skipped("mindk", "need at least d_0 and d_1")
-    if any(d <= 0.0 for d in ds):
+    if any(not d > 0.0 for d in ds):  # also NaN
         return _skipped("mindk", "d values must be positive")
     if any(b < a for a, b in zip(ds, ds[1:])):
         return _skipped("mindk", "d sequence must be non-decreasing")
@@ -336,6 +338,9 @@ def check_option_dominance(traj: Trajectory) -> BoundReport:
         sum_wg += wg[k]
         num_i = 0.5 * gam_next[k] * s2[k] - 0.5 * sum_wg
         gap = num_i - num_ii
+        if math.isnan(gap):  # no tolerance holds it: the check fails at this prefix
+            worst, worst_k, ok = gap, k, False
+            break
         if gap > worst:
             worst = gap
             worst_k = k

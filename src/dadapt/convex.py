@@ -100,7 +100,7 @@ class DAState:
     best: float = math.inf  # select_return_index's least d_{k+1} / d_sum so far
     d_sum: float = 0.0  # d_0 + .. + d_k after step k
     t_index: Optional[int] = None  # the picked return prefix ends at this step
-    picked_avg: Optional[tuple[Vector, float]] = None  # its (avg_num copy, avg_den)
+    picked_avg: Optional[tuple[Vector, float]] = None  # its (avg_num, avg_den)
 
     @property
     def x_avg_t(self) -> Optional[Vector]:
@@ -189,9 +189,11 @@ def da_step(state: DAState, g: Vector, sched: float = 1.0) -> None:
 
     d_k, state.d = state.d, max(state.d, d_hat)
     state.best, state.d_sum, picked = _prefix_step(state.best, state.d_sum, d_k, state.d)
-    if picked:  # keep the average's numerator and weight, divided when read
+    if picked:
+        # keep the average's numerator and weight, divided when read; the
+        # numerator is held uncopied, since update_average folds into a new one
         state.t_index = state.k
-        state.picked_avg = (state.traj.avg_num.copy(), state.traj.avg_den)
+        state.picked_avg = (state.traj.avg_num, state.traj.avg_den)
     state.x = state.x0 - gamma_new * state.s
     state.gamma = gamma_new
     state.k += 1
@@ -248,7 +250,8 @@ def gd_step(state: GDState, g: Vector, sched: float = 1.0) -> None:
     hyper_term = lam * ip_gs
     wg_term = lam * lam * gnorm2
     state.sum_lambda_sq += wg_term
-    state.s += lam * g
+    lam_g = lam * g
+    state.s += lam_g
 
     snorm2 = _dot(state.s, state.s)
     snorm = math.sqrt(snorm2)
@@ -263,7 +266,7 @@ def gd_step(state: GDState, g: Vector, sched: float = 1.0) -> None:
     )
 
     state.d = max(state.d, d_hat)
-    state.x = state.x - lam * g
+    state.x = state.x - lam_g
     state.k += 1
 
 

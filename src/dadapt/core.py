@@ -465,7 +465,9 @@ class Problem:
 
     subgradient(x) returns an element of the subdifferential at x, or an
     unbiased estimate of one for minibatch losses; a stochastic oracle draws
-    from a stream of its own, as LogisticProblem does. drive_lanes calls it
+    from a stream of its own, as LogisticProblem does. The array it returns
+    may be read-only and shared, as piecewise_max_problem's row of its slopes
+    is: a caller copies it before writing into it. drive_lanes calls it
     on a (B, dim) stack of points and needs a row for each from one draw, as
     LogisticProblem's minibatch gradients give. values(X) is the one
     function-value oracle: f at each row of a C-contiguous (K, dim) array,
@@ -573,11 +575,12 @@ class Trajectory:
         return self.pack()[:, :6]
 
     def update_average(self, x: Vector, w: float) -> None:
-        """Fold the point x with weight w >= 0 into the running average."""
+        """Fold the point x with weight w >= 0 into the running average.
+        The fold makes a new avg_num, so a caller may hold the old one."""
         if w < 0.0:
             raise ValueError("average weight must be >= 0")
         if w > 0.0:
-            self.avg_num += w * x
+            self.avg_num = self.avg_num + w * x
             self.avg_den += w
 
     def average(self) -> Vector:

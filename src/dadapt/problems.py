@@ -72,14 +72,24 @@ def piecewise_max_problem(
     known_minimizer: Optional[Vector] = None,
     known_fstar: Optional[float] = None,
 ) -> Problem:
-    """f(x) = max_i (<slopes_i, x> + offsets_i); ties take the lowest index."""
-    slopes = np.asarray(slopes, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
+    """f(x) = max_i (<slopes_i, x> + offsets_i); ties take the lowest index.
+
+    The problem holds its own copies of slopes and offsets, the slopes
+    read-only, and its subgradient is a row of those slopes, not a copy.
+    """
+    slopes = np.array(slopes, dtype=np.float64)
+    offsets = np.array(offsets, dtype=np.float64)
     if slopes.ndim != 2 or offsets.shape != (slopes.shape[0],):
         raise ValueError("need an m x dim slope matrix and m offsets")
+    if not (np.isfinite(slopes).all() and np.isfinite(offsets).all()):
+        raise ValueError("slopes and offsets must be finite")
+    slopes.flags.writeable = False
 
     def subgradient(x: Vector) -> Vector:
-        return slopes[(slopes @ x + offsets).argmax()].copy()
+        # .dot runs the gemv of slopes @ x at dim >= 2; at dim 1, where @ takes
+        # numpy's own loop, the finite slopes' scores differ at most in a zero's
+        # sign, which argmax does not see
+        return slopes[(slopes.dot(x) + offsets).argmax()]
 
     def values(X: np.ndarray) -> np.ndarray:
         # the stacked product runs the gemv of slopes @ x once per row, so a row's f does not

@@ -75,6 +75,15 @@ class TestDLowerBound:
         rep = check_d_lower_bound(traj, 1.0)
         assert not rep.satisfied
 
+    @pytest.mark.parametrize("dhat", [[0.3, math.nan], [math.nan, 0.3]])
+    def test_nan_candidate_fails(self, dhat):
+        # a NaN dhat after step 0 no longer hides behind max
+        traj = Trajectory("da", 1)
+        for k, v in enumerate(dhat):
+            traj.append((k, 1.0, v, 1.0, 0.0, 1.0))
+        rep = check_d_lower_bound(traj, 1.0)
+        assert not rep.satisfied and math.isnan(rep.lhs)
+
 
 class TestTelescoping:
     def test_abs_run_residual_tiny(self):
@@ -178,6 +187,11 @@ class TestMinDk:
         assert check_mindk([1.0, 0.5, 2.0]).skipped
         assert check_mindk([0.0, 1.0]).skipped
         assert check_mindk([1.0]).skipped
+
+    def test_nan_skipped(self):
+        # a NaN d is not positive; min over the ratios would pass over it
+        rep = check_mindk([1.0, 1.0, math.nan, 1.0])
+        assert rep.skipped and "must be positive" in rep.context
 
     def test_randomized_sweep(self):
         rng = Rng(2, 3)
@@ -287,6 +301,15 @@ class TestOptionDominance:
         _, _, res = make_run(seed=0, algo="gd")
         with pytest.raises(ValueError):
             check_option_dominance(res.traj)
+
+    def test_nan_gap_fails(self):
+        # a NaN hypergradient term makes a NaN gap at every prefix from its own
+        traj = Trajectory("da", 1, ("gamma", "wg_term", "hyper_term", "snorm2_after", "lam"))
+        traj.append((0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0))
+        traj.append((1, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, math.nan, 1.0, 1.0))
+        rep = check_option_dominance(traj)
+        assert not rep.satisfied and math.isnan(rep.lhs)
+        assert rep.context == "worst prefix k=1 of 2"
 
 
 class TestSnormBound:

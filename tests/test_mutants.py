@@ -6,7 +6,9 @@ tests stand between a stepper bug and the new digests. Each entry below
 changes one line of a stepper (a scalar stepper function or a lane class's
 step method), of core.drive_lanes or Lanes.write_back, which hand each
 lane's rows and every state field to its state, of Trajectory.extend,
-which logs those rows, of Rng's bulk draws, or of the logistic oracle's
+which logs those rows, of Trajectory.update_average, whose fold makes a new
+numerator, of Rng's bulk draws, of the piecewise oracle, which hands out
+rows of its read-only, finite slopes, or of the logistic oracle's
 gradient on signed rows and its fixed-shape value gemm. It is built from that source
 by one str.replace that must match exactly once, so a refactor that moves
 the text fails here until the list is updated. A mutant function is bound in
@@ -15,7 +17,9 @@ included; a mutant method is set on its class. A fixed battery must then
 report a failure: criterion 10's hand traces, the sgd_da and adam_da hand
 traces, adagrad_norm's projection, an append after an extend, the two
 crafted Rng states, a stopped lane riding along, the signed-row gradient
-against its two-array form, full_values in every chunking, the quick verify
+against its two-array form, full_values in every chunking, the online
+prefix pick against its replay, the piecewise oracle's read-only row and
+its refusal of non-finite slopes, the quick verify
 lemmas and one seeded lanes-match-lone-runs case for each lane form. The
 identity control must pass that battery.
 """
@@ -29,6 +33,7 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
+import test_convex
 import test_core
 import test_harness
 import test_lanes as lanes
@@ -150,6 +155,24 @@ MUTANTS = [
         "P = np.zeros((_F_ROWS, self.dim))",
         "P = np.zeros((len(rows), self.dim))",
     ),
+    # the average folded in place: da_step's picked prefix holds the numerator
+    # uncopied, so it would follow the whole run's average
+    (
+        "Trajectory.update_average-21", core.Trajectory, "update_average",
+        "self.avg_num = self.avg_num + w * x",
+        "self.avg_num += w * x",
+    ),
+    # the slopes left writable: a write into a returned subgradient would
+    # change the problem
+    (
+        "piecewise_max_problem-22", problems, "piecewise_max_problem",
+        "slopes.flags.writeable = False", "pass",
+    ),
+    # non-finite slopes let in: an infinite one breaks the dot's bits
+    (
+        "piecewise_max_problem-23", problems, "piecewise_max_problem",
+        "np.isfinite(slopes).all() and np.isfinite(offsets).all()", "True",
+    ),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 
@@ -192,10 +215,16 @@ def _full_values_chunks() -> None:
     test_problems.check_full_values(LogisticProblem(synth_dataset(4, 100, 31, flip=0.1)), W)
 
 
+def _non_finite_refused() -> None:
+    for bad in (np.nan, np.inf, -np.inf):
+        test_problems.TestPiecewiseConstruction().test_non_finite_slopes_or_offsets_refused(bad)
+
+
 def _battery() -> list[str]:
     """The parts of the battery that fail."""
     rng = test_core.TestRngBulk()
     grads = test_problems.TestMarginsGradInPlace()
+    pieces = test_problems.TestPiecewiseValues()
     checks = [
         ("criterion 10", acceptance.test_criterion_10_hand_trace_oracles),
         ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
@@ -208,6 +237,9 @@ def _battery() -> list[str]:
         ("stopped lane", lanes.test_a_stopped_lane_rides_along),
         ("signed-row gradient", grads.test_zero_column_and_zero_or_nan_weights),
         ("full_values chunks", _full_values_chunks),
+        ("online prefix", test_convex.TestRunConvex().test_online_prefix_matches_replay),
+        ("read-only subgradient", pieces.test_subgradient_is_a_read_only_row),
+        ("non-finite slopes", _non_finite_refused),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []

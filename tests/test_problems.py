@@ -830,6 +830,28 @@ class TestPiecewiseConstruction:
         with pytest.raises(ValueError):
             random_piecewise_max(Rng(0, 8), pieces=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slopes_or_offsets_refused(self, bad):
+        # no finite convex function has them; an infinite slope also breaks
+        # the oracle's dot, which skips a zero coordinate that @ multiplies
+        slopes, offsets = np.ones((2, 2)), np.zeros(2)
+        with pytest.raises(ValueError, match="finite"):
+            piecewise_max_problem(np.where([[False, True], [False, False]], bad, slopes), offsets)
+        with pytest.raises(ValueError, match="finite"):
+            piecewise_max_problem(slopes, np.array([0.0, bad]))
+
+    def test_holds_its_own_arrays(self):
+        # a later write to the caller's arrays changes nothing of the problem,
+        # whose lipschitz was taken from them at construction
+        slopes, offsets = np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([0.0, 1.0])
+        prob = piecewise_max_problem(slopes, offsets)
+        x = np.array([1.0, 3.0])
+        slopes[:] = 7.0
+        offsets[:] = -7.0
+        assert prob.subgradient(x).tolist() == [0.0, 2.0]
+        assert prob.value(x) == 7.0 and prob.values(x[None]).tolist() == [7.0]
+        assert prob.lipschitz == 2.0
+
     def test_start_draws_problem_then_direction(self):
         prob, x0 = piecewise_start(5, dim=4, pieces=3, distance=2.5)
         rng = Rng(5, stream_id=1)
@@ -858,6 +880,37 @@ def _piecewise_cases(draw):
     return np.array(rows), np.array(offsets), np.array(X)
 
 
+_SUBGRAD_DIMS = (1, 2, 3, 4, 5, 6, 7, 8, 70, 1000)
+_SUBNORMAL = 2.2250738585072014e-308 / 3
+_TIES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324])
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -_SUBNORMAL])
+
+
+@st.composite
+def _subgradient_cases(draw):
+    """Finite slopes whose rows repeat and whose entries are often 0, -0,
+    +-1, 0.5 or subnormal, offsets alike, and a point, strided or not, of
+    dim 1 to 8, 70 or 1000, whose entries may be +-0, +-inf, NaN or
+    subnormal. The arrays come from a drawn seed, so a dim-1000 case costs
+    one draw."""
+    dim = draw(st.sampled_from(_SUBGRAD_DIMS))
+    m = draw(st.integers(1, 8))
+    stride = draw(st.sampled_from([1, 2, -1]))
+    p_tie = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    p_special = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mixed(shape, pool, p):
+        # each entry from pool with odds p, else a normal scaled by 1e-3 to 1e3
+        normal = gen.standard_normal(shape) * 10.0 ** gen.integers(-3, 4, shape)
+        return np.where(gen.random(shape) < p, gen.choice(pool, shape), normal)
+
+    slopes = mixed((3, dim), _TIES, p_tie)[gen.integers(0, 3, m)]
+    offsets = mixed(m, _TIES, p_tie)
+    x = mixed(dim * abs(stride), _SPECIAL, p_special)[::stride]
+    return slopes, offsets, x
+
+
 class TestPiecewiseValues:
     @settings(max_examples=400, deadline=None)
     @given(_piecewise_cases())
@@ -882,8 +935,32 @@ class TestPiecewiseValues:
         prob = piecewise_max_problem(slopes, np.zeros(3))
         g = prob.subgradient(np.array([1.0, 1.0]))
         assert g.tolist() == [0.0, 1.0]
-        g[0] = 5.0  # a copy, not a view of the slopes
-        assert prob.subgradient(np.array([1.0, 1.0])).tolist() == [0.0, 1.0]
+
+    def test_subgradient_is_a_read_only_row(self):
+        # the oracle hands out a row of its slopes, not a copy: a write into it
+        # raises and leaves the problem as it was
+        prob = piecewise_max_problem(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+        x = np.array([1.0, 2.0])
+        g = prob.subgradient(x)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 5.0
+        assert prob.subgradient(x).tolist() == [0.0, 1.0]
+        assert prob.value(x) == 2.0 and prob.lipschitz == 1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_subgradient_cases())
+    @example((np.array([[1.0]]), np.array([-0.0]), np.array([-0.0])))  # dot's score -0.0, @'s 0.0
+    @example((np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), np.array([math.nan])))
+    @example((np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.0, 1.0]), np.array([math.inf, 1.0])))
+    def test_subgradient_bit_equal_to_matmul_scores(self, case):
+        slopes, offsets, x = case
+        prob = piecewise_max_problem(slopes, offsets)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in the scores
+            g = prob.subgradient(x)
+            want = slopes[(slopes @ x + offsets).argmax()]
+        assert g.shape == want.shape and g.dtype == np.float64
+        assert g.tobytes() == want.tobytes()
 
 
 class TestAbsProblem:
