@@ -6,8 +6,10 @@ Identities are compared at 1e-8 relative tolerance, inequalities at 1e-9
 absolute slack, and the option-dominance comparison at 1e-12 relative;
 those defaults are pinned by the acceptance tests. Checks whose
 preconditions do not hold on the given data come back skipped with the
-reason in the context field, never as failures. verify_suite runs the
-battery behind `dadapt verify` over small runs made here.
+reason in the context field, never as failures. A NaN premise skips; a NaN
+lhs or rhs fails (BoundReport), and _max keeps a NaN that max passes over,
+so a NaN candidate dhat fails; d_final keeps its d (Trajectory.d_series).
+verify_suite runs the battery behind `dadapt verify` over small runs made here.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class BoundReport:
 
     Identity checks are two-sided (|lhs - rhs| small relative to scale);
     their tolerance handling is noted in context. Skipped reports carry
-    nan bounds, satisfied=True, and the gating reason in context.
+    nan bounds, satisfied=True, and the gating reason in context. Any other
+    report with a NaN lhs or rhs fails, whatever satisfied it is given.
     """
 
     name: str
@@ -70,6 +73,10 @@ class BoundReport:
     satisfied: bool
     context: str = ""
     skipped: bool = False
+
+    def __post_init__(self):
+        if not self.skipped and (math.isnan(self.lhs) or math.isnan(self.rhs)):
+            object.__setattr__(self, "satisfied", False)
 
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
@@ -93,11 +100,16 @@ def _report(
     return BoundReport(name, lhs, rhs, rhs - lhs, satisfied, context)
 
 
+def _max(values: Sequence[float]) -> float:
+    """max(values), or the first NaN in values, which max passes over."""
+    return values[int(np.argmax(values))]
+
+
 def log2p(x: float) -> float:
-    """max(1, log2(x)); the clamped log that appears in the rate bounds."""
+    """max(1, log2(x)), NaN for a NaN; the clamped log in the rate bounds."""
     if x <= 0.0:
         raise ValueError("log2p needs a positive argument")
-    return max(1.0, math.log2(x))
+    return _max((1.0, math.log2(x)))
 
 
 # --------------------------------------------------------------------------
@@ -108,9 +120,7 @@ def check_d_lower_bound(traj: Trajectory, D: float) -> BoundReport:
     """Every candidate dhat stays below the true initial distance D."""
     if not len(traj.records):
         raise ValueError("trajectory has no recorded steps")
-    dhat = traj.extra("dhat")
-    # max skips a NaN that is not first; any NaN dhat is the lhs, and fails
-    lhs = math.nan if any(map(math.isnan, dhat)) else max(dhat)
+    lhs = _max(traj.extra("dhat"))
     return _report("d_lower_bound", lhs, D, f"kind={traj.kind} steps={len(traj.records)}")
 
 
@@ -305,7 +315,7 @@ def check_dasym(result: ConvexRunResult, x_star: Vector, D: float) -> BoundRepor
     if D <= 0.0:
         raise ValueError("D must be positive")
     dist = float(np.linalg.norm(result.x_final - np.asarray(x_star, dtype=np.float64)))
-    if dist > 0.01 * D:
+    if not dist <= 0.01 * D:
         return _skipped("dasym", f"final distance {dist:.3e} > 0.01*D, not converged")
     lhs = D / (1.0 + math.sqrt(3.0)) - 0.05 * D
     rhs = result.d_final
@@ -330,31 +340,20 @@ def check_option_dominance(traj: Trajectory) -> BoundReport:
     gam_next = traj.extra("gamma_or_lambda")
     num_ii = 0.0
     sum_wg = 0.0
-    worst = -math.inf
-    worst_k = -1
+    gaps = [-math.inf]  # before any prefix, the worst gap is -inf at k = -1
     ok = True
     for k in range(len(hyper)):
         num_ii += hyper[k]
         sum_wg += wg[k]
         num_i = 0.5 * gam_next[k] * s2[k] - 0.5 * sum_wg
-        gap = num_i - num_ii
-        if math.isnan(gap):  # no tolerance holds it: the check fails at this prefix
-            worst, worst_k, ok = gap, k, False
-            break
-        if gap > worst:
-            worst = gap
-            worst_k = k
+        gaps.append(num_i - num_ii)
         tol = DOMINANCE_RTOL * max(1.0, abs(num_i), abs(num_ii))
-        if gap > tol:
+        if gaps[-1] > tol:
             ok = False
-    return BoundReport(
-        name="option_dominance",
-        lhs=worst,
-        rhs=0.0,
-        slack=-worst,
-        satisfied=ok,
-        context=f"worst prefix k={worst_k} of {len(hyper)}",
-    )
+    worst_k = int(np.argmax(gaps)) - 1  # where _max finds the worst gap
+    worst = gaps[worst_k + 1]
+    context = f"worst prefix k={worst_k} of {len(hyper)}"
+    return BoundReport("option_dominance", worst, 0.0, -worst, ok, context)
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def check_ema_equivalence(c: float, gs: Sequence[float]) -> BoundReport:
         # pair.k has already been advanced past it
         expected = (pair.c ** (pair.k - 1)) * (1.0 - pair.c) * pair.u
         scale = max(abs(expected), abs(pair.u_hat), 1e-300)
-        worst = max(worst, abs(pair.u_hat - expected) / scale)
+        worst = _max((worst, abs(pair.u_hat - expected) / scale))
     return _report("ema_equivalence", worst, EMA_RTOL, f"c={c} steps={len(gs)}", worst <= EMA_RTOL)
 
 

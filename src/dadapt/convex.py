@@ -170,7 +170,7 @@ def da_step(state: DAState, g: Vector, sched: float = 1.0) -> None:
     if state.g_fixed is None:
         gamma_new = 1.0 / math.sqrt(state.sum_gsq)
     else:
-        gamma_new = 1.0 / math.sqrt(state.g_fixed**2 + state.sum_gsq)
+        gamma_new = 1.0 / math.sqrt(state.g_fixed * state.g_fixed + state.sum_gsq)
 
     snorm2 = _dot(state.s, state.s)
     snorm = math.sqrt(snorm2)
@@ -244,7 +244,7 @@ def gd_step(state: GDState, g: Vector, sched: float = 1.0) -> None:
             state.G = math.sqrt(gnorm2)
     # the step size denominator includes the current gradient
     state.sum_gsq += gnorm2
-    lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)
+    lam = sched * state.d / math.sqrt(state.G * state.G + state.sum_gsq)
 
     ip_gs = _dot(g, state.s)
     hyper_term = lam * ip_gs

@@ -587,7 +587,8 @@ class Trajectory:
         return _weighted_average(self.avg_num, self.avg_den)
 
     def d_series(self) -> list[float]:
-        """d_0 .. d_{n+1} for a run of n+1 recorded steps."""
+        """d_0 .. d_{n+1} for a run of n+1 recorded steps, d_{n+1} = max(d_n,
+        dhat_n): a NaN candidate keeps d_n, as it does in every stepper."""
         table = self.pack()
         if not table.shape[0]:
             raise ValueError("empty trajectory")

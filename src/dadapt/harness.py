@@ -433,7 +433,7 @@ def mean_2se(values: Sequence[float]) -> tuple[float, float]:
     m = _sum(vals) / len(vals)
     if len(vals) < 2:
         return m, 0.0
-    var = _sum((v - m) ** 2 for v in vals) / (len(vals) - 1)
+    var = _sum((v - m) * (v - m) for v in vals) / (len(vals) - 1)
     return m, 2.0 * math.sqrt(var / len(vals))
 
 

@@ -1,7 +1,7 @@
 """Bound checkers: hand cases, randomized sweeps, precondition gating."""
 
 import math
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from dadapt.analysis import (
     verify_suite,
 )
 from dadapt.convex import run_convex
-from dadapt.core import ConfigError, Rng, Trajectory
+from dadapt.core import STEP_COLUMNS, ConfigError, Rng, Trajectory
 from dadapt.ml import sgd_da_init, sgd_da_step
 from dadapt.problems import abs_value_problem, piecewise_start, random_piecewise_max
 
@@ -45,6 +45,7 @@ def test_log2p():
     assert log2p(2.0) == 1.0
     assert log2p(8.0) == 3.0
     assert log2p(0.5) == 1.0  # clamped from below
+    assert math.isnan(log2p(math.nan))  # max(1.0, nan) would give 1.0
     with pytest.raises(ValueError):
         log2p(0.0)
 
@@ -558,3 +559,144 @@ class TestReportSerialization:
         rep = BoundReport("x", 1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, True, "")
         row = reports_to_csv([rep]).splitlines()[1].split(",")
         assert float(row[1]) == 1.0 / 3.0
+
+
+# --------------------------------------------------------------------------
+# A NaN in any input a checker reads never makes a satisfied report
+
+
+class _Column(list):
+    """A sequence handed to a checker that records path + (step,) for each of
+    its positions the checker reads, where position j holds step steps[j];
+    only the steps 0, 1, n/2 and n-1 are recorded."""
+
+    def __init__(self, values, read, path, steps=None):
+        super().__init__(values)
+        self.read, self.path = read, path
+        self.steps = range(len(self)) if steps is None else steps
+        n = self.steps[-1] + 1
+        self.spots = {0, 1, n // 2, n - 1}
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]
+        for j in at if isinstance(i, slice) else (at,):
+            if self.steps[j] in self.spots:
+                self.read.add(self.path + (self.steps[j],))
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        return iter(self[:])
+
+
+class _SpyTrajectory(Trajectory):
+    """A copy of traj whose extra and d_series hand out _Columns, so the
+    reads record path + (column, step)."""
+
+    def __init__(self, traj, read, path=()):
+        super().__init__(traj.kind, traj.avg_num.shape[0], traj.columns[len(STEP_COLUMNS):])
+        self.meta = dict(traj.meta)
+        self.extend(traj.pack().copy())
+        self.read, self.path = read, path
+
+    def extra(self, key):
+        return _Column(super().extra(key), self.read, self.path + (key,))
+
+    def d_series(self):
+        # d_{n+1} is the d kept at the last step: a NaN candidate leaves it
+        n = len(self.records)
+        return _Column(super().d_series(), self.read, self.path + ("d",), [*range(n), n - 1])
+
+
+class _SpyFields:
+    """A dataclass instance whose fields, as a checker reads them, go through
+    _spy under path + (name,)."""
+
+    def __init__(self, inner, read, path):
+        self._inner, self._read, self._path = inner, read, path
+
+    def __getattr__(self, name):
+        return _spy(getattr(self._inner, name), self._read, self._path + (name,))
+
+
+def _spy(value, read, path):
+    """value as a checker should see it, recording into read the path of
+    each float it reads: a float or an array counts as one."""
+    if isinstance(value, Trajectory):
+        return _SpyTrajectory(value, read, path)
+    if isinstance(value, list):
+        return _Column(value, read, path)
+    if is_dataclass(value):
+        return _SpyFields(value, read, path)
+    if isinstance(value, (float, np.ndarray)):
+        read.add(path)
+    return value
+
+
+def _with_nan(value, path):
+    """A copy of value with a NaN where _spy recorded path."""
+    if isinstance(value, Trajectory):
+        name, step = path
+        copy = _SpyTrajectory(value, set())
+        copy.pack()[step, copy.columns.index(name)] = math.nan
+        return copy
+    if isinstance(value, list):
+        return [math.nan if i == path[0] else v for i, v in enumerate(value)]
+    if is_dataclass(value):
+        return replace(value, **{path[0]: _with_nan(getattr(value, path[0]), path[1:])})
+    if isinstance(value, np.ndarray):
+        copy = value.astype(np.float64)
+        copy[0] = math.nan
+        return copy
+    return math.nan
+
+
+def nan_cases():
+    """(checker, inputs) pairs that each pass clean, with every checker and
+    every trajectory kind that each checker takes."""
+    cases = []
+    for _, problem, x0, algo, _, result in run_convex_sweep(1, 40):
+        D = float(np.abs(x0 - problem.known_minimizer).max()) if algo == "adagrad_da" else 1.0
+        cases += [(check_d_lower_bound, (result.traj, D)), (check_snorm_bound, (result.traj,))]
+        if algo != "adagrad_da":
+            cases.append((check_telescoping, (result.traj,)))
+        if algo == "da":
+            cases.append((check_option_dominance, (result.traj,)))
+    prob = abs_value_problem()
+    fixed = _abs_da(n=500, g_mode="fixed", g_value=1.0)  # ends within 0.01 of x* = 0
+    gnorms = [0.5, 1.0, 0.25, 0.75, 0.5]
+    return cases + [
+        (check_rate_theorem2, (fixed, prob, 1.0, 1.0)),
+        (check_rate_asymptotic, (_abs_da(n=500), prob, 1.0, 1.0)),
+        (check_dasym, (fixed, prob.known_minimizer, 1.0)),
+        (check_streeter_mcmahan, (gnorms, 1.0, "sqrt")),
+        (check_streeter_mcmahan, (gnorms, 1.0, "log")),
+        (check_mindk, ([1.0, 1.5, 2.0, 2.0, 2.0, 2.0],)),
+        (check_ema_equivalence, (0.5, [1.0, -0.5, 2.0, 0.25, 1.5])),
+    ]
+
+
+def check_nan_inputs_fail_or_skip(cases) -> None:
+    """Each case's clean report is satisfied; a NaN put into any float its
+    checker read there gives a failed or skipped report, or a refusal."""
+    for check, args in cases:
+        read = set()
+        clean = check(*[_spy(arg, read, (i,)) for i, arg in enumerate(args)])
+        assert clean.satisfied and not clean.skipped and read, clean
+        for path in sorted(read, key=repr):
+            bad = list(args)
+            bad[path[0]] = _with_nan(args[path[0]], path[1:])
+            try:
+                rep = check(*bad)
+            except ValueError:  # ema_pair refuses c = NaN
+                continue
+            assert rep.skipped or not rep.satisfied, (path, rep)
+
+
+CHECKERS = sorted(name for name in analysis.__all__ if name.startswith("check_"))
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_a_nan_input_never_satisfies(name):
+    cases = [case for case in nan_cases() if case[0].__name__ == name]
+    assert cases
+    check_nan_inputs_fail_or_skip(cases)

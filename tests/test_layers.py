@@ -6,7 +6,7 @@ calls them through their modules, so a rename in the package breaks the
 benchmark without failing any other test. A lane form is a second code path
 for its method's points, kept only where a workload runs it. The layering
 keeps the optimizers, problems and checkers free of the harness and the
-command line.
+command line. The steppers and the harness square by multiplying.
 """
 
 import ast
@@ -256,3 +256,18 @@ def test_steppers_take_state_g_and_sched(algorithm):
     cfg = ExperimentConfig(problem="piecewise", algorithm=algorithm, n_steps=5)
     _, step = start(cfg, build_problem(cfg, seed=0))
     assert list(inspect.signature(step).parameters) == ["state", "g", "sched"]
+
+
+@pytest.mark.parametrize("module", ["baselines", "convex", "harness", "ml"])
+def test_squares_are_products(module):
+    # Python's x ** 2 calls libm's pow, whose bits differ from x * x's for
+    # about 1 value in 1200 on glibc 2.36 and may change with the host; a
+    # lane kernel's numpy square gives x * x's bits
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    powers = [
+        (node.lineno, node.right if isinstance(node, ast.BinOp) else node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    squares = [line for line, exp in powers if isinstance(exp, ast.Constant) and exp.value == 2]
+    assert not squares, f"{module}.py squares with ** on lines {squares}"

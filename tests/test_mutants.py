@@ -8,8 +8,9 @@ step method), of core.drive_lanes or Lanes.write_back, which hand each
 lane's rows and every state field to its state, of Trajectory.extend,
 which logs those rows, of Trajectory.update_average, whose fold makes a new
 numerator, of Rng's bulk draws, of the piecewise oracle, which hands out
-rows of its read-only, finite slopes, or of the logistic oracle's
-gradient on signed rows and its fixed-shape value gemm. It is built from that source
+rows of its read-only, finite slopes, of the logistic oracle's gradient on
+signed rows and its fixed-shape value gemm, of the return prefix's tie rule,
+or of the bound checkers' NaN rule. It is built from that source
 by one str.replace that must match exactly once, so a refactor that moves
 the text fails here until the list is updated. A mutant function is bound in
 place of the original in every loaded module that holds it, test modules
@@ -18,8 +19,9 @@ report a failure: criterion 10's hand traces, the sgd_da and adam_da hand
 traces, adagrad_norm's projection, an append after an extend, the two
 crafted Rng states, a stopped lane riding along, the signed-row gradient
 against its two-array form, full_values in every chunking, the online
-prefix pick against its replay, the piecewise oracle's read-only row and
-its refusal of non-finite slopes, the quick verify
+prefix pick against its replay, tied prefix ratios, the piecewise oracle's
+read-only row and its refusal of non-finite slopes, a NaN in each input of
+each bound checker, the quick verify
 lemmas and one seeded lanes-match-lone-runs case for each lane form. The
 identity control must pass that battery.
 """
@@ -33,13 +35,14 @@ import numpy as np
 import pytest
 
 import test_acceptance as acceptance
+import test_analysis
 import test_convex
 import test_core
 import test_harness
 import test_lanes as lanes
 import test_ml
 import test_problems
-from dadapt import baselines, convex, core, ml, problems
+from dadapt import analysis, baselines, convex, core, ml, problems
 from dadapt.analysis import verify_suite
 from dadapt.harness import ExperimentConfig
 from dadapt.problems import LogisticProblem, synth_dataset
@@ -52,8 +55,8 @@ MUTANTS = [
     # the step-size denominator leaves out the current gradient
     (
         "gd_step-0", convex, "gd_step",
-        "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq)",
-        "lam = sched * state.d / math.sqrt(state.G**2 + state.sum_gsq - gnorm2)",
+        "lam = sched * state.d / math.sqrt(state.G * state.G + state.sum_gsq)",
+        "lam = sched * state.d / math.sqrt(state.G * state.G + state.sum_gsq - gnorm2)",
     ),
     # the iterate moves with the step size before this gradient
     (
@@ -173,6 +176,17 @@ MUTANTS = [
         "piecewise_max_problem-23", problems, "piecewise_max_problem",
         "np.isfinite(slopes).all() and np.isfinite(offsets).all()", "True",
     ),
+    # a tie goes to the earlier prefix, where the rule takes the later one
+    ("_prefix_step-24", convex, "_prefix_step", "if ratio <= best:", "if ratio < best:"),
+    # a report keeps the satisfied its caller gave it over a NaN bound
+    (
+        "BoundReport.__post_init__-25", analysis.BoundReport, "__post_init__",
+        'object.__setattr__(self, "satisfied", False)', "pass",
+    ),
+    # Python's max, which passes over a NaN that is not first
+    ("_max-26", analysis, "_max", "values[int(np.argmax(values))]", "max(values)"),
+    # a NaN distance passes the convergence premise, where it should skip
+    ("check_dasym-27", analysis, "check_dasym", "if not dist <= 0.01 * D:", "if dist > 0.01 * D:"),
 ]
 CONTROL = (convex, "da_step", "state.k += 1", "state.k += 1")
 
@@ -220,11 +234,16 @@ def _non_finite_refused() -> None:
         test_problems.TestPiecewiseConstruction().test_non_finite_slopes_or_offsets_refused(bad)
 
 
+def _nan_inputs() -> None:
+    test_analysis.check_nan_inputs_fail_or_skip(test_analysis.nan_cases())
+
+
 def _battery() -> list[str]:
     """The parts of the battery that fail."""
     rng = test_core.TestRngBulk()
     grads = test_problems.TestMarginsGradInPlace()
     pieces = test_problems.TestPiecewiseValues()
+    prefix = test_convex.TestSelectReturnIndex()
     checks = [
         ("criterion 10", acceptance.test_criterion_10_hand_trace_oracles),
         ("sgd_da step 0", test_ml.TestSgdDaTrace().test_step0),
@@ -238,8 +257,10 @@ def _battery() -> list[str]:
         ("signed-row gradient", grads.test_zero_column_and_zero_or_nan_weights),
         ("full_values chunks", _full_values_chunks),
         ("online prefix", test_convex.TestRunConvex().test_online_prefix_matches_replay),
+        ("tied prefix ratios", prefix.test_tied_ratios_pick_the_later_k),
         ("read-only subgradient", pieces.test_subgradient_is_a_read_only_row),
         ("non-finite slopes", _non_finite_refused),
+        ("NaN inputs", _nan_inputs),
     ]
     checks += [(f"lanes {case[0]}", lambda case=case: _lanes_case(*case)) for case in LANE_CASES]
     failed = []
